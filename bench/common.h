@@ -325,19 +325,6 @@ struct RunOptions {
   /// (buffer negotiation before data movement) as every other point —
   /// otherwise the first step of the sweep compares two protocols.
   bool attach_fault_plan = false;
-  /// Engine shard count (`--sim-shards`): partitions the run's fibers
-  /// over sim_shards worker threads by home node. Simulated output is
-  /// byte-identical for every value — the sharded engine replays the
-  /// sequential event order exactly (DESIGN.md §12) — so this is a
-  /// determinism-property knob, not a speedup knob.
-  int sim_shards = 1;
-  /// Run the sharded engine's conservative-lookahead scheduler
-  /// (`--lookahead`): shard workers execute concurrently inside the
-  /// topology-derived lookahead window instead of replaying the global
-  /// order one event at a time. Output is still byte-identical
-  /// (DESIGN.md §14); only host wall time changes. Ignored (with a
-  /// sequenced fallback) when sim_shards == 1.
-  bool sim_lookahead = false;
   /// Audit this run through a private deferred Auditor instead of the
   /// global one, folding its counters into the global totals afterwards.
   /// Required when run_experiment calls execute concurrently (the global
@@ -407,8 +394,6 @@ inline RunResult run_experiment(const RunOptions& opt,
   } absorb{private_auditor ? &*private_auditor : nullptr};
 
   mpi::Machine machine(opt.testbed.cluster());
-  machine.set_sim_shards(opt.sim_shards);
-  machine.set_sim_lookahead(opt.sim_lookahead);
   pfs::Pfs fs(machine.cluster(), opt.testbed.pfs());
   node::MemoryVariance var;
   var.relative_stdev = opt.mem_stdev;
@@ -543,7 +528,7 @@ inline std::vector<SweepPoint> run_memory_sweep(
 /// bandwidths bit-exact, aggregation and message counters equal. Host
 /// meters are exempt — wall clock legitimately varies. Backs the
 /// --threads-sweep determinism assertion (every simulated number must be
-/// independent of both host threads and engine shards).
+/// independent of the host thread count).
 inline void check_sweep_equal(const std::vector<SweepPoint>& a,
                               const std::vector<SweepPoint>& b) {
   MCIO_CHECK_EQ(a.size(), b.size());
@@ -594,23 +579,15 @@ inline void check_sweep_equal(const std::vector<SweepPoint>& a,
   }
 }
 
-/// Consumes the shared host-parallelism flags of the figure benches:
-/// `--threads` (sweep cells run on this many host threads),
-/// `--sim-shards` (each simulation's engine runs sharded over this many
-/// workers) and `--lookahead` (shard workers run the conservative
-/// lookahead scheduler instead of sequenced replay). None changes any
-/// simulated output.
+/// Consumes the shared host-parallelism flag of the figure benches:
+/// `--threads` (sweep cells run on this many host threads). It never
+/// changes any simulated output.
 struct ParallelFlags {
   int threads = 1;
-  int sim_shards = 1;
-  bool lookahead = false;
 
   explicit ParallelFlags(const util::Cli& cli)
-      : threads(static_cast<int>(cli.get_int("threads", 1))),
-        sim_shards(static_cast<int>(cli.get_int("sim-shards", 1))),
-        lookahead(cli.get_bool("lookahead", false)) {
+      : threads(static_cast<int>(cli.get_int("threads", 1))) {
     MCIO_CHECK_GE(threads, 1);
-    MCIO_CHECK_GE(sim_shards, 1);
   }
 };
 

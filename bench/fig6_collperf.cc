@@ -48,8 +48,6 @@ int main(int argc, char** argv) {
   base.testbed = tb;
   base.mem_stdev = stdev;
   base.hints.cb_node_leaders = hier;
-  base.sim_shards = par.sim_shards;
-  base.sim_lookahead = par.lookahead;
   const auto points = bench::run_memory_sweep(
       par.threads, bench::paper_memory_sweep(), base, make_plan);
   for (const bench::SweepPoint& pt : points) {

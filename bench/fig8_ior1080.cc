@@ -70,8 +70,6 @@ int main(int argc, char** argv) {
   base.testbed = tb;
   base.mem_stdev = stdev;
   base.hints.cb_node_leaders = hier;
-  base.sim_shards = par.sim_shards;
-  base.sim_lookahead = par.lookahead;
   const auto mems = bench::paper_memory_sweep();
 
   std::vector<bench::SweepPoint> points;
@@ -111,9 +109,7 @@ int main(int argc, char** argv) {
           .set("threads", t)
           .set("speedup_vs_1", speedup)
           .set("task_s", task_s)
-          .set("host_cpus", static_cast<std::uint64_t>(host_cpus))
-          .set("sim_shards", par.sim_shards)
-          .set("lookahead", par.lookahead);
+          .set("host_cpus", static_cast<std::uint64_t>(host_cpus));
       ttable.add(t, util::fixed(wall), util::fixed(speedup));
     }
     std::cout << "# Figure 8 — thread-scaling sweep (results identical at "

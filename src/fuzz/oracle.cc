@@ -84,8 +84,7 @@ const char* driver_kind_name(DriverKind kind) {
   return "?";
 }
 
-RunOutcome run_scenario(const Scenario& scenario, DriverKind kind,
-                        const OracleOptions& options) {
+RunOutcome run_scenario(const Scenario& scenario, DriverKind kind) {
   scenario.validate();
   RunOutcome out;
 
@@ -105,8 +104,6 @@ RunOutcome run_scenario(const Scenario& scenario, DriverKind kind,
   cluster.num_nodes = scenario.nodes;
   cluster.ranks_per_node = scenario.ranks_per_node;
   mpi::Machine machine(cluster);
-  machine.set_sim_shards(options.sim_shards);
-  machine.set_sim_lookahead(options.lookahead);
   machine.set_observer(&audit);
 
   pfs::PfsConfig pfs_config;
@@ -223,14 +220,12 @@ RunOutcome run_scenario(const Scenario& scenario, DriverKind kind,
   return out;
 }
 
-DiffResult run_differential(const Scenario& scenario,
-                            const OracleOptions& options) {
+DiffResult run_differential(const Scenario& scenario) {
   DiffResult result;
   result.scenario = scenario;
   for (const DriverKind kind : {DriverKind::kMccio, DriverKind::kTwoPhase,
                                 DriverKind::kIndependent}) {
-    result.runs[static_cast<int>(kind)] =
-        run_scenario(scenario, kind, options);
+    result.runs[static_cast<int>(kind)] = run_scenario(scenario, kind);
   }
   return result;
 }

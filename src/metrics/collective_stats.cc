@@ -1,14 +1,10 @@
 #include "metrics/collective_stats.h"
 
-#include "sim/engine.h"
-
 namespace mcio::metrics {
 
 void CollectiveStats::record_aggregator(const AggregatorRecord& record) {
   // Vector order feeds buffer_stats()' floating-point accumulation, so
-  // insertions must follow the globally-serialized slice order — not
-  // whatever order concurrent shards would race into.
-  sim::assert_global_interaction("aggregator record");
+  // insertions follow the engine's deterministic slice order.
   aggregators_.push_back(record);
 }
 

@@ -56,14 +56,15 @@ struct AggregatorRecord {
   int rounds = 0;
 };
 
-/// Shared by every rank of a collective, so record_* calls can arrive
-/// concurrently from lookahead shard workers. Integer counters bump
-/// through relaxed atomics — sums are commutative, so totals cannot
-/// depend on the scheduler mode. The order-sensitive state (the
-/// aggregator vector, the virtual-seconds accumulators) is only ever
-/// reached from globally-serialized slices (ladder/PFS paths), which
-/// the lookahead scheduler runs in the exact sequenced order; readers
-/// are quiescent (between collectives / after the run).
+/// Shared by every rank of a collective. The engine runs all ranks on
+/// one thread, so record_* calls never overlap today; integer counters
+/// still bump through relaxed atomics, which cost nothing measurable and
+/// keep the totals tear-free for any concurrent caller (sums are
+/// commutative, so totals cannot depend on call order). The
+/// order-sensitive state (the aggregator vector, the virtual-seconds
+/// accumulators) is reached from global-class slices (ladder/PFS paths)
+/// in the engine's deterministic order; readers are quiescent (between
+/// collectives / after the run).
 class CollectiveStats {
  public:
   void record_aggregator(const AggregatorRecord& record);
@@ -153,8 +154,8 @@ class CollectiveStats {
 
  private:
   /// Relaxed atomic increment of a plain counter (C++20 atomic_ref):
-  /// callers on concurrent shard workers sum without tearing and without
-  /// imposing any ordering the totals do not need.
+  /// concurrent callers would sum without tearing and without imposing
+  /// any ordering the totals do not need.
   static void bump(std::uint64_t& counter, std::uint64_t v = 1) {
     std::atomic_ref<std::uint64_t>(counter).fetch_add(
         v, std::memory_order_relaxed);

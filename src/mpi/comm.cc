@@ -63,10 +63,9 @@ void Comm::send(int dst, int tag, util::ConstPayload data) {
   env.src = rank();
   env.tag = tag;
   env.body = util::OwnedPayload(data);
-  // Source-side transport is charged here; a cross-shard receiver's NIC
-  // ingress + delivery apply on its own shard at this slice's stamp.
-  machine_->transfer_deliver(node_of(rank()), node_of(dst), wdst,
-                             std::move(env), data.size, actor.now());
+  env.arrival = machine_->transfer(node_of(rank()), node_of(dst), data.size,
+                                   actor.now());
+  machine_->deliver(wdst, std::move(env));
   actor.advance(machine_->config().send_overhead);
 }
 
@@ -152,16 +151,14 @@ void Comm::send_blob(int dst, int tag, std::span<const std::byte> blob) {
   // (size header, then body) so the simulated clock and resource state
   // are bit-identical; deliver the result as a single framed envelope.
   actor.sync_local();
-  auto header_arrival = std::make_shared<sim::SimTime>(0.0);
-  machine_->charge_transfer(node_of(rank()), node_of(dst), wdst,
-                            sizeof(size), actor.now(), header_arrival);
+  const sim::SimTime header_arrival = machine_->transfer(
+      node_of(rank()), node_of(dst), sizeof(size), actor.now());
   actor.advance(machine_->config().send_overhead);
-  auto arrival = header_arrival;
+  sim::SimTime arrival = header_arrival;
   if (size > 0) {
     actor.sync_local();
-    arrival = std::make_shared<sim::SimTime>(0.0);
-    machine_->charge_transfer(node_of(rank()), node_of(dst), wdst, size,
-                              actor.now(), arrival);
+    arrival =
+        machine_->transfer(node_of(rank()), node_of(dst), size, actor.now());
     actor.advance(machine_->config().send_overhead);
   }
   Envelope env;
@@ -171,11 +168,9 @@ void Comm::send_blob(int dst, int tag, std::span<const std::byte> blob) {
   env.body = util::OwnedPayload(
       util::ConstPayload::real(size > 0 ? blob.data() : nullptr, size));
   env.framed = true;
-  // Arrival stamps resolve on the destination shard (deferred ingress
-  // charges); deliver_framed reads them at apply time.
-  machine_->deliver_framed(node_of(rank()), node_of(dst), wdst,
-                           std::move(env), std::move(header_arrival),
-                           std::move(arrival));
+  env.header_arrival = header_arrival;
+  env.arrival = arrival;
+  machine_->deliver(wdst, std::move(env));
 }
 
 void Comm::send_shm(int dst, int tag, util::ConstPayload data) {

@@ -19,26 +19,14 @@ std::vector<sim::SimTime> Machine::run(
                  "nranks " << nranks << " exceeds cluster slots "
                            << cluster_.total_ranks());
   endpoints_.assign(static_cast<std::size_t>(nranks), Endpoint{});
-  sim::Engine::Options eopt;
-  eopt.threads = sim_shards_;
-  eopt.lookahead = sim_lookahead_;
-  sim::Engine engine(eopt);
+  sim::Engine engine;
   engine.set_observer(observer_);
-  engine.set_lookahead_provider(
-      [this](const std::vector<int>& shard_of, int nshards) {
-        return sim::shard_lookahead_matrix(cluster_.config(), shard_of,
-                                           nshards);
-      });
   engine_ = &engine;
   for (int r = 0; r < nranks; ++r) {
-    // Shard hint = the rank's node: co-located ranks (dense intra-node
-    // traffic) share a worker; only NIC/fabric traffic crosses shards.
-    engine.spawn(
-        [this, r, &body](sim::Actor& actor) {
-          Rank rank(*this, actor, r);
-          body(rank);
-        },
-        cluster_.node_of_rank(r));
+    engine.spawn([this, r, &body](sim::Actor& actor) {
+      Rank rank(*this, actor, r);
+      body(rank);
+    });
   }
   try {
     engine.run();
@@ -64,22 +52,10 @@ std::vector<sim::SimTime> Machine::run(
   return engine.finish_times();
 }
 
-void Machine::set_sim_shards(int shards) {
-  MCIO_CHECK_GE(shards, 1);
-  MCIO_CHECK_MSG(engine_ == nullptr, "set_sim_shards during run()");
-  sim_shards_ = shards;
-}
-
-void Machine::set_sim_lookahead(bool lookahead) {
-  MCIO_CHECK_MSG(engine_ == nullptr, "set_sim_lookahead during run()");
-  sim_lookahead_ = lookahead;
-}
-
 std::uint64_t Machine::intern_group(const std::vector<int>& world_members) {
   // Content hash (FNV-1a over the member list): the id is a pure
-  // function of the membership, so concurrent first-interning ranks on
-  // different shards agree without coordination and the id can never
-  // leak shard-placement order into figures or audit keys. The top bit
+  // function of the membership, so it can never leak the order in which
+  // ranks first intern a group into figures or audit keys. The top bit
   // is reserved for Comm::dup()'s generated ids.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
@@ -118,96 +94,13 @@ sim::SimTime Machine::shm_transfer(int node, std::uint64_t bytes,
   return cluster_.shm(node).serve(start, static_cast<double>(bytes));
 }
 
-bool Machine::defer_ingress(int world_dst) const {
-  if (engine_ == nullptr) return false;
-  return engine_->cross_shard(world_dst) || engine_->lookahead_active();
-}
-
-void Machine::transfer_deliver(int src_node, int dst_node, int world_dst,
-                               Envelope env, std::uint64_t bytes,
-                               sim::SimTime start) {
-  const auto fbytes = static_cast<double>(bytes);
-  if (src_node == dst_node) {
-    // Intra-node: one membus pass; same node means same shard, so the
-    // delivery schedules directly on the executing shard.
-    env.arrival = cluster_.membus(src_node).serve(start, fbytes);
-    schedule_delivery(world_dst, std::move(env));
-    return;
-  }
-  const sim::SimTime sent = cluster_.nic_out(src_node).serve(start, fbytes);
-  if (defer_ingress(world_dst)) {
-    // The receiver's NIC ingress is charged on the destination's shard
-    // at this slice's stamp in the merged order, which reproduces the
-    // sequenced ingress-queue FIFO exactly.
-    engine_->post_stamped(
-        world_dst,
-        [this, dst_node, world_dst, fbytes, sent,
-         env = std::move(env)]() mutable {
-          env.arrival = cluster_.nic_in(dst_node).serve(sent, fbytes);
-          schedule_delivery(world_dst, std::move(env));
-        });
-    return;
-  }
-  env.arrival = cluster_.nic_in(dst_node).serve(sent, fbytes);
-  schedule_delivery(world_dst, std::move(env));
-}
-
-void Machine::charge_transfer(int src_node, int dst_node, int world_dst,
-                              std::uint64_t bytes, sim::SimTime start,
-                              std::shared_ptr<sim::SimTime> arrival_out) {
-  const auto fbytes = static_cast<double>(bytes);
-  if (src_node == dst_node) {
-    *arrival_out = cluster_.membus(src_node).serve(start, fbytes);
-    return;
-  }
-  const sim::SimTime sent = cluster_.nic_out(src_node).serve(start, fbytes);
-  if (defer_ingress(world_dst)) {
-    engine_->post_stamped(
-        world_dst,
-        [this, dst_node, fbytes, sent, arrival_out = std::move(arrival_out)] {
-          *arrival_out = cluster_.nic_in(dst_node).serve(sent, fbytes);
-        });
-    return;
-  }
-  *arrival_out = cluster_.nic_in(dst_node).serve(sent, fbytes);
-}
-
-void Machine::deliver_framed(int src_node, int dst_node, int world_dst,
-                             Envelope env,
-                             std::shared_ptr<sim::SimTime> header_arrival,
-                             std::shared_ptr<sim::SimTime> arrival) {
-  if (src_node != dst_node && defer_ingress(world_dst)) {
-    engine_->post_stamped(
-        world_dst,
-        [this, world_dst, env = std::move(env),
-         header_arrival = std::move(header_arrival),
-         arrival = std::move(arrival)]() mutable {
-          // Per-pair mailbox FIFO order has already applied this
-          // sender's ingress charges, so the shared stamps are resolved
-          // by now.
-          env.header_arrival = *header_arrival;
-          env.arrival = *arrival;
-          schedule_delivery(world_dst, std::move(env));
-        });
-    return;
-  }
-  env.header_arrival = *header_arrival;
-  env.arrival = *arrival;
-  schedule_delivery(world_dst, std::move(env));
-}
-
 void Machine::deliver(int world_dst, Envelope env) {
-  schedule_delivery(world_dst, std::move(env));
-}
-
-void Machine::schedule_delivery(int world_dst, Envelope env) {
   // Deliveries apply at their arrival virtual time, keyed (arrival,
-  // stamping actor, seq) — identical in every scheduler mode, which is
-  // what keeps any-source matching and unexpected-queue contents
-  // byte-identical between the sequenced and lookahead paths.
+  // stamping actor, seq): a receiver resuming at t has seen every message
+  // that arrived by t, and same-time arrivals match in send order.
   MCIO_CHECK_MSG(engine_ != nullptr, "delivery outside run()");
   const sim::SimTime arrival = env.arrival;
-  engine_->post_at(world_dst, arrival,
+  engine_->post_at(arrival,
                    [this, world_dst, env = std::move(env)]() mutable {
                      deliver_now(world_dst, std::move(env));
                    });

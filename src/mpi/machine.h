@@ -38,31 +38,18 @@ class Machine {
   std::vector<sim::SimTime> run(int nranks,
                                 const std::function<void(Rank&)>& body);
 
-  /// Engine shards (worker threads) for subsequent run() calls. Ranks
-  /// are partitioned by node, so co-located ranks stay on one shard;
-  /// results are bit-identical for any value (DESIGN.md §12).
-  void set_sim_shards(int shards);
-  int sim_shards() const { return sim_shards_; }
-
-  /// Conservative lookahead (DESIGN.md §14) for subsequent run() calls:
-  /// shards advance concurrently inside the topology's latency windows
-  /// instead of replaying the global order under one lock. Results stay
-  /// bit-identical; needs sim_shards > 1 and a strictly positive
-  /// cross-node latency to engage (Engine::lookahead_active() reports
-  /// whether it did).
-  void set_sim_lookahead(bool lookahead);
-  bool sim_lookahead() const { return sim_lookahead_; }
-
   /// Interns a communicator group; identical member lists get the same
   /// id. The id is a content hash of the member list (top bit reserved
-  /// for Comm::dup()'s generated ids), so it does not depend on the
-  /// interleaving of first-interning ranks across engine shards.
+  /// for Comm::dup()'s generated ids), so it does not depend on which
+  /// rank interns the group first.
   std::uint64_t intern_group(const std::vector<int>& world_members);
 
   // --- transport internals (used by Comm) ---
 
-  /// Computes delivery time for `bytes` from src_node to dst_node starting
-  /// at `start` and charges the resources involved.
+  /// Computes the arrival time of `bytes` sent from src_node to
+  /// dst_node starting at `start` and charges the resources involved:
+  /// the node's memory bus when both ends share a node, else the
+  /// sender's NIC egress then the receiver's NIC ingress.
   sim::SimTime transfer(int src_node, int dst_node, std::uint64_t bytes,
                         sim::SimTime start);
 
@@ -72,40 +59,10 @@ class Machine {
   sim::SimTime shm_transfer(int node, std::uint64_t bytes,
                             sim::SimTime start);
 
-  /// Delivers an envelope (arrival already stamped) to a same-node —
-  /// therefore same-shard — world rank: the delivery applies as a timed
-  /// event at env.arrival, where it matches a posted receive or queues
-  /// as unexpected and wakes a parked receiver.
+  /// Delivers an envelope whose arrival is already stamped: the delivery
+  /// applies as a timed event at env.arrival, where it matches a posted
+  /// receive or queues as unexpected and wakes a parked receiver.
   void deliver(int world_dst, Envelope env);
-
-  /// Transport + delivery of one envelope whose arrival is still
-  /// unknown: charges the source-side leg inline; a cross-node
-  /// receiver's NIC ingress is charged on the destination's shard in
-  /// stamped mailbox order (so the ingress queue's FIFO matches the
-  /// sequenced schedule exactly), then the delivery applies at its
-  /// arrival time.
-  void transfer_deliver(int src_node, int dst_node, int world_dst,
-                        Envelope env, std::uint64_t bytes,
-                        sim::SimTime start);
-
-  /// One transport pass of the framed (header/body) blob protocol:
-  /// charges the source-side leg inline; the destination-side ingress
-  /// charge is deferred to the destination's shard and written into
-  /// `*arrival_out` when it is applied. Single-threaded same-node runs
-  /// fill `*arrival_out` before returning.
-  void charge_transfer(int src_node, int dst_node, int world_dst,
-                       std::uint64_t bytes, sim::SimTime start,
-                       std::shared_ptr<sim::SimTime> arrival_out);
-
-  /// Delivers a framed envelope whose arrival stamps were produced by
-  /// charge_transfer(): the shared slots are read once the sender's
-  /// deferred ingress charges have resolved (mailbox FIFO order per
-  /// shard pair guarantees they drain first), then the delivery applies
-  /// at its body arrival time.
-  void deliver_framed(int src_node, int dst_node, int world_dst,
-                      Envelope env,
-                      std::shared_ptr<sim::SimTime> header_arrival,
-                      std::shared_ptr<sim::SimTime> arrival);
 
   Endpoint& endpoint(int world_rank);
   sim::Engine& engine();
@@ -117,28 +74,18 @@ class Machine {
   verify::Observer* observer() const { return observer_; }
 
  private:
-  /// Schedules deliver_now() as a timed event at env.arrival on the
-  /// destination's shard (which must be the executing shard).
-  void schedule_delivery(int world_dst, Envelope env);
   /// Applies a delivery to the destination endpoint (no scheduling).
   void deliver_now(int world_dst, Envelope env);
-  /// True when the destination's side of a cross-node transport must be
-  /// applied through the stamped mailbox instead of inline: always for a
-  /// cross-shard receiver, and for every cross-node receiver under
-  /// lookahead (the ingress queue's serve order must be the machine-wide
-  /// stamp order, not the executing shard's local progress).
-  bool defer_ingress(int world_dst) const;
 
   sim::Cluster cluster_;
   std::vector<Endpoint> endpoints_;
-  /// Interned groups by content hash, for collision detection. Guarded:
-  /// under lookahead, ranks on different shards intern concurrently.
+  /// Interned groups by content hash, for collision detection. Every
+  /// caller runs on the engine's thread; the lock is kept so interning
+  /// stays safe for any concurrent caller.
   std::map<std::uint64_t, std::vector<int>> group_ids_
       MCIO_GUARDED_BY(group_mu_);
   util::Mutex group_mu_;
   sim::Engine* engine_ = nullptr;  // valid during run()
-  int sim_shards_ = 1;
-  bool sim_lookahead_ = false;
   verify::Observer* observer_;
 };
 

@@ -2,11 +2,8 @@
 //
 // The simulator runs every MPI rank as a fiber, switching between them in
 // virtual-time order. A fiber is pinned to one OS thread for its entire
-// life (the engine's shard workers each resume only their own shard), so
-// switches never migrate a live stack between threads. That pinning is
-// also why this file carries no thread-safety annotations (DESIGN.md
-// §13): a Fiber holds no cross-thread state — everything shared lives in
-// the Engine, under its annotated scheduler mutex.
+// life (the thread that called Engine::run()), so switches never migrate
+// a live stack between threads and a Fiber holds no cross-thread state.
 //
 // On x86-64 the switch is a handful of register moves in assembly
 // (fiber_switch_x86_64.S); ucontext's swapcontext() costs an
@@ -74,7 +71,7 @@ class Fiber {
   /// Creates a fiber that will run `body` when first resumed. `link` is
   /// the context control returns to if `body` ever returns normally.
   /// The link pointer must stay valid for the fiber's lifetime (the
-  /// engine points it at the owning shard worker's scheduler context).
+  /// engine points it at its scheduler context).
   Fiber(std::size_t stack_bytes, std::function<void()> body,
         FiberContext* link);
 

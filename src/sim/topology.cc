@@ -1,8 +1,5 @@
 #include "sim/topology.h"
 
-#include <algorithm>
-#include <limits>
-
 #include "util/check.h"
 
 namespace mcio::sim {
@@ -77,49 +74,6 @@ void Cluster::reset_accounting() {
   for (auto& q : membus_) q.reset_accounting();
   for (auto& q : shm_) q.reset_accounting();
   for (auto& q : fabric_) q.reset_accounting();
-}
-
-std::vector<double> shard_lookahead_matrix(
-    const ClusterConfig& config, const std::vector<int>& shard_of_rank,
-    int nshards) {
-  MCIO_CHECK_GT(nshards, 0);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  // Every cross-node effect pays at least one per-request latency before
-  // it can land: the NIC egress leg charges nic_latency up front (the
-  // ingress queue's latency rides on the egress, see Cluster's ctor),
-  // and the donor-side far-memory port charges fabric_mem_latency. The
-  // borrowed-buffer fabric channel is only ever served from globally
-  // serialized slices, but including it keeps the window sound even if
-  // that ever changes — conservative is free here.
-  const double cross_node =
-      std::min<double>(config.nic_latency, config.fabric_mem_latency);
-  const auto n = static_cast<std::size_t>(nshards);
-  std::vector<int> first_node(n, -1);
-  std::vector<bool> multi_node(n, false);
-  for (std::size_t r = 0; r < shard_of_rank.size(); ++r) {
-    const auto s = static_cast<std::size_t>(shard_of_rank[r]);
-    MCIO_CHECK_LT(s, n);
-    const int node = static_cast<int>(r) / config.ranks_per_node;
-    if (first_node[s] < 0) {
-      first_node[s] = node;
-    } else if (first_node[s] != node) {
-      multi_node[s] = true;
-    }
-  }
-  std::vector<double> m(n * n, kInf);
-  for (std::size_t p = 0; p < n; ++p) {
-    for (std::size_t s = 0; s < n; ++s) {
-      // A pair crosses nodes whenever both shards host ranks (shards
-      // partition by node, so distinct shards means distinct nodes);
-      // within one shard only a multi-node shard has a cross-node pair
-      // (its same-shard cross-node traffic also detours through the
-      // stamped mailbox and needs a finite window).
-      const bool crosses = p == s ? multi_node[p]
-                                  : first_node[p] >= 0 && first_node[s] >= 0;
-      if (crosses) m[p * n + s] = cross_node;
-    }
-  }
-  return m;
 }
 
 }  // namespace mcio::sim

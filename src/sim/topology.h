@@ -84,19 +84,4 @@ class Cluster {
   std::vector<BandwidthQueue> fabric_;
 };
 
-/// Static per-shard-pair lookahead matrix for the engine's conservative
-/// scheduler (DESIGN.md §14): entry [p * nshards + s] is the minimum
-/// latency of any channel that can carry an effect from shard p to shard
-/// s. Ranks shard by node, so the node-confined channels (membus, shm)
-/// never cross a shard boundary; what crosses is the NIC pair and the
-/// donor-side far-memory fabric port, whose per-request latencies lower-
-/// bound every cross-node effect (BandwidthQueue::serve charges latency
-/// on every request). Entries are +inf where no cross-node pair exists
-/// (p or s empty, or p == s hosting a single node). A topology with a
-/// zero cross-node latency yields zero windows, which the engine rejects
-/// — it falls back to the sequenced scheduler.
-std::vector<double> shard_lookahead_matrix(
-    const ClusterConfig& config, const std::vector<int>& shard_of_rank,
-    int nshards);
-
 }  // namespace mcio::sim

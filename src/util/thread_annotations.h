@@ -1,11 +1,10 @@
 // Clang thread-safety capability annotations (no-ops off-clang).
 //
-// The sharded engine (DESIGN.md §12) relies on a strict lock discipline:
-// one worker holds the scheduler lock across a whole slice, cross-shard
-// effects travel through stamped mailboxes, and the bench/fuzz pools
-// share only explicitly guarded error slots and monotone counters. These
-// macros let clang's -Wthread-safety analysis (enforced with -Werror in
-// the clang-thread-safety CI job; see DESIGN.md §13) prove that every
+// The bench/fuzz host pools (DESIGN.md §12), the auditor and the log
+// sink share state across host threads only through explicitly guarded
+// fields and monotone counters. These macros let clang's
+// -Wthread-safety analysis (enforced with -Werror in the
+// clang-thread-safety CI job; see DESIGN.md §13) prove that every
 // access to a guarded field happens under its capability — at compile
 // time, before a race can reach the determinism tests.
 //
@@ -13,10 +12,7 @@
 // bare std::mutex — libstdc++'s std::mutex carries no capability
 // attribute, so the analysis cannot track it); every field it protects
 // is tagged MCIO_GUARDED_BY(mu_); every helper that assumes the lock is
-// tagged MCIO_REQUIRES(mu_). Paths whose exclusion is guaranteed by the
-// engine's sequencing rather than by a visible acquisition assert it
-// with an MCIO_ASSERT_CAPABILITY-annotated helper (Engine::
-// assert_sequenced()) instead of switching the analysis off.
+// tagged MCIO_REQUIRES(mu_).
 #pragma once
 
 #if defined(__clang__)
@@ -62,16 +58,10 @@
 #define MCIO_ACQUIRED_AFTER(...) \
   MCIO_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 
-/// Tells the analysis the capability is held here even though it cannot
-/// see the acquisition (e.g. the engine's slice sequencing). Runtime
-/// no-op; use only where the exclusion argument is written down.
-#define MCIO_ASSERT_CAPABILITY(x) \
-  MCIO_THREAD_ANNOTATION(assert_capability(x))
-
 /// Function returns a reference to the given capability.
 #define MCIO_RETURN_CAPABILITY(x) MCIO_THREAD_ANNOTATION(lock_returned(x))
 
-/// Last resort: disables the analysis for one function. Prefer
-/// MCIO_ASSERT_CAPABILITY with a written justification.
+/// Last resort: disables the analysis for one function, with the
+/// exclusion argument written down at the use site.
 #define MCIO_NO_THREAD_SAFETY_ANALYSIS \
   MCIO_THREAD_ANNOTATION(no_thread_safety_analysis)

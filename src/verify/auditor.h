@@ -24,14 +24,15 @@
 // (set_deferred(true)) accumulates findings for inspection instead —
 // used by the auditor's own tests.
 //
-// Thread safety: under the engine's lookahead scheduler (DESIGN.md §14)
-// observer hooks fire concurrently from shard workers, so every hook
-// serializes on hook_mu_ and the executing actor is tracked per worker
-// thread (fibers are thread-pinned). Monotone counters stay exact —
-// they only ever sum — and the extent/lease checks are keyed by rank or
-// epoch, not by arrival order, so verdicts cannot depend on the
-// interleaving. Accessors (findings(), counters(), report()) are for
-// quiescent use between runs.
+// Thread safety: one engine fires its hooks from the single thread that
+// runs it, but parallel bench/fuzz tasks fold their private auditors
+// into the global one through absorb_counters(), so every hook and
+// absorb serializes on hook_mu_, and the executing actor is tracked per
+// host thread (an engine's fibers all run on the thread that called
+// run()). Monotone counters stay exact — they only ever sum — and the
+// extent/lease checks are keyed by rank or epoch, not by arrival order,
+// so verdicts cannot depend on the interleaving. Accessors (findings(),
+// counters(), report()) are for quiescent use between runs.
 #pragma once
 
 #include <cstdint>
@@ -215,10 +216,10 @@ class Auditor final : public Observer {
   std::vector<Finding> findings_;
   AuditCounters counters_;
 
-  // Engine state. The executing actor is per worker thread: fibers are
-  // thread-pinned, so each lookahead worker observes its own shard's
-  // resume/yield pairs and concurrent shards cannot clobber each other's
-  // attribution of lease/PFS events.
+  // Engine state. The executing actor is per host thread: an engine's
+  // fibers run on the thread that called run(), so simulations on
+  // different threads cannot clobber each other's attribution of
+  // lease/PFS events.
   static thread_local int tl_cur_actor_;
   std::vector<double> last_clock_ MCIO_GUARDED_BY(hook_mu_);
   std::vector<WaitInfo> waits_ MCIO_GUARDED_BY(hook_mu_);
@@ -233,8 +234,8 @@ class Auditor final : public Observer {
   /// exist per simulation.
   std::vector<const void*> mgr_slots_ MCIO_GUARDED_BY(hook_mu_);
 
-  /// Serializes every observer hook (lookahead workers call in
-  /// concurrently) and absorb_counters() from parallel bench/fuzz tasks.
+  /// Serializes every observer hook and absorb_counters() from parallel
+  /// bench/fuzz tasks.
   mutable util::Mutex hook_mu_;
 
   // Collective epochs.

@@ -199,6 +199,26 @@ TEST(Transport, InterNodeSlowerThanIntraNode) {
   // pass at 25 GB/s, so inter must be slower.
 }
 
+TEST(Transport, TransferChargesNicEgressThenIngress) {
+  // Inter-node: the sender's NIC egress (with the wire latency), then the
+  // receiver's NIC ingress, where a second sender queues. Intra-node:
+  // one pass over the node's memory bus, no NIC involved.
+  Machine machine(small_cluster(3, 4));
+  const sim::ClusterConfig& cfg = machine.config();
+  const std::uint64_t bytes = 1 << 20;
+  const double nic_pass = static_cast<double>(bytes) / cfg.nic_bandwidth;
+  const sim::SimTime first = machine.transfer(0, 1, bytes, 0.0);
+  EXPECT_NEAR(first, cfg.nic_latency + 2 * nic_pass, 1e-15);
+  const sim::SimTime second = machine.transfer(2, 1, bytes, 0.0);
+  EXPECT_NEAR(second, first + nic_pass, 1e-15);
+  const sim::SimTime local = machine.transfer(0, 0, bytes, 0.0);
+  EXPECT_NEAR(local, static_cast<double>(bytes) / cfg.membus_bandwidth,
+              1e-15);
+  EXPECT_EQ(machine.cluster().nic_out(0).total_requests(), 1u);
+  EXPECT_EQ(machine.cluster().nic_in(1).total_requests(), 2u);
+  EXPECT_EQ(machine.cluster().membus(0).total_requests(), 1u);
+}
+
 class CollectiveSizes : public ::testing::TestWithParam<int> {};
 
 TEST_P(CollectiveSizes, BarrierCompletes) {

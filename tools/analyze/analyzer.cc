@@ -798,8 +798,8 @@ void Analyzer::analyze(const std::string& path, const std::string& content) {
       }
       if (is_safe || is_function) continue;
       add(toks[i].line, "mutable-static",
-          "mutable static state in src/sim|src/io — shared across engine "
-          "workers and bench/fuzz pools without a lock; make it "
+          "mutable static state in src/sim|src/io — shared across "
+          "bench/fuzz pool threads without a lock; make it "
           "const/constexpr/thread_local/atomic, guard it with an "
           "annotated util::Mutex, or justify a suppression "
           "(DESIGN.md §12)");

@@ -22,20 +22,10 @@
 // denial=R, delay=R/2, revoke=R/2, exhaust=R/10 (the sweep the CI fuzz
 // job runs at R in {0, 0.05, 0.2}).
 //
-// Host-parallelism / determinism knobs (none changes a verdict):
+// Host parallelism (never changes a verdict):
 //   --threads=N       run the pre-generated cases on N host threads (the
 //                     oracle is reentrant; failures are minimized
 //                     sequentially afterwards, in case order).
-//   --sim-shards=N    run every simulation on an N-shard engine.
-//   --lookahead       run sharded engines under the conservative-lookahead
-//                     scheduler (DESIGN.md §14) instead of sequenced
-//                     replay. A host knob, not scenario state: repro
-//                     files are unchanged and replay in either mode.
-//   --shards-matrix   run every case at sim-shards {2, 8} × {sequenced,
-//                     lookahead} and fail it if any file/read hash,
-//                     audit counter or verdict differs from the
-//                     sim-shards=1 baseline — the determinism soak of
-//                     DESIGN.md §12/§14.
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -59,7 +49,6 @@ namespace {
 using mcio::fuzz::DiffResult;
 using mcio::fuzz::MinimizeOptions;
 using mcio::fuzz::MinimizeResult;
-using mcio::fuzz::OracleOptions;
 using mcio::fuzz::Scenario;
 using mcio::fuzz::ScenarioGen;
 
@@ -85,75 +74,6 @@ void for_each_case(int threads, std::uint64_t n,
       std::min<std::uint64_t>(static_cast<std::uint64_t>(threads), n);
   for (std::uint64_t t = 0; t < width; ++t) pool.emplace_back(worker);
   for (std::thread& t : pool) t.join();
-}
-
-/// Names every audit counter that differs between two trails, e.g.
-/// " slices 120/118 waits 14/13"; empty when equal.
-std::string describe_counter_diff(const mcio::verify::AuditCounters& a,
-                                  const mcio::verify::AuditCounters& b) {
-  std::ostringstream os;
-  const auto field = [&](const char* name, std::uint64_t x,
-                         std::uint64_t y) {
-    if (x != y) os << " " << name << " " << x << "/" << y;
-  };
-  field("runs", a.runs, b.runs);
-  field("slices", a.slices, b.slices);
-  field("messages", a.messages, b.messages);
-  field("unexpected", a.unexpected, b.unexpected);
-  field("waits", a.waits, b.waits);
-  field("lease_grants", a.lease_grants, b.lease_grants);
-  field("lease_releases", a.lease_releases, b.lease_releases);
-  field("pfs_writes", a.pfs_writes, b.pfs_writes);
-  field("pfs_reads", a.pfs_reads, b.pfs_reads);
-  field("pfs_bytes_written", a.pfs_bytes_written, b.pfs_bytes_written);
-  field("pfs_bytes_read", a.pfs_bytes_read, b.pfs_bytes_read);
-  field("collectives", a.collectives, b.collectives);
-  field("findings", a.findings, b.findings);
-  return os.str();
-}
-
-/// One case of the shards-matrix soak: the differential verdict, both
-/// oracle hashes and the audit counters must be identical at every
-/// (shard count × scheduler mode) cell. Returns an empty string when
-/// deterministic, else a description of the first divergence.
-std::string check_shards_matrix(const Scenario& s, const DiffResult& at1) {
-  for (const int shards : {2, 8}) {
-    for (const bool lookahead : {false, true}) {
-      OracleOptions opt;
-      opt.sim_shards = shards;
-      opt.lookahead = lookahead;
-      const char* mode = lookahead ? ",lookahead" : "";
-      const DiffResult r = mcio::fuzz::run_differential(s, opt);
-      for (int d = 0; d < 3; ++d) {
-        const auto& a = at1.runs[d];
-        const auto& b = r.runs[d];
-        if (a.completed != b.completed || a.file_hash != b.file_hash ||
-            a.read_hash != b.read_hash || a.pattern_ok != b.pattern_ok ||
-            a.findings.size() != b.findings.size() ||
-            !(a.counters == b.counters)) {
-          std::ostringstream os;
-          os << "sim-shards=" << shards << mode
-             << " diverges from sim-shards=1 on "
-             << mcio::fuzz::driver_kind_name(
-                    static_cast<mcio::fuzz::DriverKind>(d))
-             << ": completed " << a.completed << "/" << b.completed
-             << " file " << std::hex << a.file_hash << "/" << b.file_hash
-             << " read " << a.read_hash << "/" << b.read_hash << std::dec
-             << " pattern " << a.pattern_ok << "/" << b.pattern_ok
-             << " findings " << a.findings.size() << "/"
-             << b.findings.size() << " counters:"
-             << describe_counter_diff(a.counters, b.counters);
-          return os.str();
-        }
-      }
-      if (r.classify() != at1.classify()) {
-        return "sim-shards=" + std::to_string(shards) + mode +
-               " verdict diverges: " + r.classify() + " vs " +
-               at1.classify();
-      }
-    }
-  }
-  return "";
 }
 
 void apply_fault_rate(Scenario& s, double rate) {
@@ -215,10 +135,6 @@ int main(int argc, char** argv) {
   const int threads = expect_failure
                           ? 1
                           : static_cast<int>(cli.get_int("threads", 1));
-  OracleOptions oracle_opt;
-  oracle_opt.sim_shards = static_cast<int>(cli.get_int("sim-shards", 1));
-  oracle_opt.lookahead = cli.get_bool("lookahead", false);
-  const bool shards_matrix = cli.get_bool("shards-matrix", false);
   cli.check_unused();
 
   if (!replay_path.empty()) return replay(replay_path);
@@ -235,22 +151,13 @@ int main(int argc, char** argv) {
   }
 
   const auto still_fails = [&](const Scenario& s) {
-    return !mcio::fuzz::run_differential(s, oracle_opt).ok();
+    return !mcio::fuzz::run_differential(s).ok();
   };
 
-  // Phase 1: verdicts, possibly case-parallel. A case fails when its
-  // differential verdict is bad or (under --shards-matrix) any shard
-  // count disagrees with shards=1.
+  // Phase 1: verdicts, possibly case-parallel.
   std::vector<std::optional<DiffResult>> failed(scenarios.size());
-  std::vector<std::string> divergence(scenarios.size());
-  std::atomic<std::uint64_t> matrix_failures{0};
   for_each_case(threads, scenarios.size(), [&](std::uint64_t i) {
-    const DiffResult result =
-        mcio::fuzz::run_differential(scenarios[i], oracle_opt);
-    if (shards_matrix) {
-      divergence[i] = check_shards_matrix(scenarios[i], result);
-      if (!divergence[i].empty()) ++matrix_failures;
-    }
+    const DiffResult result = mcio::fuzz::run_differential(scenarios[i]);
     if (!result.ok()) failed[i] = result;
   });
 
@@ -259,10 +166,6 @@ int main(int argc, char** argv) {
   std::uint64_t failures = 0;
   bool self_test_ok = false;
   for (std::uint64_t i = 0; i < scenarios.size(); ++i) {
-    if (!divergence[i].empty()) {
-      std::cout << "case " << i << ": NONDETERMINISTIC — " << divergence[i]
-                << "\n";
-    }
     if (!failed[i]) continue;
     if (failures >= max_failures) break;
     const DiffResult& result = *failed[i];
@@ -275,8 +178,7 @@ int main(int argc, char** argv) {
     opts.max_evals = shrink_evals;
     const MinimizeResult min =
         mcio::fuzz::minimize(scenarios[i], still_fails, opts);
-    const DiffResult min_result =
-        mcio::fuzz::run_differential(min.scenario, oracle_opt);
+    const DiffResult min_result = mcio::fuzz::run_differential(min.scenario);
     const std::string path =
         write_repro(out_dir, min.scenario, min_result.classify());
     std::cout << "  minimized to " << min.scenario.nranks << " ranks / "
@@ -288,7 +190,7 @@ int main(int argc, char** argv) {
       // The self-test contract: small repro, reproducible from the file
       // alone (not from any in-process state).
       const DiffResult from_disk =
-          mcio::fuzz::run_differential(load_scenario(path), oracle_opt);
+          mcio::fuzz::run_differential(load_scenario(path));
       const bool small = min.scenario.nranks <= 4;
       const bool replays = !from_disk.ok();
       if (!small) {
@@ -308,9 +210,6 @@ int main(int argc, char** argv) {
 
   std::cout << "fuzz: seed=" << seed << " cases=" << scenarios.size()
             << " failures=" << failures;
-  if (shards_matrix) {
-    std::cout << " nondeterministic=" << matrix_failures.load();
-  }
   if (has_fault_rate) std::cout << " fault-rate=" << fault_rate;
   std::cout << "\n";
 
@@ -322,5 +221,5 @@ int main(int argc, char** argv) {
     }
     return self_test_ok ? 0 : 1;
   }
-  return failures == 0 && matrix_failures.load() == 0 ? 0 : 1;
+  return failures == 0 ? 0 : 1;
 }
