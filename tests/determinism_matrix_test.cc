@@ -2,10 +2,13 @@
 // produce byte-identical simulated results at every host thread count
 // (--threads) and with the audit observer attached or detached —
 // including the audit counter trail and the degradation-ladder counters
-// under fault injection.
+// under fault injection. The two fault sweeps are also pinned to fixed
+// MB/s and ladder counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "common.h"  // the bench harness (tests/CMakeLists adds bench/)
@@ -75,11 +78,164 @@ class DetachedGlobalObserver {
   verify::Observer* saved_;
 };
 
+/// One collective phase of a pinned sweep point: the simulated MB/s and
+/// the full degradation-ladder counter set, in DegradationStats field
+/// order (lease_denials, lease_retries, backoff_s, grant_delays,
+/// grant_delay_s, revocations, buffer_shrinks, spills, spilled_bytes,
+/// plan_remerges, exhausted_nodes, fallback_ranks, fallback_bytes,
+/// lease_retry_giveups, borrows, borrowed_bytes, borrow_denials,
+/// donor_revocations).
+struct PinnedPhase {
+  double mbs = 0.0;
+  metrics::DegradationStats d;
+};
+
+struct PinnedPoint {
+  PinnedPhase normal_write, normal_read, mccio_write, mccio_read;
+};
+
+/// Exact source form of a phase: hexfloat doubles round-trip bit for
+/// bit, so comparing these strings compares the values exactly, and a
+/// mismatch prints the literal to paste when a change moves the ladder
+/// on purpose.
+std::string literal(double mbs, const metrics::DegradationStats& d) {
+  char buf[640];
+  std::snprintf(
+      buf, sizeof(buf),
+      "{%a, {%llu, %llu, %a, %llu, %a, %llu, %llu, %llu, %llu, %llu, "
+      "%llu, %llu, %llu, %llu, %llu, %llu, %llu, %llu}}",
+      mbs, static_cast<unsigned long long>(d.lease_denials),
+      static_cast<unsigned long long>(d.lease_retries), d.backoff_s,
+      static_cast<unsigned long long>(d.grant_delays), d.grant_delay_s,
+      static_cast<unsigned long long>(d.revocations),
+      static_cast<unsigned long long>(d.buffer_shrinks),
+      static_cast<unsigned long long>(d.spills),
+      static_cast<unsigned long long>(d.spilled_bytes),
+      static_cast<unsigned long long>(d.plan_remerges),
+      static_cast<unsigned long long>(d.exhausted_nodes),
+      static_cast<unsigned long long>(d.fallback_ranks),
+      static_cast<unsigned long long>(d.fallback_bytes),
+      static_cast<unsigned long long>(d.lease_retry_giveups),
+      static_cast<unsigned long long>(d.borrows),
+      static_cast<unsigned long long>(d.borrowed_bytes),
+      static_cast<unsigned long long>(d.borrow_denials),
+      static_cast<unsigned long long>(d.donor_revocations));
+  return buf;
+}
+
+/// Run-to-run comparison cannot see a change that moves the ladder the
+/// same way in every run; comparing against fixed values can. Re-pin only
+/// for an intended behaviour change (a failure prints the new literal).
+void expect_pinned(const std::vector<bench::SweepPoint>& got,
+                   const std::vector<PinnedPoint>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  const auto check = [](const char* what, double bw,
+                        const metrics::CollectiveStats& stats,
+                        const PinnedPhase& pin) {
+    EXPECT_EQ(literal(bw / 1e6, stats.degradation()),
+              literal(pin.mbs, pin.d))
+        << what;
+  };
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("mem=" + std::to_string(got[i].mem_bytes));
+    const bench::RunResult& n = got[i].normal;
+    const bench::RunResult& m = got[i].mccio;
+    check("two-phase write", n.write_bw, n.write_stats, want[i].normal_write);
+    check("two-phase read", n.read_bw, n.read_stats, want[i].normal_read);
+    check("mccio write", m.write_bw, m.write_stats, want[i].mccio_write);
+    check("mccio read", m.read_bw, m.read_stats, want[i].mccio_read);
+  }
+}
+
+/// FaultLadderSweep's golden: per memory point, two-phase write/read
+/// then MCCIO write/read.
+std::vector<PinnedPoint> fault_ladder_pins() {
+  return {
+      {{0x1.836b5622bbf98p+6,
+        {1, 1, 0x1.0624dd2f1a9fcp-10, 0, 0x0p+0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         0, 0, 0, 0}},
+       {0x1.647e875040b51p+5,
+        {0, 0, 0x0p+0, 0, 0x0p+0, 1, 0, 0, 25165824, 0, 0, 0, 0, 0, 0, 0, 0,
+         0}},
+       {0x1.2ce57b245f347p+7,
+        {2, 2, 0x1.0624dd2f1a9fcp-9, 0, 0x0p+0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         0, 0, 0, 0}},
+       {0x1.e5e503151495cp+5,
+        {1, 1, 0x1.0624dd2f1a9fcp-10, 0, 0x0p+0, 1, 0, 0, 18874368, 0, 0,
+         0, 0, 0, 0, 0, 0, 0}}},
+      {{0x1.fcee4b551f0a7p+5,
+        {1, 1, 0x1.0624dd2f1a9fcp-10, 0, 0x0p+0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         0, 0, 0, 0}},
+       {0x1.2667dc177182cp+5,
+        {0, 0, 0x0p+0, 0, 0x0p+0, 1, 0, 0, 29360128, 0, 0, 0, 0, 0, 0, 0, 0,
+         0}},
+       {0x1.63daf68c3376p+6,
+        {2, 2, 0x1.0624dd2f1a9fcp-9, 0, 0x0p+0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         0, 0, 0, 0}},
+       {0x1.7cc833e92502p+5,
+        {1, 1, 0x1.0624dd2f1a9fcp-10, 0, 0x0p+0, 1, 0, 0, 22020096, 0, 0,
+         0, 0, 0, 0, 0, 0, 0}}},
+      {{0x1.382426267c92bp+5,
+        {1, 1, 0x1.0624dd2f1a9fcp-10, 0, 0x0p+0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         0, 0, 0, 0}},
+       {0x1.e18b2be4ae951p+4,
+        {0, 0, 0x0p+0, 0, 0x0p+0, 1, 0, 0, 31457280, 0, 0, 0, 0, 0, 0, 0, 0,
+         0}},
+       {0x1.8c6f13ba6e007p+5,
+        {1, 1, 0x1.0624dd2f1a9fcp-10, 0, 0x0p+0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+         0, 0, 0, 0}},
+       {0x1.2e66f4267a3d4p+5,
+        {0, 0, 0x0p+0, 0, 0x0p+0, 1, 0, 0, 25165824, 0, 0, 0, 0, 0, 0, 0,
+         0, 0}}}};
+}
+
+/// BorrowAndHierarchyFaultSweep's golden, same layout.
+std::vector<PinnedPoint> borrow_hierarchy_pins() {
+  return {
+      {{0x1.643fc8292b408p+6,
+        {21, 17, 0x1.f3b645a1cac09p-5, 0, 0x0p+0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
+         1, 33554432, 0, 0}},
+       {0x1.9aaa18e8b861fp+6,
+        {20, 16, 0x1.eb851eb851eb9p-5, 0, 0x0p+0, 0, 3, 0, 0, 0, 0, 0, 0, 0,
+         1, 33554432, 0, 0}},
+       {0x1.ef27a8b62f76ep+6,
+        {1, 1, 0x1.0624dd2f1a9fcp-10, 0, 0x0p+0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+         0, 0, 0, 0}},
+       {0x1.9a9816e32d14dp+7,
+        {0, 0, 0x0p+0, 0, 0x0p+0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}}},
+      {{0x1.bbc7072dfc382p+5,
+        {16, 13, 0x1.78d4fdf3b645bp-5, 0, 0x0p+0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+         1, 33554432, 0, 0}},
+       {0x1.2de06ffee058dp+6,
+        {15, 12, 0x1.70a3d70a3d70bp-5, 0, 0x0p+0, 0, 2, 0, 0, 0, 0, 0, 0, 0,
+         1, 33554432, 0, 0}},
+       {0x1.19c1c15aef8a7p+6,
+        {1, 1, 0x1.0624dd2f1a9fcp-10, 0, 0x0p+0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+         0, 0, 0, 0}},
+       {0x1.d595ec6fa045p+6,
+        {0, 0, 0x0p+0, 0, 0x0p+0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}}},
+      {{0x1.290a9fa8ba387p+5,
+        {11, 9, 0x1.fbe76c8b43959p-6, 0, 0x0p+0, 0, 1, 1, 33554432, 0, 0, 0,
+         0, 0, 0, 0, 1, 0}},
+       {0x1.06464e5bdc3c4p+5,
+        {10, 8, 0x1.eb851eb851eb9p-6, 0, 0x0p+0, 0, 1, 1, 33554432, 0, 0, 0,
+         0, 0, 0, 0, 1, 0}},
+       {0x1.064f8237e2df6p+5,
+        {1, 1, 0x1.0624dd2f1a9fcp-10, 0, 0x0p+0, 0, 0, 0, 0, 0, 1, 0, 0, 0,
+         0, 0, 0, 0}},
+       {0x1.67fa53c384c38p+5,
+        {0, 0, 0x0p+0, 0, 0x0p+0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}}}};
+}
+
+/// Runs the sweep once as the golden and checks every other axis against
+/// it; a non-empty `pinned` also checks the golden against fixed values.
 void expect_matrix_identical(const bench::RunOptions& base,
-                             const bench::BenchPlanFactory& plan) {
+                             const bench::BenchPlanFactory& plan,
+                             const std::vector<PinnedPoint>& pinned = {}) {
   ASSERT_TRUE(verify::global_audit_active());
   const auto golden =
       bench::run_memory_sweep(1, mini_sweep(), base, plan);
+  if (!pinned.empty()) expect_pinned(golden, pinned);
   // Host-thread axis: cells computed concurrently.
   for (const int threads : {2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -112,14 +268,14 @@ TEST(DeterminismMatrix, Fig6ShapedCollPerfSweep) {
 
 TEST(DeterminismMatrix, FaultLadderSweep) {
   // Degradation-ladder paths (denial/retry/revocation/shrink/spill) must
-  // replay identically; check_sweep_equal pins the full degradation
-  // counter set.
+  // replay identically (check_sweep_equal compares the full degradation
+  // counter set) and match the pinned outcome.
   bench::RunOptions base = small_testbed();
   base.faults.denial_rate = 0.2;
   base.faults.revoke_rate = 0.1;
   base.faults.delay_rate = 0.1;
   base.attach_fault_plan = true;
-  expect_matrix_identical(base, ior_factory());
+  expect_matrix_identical(base, ior_factory(), fault_ladder_pins());
 }
 
 TEST(DeterminismMatrix, BorrowAndHierarchyFaultSweep) {
@@ -131,7 +287,7 @@ TEST(DeterminismMatrix, BorrowAndHierarchyFaultSweep) {
   base.faults.denial_rate = 0.15;
   base.faults.exhaust_rate = 0.25;
   base.attach_fault_plan = true;
-  expect_matrix_identical(base, ior_factory());
+  expect_matrix_identical(base, ior_factory(), borrow_hierarchy_pins());
 }
 
 TEST(DeterminismMatrix, FuzzOracleIdenticalAcrossRuns) {
