@@ -211,22 +211,19 @@ int TwoPhaseExchange::my_node() const {
 
 sim::Actor& TwoPhaseExchange::actor() { return ctx_.rank->actor(); }
 
-void TwoPhaseExchange::charge_copy(int node, std::uint64_t bytes,
-                                   double bw_scale) {
-  actor().sync();
-  const sim::SimTime done =
-      ctx_.rank->machine().cluster().membus(node).serve(
-          actor().now(), static_cast<double>(bytes), bw_scale);
-  actor().advance_to(done);
+// Serves `bytes` on `queue` from the actor's global time and advances
+// the actor to the finish.
+static void charge(sim::Actor& actor, sim::BandwidthQueue& queue,
+                   std::uint64_t bytes, double bw_scale) {
+  actor.sync();
+  actor.advance_to(
+      queue.serve(actor.now(), static_cast<double>(bytes), bw_scale));
 }
 
-void TwoPhaseExchange::charge_fabric(int donor, std::uint64_t bytes,
-                                     double bw_scale) {
-  actor().sync();
-  const sim::SimTime done =
-      ctx_.rank->machine().cluster().fabric(donor).serve(
-          actor().now(), static_cast<double>(bytes), bw_scale);
-  actor().advance_to(done);
+void TwoPhaseExchange::charge_copy(int node, std::uint64_t bytes,
+                                   double bw_scale) {
+  charge(actor(), ctx_.rank->machine().cluster().membus(node), bytes,
+         bw_scale);
 }
 
 void TwoPhaseExchange::count_msg(int dst, std::uint64_t bytes) {
@@ -387,7 +384,14 @@ void TwoPhaseExchange::recv_extent_lists() {
   }
 }
 
-TwoPhaseExchange::BufferGrant TwoPhaseExchange::acquire_buffer(
+// A grant's transient reclaim delay, waited out before the lease is used.
+static void wait_grant_delay(CollContext& ctx, double delay_s) {
+  if (delay_s <= 0.0) return;
+  ctx.rank->actor().advance(delay_s);
+  if (ctx.stats != nullptr) ctx.stats->record_grant_delay(delay_s);
+}
+
+BufferGrant TwoPhaseExchange::acquire_buffer(
     std::uint64_t want, std::uint64_t site, std::uint64_t borrow_want) {
   const int node = my_node();
   std::uint64_t bytes = want;
@@ -410,13 +414,7 @@ TwoPhaseExchange::BufferGrant TwoPhaseExchange::acquire_buffer(
     node::LeaseAttempt att = ctx_.memory->try_lease(node, bytes, site,
                                                     attempt++);
     if (att.granted) {
-      if (att.delay_s > 0.0) {
-        // Transient reclaim delay before the grant becomes usable.
-        actor().advance(att.delay_s);
-        if (ctx_.stats != nullptr) {
-          ctx_.stats->record_grant_delay(att.delay_s);
-        }
-      }
+      wait_grant_delay(ctx_, att.delay_s);
       BufferGrant g;
       g.revoke_after = att.lease.revoke_after();
       g.window_bytes = bytes;
@@ -478,12 +476,7 @@ TwoPhaseExchange::BufferGrant TwoPhaseExchange::acquire_buffer(
           ++borrow_retries;
           continue;
         }
-        if (att.delay_s > 0.0) {
-          actor().advance(att.delay_s);
-          if (ctx_.stats != nullptr) {
-            ctx_.stats->record_grant_delay(att.delay_s);
-          }
-        }
+        wait_grant_delay(ctx_, att.delay_s);
         BufferGrant g;
         g.window_bytes = ask;
         g.revoke_after = att.lease.revoke_after();
@@ -506,15 +499,60 @@ TwoPhaseExchange::BufferGrant TwoPhaseExchange::acquire_buffer(
   return g;
 }
 
-bool TwoPhaseExchange::try_reborrow(std::uint64_t site, BufferGrant* grant,
-                                    WindowBacking* b) {
+WindowBacking::WindowBacking(CollContext& ctx)
+    : ctx_(ctx), home_node_(ctx.comm->node_of(ctx.comm->rank())) {}
+
+void WindowBacking::open(const BufferGrant& grant, std::uint64_t site) {
+  site_ = site;
+  window_bytes_ = grant.window_bytes;
+  state_ = grant.spilled    ? State::kSwap
+           : grant.borrowed() ? State::kBorrowed
+                              : State::kLocal;
+  probing_ = false;
+  // Rung 4: a borrowed buffer lives on the donor node — the lease is
+  // taken there, so donor-side accounting (and the auditor's lease
+  // ledger) sees the remote grant exactly like a local one.
+  node_ = grant.borrowed() ? grant.borrow_donor : home_node_;
+  sim::Actor& actor = ctx_.rank->actor();
+  actor.sync();
+  lease_ = ctx_.memory->lease(node_, window_bytes_);
+  revoke_at_ = std::isfinite(grant.revoke_after)
+                   ? actor.now() + grant.revoke_after
+                   : std::numeric_limits<double>::infinity();
+  scale_from_lease();
+  // Ladder bottomed out at negotiation: the buffer is swap-backed.
+  if (state_ == State::kSwap) scale_to_swap();
+}
+
+void WindowBacking::scale_from_lease() {
+  // Copies through an overcommitted buffer page against the memory bus;
+  // file-system transfers page against the NIC path; a borrowed buffer's
+  // fills and drains cross the donor's fabric port, blended the same way
+  // if the donor is overcommitted.
+  const sim::ClusterConfig& config = ctx_.rank->machine().config();
+  copy_scale_ = lease_.bw_scale();
+  io_scale_ =
+      ctx_.memory->bw_scale_for(lease_.pressure(), config.nic_bandwidth);
+  fabric_scale_ = state_ == State::kBorrowed
+                      ? ctx_.memory->bw_scale_for(
+                            lease_.pressure(), config.fabric_mem_bandwidth)
+                      : 1.0;
+}
+
+void WindowBacking::scale_to_swap() {
+  copy_scale_ = ctx_.memory->pressure_bw_scale(1.0);
+  io_scale_ = ctx_.memory->bw_scale_for(
+      1.0, ctx_.rank->machine().config().nic_bandwidth);
+}
+
+bool WindowBacking::reborrow() {
   // attempt 0 opens a fresh acquisition on the fault schedule — a
   // negotiation-time borrow at this site was a separate one, and so is
   // every migration/promotion probe.
-  actor().sync();
+  sim::Actor& actor = ctx_.rank->actor();
+  actor.sync();
   node::BorrowAttempt att = ctx_.memory->try_borrow(
-      my_node(), grant->window_bytes, ctx_.hints.borrow_donor_reserve,
-      site, 0);
+      home_node_, window_bytes_, ctx_.hints.borrow_donor_reserve, site_, 0);
   if (!att.granted) {
     // Only a fault-denied election counts as a denial; a probe that
     // found no donor with headroom (the common case while every peer is
@@ -524,35 +562,32 @@ bool TwoPhaseExchange::try_reborrow(std::uint64_t site, BufferGrant* grant,
     }
     return false;
   }
-  if (att.delay_s > 0.0) {
-    actor().advance(att.delay_s);
-    if (ctx_.stats != nullptr) ctx_.stats->record_grant_delay(att.delay_s);
-  }
-  grant->borrow_donor = att.donor;
-  grant->revoked = false;
-  b->borrowed = true;
-  b->buf_node = att.donor;
-  b->lease.release();
-  b->lease = ctx_.memory->lease(att.donor, grant->window_bytes);
-  b->revoke_at = std::isfinite(att.lease.revoke_after())
-                     ? actor().now() + att.lease.revoke_after()
-                     : std::numeric_limits<double>::infinity();
+  wait_grant_delay(ctx_, att.delay_s);
+  state_ = State::kBorrowed;
+  probing_ = false;
+  node_ = att.donor;
+  lease_.release();
+  lease_ = ctx_.memory->lease(att.donor, window_bytes_);
+  revoke_at_ = std::isfinite(att.lease.revoke_after())
+                   ? actor.now() + att.lease.revoke_after()
+                   : std::numeric_limits<double>::infinity();
   att.lease.release();
-  b->copy_scale = b->lease.bw_scale();
-  b->io_scale = ctx_.memory->bw_scale_for(
-      b->lease.pressure(), ctx_.rank->machine().config().nic_bandwidth);
-  b->fabric_scale = ctx_.memory->bw_scale_for(
-      b->lease.pressure(),
-      ctx_.rank->machine().config().fabric_mem_bandwidth);
+  scale_from_lease();
   if (ctx_.stats != nullptr) ctx_.stats->record_borrow();
   return true;
 }
 
-void TwoPhaseExchange::handle_revocation(std::uint64_t site,
-                                         BufferGrant* grant,
-                                         WindowBacking* b) {
+void WindowBacking::step() {
+  if (state_ == State::kSwap) {
+    // A window swapped by a failed re-borrow keeps watching: promote
+    // back onto the fabric as soon as a donor grants.
+    if (probing_) reborrow();
+    return;
+  }
+  if (ctx_.rank->actor().now() < revoke_at_) return;
+  // Rung 2: the fault plan pulled the backing mid-collective.
   if (ctx_.stats != nullptr) {
-    if (b->borrowed) {
+    if (state_ == State::kBorrowed) {
       ctx_.stats->record_donor_revocation();
     } else {
       ctx_.stats->record_revocation();
@@ -562,16 +597,32 @@ void TwoPhaseExchange::handle_revocation(std::uint64_t site,
   // windows alike migrate their backing to the next elected donor, so
   // far-memory churn costs a re-election per revocation instead of
   // demoting the rest of the domain to swap.
-  if (ctx_.hints.borrow_far_memory && try_reborrow(site, grant, b)) {
-    return;
+  if (ctx_.hints.borrow_far_memory && reborrow()) return;
+  // Rung 5 semantics, data intact; with the borrow hint on the window
+  // keeps probing, so this demotion is not final.
+  state_ = State::kSwap;
+  probing_ = ctx_.hints.borrow_far_memory;
+  scale_to_swap();
+}
+
+void WindowBacking::charge_source(std::uint64_t bytes) {
+  sim::Cluster& cluster = ctx_.rank->machine().cluster();
+  if (state_ == State::kBorrowed) {
+    charge(ctx_.rank->actor(), cluster.fabric(node_), bytes, fabric_scale_);
+    if (ctx_.stats != nullptr) ctx_.stats->record_borrowed_bytes(bytes);
+  } else {
+    charge(ctx_.rank->actor(), cluster.membus(home_node_), bytes,
+           copy_scale_);
+    if (state_ == State::kSwap && ctx_.stats != nullptr) {
+      ctx_.stats->record_spilled_bytes(bytes);
+    }
   }
-  // Rung 5 semantics: the buffer is swap-backed, every byte through it
-  // pages. Data intact — and the data phases keep probing for a donor
-  // once per round, so this demotion is also not final.
-  grant->revoked = true;
-  b->copy_scale = ctx_.memory->pressure_bw_scale(1.0);
-  b->io_scale = ctx_.memory->bw_scale_for(
-      1.0, ctx_.rank->machine().config().nic_bandwidth);
+}
+
+void WindowBacking::charge_file(std::uint64_t bytes) {
+  if (state_ != State::kBorrowed) return;
+  charge(ctx_.rank->actor(), ctx_.rank->machine().cluster().fabric(node_),
+         bytes, fabric_scale_);
 }
 
 void TwoPhaseExchange::negotiate_buffers() {
@@ -604,20 +655,6 @@ void TwoPhaseExchange::negotiate_buffers() {
       count_msg(s, sizeof(wsize));
     }
     grants_.push_back(std::move(g));
-  }
-}
-
-void TwoPhaseExchange::recv_window_sizes() {
-  client_window_.assign(client_domains_.size(), 0);
-  for (std::size_t i = 0; i < client_domains_.size(); ++i) {
-    const FileDomain& d =
-        xplan_.domains[static_cast<std::size_t>(client_domains_[i])];
-    std::uint64_t wsize = 0;
-    ctx_.comm->recv(d.aggregator, tag_wsize_,
-                    Payload::real(reinterpret_cast<std::byte*>(&wsize),
-                                  sizeof(wsize)));
-    MCIO_CHECK_GT(wsize, 0u);
-    client_window_[i] = wsize;
   }
 }
 
@@ -669,8 +706,16 @@ void TwoPhaseExchange::client_send_data() {
   }
 }
 
-void TwoPhaseExchange::recv_window_sizes_hier() {
-  if (is_leader_) {
+void TwoPhaseExchange::relay_window_sizes() {
+  const auto recv_size = [&](int src, int tag) {
+    std::uint64_t wsize = 0;
+    ctx_.comm->recv(src, tag,
+                    Payload::real(reinterpret_cast<std::byte*>(&wsize),
+                                  sizeof(wsize)));
+    MCIO_CHECK_GT(wsize, 0u);
+    return wsize;
+  };
+  if (hier_ && is_leader_) {
     // Window sizes arrive per node domain (each aggregator announces its
     // owned domains ascending; per-source FIFO lines them up), then fan
     // out to every member with data in the domain.
@@ -679,11 +724,7 @@ void TwoPhaseExchange::recv_window_sizes_hier() {
       const NodeDomain& nd = node_domains_[i];
       const FileDomain& d =
           xplan_.domains[static_cast<std::size_t>(nd.index)];
-      std::uint64_t wsize = 0;
-      ctx_.comm->recv(d.aggregator, tag_wsize_,
-                      Payload::real(reinterpret_cast<std::byte*>(&wsize),
-                                    sizeof(wsize)));
-      MCIO_CHECK_GT(wsize, 0u);
+      const std::uint64_t wsize = recv_size(d.aggregator, tag_wsize_);
       node_window_[i] = wsize;
       for (const int m : members_) {
         if (m == my_rank()) continue;
@@ -699,17 +740,17 @@ void TwoPhaseExchange::recv_window_sizes_hier() {
         count_msg(m, sizeof(wsize));
       }
     }
-  } else if (my_leader_ >= 0) {
-    // Member: the leader forwards my intersecting domains ascending —
-    // exactly my client domains.
+  } else {
+    // Client: one size per client domain, ascending — from the domain's
+    // aggregator, or from my leader, which forwards my intersecting
+    // domains ascending (exactly my client domains).
     client_window_.assign(client_domains_.size(), 0);
     for (std::size_t i = 0; i < client_domains_.size(); ++i) {
-      std::uint64_t wsize = 0;
-      ctx_.comm->recv(my_leader_, tag_hier_wsize_,
-                      Payload::real(reinterpret_cast<std::byte*>(&wsize),
-                                    sizeof(wsize)));
-      MCIO_CHECK_GT(wsize, 0u);
-      client_window_[i] = wsize;
+      const FileDomain& d =
+          xplan_.domains[static_cast<std::size_t>(client_domains_[i])];
+      client_window_[i] =
+          hier_ ? recv_size(my_leader_, tag_hier_wsize_)
+                : recv_size(d.aggregator, tag_wsize_);
     }
   }
 }
@@ -721,12 +762,7 @@ void TwoPhaseExchange::leader_combine_write() {
   std::vector<std::byte> stage;  // merged window staging
   std::vector<std::byte> buf;    // member receive staging
   std::vector<std::byte> pack;   // forward packing
-  struct MemberSweep {
-    int member = -1;
-    util::ExtentCursor cursor;
-    util::ExtentList clip;
-  };
-  std::vector<MemberSweep> sweeps;
+  std::vector<SourceSweep> sweeps;
   util::ExtentList mclip;
   for (std::size_t k = 0; k < node_domains_.size(); ++k) {
     NodeDomain& nd = node_domains_[k];
@@ -735,7 +771,7 @@ void TwoPhaseExchange::leader_combine_write() {
     const std::uint64_t win = degraded_ ? node_window_[k] : d.buffer_bytes;
     sweeps.clear();
     for (const auto& [m, list] : nd.per_member) {
-      sweeps.push_back(MemberSweep{m, util::ExtentCursor(list), {}});
+      sweeps.push_back(SourceSweep{m, util::ExtentCursor(list), {}});
     }
     util::ExtentCursor merged(nd.merged);
     for (Extent w{}; next_window(d.extent, win, &w);) {
@@ -745,11 +781,11 @@ void TwoPhaseExchange::leader_combine_write() {
       if (xplan_.real_data) stage.resize(span.len);
       // Overlay members ascending — within the node the same overlap
       // winner as the flat rank-ascending overlay at the aggregator.
-      for (MemberSweep& sw : sweeps) {
+      for (SourceSweep& sw : sweeps) {
         sw.cursor.clipped_into(w, &sw.clip);
         if (sw.clip.empty()) continue;
         const std::uint64_t n = sw.clip.total_bytes();
-        if (sw.member == my_rank()) {
+        if (sw.source == my_rank()) {
           // Own pieces fold straight into the staging: the single copy.
           cursor.advance(w, &pieces);
           charge_copy(my_node(), n, 1.0);
@@ -764,7 +800,7 @@ void TwoPhaseExchange::leader_combine_write() {
           // modeled the single copy, so no extra overlay charge here.
           if (xplan_.real_data) {
             buf.resize(n);
-            ctx_.comm->recv(sw.member, tag_hier_data_base_ + nd.index,
+            ctx_.comm->recv(sw.source, tag_hier_data_base_ + nd.index,
                             Payload::of(buf));
             std::uint64_t off = 0;
             for (const Extent& run : sw.clip.runs()) {
@@ -773,11 +809,11 @@ void TwoPhaseExchange::leader_combine_write() {
               off += run.len;
             }
           } else {
-            ctx_.comm->recv(sw.member, tag_hier_data_base_ + nd.index,
+            ctx_.comm->recv(sw.source, tag_hier_data_base_ + nd.index,
                             Payload::virtual_bytes(n));
           }
           if (ctx_.stats != nullptr) {
-            ctx_.stats->record_shuffle(ctx_.comm->node_of(sw.member),
+            ctx_.stats->record_shuffle(ctx_.comm->node_of(sw.source),
                                        my_node(), n);
           }
         }
@@ -811,12 +847,7 @@ void TwoPhaseExchange::leader_scatter_read() {
   std::vector<std::byte> stage;  // merged window staging
   std::vector<std::byte> buf;    // aggregator receive staging
   std::vector<std::byte> slice;  // per-member packing
-  struct MemberSweep {
-    int member = -1;
-    util::ExtentCursor cursor;
-    util::ExtentList clip;
-  };
-  std::vector<MemberSweep> sweeps;
+  std::vector<SourceSweep> sweeps;
   util::ExtentList mclip;
   for (std::size_t k = 0; k < node_domains_.size(); ++k) {
     NodeDomain& nd = node_domains_[k];
@@ -825,7 +856,7 @@ void TwoPhaseExchange::leader_scatter_read() {
     const std::uint64_t win = degraded_ ? node_window_[k] : d.buffer_bytes;
     sweeps.clear();
     for (const auto& [m, list] : nd.per_member) {
-      sweeps.push_back(MemberSweep{m, util::ExtentCursor(list), {}});
+      sweeps.push_back(SourceSweep{m, util::ExtentCursor(list), {}});
     }
     util::ExtentCursor merged(nd.merged);
     for (Extent w{}; next_window(d.extent, win, &w);) {
@@ -857,11 +888,11 @@ void TwoPhaseExchange::leader_scatter_read() {
       // convention under which a flat client's single-piece recv pays no
       // copy. (The stage rearrangement in the real-data branch is
       // host-side bookkeeping, not modeled cost.)
-      for (MemberSweep& sw : sweeps) {
+      for (SourceSweep& sw : sweeps) {
         sw.cursor.clipped_into(w, &sw.clip);
         if (sw.clip.empty()) continue;
         const std::uint64_t n = sw.clip.total_bytes();
-        if (sw.member == my_rank()) {
+        if (sw.source == my_rank()) {
           cursor.advance(w, &pieces);
           if (xplan_.real_data) {
             for (const Piece& p : pieces) {
@@ -880,21 +911,44 @@ void TwoPhaseExchange::leader_scatter_read() {
                           run.len);
               off += run.len;
             }
-            ctx_.comm->send_shm(sw.member, tag_hier_data_base_ + nd.index,
+            ctx_.comm->send_shm(sw.source, tag_hier_data_base_ + nd.index,
                                 ConstPayload::of(slice));
           } else {
-            ctx_.comm->send_shm(sw.member, tag_hier_data_base_ + nd.index,
+            ctx_.comm->send_shm(sw.source, tag_hier_data_base_ + nd.index,
                                 ConstPayload::virtual_bytes(n));
           }
-          count_msg(sw.member, n);
+          count_msg(sw.source, n);
           if (ctx_.stats != nullptr) {
             ctx_.stats->record_shuffle(my_node(),
-                                       ctx_.comm->node_of(sw.member), n);
+                                       ctx_.comm->node_of(sw.source), n);
           }
         }
       }
     }
   }
+}
+
+metrics::AggregatorRecord TwoPhaseExchange::open_domain(
+    std::size_t k, WindowBacking* b, std::vector<SourceSweep>* sweeps,
+    std::vector<std::byte>* cb) {
+  const DomainWork& work = owned_[k];
+  const FileDomain& d = xplan_.domains[static_cast<std::size_t>(work.index)];
+  const BufferGrant grant =
+      degraded_ ? grants_[k] : BufferGrant{d.buffer_bytes};
+  b->open(grant, d.extent.offset);
+  metrics::AggregatorRecord rec;
+  rec.rank = my_rank();
+  rec.node = my_node();
+  rec.buffer_bytes = grant.window_bytes;
+  rec.pressure = b->pressure();
+  if (xplan_.real_data) {
+    cb->resize(std::min<std::uint64_t>(grant.window_bytes, d.extent.len));
+  }
+  sweeps->clear();
+  for (const auto& [s, list] : work.per_source) {
+    sweeps->push_back(SourceSweep{s, util::ExtentCursor(list), {}});
+  }
+  return rec;
 }
 
 void TwoPhaseExchange::aggregator_write() {
@@ -905,61 +959,15 @@ void TwoPhaseExchange::aggregator_write() {
   std::vector<mpi::Request> reqs;
   std::vector<std::vector<std::byte>> pool;
   std::vector<std::uint64_t> sizes;
+  std::vector<std::byte> cb;
   ExtentList cover;
+  WindowBacking b(ctx_);
   for (std::size_t k = 0; k < owned_.size(); ++k) {
-    DomainWork& work = owned_[k];
+    const DomainWork& work = owned_[k];
     const FileDomain& d =
         xplan_.domains[static_cast<std::size_t>(work.index)];
-    BufferGrant* grant = degraded_ ? &grants_[k] : nullptr;
-    const std::uint64_t win_bytes =
-        grant != nullptr ? grant->window_bytes : d.buffer_bytes;
-    WindowBacking b;
-    b.borrowed = grant != nullptr && grant->borrowed();
-    // Rung 4: a borrowed buffer lives on the donor node — the lease is
-    // taken there, so donor-side accounting (and the auditor's lease
-    // ledger) sees the remote grant exactly like a local one.
-    b.buf_node = b.borrowed ? grant->borrow_donor : my_node();
-    actor().sync();
-    b.lease = ctx_.memory->lease(b.buf_node, win_bytes);
-    b.revoke_at = std::numeric_limits<double>::infinity();
-    if (grant != nullptr && std::isfinite(grant->revoke_after)) {
-      b.revoke_at = actor().now() + grant->revoke_after;
-    }
-    // Copies through an overcommitted buffer page against the memory bus;
-    // file-system transfers page against the NIC path. A borrowed buffer
-    // instead moves every fill and drain through the donor's fabric port
-    // (charged per transfer below), blended the same way if the donor is
-    // overcommitted.
-    b.copy_scale = b.lease.bw_scale();
-    b.io_scale = ctx_.memory->bw_scale_for(
-        b.lease.pressure(), ctx_.rank->machine().config().nic_bandwidth);
-    b.fabric_scale =
-        b.borrowed
-            ? ctx_.memory->bw_scale_for(
-                  b.lease.pressure(),
-                  ctx_.rank->machine().config().fabric_mem_bandwidth)
-            : 1.0;
-    if (grant != nullptr && grant->spilled) {
-      // Ladder bottomed out at negotiation: the buffer is swap-backed,
-      // every byte through it pages.
-      b.copy_scale = ctx_.memory->pressure_bw_scale(1.0);
-      b.io_scale = ctx_.memory->bw_scale_for(
-          1.0, ctx_.rank->machine().config().nic_bandwidth);
-    }
-    metrics::AggregatorRecord rec;
-    rec.rank = my_rank();
-    rec.node = my_node();
-    rec.buffer_bytes = win_bytes;
-    rec.pressure = b.lease.pressure();
-    std::vector<std::byte> cb;
-    if (xplan_.real_data) {
-      cb.resize(std::min<std::uint64_t>(win_bytes, d.extent.len));
-    }
-    sweeps.clear();
-    for (const auto& [s, list] : work.per_source) {
-      sweeps.push_back(SourceSweep{s, util::ExtentCursor(list), {}});
-    }
-    for (Extent w{}; next_window(d.extent, win_bytes, &w);) {
+    metrics::AggregatorRecord rec = open_domain(k, &b, &sweeps, &cb);
+    for (Extent w{}; next_window(d.extent, b.window_bytes(), &w);) {
       cover.clear();
       active.clear();
       for (std::size_t i = 0; i < sweeps.size(); ++i) {
@@ -970,18 +978,7 @@ void TwoPhaseExchange::aggregator_write() {
       }
       if (cover.empty()) continue;
       ++rec.rounds;
-      if (grant != nullptr) {
-        if (!grant->revoked && actor().now() >= b.revoke_at) {
-          // Rung 2: the fault plan pulled the backing mid-collective —
-          // demote down the ladder (sideways re-borrow, else spill).
-          handle_revocation(d.extent.offset, grant, &b);
-        } else if (grant->revoked && ctx_.hints.borrow_far_memory) {
-          // A window spilled by a failed re-borrow keeps watching:
-          // promote back onto the fabric as soon as a donor grants.
-          try_reborrow(d.extent.offset, grant, &b);
-        }
-      }
-      const bool via_fabric = b.borrowed && !grant->revoked;
+      b.step();
       const Extent span = cover.bounds();
       const bool holes = !cover.contiguous();
 
@@ -1018,32 +1015,16 @@ void TwoPhaseExchange::aggregator_write() {
                 ? Payload::real(cb.data() + (span.offset - w.offset),
                                 span.len)
                 : Payload::virtual_bytes(span.len);
-        ctx_.fs->read(actor(), ctx_.file, span.offset, stage, b.io_scale);
-        // The sieved span fills the borrowed window across the fabric.
-        if (via_fabric) {
-          charge_fabric(grant->borrow_donor, span.len, b.fabric_scale);
-        }
+        ctx_.fs->read(actor(), ctx_.file, span.offset, stage, b.io_scale());
+        b.charge_file(span.len);  // the sieved span fills the window
         if (ctx_.stats != nullptr) ctx_.stats->record_rmw(span.len);
       }
       ctx_.comm->waitall(reqs);
 
-      // Overlay received pieces into the collective buffer. Borrowed
-      // windows fill over the donor's fabric port instead of the local
-      // memory bus.
+      // Overlay received pieces into the collective buffer.
       for (std::size_t i = 0; i < active.size(); ++i) {
         const SourceSweep& sw = sweeps[active[i]];
-        if (via_fabric) {
-          charge_fabric(grant->borrow_donor, sizes[i], b.fabric_scale);
-        } else {
-          charge_copy(my_node(), sizes[i], b.copy_scale);
-        }
-        if (grant != nullptr && ctx_.stats != nullptr) {
-          if (via_fabric) {
-            ctx_.stats->record_borrowed_bytes(sizes[i]);
-          } else if (grant->spilled || grant->revoked) {
-            ctx_.stats->record_spilled_bytes(sizes[i]);
-          }
-        }
+        b.charge_source(sizes[i]);
         if (xplan_.real_data) {
           std::uint64_t off = 0;
           for (const Extent& run : sw.clip.runs()) {
@@ -1059,117 +1040,54 @@ void TwoPhaseExchange::aggregator_write() {
         }
       }
 
-      // Ship the window to the file system.
+      // Ship the window to the file system; a borrowed window drains
+      // across the fabric before each PFS op.
       auto slice_of = [&](const Extent& e) {
         return xplan_.real_data
                    ? ConstPayload::real(cb.data() + (e.offset - w.offset),
                                         e.len)
                    : ConstPayload::virtual_bytes(e.len);
       };
-      if (rmw || !holes) {
-        const Extent out = rmw ? span : cover.runs().front();
-        // A borrowed window drains across the fabric before the PFS op.
-        if (via_fabric) {
-          charge_fabric(grant->borrow_donor, out.len, b.fabric_scale);
-        }
+      const auto drain = [&](const Extent& out) {
+        b.charge_file(out.len);
         ctx_.fs->write(actor(), ctx_.file, out.offset, slice_of(out),
-                       b.io_scale);
+                       b.io_scale());
         rec.io_bytes += out.len;
         if (ctx_.stats != nullptr) ctx_.stats->record_io(out.len);
+      };
+      if (rmw || !holes) {
+        drain(rmw ? span : cover.runs().front());
       } else {
-        for (const Extent& run : cover.runs()) {
-          if (via_fabric) {
-            charge_fabric(grant->borrow_donor, run.len, b.fabric_scale);
-          }
-          ctx_.fs->write(actor(), ctx_.file, run.offset, slice_of(run),
-                         b.io_scale);
-          rec.io_bytes += run.len;
-          if (ctx_.stats != nullptr) ctx_.stats->record_io(run.len);
-        }
+        for (const Extent& run : cover.runs()) drain(run);
       }
     }
-    b.lease.release();
+    // No sync before the release: the window's last act, fs->write, ran
+    // in a global slice.
+    b.close();
     if (ctx_.stats != nullptr) ctx_.stats->record_aggregator(rec);
   }
 }
 
 void TwoPhaseExchange::aggregator_read() {
   std::vector<SourceSweep> sweeps;
+  std::vector<std::byte> cb;
   ExtentList cover;
   std::vector<std::byte> tmp;  // pack staging, reused across sends
+  WindowBacking b(ctx_);
   for (std::size_t k = 0; k < owned_.size(); ++k) {
-    DomainWork& work = owned_[k];
+    const DomainWork& work = owned_[k];
     const FileDomain& d =
         xplan_.domains[static_cast<std::size_t>(work.index)];
-    BufferGrant* grant = degraded_ ? &grants_[k] : nullptr;
-    const std::uint64_t win_bytes =
-        grant != nullptr ? grant->window_bytes : d.buffer_bytes;
-    WindowBacking b;
-    b.borrowed = grant != nullptr && grant->borrowed();
-    // Rung 4: the lease for a borrowed buffer is taken on the donor node
-    // (see aggregator_write).
-    b.buf_node = b.borrowed ? grant->borrow_donor : my_node();
-    actor().sync();
-    b.lease = ctx_.memory->lease(b.buf_node, win_bytes);
-    b.revoke_at = std::numeric_limits<double>::infinity();
-    if (grant != nullptr && std::isfinite(grant->revoke_after)) {
-      b.revoke_at = actor().now() + grant->revoke_after;
-    }
-    // Copies through an overcommitted buffer page against the memory bus;
-    // file-system transfers page against the NIC path. Borrowed buffers
-    // fill and drain through the donor's fabric port instead.
-    b.copy_scale = b.lease.bw_scale();
-    b.io_scale = ctx_.memory->bw_scale_for(
-        b.lease.pressure(), ctx_.rank->machine().config().nic_bandwidth);
-    b.fabric_scale =
-        b.borrowed
-            ? ctx_.memory->bw_scale_for(
-                  b.lease.pressure(),
-                  ctx_.rank->machine().config().fabric_mem_bandwidth)
-            : 1.0;
-    if (grant != nullptr && grant->spilled) {
-      // Ladder bottomed out at negotiation: the buffer is swap-backed,
-      // every byte through it pages.
-      b.copy_scale = ctx_.memory->pressure_bw_scale(1.0);
-      b.io_scale = ctx_.memory->bw_scale_for(
-          1.0, ctx_.rank->machine().config().nic_bandwidth);
-    }
-    metrics::AggregatorRecord rec;
-    rec.rank = my_rank();
-    rec.node = my_node();
-    rec.buffer_bytes = win_bytes;
-    rec.pressure = b.lease.pressure();
-    std::vector<std::byte> cb;
-    if (xplan_.real_data) {
-      cb.resize(std::min<std::uint64_t>(win_bytes, d.extent.len));
-    }
-    sweeps.clear();
-    for (const auto& [s, list] : work.per_source) {
-      sweeps.push_back(SourceSweep{s, util::ExtentCursor(list), {}});
-    }
-    for (Extent w{}; next_window(d.extent, win_bytes, &w);) {
+    metrics::AggregatorRecord rec = open_domain(k, &b, &sweeps, &cb);
+    for (Extent w{}; next_window(d.extent, b.window_bytes(), &w);) {
       cover.clear();
-      bool any = false;
       for (SourceSweep& sw : sweeps) {
         sw.cursor.clipped_into(w, &sw.clip);
-        if (sw.clip.empty()) continue;
-        cover.merge(sw.clip);
-        any = true;
+        if (!sw.clip.empty()) cover.merge(sw.clip);
       }
-      if (!any) continue;
+      if (cover.empty()) continue;
       ++rec.rounds;
-      if (grant != nullptr) {
-        if (!grant->revoked && actor().now() >= b.revoke_at) {
-          // Rung 2: backing revoked mid-collective — demote down the
-          // ladder (sideways re-borrow, else spill).
-          handle_revocation(d.extent.offset, grant, &b);
-        } else if (grant->revoked && ctx_.hints.borrow_far_memory) {
-          // Promote a spilled window back onto the fabric as soon as a
-          // donor grants.
-          try_reborrow(d.extent.offset, grant, &b);
-        }
-      }
-      const bool via_fabric = b.borrowed && !grant->revoked;
+      b.step();
       // Data-sieving read: one contiguous read covering the span.
       const Extent span = cover.bounds();
       Payload stage =
@@ -1177,29 +1095,15 @@ void TwoPhaseExchange::aggregator_read() {
               ? Payload::real(cb.data() + (span.offset - w.offset),
                               span.len)
               : Payload::virtual_bytes(span.len);
-      ctx_.fs->read(actor(), ctx_.file, span.offset, stage, b.io_scale);
-      // The read span fills the borrowed window across the fabric.
-      if (via_fabric) {
-        charge_fabric(grant->borrow_donor, span.len, b.fabric_scale);
-      }
+      ctx_.fs->read(actor(), ctx_.file, span.offset, stage, b.io_scale());
+      b.charge_file(span.len);  // the read span fills the window
       rec.io_bytes += span.len;
       if (ctx_.stats != nullptr) ctx_.stats->record_io(span.len);
 
       for (const SourceSweep& sw : sweeps) {
         if (sw.clip.empty()) continue;
         const std::uint64_t n = sw.clip.total_bytes();
-        if (via_fabric) {
-          charge_fabric(grant->borrow_donor, n, b.fabric_scale);  // drain
-        } else {
-          charge_copy(my_node(), n, b.copy_scale);  // pack
-        }
-        if (grant != nullptr && ctx_.stats != nullptr) {
-          if (via_fabric) {
-            ctx_.stats->record_borrowed_bytes(n);
-          } else if (grant->spilled || grant->revoked) {
-            ctx_.stats->record_spilled_bytes(n);
-          }
-        }
+        b.charge_source(n);  // pack
         if (xplan_.real_data) {
           tmp.resize(n);
           std::uint64_t off = 0;
@@ -1223,11 +1127,11 @@ void TwoPhaseExchange::aggregator_read() {
       }
     }
     // Rejoin the global order before returning the lease: the window's
-    // last interaction was a local-class send, and a release applied
-    // from a local slice would order against other ranks' ladder grants
-    // by scheduler mode instead of by stamp.
+    // last act was a local-class send, and the release must apply in a
+    // global slice so it orders against other ranks' ladder grants by
+    // (time, actor).
     actor().sync();
-    b.lease.release();
+    b.close();
     if (ctx_.stats != nullptr) ctx_.stats->record_aggregator(rec);
   }
 }
@@ -1270,52 +1174,36 @@ void TwoPhaseExchange::client_recv_data() {
 }
 
 void TwoPhaseExchange::write() {
-  if (ctx_.stats != nullptr && my_rank() == 0) {
-    ctx_.stats->set_groups(xplan_.num_groups);
-  }
-  send_extent_lists();
-  leader_collect_extent_lists();
-  recv_extent_lists();
-  if (degraded_) {
-    // Degradation ladder + window-size negotiation: aggregators settle
-    // their (possibly shrunk) buffers and announce the final window size
-    // before any data moves, so both sides window identically. The
-    // negotiation closes with an exact time alignment: retry backoffs
-    // then delay the collective by the slowest ladder instead of
-    // staggering the data phase, which keeps bandwidth monotone in the
-    // fault rate.
-    negotiate_buffers();
-    if (hier_) {
-      recv_window_sizes_hier();
-    } else {
-      recv_window_sizes();
-    }
-    close_negotiation();
-  }
+  negotiate();
   if (!hier_ || !is_leader_) client_send_data();
   leader_combine_write();
   aggregator_write();
 }
 
 void TwoPhaseExchange::read() {
+  negotiate();
+  aggregator_read();
+  leader_scatter_read();
+  if (!hier_ || !is_leader_) client_recv_data();
+}
+
+void TwoPhaseExchange::negotiate() {
   if (ctx_.stats != nullptr && my_rank() == 0) {
     ctx_.stats->set_groups(xplan_.num_groups);
   }
   send_extent_lists();
   leader_collect_extent_lists();
   recv_extent_lists();
-  if (degraded_) {
-    negotiate_buffers();
-    if (hier_) {
-      recv_window_sizes_hier();
-    } else {
-      recv_window_sizes();
-    }
-    close_negotiation();
-  }
-  aggregator_read();
-  leader_scatter_read();
-  if (!hier_ || !is_leader_) client_recv_data();
+  if (!degraded_) return;
+  // Degradation ladder + window-size negotiation: aggregators settle
+  // their (possibly shrunk) buffers and announce the final window size
+  // before any data moves, so both sides window identically. The
+  // negotiation closes with an exact time alignment: retry backoffs then
+  // delay the collective by the slowest ladder instead of staggering the
+  // data phase, which keeps bandwidth monotone in the fault rate.
+  negotiate_buffers();
+  relay_window_sizes();
+  close_negotiation();
 }
 
 void TwoPhaseExchange::close_negotiation() {

@@ -56,8 +56,10 @@ struct ExchangePlan {
 
 // The graceful-degradation ladder — authoritative rung table. Every
 // other description (collective_stats.h, DESIGN.md §11, bench/README
-// docs) refers here. Plan-time steps run in the drivers; rungs 1–5 run
-// in TwoPhaseExchange::acquire_buffer and the aggregator data phases.
+// docs) refers here. Plan-time steps run in the drivers. Rungs 1, 3, 4
+// and 5 settle each aggregation buffer's BufferGrant at negotiation
+// (TwoPhaseExchange::acquire_buffer); WindowBacking carries the grant
+// through the data phase, where rung 2 and rung 4's re-borrows run.
 //
 //   plan    remerge        domains merged away from memory-poor hosts
 //                          (MCCIO placement, §3.3; plan_remerges)
@@ -79,6 +81,102 @@ struct ExchangePlan {
 //   plan    independent    fully exhausted donor-less groups leave the
 //           fallback       exchange and write/read independently
 //                          (fallback_ranks, fallback_bytes)
+
+/// Outcome of the degradation ladder for one aggregation buffer, fixed at
+/// negotiation (fault-injected runs). It settles the *terms* of the
+/// buffer; WindowBacking takes the lease while the domain is processed,
+/// so memory accounting matches the fault-free protocol (one domain's
+/// buffer held at a time, not all at once). Fault-free runs back every
+/// window with a default grant of the planned buffer size.
+struct BufferGrant {
+  /// Actual per-window buffer bytes (≤ the planned buffer after
+  /// shrinking; may *exceed* it for a borrowed window, which restores
+  /// the full planned size).
+  std::uint64_t window_bytes = 0;
+  /// Virtual seconds after processing starts at which the backing
+  /// disappears; infinity = never.
+  double revoke_after = std::numeric_limits<double>::infinity();
+  bool spilled = false;  ///< ladder bottomed out: swap-backed buffer
+  /// Rung 4: donor node backing this buffer over the fabric; -1 = the
+  /// buffer is local.
+  int borrow_donor = -1;
+  bool borrowed() const { return borrow_donor >= 0; }
+};
+
+/// The backing of one domain's aggregation window during the data phase:
+/// which node holds its lease, where fills and drains are charged, and
+/// the window's mid-collective moves down (and back up) the ladder.
+///
+///   state     lease on  charge_source    charge_file     step()
+///   local     own node  own membus       free            revocation due:
+///   borrowed  donor     donor's fabric   donor's fabric    re-borrow,
+///                                                          else swap
+///   swap      kept      own membus,      free            if probing:
+///                       paging                             re-borrow
+///
+/// A window starts local, borrowed (grant.borrowed()) or swap
+/// (grant.spilled). Only local and borrowed windows can be revoked; a
+/// revoked window first tries a sideways re-borrow onto the next elected
+/// donor (borrow hint on), else falls to swap. A swap window probes for a
+/// donor once per round only when revocation put it there with the
+/// borrow hint on; a window spilled at negotiation never probes. Windows
+/// are filled and drained whole from live sources and the file, so a
+/// move at a window boundary never puts data at risk.
+class WindowBacking {
+ public:
+  enum class State { kLocal, kBorrowed, kSwap };
+
+  explicit WindowBacking(CollContext& ctx);
+
+  /// Takes the lease (on the donor for a borrowed grant) at the actor's
+  /// global time and arms the grant's revocation. `site` keys the fault
+  /// schedule for re-borrows (the domain's file offset).
+  void open(const BufferGrant& grant, std::uint64_t site);
+  /// Once per non-empty window round, before any of its data moves:
+  /// applies a due revocation (rung 2, counted as donor_revocations for
+  /// a borrowed window and revocations otherwise), re-borrowing or
+  /// falling to swap; a probing swap window tries one promotion instead.
+  void step();
+  /// Charges one source's bytes moving between the window and its
+  /// message — over the donor's fabric port when borrowed, else the
+  /// local memory bus — and counts them as borrowed or spilled bytes.
+  void charge_source(std::uint64_t bytes);
+  /// Charges a PFS-side fill or drain of the window: only a borrowed
+  /// window pays (the fabric crossing); local paging is in io_scale().
+  void charge_file(std::uint64_t bytes);
+  std::uint64_t window_bytes() const { return window_bytes_; }
+  /// Bandwidth scale for PFS calls through this window.
+  double io_scale() const { return io_scale_; }
+  /// Overcommit fraction of the current lease.
+  double pressure() const { return lease_.pressure(); }
+  void close() { lease_.release(); }
+
+  State state() const { return state_; }
+  bool probing() const { return probing_; }
+
+ private:
+  /// One rung-4 attempt to move the backing onto an elected donor,
+  /// keeping the window size; false (a denial only if a donor was
+  /// elected but fault-denied) when none grants.
+  bool reborrow();
+  /// Derives every bandwidth scale from the current lease's pressure.
+  void scale_from_lease();
+  /// Swap semantics: every byte through the buffer pages.
+  void scale_to_swap();
+
+  CollContext& ctx_;
+  int home_node_ = -1;
+  std::uint64_t site_ = 0;
+  std::uint64_t window_bytes_ = 0;
+  State state_ = State::kLocal;
+  bool probing_ = false;
+  int node_ = -1;  ///< node holding the lease
+  node::Lease lease_;
+  double revoke_at_ = std::numeric_limits<double>::infinity();
+  double copy_scale_ = 1.0;
+  double io_scale_ = 1.0;
+  double fabric_scale_ = 1.0;
+};
 
 /// Runs one collective write or read. Construct per operation.
 class TwoPhaseExchange {
@@ -117,34 +215,14 @@ class TwoPhaseExchange {
     std::vector<std::pair<int, util::ExtentList>> per_source;
   };
 
-  /// Aggregator-side sweep state for one source: a monotone cursor over
-  /// the source's extent list (windows ascend within a domain) and a
-  /// reusable clip scratch, replacing a full clipped() rescan per window.
+  /// Sweep state for one source of an aggregator or one member of a node
+  /// leader: a monotone cursor over its extent list (windows ascend
+  /// within a domain) and a reusable clip scratch, replacing a full
+  /// clipped() rescan per window.
   struct SourceSweep {
     int source = -1;
     util::ExtentCursor cursor;
     util::ExtentList clip;
-  };
-
-  /// Outcome of the degradation ladder for one owned domain's aggregation
-  /// buffer (fault-injected runs only). The ladder settles the *terms* of
-  /// the buffer at negotiation time; the lease itself is taken while the
-  /// domain is processed, so memory accounting matches the fault-free
-  /// protocol (one domain's buffer held at a time, not all at once).
-  struct BufferGrant {
-    /// Actual per-window buffer bytes (≤ the planned buffer after
-    /// shrinking; may *exceed* it for a borrowed window, which restores
-    /// the full planned size).
-    std::uint64_t window_bytes = 0;
-    /// Virtual seconds after processing starts at which the backing
-    /// disappears; infinity = never.
-    double revoke_after = std::numeric_limits<double>::infinity();
-    bool spilled = false;  ///< ladder bottomed out: swap-backed buffer
-    bool revoked = false;  ///< revocation already observed
-    /// Rung 4: donor node backing this buffer over the fabric; -1 = the
-    /// buffer is local.
-    int borrow_donor = -1;
-    bool borrowed() const { return borrow_donor >= 0; }
   };
 
   /// One physical node's data ranks (hierarchical mode): the lowest rank
@@ -165,10 +243,24 @@ class TwoPhaseExchange {
   // Phase helpers.
   void send_extent_lists();
   void recv_extent_lists();
+  /// Everything before data moves, shared by write() and read(): the
+  /// extent lists reach the aggregators, then the degraded protocol runs
+  /// negotiate_buffers(), relay_window_sizes() and close_negotiation().
+  void negotiate();
   void negotiate_buffers();
-  void recv_window_sizes();
+  /// Every client learns its negotiated window sizes: flat clients from
+  /// the aggregators; hierarchical leaders take them from the aggregators
+  /// and fan them out to their members, who take them from their leader.
+  void relay_window_sizes();
   void close_negotiation();
   void client_send_data();
+  /// Aggregator side of owned domain `k`: opens `b` on the domain's grant
+  /// (the planned buffer in fault-free runs), sizes the real-data window
+  /// buffer `cb`, resets `sweeps` to the domain's sources and returns the
+  /// domain's aggregator record.
+  metrics::AggregatorRecord open_domain(std::size_t k, WindowBacking* b,
+                                        std::vector<SourceSweep>* sweeps,
+                                        std::vector<std::byte>* cb);
   void aggregator_write();
   void aggregator_read();
   void client_recv_data();
@@ -185,9 +277,6 @@ class TwoPhaseExchange {
   /// Leader: drain member extent lists, merge per domain, forward the
   /// merged lists to the aggregators.
   void leader_collect_extent_lists();
-  /// Degraded protocol: leaders take window sizes from aggregators and
-  /// fan them out to their members; members take them from their leader.
-  void recv_window_sizes_hier();
   /// Leader write stage: per (domain, window) combine member payloads and
   /// its own pieces into one staging buffer, forward merged runs.
   void leader_combine_write();
@@ -206,54 +295,12 @@ class TwoPhaseExchange {
   BufferGrant acquire_buffer(std::uint64_t want, std::uint64_t site,
                              std::uint64_t borrow_want);
 
-  /// Mutable per-domain buffer state shared between the data phases and
-  /// handle_revocation: which node backs the window, the lease held on
-  /// it, when the fault plan pulls it, and the bandwidth scales derived
-  /// from its pressure.
-  struct WindowBacking {
-    bool borrowed = false;
-    int buf_node = -1;
-    node::Lease lease;
-    double revoke_at = 0.0;
-    double copy_scale = 1.0;
-    double io_scale = 1.0;
-    double fabric_scale = 1.0;
-  };
-
-  /// One rung-4 attempt to move `grant`'s backing onto an elected donor
-  /// while keeping the negotiated window geometry (sources stream
-  /// against the announced window size, so only the backing may move —
-  /// always at a window boundary, where the buffer holds no live data).
-  /// On grant: swaps the lease to the donor, clears the revoked flag and
-  /// refreshes every scale in `b`. Returns false (and counts a
-  /// borrow_denial) when no donor grants.
-  bool try_reborrow(std::uint64_t site, BufferGrant* grant,
-                    WindowBacking* b);
-
-  /// Responds to a mid-collective revocation of `grant`'s backing at a
-  /// window boundary (rung 2). With the borrow rung enabled the window
-  /// demotes sideways instead of down: the backing migrates to the next
-  /// elected donor — local windows and already-borrowed windows alike,
-  /// so far-memory churn costs a re-election per revocation. Only when
-  /// no donor grants does the window fall to spill semantics, and even
-  /// then the data phases keep probing once per round and promote the
-  /// window back onto the fabric when a donor reappears. Bounded: at
-  /// most one borrow attempt per window round. Updates `b` in place;
-  /// data is never at risk because windows are filled and drained whole
-  /// from live sources and the file.
-  void handle_revocation(std::uint64_t site, BufferGrant* grant,
-                         WindowBacking* b);
-
   int my_rank() const;
   int my_node() const;
   sim::Actor& actor();
 
   /// Charges a packing/scatter memcpy on `node` and advances the actor.
   void charge_copy(int node, std::uint64_t bytes, double bw_scale);
-
-  /// Charges `bytes` through the donor's far-memory port (borrowed
-  /// aggregation buffers: every fill and drain crosses the fabric).
-  void charge_fabric(int donor, std::uint64_t bytes, double bw_scale);
 
   /// Counts one logical message to `dst` (metrics only, no virtual time).
   void count_msg(int dst, std::uint64_t bytes);
@@ -274,7 +321,8 @@ class TwoPhaseExchange {
   /// FaultPlan is attached.
   bool degraded_ = false;
   int tag_wsize_ = 0;
-  /// Ladder outcome per owned domain (parallel to owned_).
+  /// Ladder outcome per owned domain (parallel to owned_), fixed once
+  /// negotiate_buffers() returns.
   std::vector<BufferGrant> grants_;
   /// Negotiated window bytes per client domain (parallel to
   /// client_domains_).

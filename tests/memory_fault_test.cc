@@ -2,9 +2,11 @@
 // lifetime safety, FaultPlan schedule properties (determinism, nested
 // fault sets across rates, exhaustion), and faulted collective round
 // trips — the shrink/spill ladder and the independent-I/O fallback must
-// still move every byte correctly, bit-identically across repeat runs.
+// still move every byte correctly, bit-identically across repeat runs —
+// and the data-phase window backing's ladder transitions, driven directly.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -422,6 +424,158 @@ TEST(BorrowFarMemory, AuditorSeesBalancedDonorLeases) {
   cluster.machine().set_observer(verify::global_observer());
   cluster.fs().set_observer(verify::global_observer());
   cluster.memory().set_observer(verify::global_observer());
+}
+
+// --- WindowBacking driven directly: one aggregator rank, no fault plan.
+// Grants are built by hand, so a revocation is due exactly when the test
+// advances past revoke_after, and with no plan a re-borrow is granted
+// whenever a donor with headroom exists.
+
+constexpr std::uint64_t kWindow = 256 << 10;
+
+/// Runs `body` on rank 0 of a fresh MiniCluster (three 1 MiB nodes) with
+/// a context whose stats land in `stats`.
+void with_backing_context(
+    const io::Hints& hints, metrics::CollectiveStats* stats,
+    const std::function<void(MiniCluster&, io::CollContext&)>& body) {
+  MiniCluster cluster;
+  cluster.machine().run(1, [&](mpi::Rank& rank) {
+    io::CollContext ctx;
+    ctx.rank = &rank;
+    ctx.comm = &rank.world();
+    ctx.memory = &cluster.memory();
+    ctx.hints = hints;
+    ctx.stats = stats;
+    body(cluster, ctx);
+  });
+}
+
+io::BufferGrant revocable_grant(int donor = -1) {
+  io::BufferGrant g;
+  g.window_bytes = kWindow;
+  g.revoke_after = 1e-3;
+  g.borrow_donor = donor;
+  return g;
+}
+
+using State = io::WindowBacking::State;
+
+TEST(WindowBacking, SwapAfterFailedReborrowIsPromotedLater) {
+  // A local window is revoked while no donor has headroom: the re-borrow
+  // fails and the window falls to swap, probing. Once a donor frees up,
+  // the next round's probe promotes it back onto the fabric — a borrow
+  // the negotiation (which borrowed nothing) never made.
+  metrics::CollectiveStats stats;
+  with_backing_context(borrow_hints(), &stats, [&](MiniCluster& cluster,
+                                                   io::CollContext& ctx) {
+    node::Lease hold1 = cluster.memory().lease(1, 1 << 20);
+    node::Lease hold2 = cluster.memory().lease(2, 1 << 20);
+    io::WindowBacking b(ctx);
+    b.open(revocable_grant(), /*site=*/0);
+    EXPECT_EQ(b.state(), State::kLocal);
+    b.step();  // not due yet
+    EXPECT_EQ(b.state(), State::kLocal);
+    ctx.rank->actor().advance(2e-3);
+    b.step();
+    EXPECT_EQ(b.state(), State::kSwap);
+    EXPECT_TRUE(b.probing());
+    b.step();  // still no donor: keeps probing, no denial counted
+    EXPECT_EQ(b.state(), State::kSwap);
+    b.charge_source(1000);
+    hold2.release();
+    b.step();
+    EXPECT_EQ(b.state(), State::kBorrowed);
+    EXPECT_FALSE(b.probing());
+    b.charge_source(3000);
+    b.close();
+    hold1.release();
+  });
+  const metrics::DegradationStats& d = stats.degradation();
+  EXPECT_EQ(d.revocations, 1u);
+  EXPECT_EQ(d.donor_revocations, 0u);
+  EXPECT_EQ(d.borrows, 1u);
+  EXPECT_EQ(d.borrow_denials, 0u);
+  EXPECT_EQ(d.spilled_bytes, 1000u);
+  EXPECT_EQ(d.borrowed_bytes, 3000u);
+}
+
+TEST(WindowBacking, SpilledAtNegotiationNeverProbes) {
+  // Donors have headroom and the borrow hint is on, but a window the
+  // ladder spilled at negotiation stays swap-backed for the whole domain.
+  metrics::CollectiveStats stats;
+  with_backing_context(borrow_hints(), &stats,
+                       [&](MiniCluster&, io::CollContext& ctx) {
+    io::BufferGrant g;
+    g.window_bytes = kWindow;
+    g.spilled = true;
+    io::WindowBacking b(ctx);
+    b.open(g, /*site=*/0);
+    for (int round = 0; round < 4; ++round) {
+      ctx.rank->actor().advance(1.0);
+      b.step();
+      EXPECT_EQ(b.state(), State::kSwap);
+      EXPECT_FALSE(b.probing());
+      b.charge_source(500);
+    }
+    b.close();
+  });
+  const metrics::DegradationStats& d = stats.degradation();
+  EXPECT_EQ(d.borrows, 0u);
+  EXPECT_EQ(d.borrow_denials, 0u);
+  EXPECT_EQ(d.revocations, 0u);
+  EXPECT_EQ(d.spilled_bytes, 2000u);
+}
+
+TEST(WindowBacking, RevokedBorrowedWindowCountsAsDonorRevocation) {
+  // With the borrow hint off a revoked borrowed window cannot migrate:
+  // it falls to swap for good, counted against the donor.
+  io::Hints hints = borrow_hints();
+  hints.borrow_far_memory = false;
+  metrics::CollectiveStats stats;
+  with_backing_context(hints, &stats, [&](MiniCluster&,
+                                          io::CollContext& ctx) {
+    io::WindowBacking b(ctx);
+    b.open(revocable_grant(/*donor=*/2), /*site=*/0);
+    EXPECT_EQ(b.state(), State::kBorrowed);
+    const sim::SimTime t0 = ctx.rank->actor().now();
+    b.charge_file(kWindow);  // a borrowed window's PFS side crosses
+    EXPECT_GT(ctx.rank->actor().now(), t0);  // the donor's fabric
+    ctx.rank->actor().advance(2e-3);
+    b.step();
+    EXPECT_EQ(b.state(), State::kSwap);
+    EXPECT_FALSE(b.probing());
+    const sim::SimTime t1 = ctx.rank->actor().now();
+    b.charge_file(kWindow);  // swapped: no fabric crossing any more
+    EXPECT_EQ(ctx.rank->actor().now(), t1);
+    b.close();
+  });
+  const metrics::DegradationStats& d = stats.degradation();
+  EXPECT_EQ(d.donor_revocations, 1u);
+  EXPECT_EQ(d.revocations, 0u);
+  EXPECT_EQ(d.borrows, 0u);
+}
+
+TEST(WindowBacking, RevokedBorrowedWindowMigratesToNextDonor) {
+  // With the hint on, the same revocation re-elects a donor instead: the
+  // window stays on the fabric, now backed by the other peer.
+  metrics::CollectiveStats stats;
+  with_backing_context(borrow_hints(), &stats, [&](MiniCluster& cluster,
+                                                   io::CollContext& ctx) {
+    io::WindowBacking b(ctx);
+    b.open(revocable_grant(/*donor=*/2), /*site=*/0);
+    EXPECT_EQ(cluster.memory().available(2), (1u << 20) - kWindow);
+    ctx.rank->actor().advance(2e-3);
+    b.step();
+    EXPECT_EQ(b.state(), State::kBorrowed);
+    // Node 1 is the richest peer now; the donor-2 lease went back.
+    EXPECT_EQ(cluster.memory().available(1), (1u << 20) - kWindow);
+    EXPECT_EQ(cluster.memory().available(2), 1u << 20);
+    b.close();
+  });
+  const metrics::DegradationStats& d = stats.degradation();
+  EXPECT_EQ(d.donor_revocations, 1u);
+  EXPECT_EQ(d.revocations, 0u);
+  EXPECT_EQ(d.borrows, 1u);
 }
 
 /// One faulted collective write+read; returns per-rank finish times.
