@@ -1,5 +1,5 @@
 // mcio-analyze-fixture: path=src/core/raw_random_bad.cc
-// expect: raw-random@7 raw-random@10
+// expect: raw-random@3 raw-random@7 raw-random@10
 #include <random>
 
 namespace mcio::core {

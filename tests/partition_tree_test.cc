@@ -139,8 +139,8 @@ TEST_P(PartitionTreeProperty, RandomSplitMergeKeepsInvariants) {
   PartitionTree tree(Extent{1000, 64 * 1024});
   for (int step = 0; step < 200; ++step) {
     const auto leaves = tree.leaf_ids();
-    const int pick =  // lint:allow untagged-narrowing (element is int)
-        leaves[rng.uniform_u64(leaves.size())];
+    // mcio-analyze: allow(untagged-narrowing) -- element is already an int
+    const int pick = leaves[rng.uniform_u64(leaves.size())];
     if (rng.uniform_double() < 0.6) {
       tree.split_leaf(pick, rng.uniform_double() < 0.5 ? 512 : 0);
     } else if (leaves.size() > 1) {

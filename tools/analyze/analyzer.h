@@ -1,5 +1,5 @@
-// mcio-analyze: token/scope-aware static analysis for the repo's
-// determinism and lock-discipline invariants (DESIGN.md §13).
+// The mcio-analyze engine: token/scope-aware static analysis for the
+// repo's determinism and lock-discipline invariants (DESIGN.md §13).
 //
 // The simulator's core promise — byte-identical output at every
 // host thread count — can be broken by one host-clock read, one
@@ -12,8 +12,13 @@
 // the tool builds everywhere the tree builds.
 //
 // Rule catalog (ids as reported; see DESIGN.md §13 for the rationale):
-//   wall-clock        host clock use inside src/{sim,io,mpi,core,pfs}
-//   raw-random        RNG use inside src/{sim,io,mpi,core,pfs}
+//   wall-clock        host clock use or <ctime> inside
+//                     src/{sim,io,mpi,core,pfs}
+//   raw-random        RNG engines or <random> inside
+//                     src/{sim,io,mpi,core,pfs}; std::rand()/srand anywhere
+//   time-seeded-rng   RNG seeded from random_device or a host clock
+//   raw-assert        assert(), compiled out in release builds
+//   untagged-narrowing  .size() bound to an int/int32_t without a cast
 //   unordered-iter    range-for over unordered_{map,set} without a
 //                     collect-then-sort downstream
 //   pointer-key-order pointer-keyed std::map/std::set (or pointer-hashed

@@ -2,7 +2,7 @@
 //
 //   ./build/tools/analyze/mcio-analyze [paths...]
 //
-// Defaults to `src bench tests` (the surface CI keeps clean). Exits 0
+// Defaults to `src bench tests tools` (the surface CI keeps clean). Exits 0
 // when every finding is suppressed with a justification, 1 on any
 // unsuppressed finding, 2 on usage/IO errors.
 #include <cstdio>
@@ -17,7 +17,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: mcio-analyze [--list-rules] [--show-suppressed] [paths...]\n"
-      "  paths default to: src bench tests (run from the repo root)\n"
+      "  paths default to: src bench tests tools (run from the repo root)\n"
       "  suppression: // mcio-analyze: allow(<rule>) -- <justification>\n");
   return 2;
 }
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     }
     paths.push_back(arg);
   }
-  if (paths.empty()) paths = {"src", "bench", "tests"};
+  if (paths.empty()) paths = {"src", "bench", "tests", "tools"};
 
   mcio::analyze::Analyzer analyzer;
   for (const std::string& p : paths) {
