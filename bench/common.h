@@ -7,16 +7,13 @@
 #include <sys/resource.h>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <exception>
 #include <fstream>
 #include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -33,8 +30,7 @@
 #include "util/check.h"
 #include "util/cli.h"
 #include "util/memtrack.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
+#include "util/parallel.h"
 #include "verify/auditor.h"
 #include "util/json.h"
 #include "util/table.h"
@@ -69,60 +65,6 @@ inline std::uint64_t run_peak_rss_bytes() {
   getrusage(RUSAGE_SELF, &ru);
   // ru_maxrss is KiB on Linux.
   return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
-}
-
-/// First-exception slot shared by a worker pool: workers capture under
-/// the capability, the pool owner takes after the join. Guarded so the
-/// clang thread-safety analysis (DESIGN.md §13) checks the discipline.
-struct FirstError {
-  util::Mutex mu;
-  std::exception_ptr error MCIO_GUARDED_BY(mu);
-
-  /// Records the current exception if it is the first one.
-  void capture() MCIO_EXCLUDES(mu) {
-    const util::MutexLock lock(mu);
-    if (!error) error = std::current_exception();
-  }
-
-  /// Returns the first captured exception (call after joining workers).
-  std::exception_ptr take() MCIO_EXCLUDES(mu) {
-    const util::MutexLock lock(mu);
-    return error;
-  }
-};
-
-/// Runs tasks 0..n-1 on up to `threads` host threads. threads <= 1 is a
-/// plain sequential loop (the exact classic code path). Tasks must be
-/// independent: each bench point builds its own simulation stack, so
-/// running them concurrently cannot change any simulated number — the
-/// only shared mutable state, the global audit counters, merges through
-/// Auditor::absorb_counters. The first task exception is rethrown after
-/// all workers drain.
-inline void parallel_for(int threads, int n,
-                         const std::function<void(int)>& fn) {
-  if (threads <= 1 || n <= 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<int> next{0};
-  FirstError first_error;
-  auto worker = [&] {
-    for (;;) {
-      const int i = next.fetch_add(1);
-      if (i >= n) return;
-      try {
-        fn(i);
-      } catch (...) {
-        first_error.capture();
-      }
-    }
-  };
-  std::vector<std::thread> pool;
-  const int width = std::min(threads, n);
-  pool.reserve(static_cast<std::size_t>(width));
-  for (int t = 0; t < width; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  if (std::exception_ptr e = first_error.take()) std::rethrow_exception(e);
 }
 
 /// Host-side meters of one bench task: wall clock and the peak of
@@ -186,7 +128,7 @@ class JsonReporter {
   }
 
   /// Records one figure point whose meters were measured by the caller
-  /// (bench::metered() inside a parallel_for task).
+  /// (bench::metered() inside a util::parallel_for task).
   util::Json& add_point(std::string label, const TaskMeter& meter) {
     util::Json p = util::Json::object();
     p.set("label", std::move(label));
@@ -503,7 +445,7 @@ inline std::vector<SweepPoint> run_memory_sweep(
   }
   const int n = static_cast<int>(mems.size()) * 2;
   std::vector<TaskMeter> meters(static_cast<std::size_t>(n));
-  parallel_for(threads, n, [&](int task) {
+  util::parallel_for(threads, n, [&](int task) {
     SweepPoint& pt = points[static_cast<std::size_t>(task / 2)];
     const bool is_mccio = (task % 2) != 0;
     RunOptions opt = base;

@@ -26,15 +26,12 @@
 //   --threads=N       run the pre-generated cases on N host threads (the
 //                     oracle is reentrant; failures are minimized
 //                     sequentially afterwards, in case order).
-#include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fuzz/minimizer.h"
@@ -43,6 +40,7 @@
 #include "fuzz/scenario_gen.h"
 #include "util/check.h"
 #include "util/cli.h"
+#include "util/parallel.h"
 
 namespace {
 
@@ -51,30 +49,6 @@ using mcio::fuzz::MinimizeOptions;
 using mcio::fuzz::MinimizeResult;
 using mcio::fuzz::Scenario;
 using mcio::fuzz::ScenarioGen;
-
-/// Runs fn(0..n-1) on up to `threads` host threads; threads <= 1 is a
-/// plain sequential loop. Exceptions abort (a fuzz-harness bug, not a
-/// verdict).
-void for_each_case(int threads, std::uint64_t n,
-                   const std::function<void(std::uint64_t)>& fn) {
-  if (threads <= 1 || n <= 1) {
-    for (std::uint64_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<std::uint64_t> next{0};
-  auto worker = [&] {
-    for (;;) {
-      const std::uint64_t i = next.fetch_add(1);
-      if (i >= n) return;
-      fn(i);
-    }
-  };
-  std::vector<std::thread> pool;
-  const std::uint64_t width =
-      std::min<std::uint64_t>(static_cast<std::uint64_t>(threads), n);
-  for (std::uint64_t t = 0; t < width; ++t) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-}
 
 void apply_fault_rate(Scenario& s, double rate) {
   s.fault_denial = rate;
@@ -156,10 +130,12 @@ int main(int argc, char** argv) {
 
   // Phase 1: verdicts, possibly case-parallel.
   std::vector<std::optional<DiffResult>> failed(scenarios.size());
-  for_each_case(threads, scenarios.size(), [&](std::uint64_t i) {
-    const DiffResult result = mcio::fuzz::run_differential(scenarios[i]);
-    if (!result.ok()) failed[i] = result;
-  });
+  mcio::util::parallel_for(
+      threads, static_cast<int>(scenarios.size()), [&](int i) {
+        const auto c = static_cast<std::size_t>(i);
+        const DiffResult result = mcio::fuzz::run_differential(scenarios[c]);
+        if (!result.ok()) failed[c] = result;
+      });
 
   // Phase 2: report + minimize sequentially, in case order, so output
   // and repro files are identical for every --threads value.
