@@ -17,7 +17,8 @@
 // Adding a new engine touch point? Emit an event here (or reuse one),
 // keep the hook outside the virtual-time arithmetic, and teach the
 // Auditor what invariant the event feeds. DESIGN.md §8 walks through the
-// pattern; tools/lint.py enforces it for blocking waits.
+// pattern; mcio-analyze's unobserved-park rule enforces it for blocking
+// waits.
 #pragma once
 
 #include <cstdint>
