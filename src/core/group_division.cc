@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <set>
 
 #include "util/check.h"
 
@@ -83,22 +82,33 @@ std::vector<AggregationGroup> divide_serial(const GroupDivisionInput& in) {
   return groups;
 }
 
+}  // namespace
+
 std::vector<AggregationGroup> divide_interleaved(
     const GroupDivisionInput& in) {
   // Aggregate-view analysis: chunk the global file region and partition
-  // the compute nodes contiguously across the chunks.
+  // the compute nodes contiguously across the chunks. One pass marks the
+  // data-bearing nodes, one assigns each node its group, one deals the
+  // ranks out: O(ranks + nodes).
   std::uint64_t gmin = UINT64_MAX;
   std::uint64_t gmax = 0;
-  std::set<int> node_set;
+  std::vector<int> group_of_node;  ///< by node id; -1 = no data (yet)
   for (std::size_t r = 0; r < in.rank_bounds.size(); ++r) {
     const Extent& b = in.rank_bounds[r];
     if (b.empty()) continue;
     gmin = std::min(gmin, b.offset);
     gmax = std::max(gmax, b.end());
-    node_set.insert(in.rank_nodes[r]);
+    const int node = in.rank_nodes[r];
+    MCIO_CHECK_GE(node, 0);
+    const auto n = static_cast<std::size_t>(node);
+    if (n >= group_of_node.size()) group_of_node.resize(n + 1, -1);
+    group_of_node[n] = 0;
   }
   const std::uint64_t span = gmax - gmin;
-  const std::vector<int> nodes(node_set.begin(), node_set.end());
+  std::vector<int> nodes;  ///< data-bearing nodes, ascending
+  for (std::size_t n = 0; n < group_of_node.size(); ++n) {
+    if (group_of_node[n] == 0) nodes.push_back(static_cast<int>(n));
+  }
   const auto num_nodes = static_cast<std::uint64_t>(nodes.size());
   // Msg_group == 0 means no division (one group); the clamp keeps the
   // group count in [1, nodes] even when every node's data exceeds
@@ -122,15 +132,16 @@ std::vector<AggregationGroup> divide_interleaved(
   double total_weight = 0.0;
   for (const int n : nodes) total_weight += weight_of(n);
   double weight_done = 0.0;
+  // Nodes of shares that got no group (the region ran out first, or an
+  // empty region) keep -1 and their ranks join no group.
+  for (const int n : nodes) group_of_node[static_cast<std::size_t>(n)] = -1;
   for (std::uint64_t i = 0; i < g && pos < gmax; ++i) {
     AggregationGroup grp;
     // Contiguous node share [i*N/g, (i+1)*N/g).
     const auto lo = static_cast<std::size_t>(i * num_nodes / g);
     const auto hi = static_cast<std::size_t>((i + 1) * num_nodes / g);
-    std::set<int> share(nodes.begin() + static_cast<std::ptrdiff_t>(lo),
-                        nodes.begin() + static_cast<std::ptrdiff_t>(hi));
     double share_weight = 0.0;
-    for (const int n : share) share_weight += weight_of(n);
+    for (std::size_t k = lo; k < hi; ++k) share_weight += weight_of(nodes[k]);
     // Region sized proportionally to the share's aggregation memory
     // (§3.1's balanced memory-consumption design); uniform when no
     // weights are given.
@@ -151,13 +162,20 @@ std::vector<AggregationGroup> divide_interleaved(
     }
     grp.region = Extent{pos, len};
     pos += len;
-    for (std::size_t r = 0; r < in.rank_bounds.size(); ++r) {
-      if (!in.rank_bounds[r].empty() &&
-          share.count(in.rank_nodes[r]) > 0) {
-        grp.ranks.push_back(static_cast<int>(r));
-      }
+    if (grp.region.empty()) continue;
+    for (std::size_t k = lo; k < hi; ++k) {
+      group_of_node[static_cast<std::size_t>(nodes[k])] =
+          static_cast<int>(groups.size());
     }
-    if (!grp.region.empty()) groups.push_back(std::move(grp));
+    groups.push_back(std::move(grp));
+  }
+  for (std::size_t r = 0; r < in.rank_bounds.size(); ++r) {
+    if (in.rank_bounds[r].empty()) continue;
+    const int gi = group_of_node[static_cast<std::size_t>(in.rank_nodes[r])];
+    if (gi >= 0) {
+      groups[static_cast<std::size_t>(gi)].ranks.push_back(
+          static_cast<int>(r));
+    }
   }
   // Any unconsumed tail (alignment rounding) joins the last group.
   if (!groups.empty() && pos < gmax) {
@@ -165,8 +183,6 @@ std::vector<AggregationGroup> divide_interleaved(
   }
   return groups;
 }
-
-}  // namespace
 
 std::vector<AggregationGroup> divide_groups(const GroupDivisionInput& in) {
   MCIO_CHECK_EQ(in.rank_bounds.size(), in.rank_nodes.size());

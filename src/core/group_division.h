@@ -48,6 +48,13 @@ struct AggregationGroup {
 /// serially-distributed / explicit-offset case of §3.1.
 bool is_serial_distribution(const std::vector<util::Extent>& rank_bounds);
 
+/// The interleaved / complex-view fallback of divide_groups: the global
+/// file region is split into Msg_group-sized chunks (weighted by
+/// node_weights when given) and the data-bearing nodes are partitioned
+/// contiguously across them. O(ranks + nodes). Exposed for tests.
+std::vector<AggregationGroup> divide_interleaved(
+    const GroupDivisionInput& in);
+
 /// Divides the workload. Returns at least one group covering all data;
 /// group regions are sorted and disjoint, and each rank with data appears
 /// in exactly one group.

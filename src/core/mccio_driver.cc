@@ -25,24 +25,12 @@ struct Meta {
   std::uint64_t node_available = 0;  ///< Mem_avl of the reporting node
 };
 
-}  // namespace
-
-io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
-                                         const io::AccessPlan& plan) const {
-  const Extent bounds = plan.bounds();
-  Meta mine;
-  mine.offset = bounds.offset;
-  mine.len = bounds.len;
-  mine.data_bytes = plan.total_bytes();
-  mine.is_virtual = plan.buffer.is_virtual() ? 1 : 0;
-  mine.node = ctx.comm->node_of(ctx.comm->rank());
-  mine.node_available = ctx.memory->available(mine.node);
-  // With node leaders on, the metadata allgather itself goes hierarchical:
-  // O(nodes) NIC messages instead of O(ranks).
-  const auto all = ctx.hints.cb_node_leaders
-                       ? ctx.comm->allgather_hier(mine)
-                       : ctx.comm->allgather(mine);
-
+/// The decision pipeline over the allgathered metadata: groups,
+/// partition trees, remerges and aggregator placements. Runs once per
+/// collective, on the first rank to arrive.
+io::ExchangePlan plan_from(const MccioConfig& config,
+                           const io::CollContext& ctx,
+                           const std::vector<Meta>& all) {
   io::ExchangePlan xplan;
   xplan.rank_bounds.reserve(all.size());
   std::vector<int> rank_nodes;
@@ -81,8 +69,8 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
   const std::uint64_t stripe = ctx.fs->config().stripe_unit;
 
   // Resolve the auto parameters.
-  const std::uint64_t msg_ind = std::max<std::uint64_t>(config_.msg_ind, 1);
-  std::uint64_t msg_group = config_.msg_group;
+  const std::uint64_t msg_ind = std::max<std::uint64_t>(config.msg_ind, 1);
+  std::uint64_t msg_group = config.msg_group;
   if (msg_group == 0) {
     // Auto: aim for roughly one group per three data-bearing nodes, but
     // never a group smaller than one aggregator's saturation size.
@@ -98,7 +86,7 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
     best_avail = std::max(best_avail, a);
     avail_sum += static_cast<double>(a);
   }
-  std::uint64_t mem_min = config_.mem_min;
+  std::uint64_t mem_min = config.mem_min;
   if (mem_min == 0) {
     // Auto: half the mean availability, floored at 1 MiB — hosts clearly
     // below their peers should not aggregate.
@@ -122,7 +110,7 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
       -> std::pair<int, std::uint64_t> {  // (slots, budget per slot)
     if (avail < mem_min) return {0, 0};
     const auto sn = static_cast<int>(std::clamp<std::uint64_t>(
-        avail / per_slot, 1, static_cast<std::uint64_t>(config_.n_ah)));
+        avail / per_slot, 1, static_cast<std::uint64_t>(config.n_ah)));
     // Stripe-align the slot budget to the *nearest* stripe: trading at
     // most half a stripe of overcommit against a whole extra round per
     // window is the memory-conscious choice.
@@ -141,13 +129,13 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
 
   // 1. Aggregation Group Division.
   std::vector<AggregationGroup> groups;
-  if (config_.group_division) {
+  if (config.group_division) {
     GroupDivisionInput gin;
     gin.rank_bounds = xplan.rank_bounds;
     gin.rank_nodes = rank_nodes;
     gin.msg_group = msg_group;
     gin.align = stripe;
-    if (config_.memory_aware) gin.node_weights = node_weights;
+    if (config.memory_aware) gin.node_weights = node_weights;
     groups = divide_groups(gin);
   } else {
     AggregationGroup g;
@@ -211,7 +199,7 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
   // Full-cluster exhaustion leaves no donor, so the fallback below
   // still fires.
   std::vector<bool> group_dead(groups.size(), false);
-  if (faults != nullptr && config_.memory_aware) {
+  if (faults != nullptr && config.memory_aware) {
     for (std::size_t gi = 0; gi < groups.size(); ++gi) {
       const AggregationGroup& group = groups[gi];
       if (group.region.empty() || group.ranks.empty()) continue;
@@ -223,14 +211,21 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
         }
       }
       if (!all_exhausted) continue;
-      const std::uint64_t rescue_want = std::min<std::uint64_t>(
-          msg_ind, std::max<std::uint64_t>(
-                       stripe, ctx.hints.fault_shrink_floor));
-      if (ctx.hints.borrow_far_memory &&
-          ctx.memory->elect_donor(
-              rank_nodes[static_cast<std::size_t>(group.ranks.front())],
-              rescue_want, ctx.hints.borrow_donor_reserve) >= 0) {
-        continue;
+      if (ctx.hints.borrow_far_memory) {
+        // The one read of live state in the build: its answer is
+        // recorded so audit mode can re-ask it on every rank.
+        io::DonorElection e;
+        e.borrower =
+            rank_nodes[static_cast<std::size_t>(group.ranks.front())];
+        e.bytes = std::min<std::uint64_t>(
+            msg_ind, std::max<std::uint64_t>(
+                         stripe, ctx.hints.fault_shrink_floor));
+        e.reserve = ctx.hints.borrow_donor_reserve;
+        e.donor = ctx.memory->elect_donor(e.borrower, e.bytes, e.reserve);
+        if (e.donor >= 0) {
+          xplan.donor_elections.push_back(e);
+          continue;
+        }
       }
       group_dead[gi] = true;
       for (const int r : group.ranks) {
@@ -266,9 +261,9 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
       lin.mem_min = mem_min;
       lin.msg_ind = msg_ind;
       lin.buffer_align = stripe;
-      lin.n_ah = config_.n_ah;
-      lin.remerging = config_.remerging;
-      lin.memory_aware = config_.memory_aware;
+      lin.n_ah = config.n_ah;
+      lin.remerging = config.remerging;
+      lin.memory_aware = config.memory_aware;
       lin.remerges = &remerges;
       const std::uint64_t by_msg_ind =
           (group.region.len + msg_ind - 1) / msg_ind;
@@ -285,7 +280,7 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
       std::uint64_t budget;
     };
     std::vector<Slot> slots;
-    if (config_.memory_aware) {
+    if (config.memory_aware) {
       for (const int n : group_nodes) {
         const auto [sn, budget] =
             slot_plan(node_available[static_cast<std::size_t>(n)]);
@@ -298,7 +293,7 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
       const std::uint64_t by_msg_ind =
           (group.region.len + msg_ind - 1) / msg_ind;
       const std::uint64_t cap = std::max<std::uint64_t>(
-          1, group_nodes.size() * static_cast<std::uint64_t>(config_.n_ah));
+          1, group_nodes.size() * static_cast<std::uint64_t>(config.n_ah));
       PartitionTree tree(group.region);
       tree.bisect_into(std::clamp<std::uint64_t>(by_msg_ind, 1, cap),
                        stripe);
@@ -311,9 +306,9 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
       lin.mem_min = mem_min;
       lin.msg_ind = msg_ind;
       lin.buffer_align = stripe;
-      lin.n_ah = config_.n_ah;
-      lin.remerging = config_.remerging;
-      lin.memory_aware = config_.memory_aware;
+      lin.n_ah = config.n_ah;
+      lin.remerging = config.remerging;
+      lin.memory_aware = config.memory_aware;
       lin.remerges = &remerges;
       auto domains = locate_aggregators(tree, lin);
       for (io::FileDomain& d : domains) xplan.domains.push_back(d);
@@ -358,10 +353,8 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
     }
   }
 
-  // Plan-time degradation counters, recorded once (build_plan runs on
-  // every rank with identical inputs; stats are shared).
-  if (ctx.stats != nullptr && ctx.comm->rank() == 0 &&
-      (remerges > 0 || faults != nullptr)) {
+  // Plan-time degradation counters: the build runs once per collective.
+  if (ctx.stats != nullptr && (remerges > 0 || faults != nullptr)) {
     std::uint64_t exhausted = 0;
     if (faults != nullptr) {
       for (const int n : nodes_with_data) {
@@ -373,6 +366,39 @@ io::ExchangePlan MccioDriver::build_plan(io::CollContext& ctx,
     }
   }
   return xplan;
+}
+
+}  // namespace
+
+std::shared_ptr<const io::ExchangePlan> MccioDriver::build_plan(
+    io::CollContext& ctx, const io::AccessPlan& plan) const {
+  const Extent bounds = plan.bounds();
+  Meta mine;
+  mine.offset = bounds.offset;
+  mine.len = bounds.len;
+  mine.data_bytes = plan.total_bytes();
+  mine.is_virtual = plan.buffer.is_virtual() ? 1 : 0;
+  mine.node = ctx.comm->node_of(ctx.comm->rank());
+  mine.node_available = ctx.memory->available(mine.node);
+  // With node leaders on, the metadata allgather itself goes hierarchical:
+  // O(nodes) NIC messages instead of O(ranks).
+  const auto all = ctx.hints.cb_node_leaders
+                       ? ctx.comm->allgather_hier(mine)
+                       : ctx.comm->allgather(mine);
+  io::PlanKey key(ctx, name());
+  key.add(config_.msg_group)
+      .add(config_.msg_ind)
+      .add(config_.mem_min)
+      .add(static_cast<std::uint64_t>(config_.n_ah))
+      .add(config_.group_division ? 1 : 0)
+      .add(config_.remerging ? 1 : 0)
+      .add(config_.memory_aware ? 1 : 0)
+      .add(ctx.hints.fault_shrink_floor)
+      .add(ctx.hints.borrow_far_memory ? 1 : 0)
+      .add(ctx.hints.borrow_donor_reserve);
+  return io::share_exchange_plan(ctx, key.value(), [&] {
+    return plan_from(config_, ctx, *all);
+  });
 }
 
 namespace {
@@ -388,8 +414,8 @@ bool is_fallback(const io::ExchangePlan& xplan, int rank) {
 void MccioDriver::write_all(io::CollContext& ctx,
                             const io::AccessPlan& plan) {
   plan.validate();
-  io::ExchangePlan xplan = build_plan(ctx, plan);
-  const bool fallback = is_fallback(xplan, ctx.comm->rank());
+  std::shared_ptr<const io::ExchangePlan> xplan = build_plan(ctx, plan);
+  const bool fallback = is_fallback(*xplan, ctx.comm->rank());
   // Every rank constructs the exchange (tag reservation is collective);
   // fallback ranks then bypass it and write their plan independently.
   io::TwoPhaseExchange exchange(ctx, plan, std::move(xplan));
@@ -405,8 +431,8 @@ void MccioDriver::write_all(io::CollContext& ctx,
 void MccioDriver::read_all(io::CollContext& ctx,
                            const io::AccessPlan& plan) {
   plan.validate();
-  io::ExchangePlan xplan = build_plan(ctx, plan);
-  const bool fallback = is_fallback(xplan, ctx.comm->rank());
+  std::shared_ptr<const io::ExchangePlan> xplan = build_plan(ctx, plan);
+  const bool fallback = is_fallback(*xplan, ctx.comm->rank());
   io::TwoPhaseExchange exchange(ctx, plan, std::move(xplan));
   if (fallback) {
     if (ctx.stats != nullptr) ctx.stats->record_fallback(plan.total_bytes());

@@ -8,8 +8,10 @@
 //   4. Aggregators Location         (aggregator_location.h)
 //
 // All decisions are made at run time from allgathered metadata — request
-// bounds, node placement and each node's available memory — so every rank
-// deterministically computes the same domain/aggregator assignment.
+// bounds, node placement and each node's available memory. The decision
+// pipeline runs once per collective, on the first rank to arrive, and
+// every rank takes a pointer to that one immutable plan
+// (io::share_exchange_plan).
 #pragma once
 
 #include "core/config.h"
@@ -30,11 +32,12 @@ class MccioDriver final : public io::CollectiveDriver {
   const MccioConfig& config() const { return config_; }
   MccioConfig& config() { return config_; }
 
-  /// The run-time decision pipeline, exposed for tests: builds groups,
-  /// partition trees, remerges and aggregator placements from allgathered
-  /// metadata.
-  io::ExchangePlan build_plan(io::CollContext& ctx,
-                              const io::AccessPlan& plan) const;
+  /// The run-time decision pipeline, exposed for tests: allgathers every
+  /// rank's metadata, then builds groups, partition trees, remerges and
+  /// aggregator placements into the collective's one shared plan.
+  /// Collective.
+  std::shared_ptr<const io::ExchangePlan> build_plan(
+      io::CollContext& ctx, const io::AccessPlan& plan) const;
 
  private:
   MccioConfig config_;

@@ -5,12 +5,14 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <numeric>
 
 #ifdef MCIO_FUZZ_BUG
 #include <cstdlib>
 #endif
 
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace mcio::io {
 
@@ -77,6 +79,48 @@ void ExchangePlan::validate(int comm_size) const {
   }
 }
 
+PlanKey::PlanKey(const CollContext& ctx, const char* driver) {
+  for (const char* c = driver; *c != '\0'; ++c) {
+    add(static_cast<unsigned char>(*c));
+  }
+  add(ctx.fs->config().stripe_unit);
+  add(static_cast<std::uint64_t>(ctx.comm->size()));
+  add(ctx.memory->fault_plan() != nullptr ? 1 : 0);
+  add(ctx.hints.cb_node_leaders ? 1 : 0);
+}
+
+PlanKey& PlanKey::add(std::uint64_t v) {
+  std::uint64_t state = h_ ^ v;
+  h_ = util::splitmix64(state);
+  return *this;
+}
+
+std::shared_ptr<const ExchangePlan> share_exchange_plan(
+    CollContext& ctx, std::uint64_t rank_key,
+    const std::function<ExchangePlan()>& build) {
+  mpi::Comm& comm = *ctx.comm;
+  const mpi::SharedPlan shared = comm.share_plan(rank_key, [&] {
+    auto built = std::make_shared<ExchangePlan>(build());
+    built->validate(comm.size());
+    return std::shared_ptr<const void>(std::move(built));
+  });
+  auto xplan = std::static_pointer_cast<const ExchangePlan>(shared.plan);
+  verify::Observer* obs = ctx.rank->machine().observer();
+  bool live_reads_agree = true;
+  if (obs != &verify::noop_observer()) {
+    // Audit mode: this rank re-asks every donor election the rescue
+    // relied on, as the per-rank planner of an MPI process would have.
+    for (const DonorElection& e : xplan->donor_elections) {
+      if (ctx.memory->elect_donor(e.borrower, e.bytes, e.reserve) < 0) {
+        live_reads_agree = false;
+      }
+    }
+  }
+  obs->on_plan_taken(shared.comm_id, shared.seq, ctx.rank->rank(),
+                     shared.key, rank_key, live_reads_agree);
+  return xplan;
+}
+
 TwoPhaseExchange::PieceCursor::PieceCursor(
     const std::vector<Extent>& extents)
     : extents_(extents) {}
@@ -103,12 +147,14 @@ void TwoPhaseExchange::PieceCursor::advance(const Extent& window,
 }
 
 TwoPhaseExchange::TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
-                                   ExchangePlan xplan)
+                                   std::shared_ptr<const ExchangePlan> xplan)
     : ctx_(ctx), plan_(plan), xplan_(std::move(xplan)) {
   MCIO_CHECK(ctx_.comm != nullptr);
   MCIO_CHECK(ctx_.fs != nullptr);
   MCIO_CHECK(ctx_.memory != nullptr);
-  xplan_.validate(ctx_.comm->size());
+  MCIO_CHECK(xplan_ != nullptr);
+  MCIO_CHECK_EQ(xplan_->rank_bounds.size(),
+                static_cast<std::size_t>(ctx_.comm->size()));
   // The MemoryManager is shared by every rank, so all ranks agree on the
   // protocol variant (and reserve the same tags below).
   degraded_ = ctx_.memory->faults_enabled();
@@ -116,11 +162,11 @@ TwoPhaseExchange::TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
   if (degraded_) tag_wsize_ = ctx_.comm->reserve_tags(1);
   tag_data_base_ =
       ctx_.comm->reserve_tags(std::max<int>(1, static_cast<int>(
-                                                   xplan_.domains.size())));
+                                                   xplan_->domains.size())));
   const Extent mine =
-      xplan_.rank_bounds[static_cast<std::size_t>(my_rank())];
-  for (std::size_t i = 0; i < xplan_.domains.size(); ++i) {
-    const FileDomain& d = xplan_.domains[i];
+      xplan_->rank_bounds[static_cast<std::size_t>(my_rank())];
+  for (std::size_t i = 0; i < xplan_->domains.size(); ++i) {
+    const FileDomain& d = xplan_->domains[i];
     if (d.aggregator == my_rank()) {
       owned_.push_back(DomainWork{static_cast<int>(i), {}});
     }
@@ -137,7 +183,7 @@ TwoPhaseExchange::TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
     if (degraded_) tag_hier_wsize_ = ctx_.comm->reserve_tags(1);
     tag_hier_data_base_ =
         ctx_.comm->reserve_tags(std::max<int>(1, static_cast<int>(
-                                                     xplan_.domains.size())));
+                                                     xplan_->domains.size())));
     build_hierarchy();
   }
 }
@@ -149,7 +195,7 @@ void TwoPhaseExchange::build_hierarchy() {
   // no group — though any rank may still serve as an aggregator.
   std::map<int, std::vector<int>> by_node;
   for (int s = 0; s < ctx_.comm->size(); ++s) {
-    if (xplan_.rank_bounds[static_cast<std::size_t>(s)].empty()) continue;
+    if (xplan_->rank_bounds[static_cast<std::size_t>(s)].empty()) continue;
     by_node[ctx_.comm->node_of(s)].push_back(s);
   }
   groups_hier_.reserve(by_node.size());
@@ -169,10 +215,10 @@ void TwoPhaseExchange::build_hierarchy() {
   }
   is_leader_ = my_leader_ == my_rank();
   if (!is_leader_) return;
-  for (std::size_t i = 0; i < xplan_.domains.size(); ++i) {
-    const FileDomain& d = xplan_.domains[i];
+  for (std::size_t i = 0; i < xplan_->domains.size(); ++i) {
+    const FileDomain& d = xplan_->domains[i];
     for (const int m : members_) {
-      if (util::intersect(xplan_.rank_bounds[static_cast<std::size_t>(m)],
+      if (util::intersect(xplan_->rank_bounds[static_cast<std::size_t>(m)],
                           d.extent)) {
         node_domains_.push_back(NodeDomain{static_cast<int>(i), {}, {}});
         break;
@@ -185,7 +231,7 @@ void TwoPhaseExchange::direct_sources(const FileDomain& d,
                                       std::vector<int>* out) const {
   if (!hier_) {
     for (int s = 0; s < ctx_.comm->size(); ++s) {
-      const Extent b = xplan_.rank_bounds[static_cast<std::size_t>(s)];
+      const Extent b = xplan_->rank_bounds[static_cast<std::size_t>(s)];
       if (b.empty() || !util::intersect(b, d.extent)) continue;
       out->push_back(s);
     }
@@ -194,7 +240,7 @@ void TwoPhaseExchange::direct_sources(const FileDomain& d,
   // Groups ascend by leader, so the appended set stays sorted.
   for (const NodeGroup& g : groups_hier_) {
     for (const int m : g.members) {
-      if (util::intersect(xplan_.rank_bounds[static_cast<std::size_t>(m)],
+      if (util::intersect(xplan_->rank_bounds[static_cast<std::size_t>(m)],
                           d.extent)) {
         out->push_back(g.leader);
         break;
@@ -255,7 +301,7 @@ static bool next_window(const Extent& fd, std::uint64_t win, Extent* w) {
 void TwoPhaseExchange::send_extent_lists() {
   const ExtentList local = ExtentList::normalize(plan_.extents);
   for (const int di : client_domains_) {
-    const FileDomain& d = xplan_.domains[static_cast<std::size_t>(di)];
+    const FileDomain& d = xplan_->domains[static_cast<std::size_t>(di)];
     const ExtentList part = local.clipped(d.extent);
     const auto& runs = part.runs();
     const std::span<const std::byte> blob(
@@ -279,12 +325,12 @@ void TwoPhaseExchange::leader_collect_extent_lists() {
   const ExtentList local = ExtentList::normalize(plan_.extents);
   for (NodeDomain& nd : node_domains_) {
     const FileDomain& d =
-        xplan_.domains[static_cast<std::size_t>(nd.index)];
+        xplan_->domains[static_cast<std::size_t>(nd.index)];
     // Per-member FIFO: a member emits its client domains ascending, and
     // the node domains it intersects are exactly its client domains, so
     // receiving (domain asc, member asc) matches each member's order.
     for (const int m : members_) {
-      if (!util::intersect(xplan_.rank_bounds[static_cast<std::size_t>(m)],
+      if (!util::intersect(xplan_->rank_bounds[static_cast<std::size_t>(m)],
                            d.extent)) {
         continue;
       }
@@ -328,7 +374,7 @@ void TwoPhaseExchange::recv_extent_lists() {
   std::vector<int> srcs;
   for (DomainWork& work : owned_) {
     const FileDomain& d =
-        xplan_.domains[static_cast<std::size_t>(work.index)];
+        xplan_->domains[static_cast<std::size_t>(work.index)];
     srcs.clear();
     direct_sources(d, &srcs);
     for (const int s : srcs) expected.push_back(Expected{&work, s});
@@ -344,31 +390,35 @@ void TwoPhaseExchange::recv_extent_lists() {
                                                   tag_lists_));
   }
 
-  // Group blob indices by source, preserving arrival order within each
-  // source (a counting sort): order[start[s] .. start[s+1]) are source
-  // s's blobs, oldest first.
-  const auto nsrc = static_cast<std::size_t>(ctx_.comm->size());
-  std::vector<std::uint32_t> start(nsrc + 1, 0);
-  for (const mpi::FramedBlob& b : blobs) {
-    MCIO_CHECK_GE(b.source, 0);
-    MCIO_CHECK_LT(static_cast<std::size_t>(b.source), nsrc);
-    ++start[static_cast<std::size_t>(b.source) + 1];
+  // Pair every expected (domain, source) slot with a blob: the k-th slot
+  // of a source takes that source's k-th arrival. Stable sorts by source
+  // line both sequences up without any array sized by the communicator.
+  const auto sorted_by_source = [](std::size_t n, const auto& source_of) {
+    std::vector<std::uint32_t> idx(n);
+    std::iota(idx.begin(), idx.end(), 0u);
+    std::stable_sort(idx.begin(), idx.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                       return source_of(a) < source_of(b);
+                     });
+    return idx;
+  };
+  const auto slot_order = sorted_by_source(
+      expected.size(), [&](std::uint32_t i) { return expected[i].source; });
+  const auto blob_order = sorted_by_source(
+      blobs.size(), [&](std::uint32_t i) { return blobs[i].source; });
+  std::vector<std::uint32_t> blob_of(expected.size());
+  for (std::size_t t = 0; t < expected.size(); ++t) {
+    const int source = expected[slot_order[t]].source;
+    MCIO_CHECK_MSG(blobs[blob_order[t]].source == source,
+                   "missing extent list from rank " << source);
+    blob_of[slot_order[t]] = blob_order[t];
   }
-  for (std::size_t s = 0; s < nsrc; ++s) start[s + 1] += start[s];
-  std::vector<std::uint32_t> order(blobs.size());
-  std::vector<std::uint32_t> head = start;
-  for (std::uint32_t i = 0; i < blobs.size(); ++i) {
-    order[head[static_cast<std::size_t>(blobs[i].source)]++] = i;
-  }
-  head.assign(start.begin(), start.end() - 1);
 
   // ...then replay the charges in the canonical order, so the simulated
   // clock is bit-identical to the rank-ordered blocking exchange.
-  for (const Expected& e : expected) {
-    const auto s = static_cast<std::size_t>(e.source);
-    MCIO_CHECK_MSG(head[s] < start[s + 1],
-                   "missing extent list from rank " << e.source);
-    mpi::FramedBlob b = std::move(blobs[order[head[s]++]]);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const Expected& e = expected[i];
+    mpi::FramedBlob b = std::move(blobs[blob_of[i]]);
     ctx_.comm->charge_blob(b);
     MCIO_CHECK_EQ(b.bytes.size() % sizeof(Extent), 0u);
     std::vector<Extent> runs(b.bytes.size() / sizeof(Extent));
@@ -631,7 +681,7 @@ void TwoPhaseExchange::negotiate_buffers() {
   std::vector<int> srcs;
   for (const DomainWork& work : owned_) {
     const FileDomain& d =
-        xplan_.domains[static_cast<std::size_t>(work.index)];
+        xplan_->domains[static_cast<std::size_t>(work.index)];
     // The borrow rung restores the full planned buffer (a rescued group's
     // domains may have been placed with floor-sized buffers), capped by
     // the domain extent so the donor lease never outsizes the data.
@@ -667,7 +717,7 @@ void TwoPhaseExchange::client_send_data() {
   // entirely — their data folds in during leader_combine_write()).
   for (std::size_t ci = 0; ci < client_domains_.size(); ++ci) {
     const int di = client_domains_[ci];
-    const FileDomain& d = xplan_.domains[static_cast<std::size_t>(di)];
+    const FileDomain& d = xplan_->domains[static_cast<std::size_t>(di)];
     const std::uint64_t win =
         degraded_ ? client_window_[ci] : d.buffer_bytes;
     for (Extent w{}; next_window(d.extent, win, &w);) {
@@ -680,7 +730,7 @@ void TwoPhaseExchange::client_send_data() {
       const int dst = hier_ ? my_leader_ : d.aggregator;
       const int tag = hier_ ? tag_hier_data_base_ + di
                             : tag_data_base_ + di;
-      if (xplan_.real_data) {
+      if (xplan_->real_data) {
         tmp.resize(total);
         std::uint64_t off = 0;
         for (const Piece& p : pieces) {
@@ -723,13 +773,13 @@ void TwoPhaseExchange::relay_window_sizes() {
     for (std::size_t i = 0; i < node_domains_.size(); ++i) {
       const NodeDomain& nd = node_domains_[i];
       const FileDomain& d =
-          xplan_.domains[static_cast<std::size_t>(nd.index)];
+          xplan_->domains[static_cast<std::size_t>(nd.index)];
       const std::uint64_t wsize = recv_size(d.aggregator, tag_wsize_);
       node_window_[i] = wsize;
       for (const int m : members_) {
         if (m == my_rank()) continue;
         if (!util::intersect(
-                xplan_.rank_bounds[static_cast<std::size_t>(m)],
+                xplan_->rank_bounds[static_cast<std::size_t>(m)],
                 d.extent)) {
           continue;
         }
@@ -747,7 +797,7 @@ void TwoPhaseExchange::relay_window_sizes() {
     client_window_.assign(client_domains_.size(), 0);
     for (std::size_t i = 0; i < client_domains_.size(); ++i) {
       const FileDomain& d =
-          xplan_.domains[static_cast<std::size_t>(client_domains_[i])];
+          xplan_->domains[static_cast<std::size_t>(client_domains_[i])];
       client_window_[i] =
           hier_ ? recv_size(my_leader_, tag_hier_wsize_)
                 : recv_size(d.aggregator, tag_wsize_);
@@ -767,7 +817,7 @@ void TwoPhaseExchange::leader_combine_write() {
   for (std::size_t k = 0; k < node_domains_.size(); ++k) {
     NodeDomain& nd = node_domains_[k];
     const FileDomain& d =
-        xplan_.domains[static_cast<std::size_t>(nd.index)];
+        xplan_->domains[static_cast<std::size_t>(nd.index)];
     const std::uint64_t win = degraded_ ? node_window_[k] : d.buffer_bytes;
     sweeps.clear();
     for (const auto& [m, list] : nd.per_member) {
@@ -778,7 +828,7 @@ void TwoPhaseExchange::leader_combine_write() {
       merged.clipped_into(w, &mclip);
       if (mclip.empty()) continue;
       const Extent span = mclip.bounds();
-      if (xplan_.real_data) stage.resize(span.len);
+      if (xplan_->real_data) stage.resize(span.len);
       // Overlay members ascending — within the node the same overlap
       // winner as the flat rank-ascending overlay at the aggregator.
       for (SourceSweep& sw : sweeps) {
@@ -789,7 +839,7 @@ void TwoPhaseExchange::leader_combine_write() {
           // Own pieces fold straight into the staging: the single copy.
           cursor.advance(w, &pieces);
           charge_copy(my_node(), n, 1.0);
-          if (xplan_.real_data) {
+          if (xplan_->real_data) {
             for (const Piece& p : pieces) {
               std::memcpy(stage.data() + (p.file_offset - span.offset),
                           plan_.buffer.data + p.buf_offset, p.len);
@@ -798,7 +848,7 @@ void TwoPhaseExchange::leader_combine_write() {
         } else {
           // The member's packed window blob. Its shm transfer already
           // modeled the single copy, so no extra overlay charge here.
-          if (xplan_.real_data) {
+          if (xplan_->real_data) {
             buf.resize(n);
             ctx_.comm->recv(sw.source, tag_hier_data_base_ + nd.index,
                             Payload::of(buf));
@@ -821,7 +871,7 @@ void TwoPhaseExchange::leader_combine_write() {
       // One combined message per window to the aggregator.
       const std::uint64_t total = mclip.total_bytes();
       if (mclip.runs().size() > 1) charge_copy(my_node(), total, 1.0);
-      if (xplan_.real_data) {
+      if (xplan_->real_data) {
         pack.resize(total);
         std::uint64_t off = 0;
         for (const Extent& run : mclip.runs()) {
@@ -852,7 +902,7 @@ void TwoPhaseExchange::leader_scatter_read() {
   for (std::size_t k = 0; k < node_domains_.size(); ++k) {
     NodeDomain& nd = node_domains_[k];
     const FileDomain& d =
-        xplan_.domains[static_cast<std::size_t>(nd.index)];
+        xplan_->domains[static_cast<std::size_t>(nd.index)];
     const std::uint64_t win = degraded_ ? node_window_[k] : d.buffer_bytes;
     sweeps.clear();
     for (const auto& [m, list] : nd.per_member) {
@@ -865,7 +915,7 @@ void TwoPhaseExchange::leader_scatter_read() {
       const Extent span = mclip.bounds();
       const std::uint64_t total = mclip.total_bytes();
       // The aggregator ships the node's merged runs as one blob.
-      if (xplan_.real_data) {
+      if (xplan_->real_data) {
         buf.resize(total);
         ctx_.comm->recv(d.aggregator, tag_data_base_ + nd.index,
                         Payload::of(buf));
@@ -894,7 +944,7 @@ void TwoPhaseExchange::leader_scatter_read() {
         const std::uint64_t n = sw.clip.total_bytes();
         if (sw.source == my_rank()) {
           cursor.advance(w, &pieces);
-          if (xplan_.real_data) {
+          if (xplan_->real_data) {
             for (const Piece& p : pieces) {
               std::memcpy(plan_.buffer.data + p.buf_offset,
                           stage.data() + (p.file_offset - span.offset),
@@ -902,7 +952,7 @@ void TwoPhaseExchange::leader_scatter_read() {
             }
           }
         } else {
-          if (xplan_.real_data) {
+          if (xplan_->real_data) {
             slice.resize(n);
             std::uint64_t off = 0;
             for (const Extent& run : sw.clip.runs()) {
@@ -932,7 +982,7 @@ metrics::AggregatorRecord TwoPhaseExchange::open_domain(
     std::size_t k, WindowBacking* b, std::vector<SourceSweep>* sweeps,
     std::vector<std::byte>* cb) {
   const DomainWork& work = owned_[k];
-  const FileDomain& d = xplan_.domains[static_cast<std::size_t>(work.index)];
+  const FileDomain& d = xplan_->domains[static_cast<std::size_t>(work.index)];
   const BufferGrant grant =
       degraded_ ? grants_[k] : BufferGrant{d.buffer_bytes};
   b->open(grant, d.extent.offset);
@@ -941,7 +991,7 @@ metrics::AggregatorRecord TwoPhaseExchange::open_domain(
   rec.node = my_node();
   rec.buffer_bytes = grant.window_bytes;
   rec.pressure = b->pressure();
-  if (xplan_.real_data) {
+  if (xplan_->real_data) {
     cb->resize(std::min<std::uint64_t>(grant.window_bytes, d.extent.len));
   }
   sweeps->clear();
@@ -965,7 +1015,7 @@ void TwoPhaseExchange::aggregator_write() {
   for (std::size_t k = 0; k < owned_.size(); ++k) {
     const DomainWork& work = owned_[k];
     const FileDomain& d =
-        xplan_.domains[static_cast<std::size_t>(work.index)];
+        xplan_->domains[static_cast<std::size_t>(work.index)];
     metrics::AggregatorRecord rec = open_domain(k, &b, &sweeps, &cb);
     for (Extent w{}; next_window(d.extent, b.window_bytes(), &w);) {
       cover.clear();
@@ -991,7 +1041,7 @@ void TwoPhaseExchange::aggregator_write() {
         const SourceSweep& sw = sweeps[active[i]];
         const std::uint64_t n = sw.clip.total_bytes();
         sizes.push_back(n);
-        if (xplan_.real_data) {
+        if (xplan_->real_data) {
           pool[i].resize(n);
           reqs.push_back(ctx_.comm->irecv(sw.source,
                                           tag_data_base_ + work.index,
@@ -1008,10 +1058,10 @@ void TwoPhaseExchange::aggregator_write() {
       // its bytes (pre-read before the rank wrote) or double-writing
       // them. Gap-free windows and fault-free runs keep the fast path.
       const bool rmw = holes && ctx_.hints.data_sieving_writes &&
-                       xplan_.independent_ranks.empty();
+                       xplan_->independent_ranks.empty();
       if (rmw) {
         Payload stage =
-            xplan_.real_data
+            xplan_->real_data
                 ? Payload::real(cb.data() + (span.offset - w.offset),
                                 span.len)
                 : Payload::virtual_bytes(span.len);
@@ -1025,7 +1075,7 @@ void TwoPhaseExchange::aggregator_write() {
       for (std::size_t i = 0; i < active.size(); ++i) {
         const SourceSweep& sw = sweeps[active[i]];
         b.charge_source(sizes[i]);
-        if (xplan_.real_data) {
+        if (xplan_->real_data) {
           std::uint64_t off = 0;
           for (const Extent& run : sw.clip.runs()) {
             std::memcpy(cb.data() + (run.offset - w.offset),
@@ -1043,7 +1093,7 @@ void TwoPhaseExchange::aggregator_write() {
       // Ship the window to the file system; a borrowed window drains
       // across the fabric before each PFS op.
       auto slice_of = [&](const Extent& e) {
-        return xplan_.real_data
+        return xplan_->real_data
                    ? ConstPayload::real(cb.data() + (e.offset - w.offset),
                                         e.len)
                    : ConstPayload::virtual_bytes(e.len);
@@ -1077,7 +1127,7 @@ void TwoPhaseExchange::aggregator_read() {
   for (std::size_t k = 0; k < owned_.size(); ++k) {
     const DomainWork& work = owned_[k];
     const FileDomain& d =
-        xplan_.domains[static_cast<std::size_t>(work.index)];
+        xplan_->domains[static_cast<std::size_t>(work.index)];
     metrics::AggregatorRecord rec = open_domain(k, &b, &sweeps, &cb);
     for (Extent w{}; next_window(d.extent, b.window_bytes(), &w);) {
       cover.clear();
@@ -1091,7 +1141,7 @@ void TwoPhaseExchange::aggregator_read() {
       // Data-sieving read: one contiguous read covering the span.
       const Extent span = cover.bounds();
       Payload stage =
-          xplan_.real_data
+          xplan_->real_data
               ? Payload::real(cb.data() + (span.offset - w.offset),
                               span.len)
               : Payload::virtual_bytes(span.len);
@@ -1104,7 +1154,7 @@ void TwoPhaseExchange::aggregator_read() {
         if (sw.clip.empty()) continue;
         const std::uint64_t n = sw.clip.total_bytes();
         b.charge_source(n);  // pack
-        if (xplan_.real_data) {
+        if (xplan_->real_data) {
           tmp.resize(n);
           std::uint64_t off = 0;
           for (const Extent& run : sw.clip.runs()) {
@@ -1145,7 +1195,7 @@ void TwoPhaseExchange::client_recv_data() {
   // pieces).
   for (std::size_t ci = 0; ci < client_domains_.size(); ++ci) {
     const int di = client_domains_[ci];
-    const FileDomain& d = xplan_.domains[static_cast<std::size_t>(di)];
+    const FileDomain& d = xplan_->domains[static_cast<std::size_t>(di)];
     const std::uint64_t win =
         degraded_ ? client_window_[ci] : d.buffer_bytes;
     const int src = hier_ ? my_leader_ : d.aggregator;
@@ -1155,7 +1205,7 @@ void TwoPhaseExchange::client_recv_data() {
       if (pieces.empty()) continue;
       std::uint64_t total = 0;
       for (const Piece& p : pieces) total += p.len;
-      if (xplan_.real_data) {
+      if (xplan_->real_data) {
         tmp.resize(total);
         ctx_.comm->recv(src, tag, Payload::of(tmp));
         std::uint64_t off = 0;
@@ -1189,7 +1239,7 @@ void TwoPhaseExchange::read() {
 
 void TwoPhaseExchange::negotiate() {
   if (ctx_.stats != nullptr && my_rank() == 0) {
-    ctx_.stats->set_groups(xplan_.num_groups);
+    ctx_.stats->set_groups(xplan_->num_groups);
   }
   send_extent_lists();
   leader_collect_extent_lists();

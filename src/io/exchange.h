@@ -13,7 +13,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -32,9 +34,21 @@ struct FileDomain {
   friend bool operator==(const FileDomain&, const FileDomain&) = default;
 };
 
+/// A read of live simulation state made while building a plan: MCCIO's
+/// donor election for a dead group the borrow rung rescues. Its answer
+/// depends on when it is asked, so the shared plan records it and audit
+/// mode re-asks it on every rank (share_exchange_plan).
+struct DonorElection {
+  int borrower = -1;  ///< node asking
+  std::uint64_t bytes = 0;
+  std::uint64_t reserve = 0;
+  int donor = -1;  ///< node::MemoryManager::elect_donor's answer
+};
+
 /// The decisions a driver hands to the exchange engine. Every rank of the
-/// communicator must pass an identical ExchangePlan (drivers compute it
-/// from allgathered metadata, so this holds by construction).
+/// communicator holds the same immutable ExchangePlan: the driver builds
+/// it once per collective from the allgathered metadata and every rank
+/// takes a pointer to it (share_exchange_plan).
 struct ExchangePlan {
   std::vector<FileDomain> domains;  ///< sorted by offset, disjoint
   /// Per-rank request bounds (len 0 = rank has no data). Used to decide
@@ -50,9 +64,37 @@ struct ExchangePlan {
   /// rank_bounds entries are empty — they take no part in the shuffle —
   /// and the owning driver performs their I/O outside the exchange.
   std::vector<int> independent_ranks;
+  /// Donor elections the build's plan-time rescue relied on (granted
+  /// ones only), in group order.
+  std::vector<DonorElection> donor_elections;
 
   void validate(int comm_size) const;
 };
+
+/// Running hash of the rank-local inputs a plan build reads: ranks whose
+/// keys match would build the same plan from the same allgathered data.
+class PlanKey {
+ public:
+  /// Seeds the key with what every build reads: the driver's name, the
+  /// stripe unit, the communicator size, whether a fault plan is attached
+  /// and the node-leader hint.
+  PlanKey(const CollContext& ctx, const char* driver);
+  PlanKey& add(std::uint64_t v);
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0;
+};
+
+/// The current collective's one plan, called by every rank of ctx.comm
+/// right after the metadata allgather `build` reads. The first rank to
+/// arrive runs `build` and validates the result; every rank gets a
+/// pointer to the same immutable plan. Reports this rank's `rank_key`
+/// next to the builder's through Observer::on_plan_taken and, in audit
+/// mode (an observer attached), re-asks the plan's donor elections.
+std::shared_ptr<const ExchangePlan> share_exchange_plan(
+    CollContext& ctx, std::uint64_t rank_key,
+    const std::function<ExchangePlan()>& build);
 
 // The graceful-degradation ladder — authoritative rung table. Every
 // other description (collective_stats.h, DESIGN.md §11, bench/README
@@ -182,7 +224,7 @@ class WindowBacking {
 class TwoPhaseExchange {
  public:
   TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
-                   ExchangePlan xplan);
+                   std::shared_ptr<const ExchangePlan> xplan);
 
   void write();
   void read();
@@ -307,7 +349,7 @@ class TwoPhaseExchange {
 
   CollContext& ctx_;
   const AccessPlan& plan_;
-  ExchangePlan xplan_;
+  std::shared_ptr<const ExchangePlan> xplan_;
   int tag_lists_ = 0;
   int tag_data_base_ = 0;
   /// Domains this rank serves as aggregator, ascending by index.

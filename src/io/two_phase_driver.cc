@@ -1,7 +1,6 @@
 #include "io/two_phase_driver.h"
 
 #include <algorithm>
-#include <set>
 
 #include "io/independent.h"
 #include "util/check.h"
@@ -11,12 +10,6 @@ namespace mcio::io {
 using util::Extent;
 
 namespace {
-
-struct BoundsMsg {
-  std::uint64_t offset = 0;
-  std::uint64_t len = 0;
-  std::uint8_t is_virtual = 0;
-};
 
 std::uint64_t round_up(std::uint64_t v, std::uint64_t unit) {
   return unit == 0 ? v : (v + unit - 1) / unit * unit;
@@ -34,34 +27,17 @@ bool all_nodes_exhausted(const CollContext& ctx) {
   return fp != nullptr && fp->num_exhausted() == fp->num_nodes();
 }
 
-}  // namespace
+/// Each rank's contribution to the plan's metadata allgather.
+struct BoundsMsg {
+  std::uint64_t offset = 0;
+  std::uint64_t len = 0;
+  std::uint8_t is_virtual = 0;
+};
 
-std::vector<int> TwoPhaseDriver::default_aggregators(const mpi::Comm& comm,
-                                                     int cb_nodes) {
-  std::vector<int> aggs;
-  std::set<int> seen;
-  for (int r = 0; r < comm.size(); ++r) {
-    const int node = comm.node_of(r);
-    if (seen.insert(node).second) aggs.push_back(r);
-  }
-  if (cb_nodes > 0 && static_cast<int>(aggs.size()) > cb_nodes) {
-    aggs.resize(static_cast<std::size_t>(cb_nodes));
-  }
-  return aggs;
-}
-
-ExchangePlan TwoPhaseDriver::build_plan(CollContext& ctx,
-                                        const AccessPlan& plan) {
-  const Extent bounds = plan.bounds();
-  BoundsMsg mine{bounds.offset, bounds.len,
-                 static_cast<std::uint8_t>(
-                     plan.buffer.is_virtual() ? 1 : 0)};
-  // With node leaders on, the metadata allgather itself goes hierarchical:
-  // O(nodes) NIC messages instead of O(ranks).
-  const auto all = ctx.hints.cb_node_leaders
-                       ? ctx.comm->allgather_hier(mine)
-                       : ctx.comm->allgather(mine);
-
+/// Builds the plan from the allgathered bounds (once per collective, on
+/// the first rank to arrive).
+ExchangePlan plan_from(const CollContext& ctx,
+                       const std::vector<BoundsMsg>& all) {
   ExchangePlan xplan;
   xplan.rank_bounds.reserve(all.size());
   bool any_virtual = false;
@@ -79,7 +55,8 @@ ExchangePlan TwoPhaseDriver::build_plan(CollContext& ctx,
   xplan.num_groups = 1;
   if (gmax <= gmin) return xplan;  // nothing to do anywhere
 
-  const auto aggs = default_aggregators(*ctx.comm, ctx.hints.cb_nodes);
+  const auto aggs =
+      TwoPhaseDriver::default_aggregators(*ctx.comm, ctx.hints.cb_nodes);
   const auto naggs = static_cast<std::uint64_t>(aggs.size());
   std::uint64_t fd_size = (gmax - gmin + naggs - 1) / naggs;
   if (ctx.hints.align_file_domains) {
@@ -97,6 +74,39 @@ ExchangePlan TwoPhaseDriver::build_plan(CollContext& ctx,
     xplan.domains.push_back(d);
   }
   return xplan;
+}
+
+}  // namespace
+
+std::vector<int> TwoPhaseDriver::default_aggregators(const mpi::Comm& comm,
+                                                     int cb_nodes) {
+  const std::vector<int>& leaders = comm.node_leaders();
+  const std::size_t n =
+      cb_nodes > 0 ? std::min(leaders.size(),
+                              static_cast<std::size_t>(cb_nodes))
+                   : leaders.size();
+  return std::vector<int>(leaders.begin(),
+                          leaders.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+std::shared_ptr<const ExchangePlan> TwoPhaseDriver::build_plan(
+    CollContext& ctx, const AccessPlan& plan) {
+  const Extent bounds = plan.bounds();
+  BoundsMsg mine{bounds.offset, bounds.len,
+                 static_cast<std::uint8_t>(
+                     plan.buffer.is_virtual() ? 1 : 0)};
+  // With node leaders on, the metadata allgather itself goes hierarchical:
+  // O(nodes) NIC messages instead of O(ranks).
+  const auto all = ctx.hints.cb_node_leaders
+                       ? ctx.comm->allgather_hier(mine)
+                       : ctx.comm->allgather(mine);
+  PlanKey key(ctx, "two-phase");
+  key.add(static_cast<std::uint64_t>(ctx.hints.cb_nodes))
+      .add(ctx.hints.align_file_domains ? 1 : 0)
+      .add(ctx.hints.cb_buffer_size);
+  return share_exchange_plan(ctx, key.value(), [&] {
+    return plan_from(ctx, *all);
+  });
 }
 
 void TwoPhaseDriver::write_all(CollContext& ctx, const AccessPlan& plan) {

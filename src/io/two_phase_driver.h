@@ -18,13 +18,17 @@ class TwoPhaseDriver final : public CollectiveDriver {
   void read_all(CollContext& ctx, const AccessPlan& plan) override;
   const char* name() const override { return "two-phase"; }
 
-  /// The domain/aggregator decision, exposed for tests.
-  static ExchangePlan build_plan(CollContext& ctx, const AccessPlan& plan);
+  /// The domain/aggregator decision: allgathers every rank's request
+  /// bounds, then builds the collective's one shared plan
+  /// (share_exchange_plan). Collective; exposed for tests.
+  static std::shared_ptr<const ExchangePlan> build_plan(
+      CollContext& ctx, const AccessPlan& plan);
 
   /// ROMIO default aggregator set: the lowest rank on each node, in rank
   /// order, optionally capped at cb_nodes.
   static std::vector<int> default_aggregators(const mpi::Comm& comm,
                                               int cb_nodes);
+
 };
 
 }  // namespace mcio::io

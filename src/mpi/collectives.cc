@@ -6,7 +6,6 @@
 // O(ranks).
 #include <algorithm>
 #include <cstring>
-#include <map>
 
 #include "mpi/comm.h"
 #include "mpi/machine.h"
@@ -106,7 +105,7 @@ std::vector<std::byte> Comm::tree_gather_wire(
 }
 
 void Comm::parse_wire(const std::vector<std::byte>& wire,
-                      std::uint64_t elem_size, std::byte* out) {
+                      std::uint64_t elem_size, std::byte* out) const {
   std::size_t pos = 0;
   const std::uint64_t count = read_u64(wire, pos);
   MCIO_CHECK_EQ(count, static_cast<std::uint64_t>(size()));
@@ -121,14 +120,14 @@ void Comm::parse_wire(const std::vector<std::byte>& wire,
   }
 }
 
-void Comm::tree_bcast_blob(int tag, int root, std::vector<std::byte>& blob) {
+void Comm::tree_bcast_blob(int tag, int root, util::SharedBytes& blob) {
   const int p = size();
   const int relative = (rank() - root + p) % p;
   int mask = 1;
   while (mask < p) {
     if (relative & mask) {
       const int src = (relative - mask + root) % p;
-      blob = recv_blob(src, tag);
+      blob = recv_blob_shared(src, tag);
       break;
     }
     mask <<= 1;
@@ -137,48 +136,22 @@ void Comm::tree_bcast_blob(int tag, int root, std::vector<std::byte>& blob) {
   while (mask > 0) {
     if (relative + mask < p) {
       const int dst = (relative + mask + root) % p;
-      send_blob(dst, tag, blob);
+      send_blob_shared(dst, tag, blob);
     }
     mask >>= 1;
   }
 }
 
-std::vector<std::vector<std::byte>> Comm::gather_blobs(
-    std::span<const std::byte> mine, int root) {
-  const auto wire = tree_gather_wire(next_coll_tag(), root, mine);
-  std::vector<std::vector<std::byte>> per_rank(
-      static_cast<std::size_t>(size()));
-  if (rank() == root) {
-    std::size_t pos = 0;
-    const std::uint64_t count = read_u64(wire, pos);
-    MCIO_CHECK_EQ(count, static_cast<std::uint64_t>(size()));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t r = read_u64(wire, pos);
-      const std::uint64_t len = read_u64(wire, pos);
-      MCIO_CHECK_LT(r, count);
-      MCIO_CHECK_LE(pos + len, wire.size());
-      per_rank[r].assign(wire.begin() + static_cast<std::ptrdiff_t>(pos),
-                         wire.begin() + static_cast<std::ptrdiff_t>(pos + len));
-      pos += len;
-    }
-  }
-  return per_rank;
+util::SharedBytes Comm::seal_wire(std::vector<std::byte> wire,
+                                  WireDecoder decode) const {
+  auto sealed = std::make_shared<util::SharedBuffer>();
+  if (decode != nullptr) sealed->decoded = decode(*this, wire);
+  sealed->bytes = std::move(wire);
+  return sealed;
 }
 
-std::vector<std::byte> Comm::allgather_wire(std::span<const std::byte> mine) {
-  // Gather the flat bundle at rank 0, then broadcast it verbatim. The
-  // bundle lists items in tree-arrival order rather than rank order (the
-  // historical broadcast repacked by rank); consumers index by the rank
-  // key and the byte count on every hop is unchanged, so neither results
-  // nor simulated timing can tell the difference.
-  auto wire = tree_gather_wire(next_coll_tag(), 0, mine);
-  tree_bcast_blob(next_coll_tag(), 0, wire);
-  return wire;
-}
-
-std::vector<std::vector<std::byte>> Comm::allgather_blobs(
-    std::span<const std::byte> mine) {
-  const auto wire = allgather_wire(mine);
+std::vector<std::vector<std::byte>> Comm::split_wire(
+    const std::vector<std::byte>& wire) const {
   std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(size()));
   std::size_t pos = 0;
   const std::uint64_t count = read_u64(wire, pos);
@@ -195,9 +168,37 @@ std::vector<std::vector<std::byte>> Comm::allgather_blobs(
   return out;
 }
 
-void Comm::allgather_fixed(std::span<const std::byte> mine, std::byte* out) {
-  const auto wire = allgather_wire(mine);
-  parse_wire(wire, mine.size(), out);
+std::vector<std::vector<std::byte>> Comm::gather_blobs(
+    std::span<const std::byte> mine, int root) {
+  const auto wire = tree_gather_wire(next_coll_tag(), root, mine);
+  if (rank() != root) {
+    return std::vector<std::vector<std::byte>>(
+        static_cast<std::size_t>(size()));
+  }
+  return split_wire(wire);
+}
+
+util::SharedBytes Comm::allgather_wire(std::span<const std::byte> mine,
+                                       WireDecoder decode) {
+  // Gather the flat bundle at rank 0, then broadcast it verbatim. The
+  // bundle lists items in tree-arrival order rather than rank order (the
+  // historical broadcast repacked by rank); consumers index by the rank
+  // key and the byte count on every hop is unchanged, so neither results
+  // nor simulated timing can tell the difference. The root decodes the
+  // bundle once, before sharing it: every rank receives the same buffer
+  // and the same decoded form.
+  const int t_gather = next_coll_tag();
+  const int t_bcast = next_coll_tag();
+  auto acc = tree_gather_wire(t_gather, 0, mine);
+  util::SharedBytes wire;
+  if (rank() == 0) wire = seal_wire(std::move(acc), decode);
+  tree_bcast_blob(t_bcast, 0, wire);
+  return wire;
+}
+
+std::vector<std::vector<std::byte>> Comm::allgather_blobs(
+    std::span<const std::byte> mine) {
+  return split_wire(allgather_wire(mine, nullptr)->bytes);
 }
 
 void Comm::gather_fixed(std::span<const std::byte> mine, int root,
@@ -220,38 +221,15 @@ std::vector<std::vector<std::byte>> Comm::alltoallv_blobs(
   return out;
 }
 
-std::vector<std::vector<int>> Comm::node_groups() const {
-  std::map<int, std::vector<int>> by_node;
-  for (int r = 0; r < size(); ++r) by_node[node_of(r)].push_back(r);
-  std::vector<std::vector<int>> groups;
-  groups.reserve(by_node.size());
-  for (auto& [node, ranks] : by_node) groups.push_back(std::move(ranks));
-  std::sort(groups.begin(), groups.end(),
-            [](const std::vector<int>& a, const std::vector<int>& b) {
-              return a.front() < b.front();
-            });
-  return groups;
-}
-
-std::size_t Comm::my_group_index(
-    const std::vector<std::vector<int>>& groups) const {
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    if (std::binary_search(groups[i].begin(), groups[i].end(), rank())) {
-      return i;
-    }
-  }
-  MCIO_CHECK_MSG(false, "rank " << rank() << " missing from node groups");
-  return 0;
-}
-
-std::vector<std::byte> Comm::allgather_wire_hier(
-    std::span<const std::byte> mine) {
-  const auto groups = node_groups();
+util::SharedBytes Comm::allgather_wire_hier(std::span<const std::byte> mine,
+                                            WireDecoder decode) {
+  const auto& groups = group_->node_groups;
   const int t_up = next_coll_tag();
   const int t_gather = next_coll_tag();
   const int t_bcast = next_coll_tag();
   const int t_down = next_coll_tag();
-  const std::size_t my_li = my_group_index(groups);
+  const auto my_li = static_cast<std::size_t>(
+      group_->node_group_of[static_cast<std::size_t>(rank())]);
   const std::vector<int>& my_group = groups[my_li];
   const int leader = my_group.front();
 
@@ -264,7 +242,7 @@ std::vector<std::byte> Comm::allgather_wire_hier(
   if (rank() != leader) {
     // Member: push my item up, then take the full bundle back down.
     send_blob_shm(leader, t_up, acc);
-    return recv_blob(leader, t_down);
+    return recv_blob_shared(leader, t_down);
   }
 
   // Leader: splice every member item into the node bundle.
@@ -305,12 +283,16 @@ std::vector<std::byte> Comm::allgather_wire_hier(
     mask <<= 1;
   }
 
-  // Binomial bcast of the full bundle across leaders (rooted at leader 0).
+  // Binomial bcast of the full bundle across leaders (rooted at leader 0,
+  // which decodes it once); every hop and the node fan-out forward the
+  // one shared buffer.
+  util::SharedBytes wire;
+  if (li == 0) wire = seal_wire(std::move(acc), decode);
   mask = 1;
   while (mask < nl) {
     if (li & mask) {
-      acc = recv_blob(groups[static_cast<std::size_t>(li - mask)].front(),
-                      t_bcast);
+      wire = recv_blob_shared(
+          groups[static_cast<std::size_t>(li - mask)].front(), t_bcast);
       break;
     }
     mask <<= 1;
@@ -318,66 +300,43 @@ std::vector<std::byte> Comm::allgather_wire_hier(
   mask >>= 1;
   while (mask > 0) {
     if (li + mask < nl) {
-      send_blob(groups[static_cast<std::size_t>(li + mask)].front(), t_bcast,
-                acc);
+      send_blob_shared(groups[static_cast<std::size_t>(li + mask)].front(),
+                       t_bcast, wire);
     }
     mask >>= 1;
   }
 
   // Fan the bundle out across the node.
   for (const int m : my_group) {
-    if (m != leader) send_blob_shm(m, t_down, acc);
+    if (m != leader) send_blob_shm_shared(m, t_down, wire);
   }
-  return acc;
-}
-
-void Comm::allgather_fixed_hier(std::span<const std::byte> mine,
-                                std::byte* out) {
-  const auto wire = allgather_wire_hier(mine);
-  parse_wire(wire, mine.size(), out);
+  return wire;
 }
 
 std::vector<std::vector<std::byte>> Comm::allgather_blobs_hier(
     std::span<const std::byte> mine) {
-  const auto wire = allgather_wire_hier(mine);
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(size()));
-  std::size_t pos = 0;
-  const std::uint64_t count = read_u64(wire, pos);
-  MCIO_CHECK_EQ(count, static_cast<std::uint64_t>(size()));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t r = read_u64(wire, pos);
-    const std::uint64_t len = read_u64(wire, pos);
-    MCIO_CHECK_LT(r, count);
-    MCIO_CHECK_LE(pos + len, wire.size());
-    out[r].assign(wire.begin() + static_cast<std::ptrdiff_t>(pos),
-                  wire.begin() + static_cast<std::ptrdiff_t>(pos + len));
-    pos += len;
-  }
-  return out;
+  return split_wire(allgather_wire_hier(mine, nullptr)->bytes);
 }
 
 double Comm::allreduce_max_hier(double v) {
   const auto all = allgather_hier(v);
-  double m = all.front();
-  for (const double x : all) m = std::max(m, x);
-  return m;
+  return *std::max_element(all->begin(), all->end());
 }
 
 std::int64_t Comm::allreduce_max_hier(std::int64_t v) {
   const auto all = allgather_hier(v);
-  std::int64_t m = all.front();
-  for (const std::int64_t x : all) m = std::max(m, x);
-  return m;
+  return *std::max_element(all->begin(), all->end());
 }
 
 std::vector<std::vector<std::byte>> Comm::alltoallv_blobs_hier(
     std::span<const std::vector<std::byte>> to_each) {
   MCIO_CHECK_EQ(to_each.size(), static_cast<std::size_t>(size()));
-  const auto groups = node_groups();
+  const auto& groups = group_->node_groups;
   const int t_up = next_coll_tag();
   const int t_relay = next_coll_tag();
   const int t_down = next_coll_tag();
-  const std::size_t my_li = my_group_index(groups);
+  const auto my_li = static_cast<std::size_t>(
+      group_->node_group_of[static_cast<std::size_t>(rank())]);
   const std::vector<int>& my_group = groups[my_li];
   const int leader = my_group.front();
 
@@ -444,12 +403,7 @@ std::vector<std::vector<std::byte>> Comm::alltoallv_blobs_hier(
   }
   write_u64_at(pool, 0, pool_count);
 
-  std::vector<int> li_of_rank(static_cast<std::size_t>(size()), 0);
-  for (std::size_t li = 0; li < groups.size(); ++li) {
-    for (const int r : groups[li]) {
-      li_of_rank[static_cast<std::size_t>(r)] = static_cast<int>(li);
-    }
-  }
+  const std::vector<int>& li_of_rank = group_->node_group_of;
   std::vector<std::vector<std::byte>> per_node(
       groups.size(), std::vector<std::byte>(sizeof(std::uint64_t)));
   std::vector<std::uint64_t> per_count(groups.size(), 0);
@@ -553,29 +507,25 @@ std::vector<std::vector<std::byte>> Comm::alltoallv_blobs_hier(
 
 double Comm::allreduce_max(double v) {
   const auto all = allgather(v);
-  double m = all.front();
-  for (const double x : all) m = std::max(m, x);
-  return m;
+  return *std::max_element(all->begin(), all->end());
 }
 
 double Comm::allreduce_sum(double v) {
   const auto all = allgather(v);
   double s = 0.0;
-  for (const double x : all) s += x;
+  for (const double x : *all) s += x;
   return s;
 }
 
 std::int64_t Comm::allreduce_max(std::int64_t v) {
   const auto all = allgather(v);
-  std::int64_t m = all.front();
-  for (const std::int64_t x : all) m = std::max(m, x);
-  return m;
+  return *std::max_element(all->begin(), all->end());
 }
 
 std::int64_t Comm::allreduce_sum(std::int64_t v) {
   const auto all = allgather(v);
   std::int64_t s = 0;
-  for (const std::int64_t x : all) s += x;
+  for (const std::int64_t x : *all) s += x;
   return s;
 }
 

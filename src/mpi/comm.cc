@@ -7,22 +7,23 @@
 
 namespace mcio::mpi {
 
-Comm::Comm(Machine* machine, Rank* owner,
-           std::shared_ptr<const std::vector<int>> members, int my_index,
-           std::uint64_t comm_id)
+Comm::Comm(Machine* machine, Rank* owner, std::shared_ptr<const Group> group,
+           int my_index, std::uint64_t comm_id)
     : machine_(machine),
       owner_(owner),
-      members_(std::move(members)),
+      group_(std::move(group)),
       my_index_(my_index),
       comm_id_(comm_id) {
   MCIO_CHECK_GE(my_index_, 0);
   MCIO_CHECK_LT(my_index_, size());
-  MCIO_CHECK_EQ((*members_)[static_cast<std::size_t>(my_index_)],
+  MCIO_CHECK_EQ(group_->members[static_cast<std::size_t>(my_index_)],
                 owner_->rank());
 }
 
-int Comm::node_of(int crank) const {
-  return machine_->cluster().node_of_rank(world_rank(crank));
+SharedPlan Comm::share_plan(
+    std::uint64_t key,
+    const std::function<std::shared_ptr<const void>()>& build) {
+  return machine_->share_plan(comm_id_, coll_seq_, size(), key, build);
 }
 
 Endpoint& Comm::my_endpoint() {
@@ -144,29 +145,56 @@ bool Comm::test(const Request& request) const {
 }
 
 void Comm::send_blob(int dst, int tag, std::span<const std::byte> blob) {
+  send_framed(dst, tag,
+              util::OwnedPayload(util::ConstPayload::real(
+                  blob.empty() ? nullptr : blob.data(), blob.size())),
+              /*shm=*/false);
+}
+
+void Comm::send_blob_shared(int dst, int tag, util::SharedBytes blob) {
+  send_framed(dst, tag, util::OwnedPayload(std::move(blob)), /*shm=*/false);
+}
+
+void Comm::send_blob_shm(int dst, int tag, std::span<const std::byte> blob) {
+  send_framed(dst, tag,
+              util::OwnedPayload(util::ConstPayload::real(
+                  blob.empty() ? nullptr : blob.data(), blob.size())),
+              /*shm=*/true);
+}
+
+void Comm::send_blob_shm_shared(int dst, int tag, util::SharedBytes blob) {
+  send_framed(dst, tag, util::OwnedPayload(std::move(blob)), /*shm=*/true);
+}
+
+void Comm::send_framed(int dst, int tag, util::OwnedPayload body, bool shm) {
   sim::Actor& actor = owner_->actor();
   const int wdst = world_rank(dst);
-  const std::uint64_t size = blob.size();
+  const int src_node = node_of(rank());
+  const int dst_node = node_of(dst);
+  if (shm) MCIO_CHECK_EQ(src_node, dst_node);
+  const double overhead = shm ? machine_->config().shm_send_overhead
+                              : machine_->config().send_overhead;
+  const auto pass = [&](std::uint64_t bytes) {
+    actor.sync_local();
+    const sim::SimTime arrival =
+        shm ? machine_->shm_transfer(src_node, bytes, actor.now())
+            : machine_->transfer(src_node, dst_node, bytes, actor.now());
+    actor.advance(overhead);
+    return arrival;
+  };
+  const std::uint64_t size = body.size();
   // Charge both transport passes of the historical two-message protocol
   // (size header, then body) so the simulated clock and resource state
-  // are bit-identical; deliver the result as a single framed envelope.
-  actor.sync_local();
-  const sim::SimTime header_arrival = machine_->transfer(
-      node_of(rank()), node_of(dst), sizeof(size), actor.now());
-  actor.advance(machine_->config().send_overhead);
-  sim::SimTime arrival = header_arrival;
-  if (size > 0) {
-    actor.sync_local();
-    arrival =
-        machine_->transfer(node_of(rank()), node_of(dst), size, actor.now());
-    actor.advance(machine_->config().send_overhead);
-  }
+  // are bit-identical; deliver the result as a single framed envelope. A
+  // receiver cannot tell which channel a blob crossed — only the charged
+  // resource differs.
+  const sim::SimTime header_arrival = pass(sizeof(size));
+  const sim::SimTime arrival = size > 0 ? pass(size) : header_arrival;
   Envelope env;
   env.comm_id = comm_id_;
   env.src = rank();
   env.tag = tag;
-  env.body = util::OwnedPayload(
-      util::ConstPayload::real(size > 0 ? blob.data() : nullptr, size));
+  env.body = std::move(body);
   env.framed = true;
   env.header_arrival = header_arrival;
   env.arrival = arrival;
@@ -191,38 +219,7 @@ void Comm::send_shm(int dst, int tag, util::ConstPayload data) {
   machine_->deliver(wdst, std::move(env));
 }
 
-void Comm::send_blob_shm(int dst, int tag, std::span<const std::byte> blob) {
-  sim::Actor& actor = owner_->actor();
-  const int wdst = world_rank(dst);
-  const int node = node_of(rank());
-  MCIO_CHECK_EQ(node, node_of(dst));
-  const std::uint64_t size = blob.size();
-  // Same two-pass framing as send_blob (header then body) so a receiver
-  // cannot tell which channel a blob crossed — only the charged resource
-  // differs.
-  actor.sync_local();
-  const sim::SimTime header_arrival =
-      machine_->shm_transfer(node, sizeof(size), actor.now());
-  actor.advance(machine_->config().shm_send_overhead);
-  sim::SimTime arrival = header_arrival;
-  if (size > 0) {
-    actor.sync_local();
-    arrival = machine_->shm_transfer(node, size, actor.now());
-    actor.advance(machine_->config().shm_send_overhead);
-  }
-  Envelope env;
-  env.comm_id = comm_id_;
-  env.src = rank();
-  env.tag = tag;
-  env.body = util::OwnedPayload(
-      util::ConstPayload::real(size > 0 ? blob.data() : nullptr, size));
-  env.framed = true;
-  env.header_arrival = header_arrival;
-  env.arrival = arrival;
-  machine_->deliver(wdst, std::move(env));
-}
-
-FramedBlob Comm::recv_blob_deferred(int src, int tag) {
+Envelope Comm::take_framed(int src, int tag) {
   sim::Actor& actor = owner_->actor();
   actor.sync_local();
   Endpoint& ep = my_endpoint();
@@ -247,29 +244,43 @@ FramedBlob Comm::recv_blob_deferred(int src, int tag) {
     }
     obs->on_wait_end(owner_->rank());
   }
-  Envelope& env = slot->taken;
-  FramedBlob out;
-  out.source = env.src;
-  out.tag = env.tag;
-  out.header_arrival = env.header_arrival;
-  out.arrival = env.arrival;
-  out.bytes = env.body.release();
+  Envelope env = std::move(slot->taken);
   ep.release_slot(std::move(slot));
-  return out;
+  return env;
+}
+
+FramedBlob Comm::recv_blob_deferred(int src, int tag) {
+  Envelope env = take_framed(src, tag);
+  return FramedBlob{env.src, env.tag, env.body.release(), env.header_arrival,
+                    env.arrival};
+}
+
+util::SharedBytes Comm::recv_blob_shared(int src, int tag) {
+  Envelope env = take_framed(src, tag);
+  util::SharedBytes blob = env.body.share();
+  charge_framed(FramedBlob{env.src, env.tag, {}, env.header_arrival,
+                           env.arrival},
+                blob->bytes.size(), nullptr);
+  return blob;
 }
 
 void Comm::charge_blob(const FramedBlob& b, Status* status) {
+  charge_framed(b, b.bytes.size(), status);
+}
+
+void Comm::charge_framed(const FramedBlob& b, std::uint64_t size,
+                         Status* status) {
   sim::Actor& actor = owner_->actor();
   // Replay of the two-message receive: header charge, then body charge
   // when the blob is non-empty (an empty blob was header-only).
   actor.advance_to(b.header_arrival);
   actor.advance(machine_->config().recv_overhead);
   Status st{b.source, b.tag, sizeof(std::uint64_t), b.header_arrival};
-  if (!b.bytes.empty()) {
+  if (size > 0) {
     actor.advance_to(b.arrival);
     actor.advance(machine_->config().recv_overhead);
     st.arrival = b.arrival;
-    st.bytes = b.bytes.size();
+    st.bytes = size;
   }
   if (status != nullptr) *status = st;
 }
@@ -289,23 +300,26 @@ Comm Comm::split(int color, int key) {
   };
   const auto items = allgather(Item{color, key, owner_->rank()});
   std::vector<Item> mine;
-  for (const Item& it : items) {
+  for (const Item& it : *items) {
     if (it.color == color) mine.push_back(it);
   }
   std::sort(mine.begin(), mine.end(), [](const Item& a, const Item& b) {
     return a.key != b.key ? a.key < b.key : a.wrank < b.wrank;
   });
-  auto members = std::make_shared<std::vector<int>>();
+  std::vector<int> members;
+  members.reserve(mine.size());
   int my_index = -1;
   for (const Item& it : mine) {
     if (it.wrank == owner_->rank()) {
-      my_index = static_cast<int>(members->size());
+      my_index = static_cast<int>(members.size());
     }
-    members->push_back(it.wrank);
+    members.push_back(it.wrank);
   }
   MCIO_CHECK_GE(my_index, 0);
-  const std::uint64_t id = machine_->intern_group(*members);
-  return Comm(machine_, owner_, std::move(members), my_index, id);
+  std::shared_ptr<const Group> group =
+      machine_->intern_group(std::move(members));
+  const std::uint64_t id = group->id;
+  return Comm(machine_, owner_, std::move(group), my_index, id);
 }
 
 Comm Comm::dup() {
@@ -317,7 +331,7 @@ Comm Comm::dup() {
     id = (1ull << 63) | (comm_id_ << 20) | (coll_seq_ & 0xfffffu);
   }
   bcast(id, 0);
-  return Comm(machine_, owner_, members_, my_index_, id);
+  return Comm(machine_, owner_, group_, my_index_, id);
 }
 
 }  // namespace mcio::mpi

@@ -6,18 +6,17 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
 
+#include "mpi/machine.h"
 #include "mpi/message.h"
 #include "util/payload.h"
 
 namespace mcio::mpi {
-
-class Machine;
-class Rank;
 
 /// Handle for a non-blocking operation. Send requests complete at post
 /// time (buffered-eager transport); receive requests complete on match.
@@ -46,16 +45,37 @@ struct FramedBlob {
 class Comm {
  public:
   int rank() const { return my_index_; }
-  int size() const { return static_cast<int>(members_->size()); }
+  int size() const { return static_cast<int>(group_->members.size()); }
+  /// Communicator id: the group's content hash, or a generated id for a
+  /// dup().
+  std::uint64_t id() const { return comm_id_; }
 
   /// World rank of a rank in this communicator.
   int world_rank(int crank) const {
     MCIO_CHECK_GE(crank, 0);
     MCIO_CHECK_LT(crank, size());
-    return (*members_)[static_cast<std::size_t>(crank)];
+    return group_->members[static_cast<std::size_t>(crank)];
   }
   /// Physical node hosting a rank of this communicator.
-  int node_of(int crank) const;
+  int node_of(int crank) const {
+    MCIO_CHECK_GE(crank, 0);
+    MCIO_CHECK_LT(crank, size());
+    return group_->nodes[static_cast<std::size_t>(crank)];
+  }
+  /// The lowest rank on each node, ascending (computed once per group).
+  const std::vector<int>& node_leaders() const {
+    return group_->node_leaders;
+  }
+
+  /// The current collective's shared plan: call it from every rank, right
+  /// after the collective whose result `build` reads. The first rank to
+  /// arrive runs `build`; every rank gets the same object and the
+  /// builder's input hash (Machine::share_plan, keyed by this
+  /// communicator and its collective sequence). `key` hashes this rank's
+  /// own plan inputs.
+  SharedPlan share_plan(
+      std::uint64_t key,
+      const std::function<std::shared_ptr<const void>()>& build);
 
   // --- point-to-point ---
   void send(int dst, int tag, util::ConstPayload data);
@@ -72,6 +92,8 @@ class Comm {
   /// (8-byte size header then body on the same tag): both transport
   /// passes still run, but only one envelope is delivered and matched.
   void send_blob(int dst, int tag, std::span<const std::byte> blob);
+  /// send_blob of a shared immutable buffer: same charges, no copy.
+  void send_blob_shared(int dst, int tag, util::SharedBytes blob);
   /// Receives a blob of unknown size (kAnySource allowed).
   std::vector<std::byte> recv_blob(int src, int tag,
                                    Status* status = nullptr);
@@ -82,6 +104,8 @@ class Comm {
   FramedBlob recv_blob_deferred(int src, int tag);
   /// Replays the virtual-time cost of receiving `b` (header then body).
   void charge_blob(const FramedBlob& b, Status* status = nullptr);
+  /// recv_blob keeping a shared sender's buffer shared (no copy).
+  util::SharedBytes recv_blob_shared(int src, int tag);
 
   /// Same-node variants of send/send_blob moving the payload over the
   /// node's shared-memory channel instead of the membus/NIC transport —
@@ -90,6 +114,7 @@ class Comm {
   /// recv/recv_blob family.
   void send_shm(int dst, int tag, util::ConstPayload data);
   void send_blob_shm(int dst, int tag, std::span<const std::byte> blob);
+  void send_blob_shm_shared(int dst, int tag, util::SharedBytes blob);
 
   // --- collectives (must be called by every rank of the communicator in
   //     the same order) ---
@@ -103,9 +128,10 @@ class Comm {
   std::vector<std::vector<std::byte>> allgather_blobs(
       std::span<const std::byte> mine);
 
-  // Typed helpers for trivially copyable metadata.
+  // Typed helpers for trivially copyable metadata. allgather decodes the
+  // gathered wire once per collective: every rank gets the same vector.
   template <typename T>
-  std::vector<T> allgather(const T& v);
+  std::shared_ptr<const std::vector<T>> allgather(const T& v);
   template <typename T>
   std::vector<T> gather(const T& v, int root);
   template <typename T>
@@ -131,7 +157,7 @@ class Comm {
   std::vector<std::vector<std::byte>> allgather_blobs_hier(
       std::span<const std::byte> mine);
   template <typename T>
-  std::vector<T> allgather_hier(const T& v);
+  std::shared_ptr<const std::vector<T>> allgather_hier(const T& v);
   double allreduce_max_hier(double v);
   std::int64_t allreduce_max_hier(std::int64_t v);
   std::vector<std::vector<std::byte>> alltoallv_blobs_hier(
@@ -153,12 +179,25 @@ class Comm {
   friend class Rank;
   friend class Machine;
 
-  Comm(Machine* machine, Rank* owner,
-       std::shared_ptr<const std::vector<int>> members, int my_index,
-       std::uint64_t comm_id);
+  Comm(Machine* machine, Rank* owner, std::shared_ptr<const Group> group,
+       int my_index, std::uint64_t comm_id);
 
   int next_coll_tag();
   Endpoint& my_endpoint();
+
+  /// Decodes a complete allgather wire into its shared form.
+  using WireDecoder = std::shared_ptr<const void> (*)(
+      const Comm&, const std::vector<std::byte>&);
+
+  /// Charges and delivers one framed blob (the two-pass header + body
+  /// protocol) over the transport, or over the node's shm channel.
+  void send_framed(int dst, int tag, util::OwnedPayload body, bool shm);
+  /// Matches the next framed envelope from (src, tag), parking until one
+  /// arrives; charges nothing.
+  Envelope take_framed(int src, int tag);
+  /// Charges the receive of a framed blob of `size` bytes timed by `b`.
+  void charge_framed(const FramedBlob& b, std::uint64_t size,
+                     Status* status);
 
   // Tree helpers for collectives. Gathers move one flat wire bundle
   // (u64 count, then per item u64 rank, u64 len, raw bytes) up a binomial
@@ -166,29 +205,33 @@ class Comm {
   // per-rank array.
   std::vector<std::byte> tree_gather_wire(int tag, int root,
                                           std::span<const std::byte> mine);
-  void tree_bcast_blob(int tag, int root, std::vector<std::byte>& blob);
-  std::vector<std::byte> allgather_wire(std::span<const std::byte> mine);
+  /// Broadcasts `blob` from `root`; every hop forwards the one shared
+  /// buffer.
+  void tree_bcast_blob(int tag, int root, util::SharedBytes& blob);
+  /// Freezes a complete wire for broadcast, attaching `decode`'s result.
+  util::SharedBytes seal_wire(std::vector<std::byte> wire,
+                              WireDecoder decode) const;
+  util::SharedBytes allgather_wire(std::span<const std::byte> mine,
+                                   WireDecoder decode);
   void parse_wire(const std::vector<std::byte>& wire, std::uint64_t elem_size,
-                  std::byte* out);
-  /// Allgather where every rank contributes exactly mine.size() bytes;
-  /// writes size() contributions into `out`, indexed by rank.
-  void allgather_fixed(std::span<const std::byte> mine, std::byte* out);
+                  std::byte* out) const;
+  /// Per-rank blobs of a variable-size allgather wire.
+  std::vector<std::vector<std::byte>> split_wire(
+      const std::vector<std::byte>& wire) const;
+  template <typename T>
+  static std::shared_ptr<const void> decode_fixed(
+      const Comm& comm, const std::vector<std::byte>& wire);
   /// Fixed-size gather; `out` is written at root only.
   void gather_fixed(std::span<const std::byte> mine, int root,
                     std::byte* out);
 
-  // Hierarchical plumbing. node_groups() is data-independent: every rank
-  // computes the identical grouping (each node's ranks ascending, groups
-  // ordered by leader = lowest member).
-  std::vector<std::vector<int>> node_groups() const;
-  std::size_t my_group_index(
-      const std::vector<std::vector<int>>& groups) const;
-  std::vector<std::byte> allgather_wire_hier(std::span<const std::byte> mine);
-  void allgather_fixed_hier(std::span<const std::byte> mine, std::byte* out);
+  // Hierarchical plumbing over the group's node topology.
+  util::SharedBytes allgather_wire_hier(std::span<const std::byte> mine,
+                                        WireDecoder decode);
 
   Machine* machine_;
   Rank* owner_;
-  std::shared_ptr<const std::vector<int>> members_;  // world ranks
+  std::shared_ptr<const Group> group_;
   int my_index_;
   std::uint64_t comm_id_;
   std::uint64_t coll_seq_ = 0;
@@ -197,23 +240,30 @@ class Comm {
 // --- template implementations ---
 
 template <typename T>
-std::vector<T> Comm::allgather(const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  std::vector<T> out(static_cast<std::size_t>(size()));
-  allgather_fixed(std::span<const std::byte>(p, sizeof(T)),
-                  reinterpret_cast<std::byte*>(out.data()));
+std::shared_ptr<const void> Comm::decode_fixed(
+    const Comm& comm, const std::vector<std::byte>& wire) {
+  auto out = std::make_shared<std::vector<T>>(
+      static_cast<std::size_t>(comm.size()));
+  comm.parse_wire(wire, sizeof(T), reinterpret_cast<std::byte*>(out->data()));
   return out;
 }
 
 template <typename T>
-std::vector<T> Comm::allgather_hier(const T& v) {
+std::shared_ptr<const std::vector<T>> Comm::allgather(const T& v) {
   static_assert(std::is_trivially_copyable_v<T>);
   const auto* p = reinterpret_cast<const std::byte*>(&v);
-  std::vector<T> out(static_cast<std::size_t>(size()));
-  allgather_fixed_hier(std::span<const std::byte>(p, sizeof(T)),
-                       reinterpret_cast<std::byte*>(out.data()));
-  return out;
+  const util::SharedBytes wire = allgather_wire(
+      std::span<const std::byte>(p, sizeof(T)), &decode_fixed<T>);
+  return std::static_pointer_cast<const std::vector<T>>(wire->decoded);
+}
+
+template <typename T>
+std::shared_ptr<const std::vector<T>> Comm::allgather_hier(const T& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const auto* p = reinterpret_cast<const std::byte*>(&v);
+  const util::SharedBytes wire = allgather_wire_hier(
+      std::span<const std::byte>(p, sizeof(T)), &decode_fixed<T>);
+  return std::static_pointer_cast<const std::vector<T>>(wire->decoded);
 }
 
 template <typename T>

@@ -19,6 +19,10 @@ std::vector<sim::SimTime> Machine::run(
                  "nranks " << nranks << " exceeds cluster slots "
                            << cluster_.total_ranks());
   endpoints_.assign(static_cast<std::size_t>(nranks), Endpoint{});
+  memo_.clear();
+  std::vector<int> members(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) members[static_cast<std::size_t>(r)] = r;
+  world_group_ = intern_group(std::move(members));
   sim::Engine engine;
   engine.set_observer(observer_);
   engine_ = &engine;
@@ -32,6 +36,7 @@ std::vector<sim::SimTime> Machine::run(
     engine.run();
   } catch (...) {
     engine_ = nullptr;
+    memo_.clear();
     observer_->on_run_aborted();
     throw;
   }
@@ -48,11 +53,18 @@ std::vector<sim::SimTime> Machine::run(
       observer_->on_orphan_recv(world, slot.comm_id, slot.src, slot.tag);
     });
   }
+  // Every shared plan must have been taken by all of its ranks.
+  for (const auto& [key, entry] : memo_) {
+    observer_->on_orphan_plan(key.first, key.second, entry.taken,
+                              entry.takers);
+  }
+  memo_.clear();
   observer_->on_run_end();  // may throw on findings (enforcing mode)
   return engine.finish_times();
 }
 
-std::uint64_t Machine::intern_group(const std::vector<int>& world_members) {
+std::shared_ptr<const Group> Machine::intern_group(
+    std::vector<int> world_members) {
   // Content hash (FNV-1a over the member list): the id is a pure
   // function of the membership, so it can never leak the order in which
   // ranks first intern a group into figures or audit keys. The top bit
@@ -71,10 +83,53 @@ std::uint64_t Machine::intern_group(const std::vector<int>& world_members) {
   h &= ~(1ull << 63);
   if (h == 0) h = 1;
   const util::MutexLock lk(group_mu_);
-  const auto [it, inserted] = group_ids_.try_emplace(h, world_members);
-  MCIO_CHECK_MSG(it->second == world_members,
-                 "communicator group hash collision on id " << h);
-  return h;
+  if (const auto it = groups_.find(h); it != groups_.end()) {
+    MCIO_CHECK_MSG(it->second->members == world_members,
+                   "communicator group hash collision on id " << h);
+    return it->second;
+  }
+  // Node topology, once per group: a counting pass buckets the ranks by
+  // node, and the first-seen order of nodes in rank order is exactly the
+  // leader order.
+  auto g = std::make_shared<Group>();
+  g->id = h;
+  g->members = std::move(world_members);
+  const std::size_t n = g->members.size();
+  g->nodes.resize(n);
+  g->node_group_of.resize(n);
+  std::vector<int> group_of_node(
+      static_cast<std::size_t>(cluster_.config().num_nodes), -1);
+  for (std::size_t r = 0; r < n; ++r) {
+    const int node = cluster_.node_of_rank(g->members[r]);
+    g->nodes[r] = node;
+    int& gi = group_of_node[static_cast<std::size_t>(node)];
+    if (gi < 0) {
+      gi = static_cast<int>(g->node_groups.size());
+      g->node_groups.emplace_back();
+      g->node_leaders.push_back(static_cast<int>(r));
+    }
+    g->node_groups[static_cast<std::size_t>(gi)].push_back(
+        static_cast<int>(r));
+    g->node_group_of[r] = gi;
+  }
+  groups_.emplace(h, g);
+  return g;
+}
+
+SharedPlan Machine::share_plan(
+    std::uint64_t comm_id, std::uint64_t seq, int takers, std::uint64_t key,
+    const std::function<std::shared_ptr<const void>()>& build) {
+  auto it = memo_.find({comm_id, seq});
+  if (it == memo_.end()) {
+    MemoEntry entry{SharedPlan{build(), key, comm_id, seq}, takers, 0};
+    it = memo_.emplace(std::make_pair(comm_id, seq), std::move(entry)).first;
+    ++plan_builds_;
+  }
+  MemoEntry& entry = it->second;
+  MCIO_CHECK_EQ(entry.takers, takers);
+  SharedPlan out = entry.shared;
+  if (++entry.taken == entry.takers) memo_.erase(it);
+  return out;
 }
 
 sim::SimTime Machine::transfer(int src_node, int dst_node,
@@ -135,13 +190,9 @@ sim::Engine& Machine::engine() {
 
 Rank::Rank(Machine& machine, sim::Actor& actor, int world_rank)
     : machine_(machine), actor_(actor), world_rank_(world_rank) {
-  const int n = static_cast<int>(machine.engine().num_actors());
-  auto members = std::make_shared<std::vector<int>>();
-  members->reserve(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) members->push_back(r);
-  const std::uint64_t id = machine.intern_group(*members);
+  const std::shared_ptr<const Group>& world = machine.world_group();
   world_ = std::unique_ptr<Comm>(
-      new Comm(&machine, this, std::move(members), world_rank, id));
+      new Comm(&machine, this, world, world_rank, world->id));
 }
 
 Rank::~Rank() = default;

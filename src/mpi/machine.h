@@ -26,6 +26,30 @@ namespace mcio::mpi {
 class Comm;
 class Rank;
 
+/// A communicator group: its members and their node topology, computed
+/// once per group and shared by every rank's handle on it.
+struct Group {
+  std::uint64_t id = 0;      ///< content hash of `members` (intern_group)
+  std::vector<int> members;  ///< world ranks, by communicator rank
+  std::vector<int> nodes;    ///< physical node of each communicator rank
+  /// Each node's ranks ascending; groups ordered by leader (lowest member).
+  std::vector<std::vector<int>> node_groups;
+  /// Index into node_groups of each communicator rank.
+  std::vector<int> node_group_of;
+  /// The lowest rank on each node, ascending (node_groups' leaders).
+  std::vector<int> node_leaders;
+};
+
+/// One rank's take of a collective's shared plan (Machine::share_plan).
+struct SharedPlan {
+  std::shared_ptr<const void> plan;
+  /// Hash of the builder's rank-local plan inputs.
+  std::uint64_t key = 0;
+  /// The memo key: communicator id and collective sequence.
+  std::uint64_t comm_id = 0;
+  std::uint64_t seq = 0;
+};
+
 class Machine {
  public:
   explicit Machine(const sim::ClusterConfig& config);
@@ -39,10 +63,27 @@ class Machine {
                                 const std::function<void(Rank&)>& body);
 
   /// Interns a communicator group; identical member lists get the same
-  /// id. The id is a content hash of the member list (top bit reserved
-  /// for Comm::dup()'s generated ids), so it does not depend on which
-  /// rank interns the group first.
-  std::uint64_t intern_group(const std::vector<int>& world_members);
+  /// shared Group. Its id is a content hash of the member list (top bit
+  /// reserved for Comm::dup()'s generated ids), so it does not depend on
+  /// which rank interns the group first.
+  std::shared_ptr<const Group> intern_group(std::vector<int> world_members);
+
+  /// The world group of the current run, built once per run().
+  const std::shared_ptr<const Group>& world_group() const {
+    return world_group_;
+  }
+
+  /// The plan memo of collective `seq` on communicator `comm_id`, taken
+  /// by `takers` ranks: the first to ask runs `build` and records its
+  /// input hash `key`; every ask gets the same object and the builder's
+  /// key. The entry is dropped once all `takers` took it; one still
+  /// present when run() ends is reported to the observer.
+  SharedPlan share_plan(std::uint64_t comm_id, std::uint64_t seq,
+                        int takers, std::uint64_t key,
+                        const std::function<std::shared_ptr<const void>()>&
+                            build);
+  /// Plans built through share_plan() since construction.
+  std::uint64_t plan_builds() const { return plan_builds_; }
 
   // --- transport internals (used by Comm) ---
 
@@ -82,9 +123,20 @@ class Machine {
   /// Interned groups by content hash, for collision detection. Every
   /// caller runs on the engine's thread; the lock is kept so interning
   /// stays safe for any concurrent caller.
-  std::map<std::uint64_t, std::vector<int>> group_ids_
+  std::map<std::uint64_t, std::shared_ptr<const Group>> groups_
       MCIO_GUARDED_BY(group_mu_);
   util::Mutex group_mu_;
+  std::shared_ptr<const Group> world_group_;
+
+  struct MemoEntry {
+    SharedPlan shared;
+    int takers = 0;
+    int taken = 0;
+  };
+  /// Live plan-memo entries by (communicator id, collective sequence).
+  /// Like the groups, only touched from the engine's thread.
+  std::map<std::pair<std::uint64_t, std::uint64_t>, MemoEntry> memo_;
+  std::uint64_t plan_builds_ = 0;
   sim::Engine* engine_ = nullptr;  // valid during run()
   verify::Observer* observer_;
 };

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "util/check.h"
@@ -70,7 +71,18 @@ inline void copy_payload(Payload dst, ConstPayload src) {
   }
 }
 
-/// Owned message body: stores real bytes when the source was real.
+/// An immutable byte buffer shared by reference: a broadcast hop forwards
+/// the pointer instead of copying the bytes. `decoded` optionally carries
+/// one decoded form of the bytes, attached by the producer before the
+/// buffer is shared, so every holder reuses a single decode.
+struct SharedBuffer {
+  std::vector<std::byte> bytes;
+  std::shared_ptr<const void> decoded;
+};
+using SharedBytes = std::shared_ptr<const SharedBuffer>;
+
+/// Owned message body: stores real bytes when the source was real, or
+/// shares an immutable buffer without copying it.
 class OwnedPayload {
  public:
   OwnedPayload() = default;
@@ -79,21 +91,41 @@ class OwnedPayload {
       bytes_.assign(src.data, src.data + src.size);
     }
   }
+  explicit OwnedPayload(SharedBytes shared)
+      : shared_(std::move(shared)), size_(shared_->bytes.size()) {}
 
   std::uint64_t size() const { return size_; }
-  bool is_virtual() const { return bytes_.empty() && size_ > 0; }
+  bool is_virtual() const {
+    return shared_ == nullptr && bytes_.empty() && size_ > 0;
+  }
   ConstPayload view() const {
+    if (shared_ != nullptr) return ConstPayload::of(shared_->bytes);
     return bytes_.empty() ? ConstPayload::virtual_bytes(size_)
                           : ConstPayload{bytes_.data(), size_};
   }
-  /// Moves the stored bytes out (empty for virtual payloads).
+  /// Moves the stored bytes out (empty for virtual payloads); a shared
+  /// buffer is copied.
   std::vector<std::byte> release() {
     size_ = 0;
+    if (shared_ != nullptr) {
+      std::vector<std::byte> out = shared_->bytes;
+      shared_.reset();
+      return out;
+    }
     return std::move(bytes_);
+  }
+  /// Moves the body out as a shared buffer; owned bytes are adopted
+  /// without a copy.
+  SharedBytes share() {
+    size_ = 0;
+    if (shared_ != nullptr) return std::move(shared_);
+    return std::make_shared<const SharedBuffer>(
+        SharedBuffer{std::move(bytes_), nullptr});
   }
 
  private:
   std::vector<std::byte> bytes_;
+  SharedBytes shared_;
   std::uint64_t size_ = 0;
 };
 

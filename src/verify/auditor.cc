@@ -275,6 +275,32 @@ void Auditor::on_orphan_recv(int dst_world, std::uint64_t comm_id, int src,
   add_finding("orphan-recv", os.str());
 }
 
+void Auditor::on_orphan_plan(std::uint64_t comm_id, std::uint64_t seq,
+                             int taken, int takers) {
+  const util::MutexLock lock(hook_mu_);
+  std::ostringstream os;
+  os << "shared plan of collective #" << seq << " on comm " << comm_id
+     << " was taken by only " << taken << " of its " << takers << " ranks";
+  add_finding("orphan-plan", os.str());
+}
+
+void Auditor::on_plan_taken(std::uint64_t comm_id, std::uint64_t seq,
+                            int rank, std::uint64_t plan_key,
+                            std::uint64_t rank_key, bool live_reads_agree) {
+  if (plan_key == rank_key && live_reads_agree) return;
+  const util::MutexLock lock(hook_mu_);
+  std::ostringstream os;
+  os << "rank " << rank << " took the shared plan of collective #" << seq
+     << " on comm " << comm_id << " but ";
+  if (plan_key != rank_key) {
+    os << "its planner inputs hash to " << rank_key
+       << " where the plan was built from " << plan_key;
+  } else {
+    os << "re-asking the plan's donor elections gave a different answer";
+  }
+  add_finding("plan-divergence", os.str());
+}
+
 int Auditor::mgr_id(const void* mgr) {
   for (std::size_t i = 0; i < mgr_slots_.size(); ++i) {
     if (mgr_slots_[i] == mgr) return static_cast<int>(i);

@@ -14,7 +14,12 @@
 //      read-modify-write; collective reads must read back every planned
 //      byte. Virtual-time monotonicity is monitored per fiber.
 //   4. Orphan sweep — at end of run no delivered message is left
-//      unreceived and no posted receive is left unmatched.
+//      unreceived, no posted receive is left unmatched and no shared
+//      collective plan is left untaken by some of its ranks.
+//   5. Shared-plan agreement — every rank that takes a collective's one
+//      shared plan hashes its own planner inputs to the builder's key,
+//      and re-asking the plan's recorded live reads (donor elections)
+//      gives the recorded answers: O(1) per rank and collective.
 //
 // The Auditor is strictly passive (it never touches virtual time), so
 // enabling it cannot change simulated results. Violations are recorded
@@ -53,8 +58,8 @@ namespace mcio::verify {
 struct Finding {
   /// Stable machine-readable kind: "deadlock", "lease-leak",
   /// "byte-loss", "byte-duplicate", "unplanned-write", "read-loss",
-  /// "time-regression", "orphan-message", "orphan-recv",
-  /// "collective-incomplete".
+  /// "time-regression", "orphan-message", "orphan-recv", "orphan-plan",
+  /// "plan-divergence", "collective-incomplete".
   std::string kind;
   /// Human-readable diagnostic naming the ranks/nodes/extents involved.
   std::string message;
@@ -126,6 +131,11 @@ class Auditor final : public Observer {
                          int tag, std::uint64_t bytes) override;
   void on_orphan_recv(int dst_world, std::uint64_t comm_id, int src,
                       int tag) override;
+  void on_orphan_plan(std::uint64_t comm_id, std::uint64_t seq, int taken,
+                      int takers) override;
+  void on_plan_taken(std::uint64_t comm_id, std::uint64_t seq, int rank,
+                     std::uint64_t plan_key, std::uint64_t rank_key,
+                     bool live_reads_agree) override;
   void on_lease_grant(const void* mgr, int node,
                       std::uint64_t bytes) override;
   void on_lease_release(const void* mgr, int node,

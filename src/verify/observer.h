@@ -99,6 +99,35 @@ class Observer {
     (void)tag;
   }
 
+  /// End-of-run sweep: the shared plan of collective `seq` on
+  /// communicator `comm_id` was taken by only `taken` of its `takers`
+  /// ranks (mpi::Machine::share_plan).
+  virtual void on_orphan_plan(std::uint64_t comm_id, std::uint64_t seq,
+                              int taken, int takers) {
+    (void)comm_id;
+    (void)seq;
+    (void)taken;
+    (void)takers;
+  }
+
+  // --- shared collective plans (io drivers) ---
+  /// `rank` (world) took the shared plan of collective `seq` on
+  /// communicator `comm_id`. `plan_key` hashes the builder's rank-local
+  /// planner inputs and `rank_key` this rank's: a difference means this
+  /// rank would have planned differently. `live_reads_agree` is false
+  /// when this rank re-evaluated the plan's recorded reads of live state
+  /// (MCCIO's donor elections) and got a different answer.
+  virtual void on_plan_taken(std::uint64_t comm_id, std::uint64_t seq,
+                             int rank, std::uint64_t plan_key,
+                             std::uint64_t rank_key, bool live_reads_agree) {
+    (void)comm_id;
+    (void)seq;
+    (void)rank;
+    (void)plan_key;
+    (void)rank_key;
+    (void)live_reads_agree;
+  }
+
   // --- memory leases (node::MemoryManager) ---
   /// `mgr` is an opaque identity for the granting manager instance.
   virtual void on_lease_grant(const void* mgr, int node,

@@ -50,7 +50,7 @@ struct PlanHarness {
       ctx.memory = &memory;
       const auto plan = make_plan(rank.rank(), rank.world().size());
       const auto xplan = driver.build_plan(ctx, plan);
-      if (rank.rank() == 0) inspect(xplan, rank.world());
+      if (rank.rank() == 0) inspect(*xplan, rank.world());
     });
   }
 };
@@ -125,7 +125,7 @@ TEST(TwoPhasePlan, CbNodesLimitsAggregators) {
     ctx.hints.cb_nodes = 2;
     const auto xplan =
         io::TwoPhaseDriver::build_plan(ctx, ior_virtual(rank.rank(), 12));
-    EXPECT_EQ(xplan.domains.size(), 2u);
+    EXPECT_EQ(xplan->domains.size(), 2u);
   });
 }
 

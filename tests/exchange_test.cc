@@ -101,7 +101,8 @@ struct ExchangeHarness {
       xplan.rank_bounds[3] = Extent{};
       xplan.domains = {FileDomain{{0, 1600}, 3, 800}};
       xplan.real_data = true;
-      TwoPhaseExchange exchange(ctx, plan, xplan);
+      TwoPhaseExchange exchange(ctx, plan,
+                                std::make_shared<const ExchangePlan>(xplan));
       exchange.write();
       rank.world().barrier();
     });

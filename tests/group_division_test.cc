@@ -1,7 +1,12 @@
 // Aggregation Group Division (§3.1), including the Figure 4 example.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "core/group_division.h"
+#include "testing.h"
+#include "util/rng.h"
 
 namespace mcio::core {
 namespace {
@@ -235,6 +240,117 @@ TEST(GroupDivision, SerialCutAtFirstClosedPrefix) {
   EXPECT_EQ(groups[1].ranks, (std::vector<int>{4, 5}));
   EXPECT_EQ(groups[0].region, (Extent{0, 400}));
   EXPECT_EQ(groups[1].region, (Extent{400, 200}));
+}
+
+/// The original set-based aggregate-view division: a std::set share per
+/// group and a rescan of every rank. Kept here as the reference the O(P)
+/// divide_interleaved must match exactly.
+std::vector<AggregationGroup> reference_interleaved(
+    const GroupDivisionInput& in) {
+  std::uint64_t gmin = UINT64_MAX;
+  std::uint64_t gmax = 0;
+  std::set<int> node_set;
+  for (std::size_t r = 0; r < in.rank_bounds.size(); ++r) {
+    const Extent& b = in.rank_bounds[r];
+    if (b.empty()) continue;
+    gmin = std::min(gmin, b.offset);
+    gmax = std::max(gmax, b.end());
+    node_set.insert(in.rank_nodes[r]);
+  }
+  const std::uint64_t span = gmax - gmin;
+  const std::vector<int> nodes(node_set.begin(), node_set.end());
+  const auto num_nodes = static_cast<std::uint64_t>(nodes.size());
+  std::uint64_t g =
+      in.msg_group == 0 ? 1 : (span + in.msg_group - 1) / in.msg_group;
+  g = std::clamp<std::uint64_t>(g, 1, std::max<std::uint64_t>(num_nodes, 1));
+  const auto weight_of = [&](int node) {
+    const auto i = static_cast<std::size_t>(node);
+    if (i < in.node_weights.size() && in.node_weights[i] > 0.0) {
+      return in.node_weights[i];
+    }
+    return in.node_weights.empty() ? 1.0 : 0.0;
+  };
+  std::vector<AggregationGroup> groups;
+  std::uint64_t pos = gmin;
+  double total_weight = 0.0;
+  for (const int n : nodes) total_weight += weight_of(n);
+  double weight_done = 0.0;
+  for (std::uint64_t i = 0; i < g && pos < gmax; ++i) {
+    AggregationGroup grp;
+    const auto lo = static_cast<std::size_t>(i * num_nodes / g);
+    const auto hi = static_cast<std::size_t>((i + 1) * num_nodes / g);
+    const std::set<int> share(
+        nodes.begin() + static_cast<std::ptrdiff_t>(lo),
+        nodes.begin() + static_cast<std::ptrdiff_t>(hi));
+    double share_weight = 0.0;
+    for (const int n : share) share_weight += weight_of(n);
+    std::uint64_t len;
+    if (i + 1 == g || total_weight <= 0.0) {
+      len = gmax - pos;
+    } else {
+      weight_done += share_weight;
+      const std::uint64_t end_target =
+          gmin + static_cast<std::uint64_t>(
+                     static_cast<double>(span) *
+                     (weight_done / std::max(total_weight, 1e-12)));
+      len = end_target > pos ? end_target - pos : 0;
+      if (in.align > 1 && len > 0) {
+        len = (len + in.align / 2) / in.align * in.align;
+      }
+      len = std::min(len, gmax - pos);
+    }
+    grp.region = Extent{pos, len};
+    pos += len;
+    for (std::size_t r = 0; r < in.rank_bounds.size(); ++r) {
+      if (!in.rank_bounds[r].empty() && share.count(in.rank_nodes[r]) > 0) {
+        grp.ranks.push_back(static_cast<int>(r));
+      }
+    }
+    if (!grp.region.empty()) groups.push_back(std::move(grp));
+  }
+  if (!groups.empty() && pos < gmax) {
+    groups.back().region.len += gmax - pos;
+  }
+  return groups;
+}
+
+TEST(GroupDivision, InterleavedMatchesReferenceOnRandomInputs) {
+  util::Rng rng(mcio::testing::test_seed() ^ 0x6d1f);
+  for (int trial = 0; trial < 400; ++trial) {
+    GroupDivisionInput in;
+    const auto nranks = static_cast<int>(rng.uniform_int(1, 64));
+    const auto nnodes = static_cast<int>(rng.uniform_int(1, 16));
+    for (int r = 0; r < nranks; ++r) {
+      // Arbitrary node maps: ranks of a node need not be contiguous.
+      in.rank_nodes.push_back(static_cast<int>(rng.uniform_int(0, nnodes - 1)));
+      if (rng.uniform_double() < 0.2) {
+        in.rank_bounds.push_back(Extent{});
+        continue;
+      }
+      in.rank_bounds.push_back(Extent{rng.uniform_u64(1u << 20),
+                                      1 + rng.uniform_u64(1u << 16)});
+    }
+    const std::uint64_t msg_groups[] = {0, 1, 4096, 1u << 16, 1u << 20};
+    in.msg_group = msg_groups[rng.uniform_u64(5)];
+    const std::uint64_t aligns[] = {0, 1, 512, 4096};
+    in.align = aligns[rng.uniform_u64(4)];
+    if (rng.uniform_double() < 0.6) {
+      in.node_weights.resize(static_cast<std::size_t>(
+          rng.uniform_int(0, nnodes + 2)));
+      for (double& w : in.node_weights) {
+        w = rng.uniform_double() < 0.3 ? 0.0 : rng.uniform_double(0.1, 8.0);
+      }
+    }
+    const auto got = divide_interleaved(in);
+    const auto want = reference_interleaved(in);
+    ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].region, want[i].region)
+          << "trial " << trial << " group " << i;
+      EXPECT_EQ(got[i].ranks, want[i].ranks)
+          << "trial " << trial << " group " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -255,9 +255,9 @@ TEST_P(CollectiveSizes, GatherAndAllgather) {
       EXPECT_TRUE(gathered.empty());
     }
     const auto all = rank.world().allgather(rank.rank() + 100);
-    ASSERT_EQ(all.size(), static_cast<std::size_t>(p));
+    ASSERT_EQ(all->size(), static_cast<std::size_t>(p));
     for (int i = 0; i < p; ++i) {
-      EXPECT_EQ(all[static_cast<std::size_t>(i)], i + 100);
+      EXPECT_EQ((*all)[static_cast<std::size_t>(i)], i + 100);
     }
   });
 }
@@ -305,7 +305,7 @@ TEST(Comm, SplitByParity) {
     EXPECT_EQ(sub.world_rank(sub.rank()), rank.rank());
     // Sub-communicator collectives work and stay isolated.
     const auto all = sub.allgather(rank.rank());
-    for (const int w : all) EXPECT_EQ(w % 2, rank.rank() % 2);
+    for (const int w : *all) EXPECT_EQ(w % 2, rank.rank() % 2);
   });
 }
 
@@ -325,7 +325,7 @@ TEST(Comm, DupIsolatesTagSpace) {
     EXPECT_EQ(dup.size(), rank.world().size());
     dup.barrier();
     const auto all = dup.allgather(rank.rank());
-    EXPECT_EQ(all.size(), 3u);
+    EXPECT_EQ(all->size(), 3u);
   });
 }
 
@@ -352,7 +352,7 @@ TEST(Comm, HierCollectivesMatchFlat) {
     machine.run(n, [n](Rank& rank) {
       const int me = rank.rank();
       Comm& c = rank.world();
-      EXPECT_EQ(c.allgather_hier(me * 3 + 1), c.allgather(me * 3 + 1));
+      EXPECT_EQ(*c.allgather_hier(me * 3 + 1), *c.allgather(me * 3 + 1));
       EXPECT_EQ(c.allreduce_max_hier(static_cast<double>((me * 7) % 5)),
                 c.allreduce_max(static_cast<double>((me * 7) % 5)));
       EXPECT_EQ(c.allreduce_max_hier(static_cast<std::int64_t>(me % 3)),

@@ -5,12 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/mccio_driver.h"
 #include "io/driver.h"
+#include "io/exchange.h"
 #include "io/mpi_file.h"
+#include "io/two_phase_driver.h"
 #include "testing.h"
 #include "util/check.h"
 #include "util/payload.h"
@@ -294,6 +298,128 @@ TEST(Auditor, TimeRegressionIsReported) {
   aud.on_engine_start(2);
   aud.on_actor_resumed(0, 0.0);
   EXPECT_TRUE(aud.clean());
+}
+
+/// Runs one collective write of 64 B per rank where each rank brings its
+/// own hints and driver (`setup` customizes them per rank); returns the
+/// world communicator's id.
+std::uint64_t run_per_rank_inputs(
+    MiniCluster& cluster,
+    const std::function<io::CollectiveDriver*(int rank, io::Hints*)>&
+        setup) {
+  std::uint64_t world_id = 0;
+  cluster.machine().run(
+      cluster.total_ranks(), [&](mpi::Rank& rank) {
+        world_id = rank.world().id();
+        std::vector<std::byte> buf(64);
+        io::AccessPlan plan;
+        plan.extents.push_back(
+            util::Extent{static_cast<std::uint64_t>(rank.rank()) * 64, 64});
+        plan.buffer = util::Payload::of(buf);
+        io::Hints hints;
+        io::CollectiveDriver* driver = setup(rank.rank(), &hints);
+        io::MPIFile file(rank, rank.world(), cluster.services(), "/audit",
+                         /*create=*/true, hints, driver);
+        file.write_all_plan(plan);
+      });
+  return world_id;
+}
+
+TEST(Auditor, AgreeingPlanInputsAreZeroFinding) {
+  MiniCluster cluster;
+  ScopedAudit audit(cluster);
+  core::MccioDriver driver;
+  run_per_rank_inputs(cluster, [&](int, io::Hints*) { return &driver; });
+  EXPECT_TRUE(audit.auditor().clean()) << audit.auditor().report();
+  EXPECT_EQ(cluster.machine().plan_builds(), 1u);
+}
+
+TEST(Auditor, DivergentMccioConfigIsReported) {
+  // One rank's driver asks for a different N_ah: an MPI process with that
+  // driver would plan differently (deadlock or lost bytes), so taking the
+  // shared plan must not pass silently.
+  MiniCluster cluster;
+  ScopedAudit audit(cluster);
+  core::MccioDriver common;
+  core::MccioConfig odd_cfg;
+  odd_cfg.n_ah = 4;
+  core::MccioDriver odd(odd_cfg);
+  const std::uint64_t world_id = run_per_rank_inputs(
+      cluster, [&](int r, io::Hints*) -> io::CollectiveDriver* {
+        return r == 5 ? &odd : &common;
+      });
+  const auto msgs = audit.messages_of("plan-divergence");
+  ASSERT_FALSE(msgs.empty()) << audit.auditor().report();
+  const std::string comm = "on comm " + std::to_string(world_id);
+  for (const std::string& m : msgs) {
+    EXPECT_NE(m.find(comm), std::string::npos) << m;
+    EXPECT_NE(m.find("collective #"), std::string::npos) << m;
+    EXPECT_NE(m.find("planner inputs hash"), std::string::npos) << m;
+  }
+}
+
+TEST(Auditor, DivergentHintFailsTheEnforcingRun) {
+  MiniCluster cluster;
+  ScopedAudit audit(cluster);
+  audit.set_enforcing();
+  io::TwoPhaseDriver driver;
+  try {
+    run_per_rank_inputs(cluster, [&](int r, io::Hints* hints) {
+      if (r == 2) hints->cb_nodes = 1;
+      return &driver;
+    });
+    FAIL() << "expected the audit to fail the run";
+  } catch (const util::Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("plan-divergence"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("collective #"), std::string::npos) << msg;
+  }
+}
+
+TEST(Auditor, ChangedDonorElectionIsReported) {
+  // A plan recording a donor election that no longer holds on the taking
+  // rank (here: a request no node can ever grant) is flagged by every
+  // audited rank's re-check.
+  MiniCluster cluster;
+  ScopedAudit audit(cluster);
+  cluster.machine().run(2, [&](mpi::Rank& rank) {
+    io::CollContext ctx;
+    ctx.rank = &rank;
+    ctx.comm = &rank.world();
+    ctx.fs = &cluster.fs();
+    ctx.memory = &cluster.memory();
+    const auto xplan = io::share_exchange_plan(ctx, 42, [] {
+      io::ExchangePlan p;
+      p.rank_bounds.resize(2);
+      p.donor_elections.push_back(
+          io::DonorElection{0, std::uint64_t{1} << 60, 0, 1});
+      return p;
+    });
+    EXPECT_EQ(xplan->donor_elections.size(), 1u);
+  });
+  const auto msgs = audit.messages_of("plan-divergence");
+  ASSERT_EQ(msgs.size(), 2u) << audit.auditor().report();
+  EXPECT_NE(msgs[0].find("donor elections"), std::string::npos) << msgs[0];
+}
+
+TEST(Auditor, UntakenSharedPlanIsReported) {
+  // Only rank 0 takes the shared plan: the memo entry outlives the run
+  // and the end-of-run sweep reports it like an orphan message.
+  MiniCluster cluster;
+  ScopedAudit audit(cluster);
+  cluster.machine().run(2, [](mpi::Rank& rank) {
+    rank.world().barrier();
+    if (rank.rank() == 0) {
+      (void)rank.world().share_plan(
+          7, [] { return std::make_shared<const int>(1); });
+    }
+  });
+  const auto msgs = audit.messages_of("orphan-plan");
+  ASSERT_EQ(msgs.size(), 1u) << audit.auditor().report();
+  EXPECT_NE(msgs[0].find("taken by only 1 of its 2 ranks"),
+            std::string::npos)
+      << msgs[0];
+  EXPECT_NE(msgs[0].find("collective #1"), std::string::npos) << msgs[0];
 }
 
 io::AccessPlan ior_factory(int rank, int nprocs,
