@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 #include <map>
-#include <numeric>
 
 #ifdef MCIO_FUZZ_BUG
 #include <cstdlib>
@@ -362,74 +361,43 @@ void TwoPhaseExchange::leader_collect_extent_lists() {
 }
 
 void TwoPhaseExchange::recv_extent_lists() {
-  // Expected extent-list blobs in the canonical (domain, source) order the
-  // historical rank-ordered drain received them in. Senders emit their
-  // client domains in ascending order, so per-source FIFO attributes the
-  // k-th blob from a source to that source's k-th domain of ours.
-  struct Expected {
+  // Drain every expected extent-list blob in the canonical (domain,
+  // source) order, naming each source. Senders emit their client domains
+  // in ascending order, so per-source FIFO hands the k-th blob from a
+  // source to that source's k-th domain of ours.
+  struct Pending {
     DomainWork* work;
-    int source;
+    mpi::FramedBlob blob;
   };
-  std::vector<Expected> expected;
+  std::vector<Pending> pending;
   std::vector<int> srcs;
   for (DomainWork& work : owned_) {
     const FileDomain& d =
         xplan_->domains[static_cast<std::size_t>(work.index)];
     srcs.clear();
     direct_sources(d, &srcs);
-    for (const int s : srcs) expected.push_back(Expected{&work, s});
-  }
-  if (expected.empty()) return;
-
-  // Drain in arrival order with wildcard-source receives (no head-of-line
-  // blocking on slow ranks), deferring the virtual-time charges...
-  std::vector<mpi::FramedBlob> blobs;
-  blobs.reserve(expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    blobs.push_back(ctx_.comm->recv_blob_deferred(mpi::kAnySource,
-                                                  tag_lists_));
-  }
-
-  // Pair every expected (domain, source) slot with a blob: the k-th slot
-  // of a source takes that source's k-th arrival. Stable sorts by source
-  // line both sequences up without any array sized by the communicator.
-  const auto sorted_by_source = [](std::size_t n, const auto& source_of) {
-    std::vector<std::uint32_t> idx(n);
-    std::iota(idx.begin(), idx.end(), 0u);
-    std::stable_sort(idx.begin(), idx.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return source_of(a) < source_of(b);
-                     });
-    return idx;
-  };
-  const auto slot_order = sorted_by_source(
-      expected.size(), [&](std::uint32_t i) { return expected[i].source; });
-  const auto blob_order = sorted_by_source(
-      blobs.size(), [&](std::uint32_t i) { return blobs[i].source; });
-  std::vector<std::uint32_t> blob_of(expected.size());
-  for (std::size_t t = 0; t < expected.size(); ++t) {
-    const int source = expected[slot_order[t]].source;
-    MCIO_CHECK_MSG(blobs[blob_order[t]].source == source,
-                   "missing extent list from rank " << source);
-    blob_of[slot_order[t]] = blob_order[t];
-  }
-
-  // ...then replay the charges in the canonical order, so the simulated
-  // clock is bit-identical to the rank-ordered blocking exchange.
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    const Expected& e = expected[i];
-    mpi::FramedBlob b = std::move(blobs[blob_of[i]]);
-    ctx_.comm->charge_blob(b);
-    MCIO_CHECK_EQ(b.bytes.size() % sizeof(Extent), 0u);
-    std::vector<Extent> runs(b.bytes.size() / sizeof(Extent));
-    if (!runs.empty()) {
-      std::memcpy(runs.data(), b.bytes.data(), b.bytes.size());
+    for (const int s : srcs) {
+      pending.push_back(
+          Pending{&work, ctx_.comm->recv_blob_deferred(s, tag_lists_)});
     }
+  }
+
+  // Replay the receive charges only after the whole drain, in the same
+  // order. The drain ends at the last arrival whatever order it waits in,
+  // so the clock does not depend on how arrivals interleave. Charging each
+  // blob as it is drained would differ: overhead charged before a later
+  // arrival is absorbed by the wait for it.
+  for (Pending& p : pending) {
+    ctx_.comm->charge_blob(p.blob);
+    const std::vector<std::byte>& bytes = p.blob.bytes;
+    MCIO_CHECK_EQ(bytes.size() % sizeof(Extent), 0u);
+    std::vector<Extent> runs(bytes.size() / sizeof(Extent));
+    if (!runs.empty()) std::memcpy(runs.data(), bytes.data(), bytes.size());
     ExtentList list = ExtentList::normalize(std::move(runs));
     if (!list.empty()) {
       // Sources are visited in ascending order per domain, so appending
       // keeps per_source sorted.
-      e.work->per_source.emplace_back(e.source, std::move(list));
+      p.work->per_source.emplace_back(p.blob.source, std::move(list));
     }
   }
 }

@@ -1,7 +1,5 @@
 #include "mpi/comm.h"
 
-#include <algorithm>
-
 #include "mpi/machine.h"
 #include "util/check.h"
 
@@ -70,31 +68,27 @@ void Comm::send(int dst, int tag, util::ConstPayload data) {
   actor.advance(machine_->config().send_overhead);
 }
 
-Request Comm::isend(int dst, int tag, util::ConstPayload data) {
-  // Buffered-eager transport: the send buffer is copied at post time, so
-  // the request is already complete locally.
-  send(dst, tag, data);
-  Request r;
-  r.send_ = true;
-  return r;
-}
-
-Request Comm::irecv(int src, int tag, util::Payload buf) {
-  sim::Actor& actor = owner_->actor();
-  actor.sync_local();
+std::shared_ptr<RecvSlot> Comm::post_recv(int src, int tag,
+                                          util::Payload buf, bool take) {
+  owner_->actor().sync_local();
   Endpoint& ep = my_endpoint();
   auto slot = ep.acquire_slot();
   slot->comm_id = comm_id_;
   slot->src = src;
   slot->tag = tag;
   slot->buf = buf;
+  slot->take = take;
   if (auto env = ep.take_unexpected(comm_id_, src, tag)) {
     fulfill(*slot, std::move(*env));
   } else {
     ep.post(slot);
   }
+  return slot;
+}
+
+Request Comm::irecv(int src, int tag, util::Payload buf) {
   Request r;
-  r.slot_ = std::move(slot);
+  r.slot_ = post_recv(src, tag, buf, /*take=*/false);
   return r;
 }
 
@@ -103,33 +97,29 @@ void Comm::recv(int src, int tag, util::Payload buf, Status* status) {
   wait(r, status);
 }
 
-void Comm::wait(Request& request, Status* status) {
-  MCIO_CHECK_MSG(request.valid(), "wait on an invalid/consumed request");
-  if (request.send_) {
-    request.send_ = false;
-    return;
-  }
+void Comm::park_until_done(const RecvSlot& slot) {
+  if (slot.done) return;
   sim::Actor& actor = owner_->actor();
   Endpoint& ep = my_endpoint();
-  if (!request.slot_->done) {
-    // Audited park: the observer is told what this fiber blocks on so a
-    // deadlock report can name the missing message (see DESIGN.md §8).
-    verify::Observer* obs = machine_->observer();
-    const int wsrc = request.slot_->src == kAnySource
-                         ? kAnySource
-                         : world_rank(request.slot_->src);
-    obs->on_wait_begin(owner_->rank(), comm_id_, wsrc, request.slot_->tag);
-    while (!request.slot_->done) {
-      ++ep.waiting;
-      actor.park();
-      --ep.waiting;
-    }
-    obs->on_wait_end(owner_->rank());
+  verify::Observer* obs = machine_->observer();
+  obs->on_wait_begin(owner_->rank(), comm_id_, world_rank(slot.src),
+                     slot.tag);
+  while (!slot.done) {
+    ++ep.waiting;
+    actor.park();
+    --ep.waiting;
   }
+  obs->on_wait_end(owner_->rank());
+}
+
+void Comm::wait(Request& request, Status* status) {
+  MCIO_CHECK_MSG(request.valid(), "wait on an invalid/consumed request");
+  sim::Actor& actor = owner_->actor();
+  park_until_done(*request.slot_);
   actor.advance_to(request.slot_->status.arrival);
   actor.advance(machine_->config().recv_overhead);
   if (status != nullptr) *status = request.slot_->status;
-  ep.release_slot(std::move(request.slot_));
+  my_endpoint().release_slot(std::move(request.slot_));
   request.slot_.reset();
 }
 
@@ -137,11 +127,6 @@ void Comm::waitall(std::span<Request> requests) {
   for (Request& r : requests) {
     if (r.valid()) wait(r);
   }
-}
-
-bool Comm::test(const Request& request) const {
-  if (request.send_) return true;
-  return request.slot_ == nullptr || request.slot_->done;
 }
 
 void Comm::send_blob(int dst, int tag, std::span<const std::byte> blob) {
@@ -220,32 +205,10 @@ void Comm::send_shm(int dst, int tag, util::ConstPayload data) {
 }
 
 Envelope Comm::take_framed(int src, int tag) {
-  sim::Actor& actor = owner_->actor();
-  actor.sync_local();
-  Endpoint& ep = my_endpoint();
-  auto slot = ep.acquire_slot();
-  slot->comm_id = comm_id_;
-  slot->src = src;
-  slot->tag = tag;
-  slot->buf = util::Payload{};
-  slot->take = true;
-  if (auto env = ep.take_unexpected(comm_id_, src, tag)) {
-    fulfill(*slot, std::move(*env));
-  } else {
-    ep.post(slot);
-    // Audited park (see DESIGN.md §8).
-    verify::Observer* obs = machine_->observer();
-    const int wsrc = src == kAnySource ? kAnySource : world_rank(src);
-    obs->on_wait_begin(owner_->rank(), comm_id_, wsrc, tag);
-    while (!slot->done) {
-      ++ep.waiting;
-      actor.park();
-      --ep.waiting;
-    }
-    obs->on_wait_end(owner_->rank());
-  }
+  auto slot = post_recv(src, tag, util::Payload{}, /*take=*/true);
+  park_until_done(*slot);
   Envelope env = std::move(slot->taken);
-  ep.release_slot(std::move(slot));
+  my_endpoint().release_slot(std::move(slot));
   return env;
 }
 
@@ -289,49 +252,6 @@ std::vector<std::byte> Comm::recv_blob(int src, int tag, Status* status) {
   FramedBlob b = recv_blob_deferred(src, tag);
   charge_blob(b, status);
   return std::move(b.bytes);
-}
-
-Comm Comm::split(int color, int key) {
-  MCIO_CHECK_GE(color, 0);
-  struct Item {
-    int color;
-    int key;
-    int wrank;
-  };
-  const auto items = allgather(Item{color, key, owner_->rank()});
-  std::vector<Item> mine;
-  for (const Item& it : *items) {
-    if (it.color == color) mine.push_back(it);
-  }
-  std::sort(mine.begin(), mine.end(), [](const Item& a, const Item& b) {
-    return a.key != b.key ? a.key < b.key : a.wrank < b.wrank;
-  });
-  std::vector<int> members;
-  members.reserve(mine.size());
-  int my_index = -1;
-  for (const Item& it : mine) {
-    if (it.wrank == owner_->rank()) {
-      my_index = static_cast<int>(members.size());
-    }
-    members.push_back(it.wrank);
-  }
-  MCIO_CHECK_GE(my_index, 0);
-  std::shared_ptr<const Group> group =
-      machine_->intern_group(std::move(members));
-  const std::uint64_t id = group->id;
-  return Comm(machine_, owner_, std::move(group), my_index, id);
-}
-
-Comm Comm::dup() {
-  // Collective: rank 0 draws a fresh id (distinct from any interned group
-  // id thanks to the high bit) and broadcasts it.
-  std::uint64_t id = 0;
-  if (rank() == 0) {
-    static_assert(sizeof(std::uint64_t) == 8);
-    id = (1ull << 63) | (comm_id_ << 20) | (coll_seq_ & 0xfffffu);
-  }
-  bcast(id, 0);
-  return Comm(machine_, owner_, group_, my_index_, id);
 }
 
 }  // namespace mcio::mpi

@@ -20,9 +20,7 @@ std::vector<sim::SimTime> Machine::run(
                            << cluster_.total_ranks());
   endpoints_.assign(static_cast<std::size_t>(nranks), Endpoint{});
   memo_.clear();
-  std::vector<int> members(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) members[static_cast<std::size_t>(r)] = r;
-  world_group_ = intern_group(std::move(members));
+  world_group_ = make_world_group(nranks);
   sim::Engine engine;
   engine.set_observer(observer_);
   engine_ = &engine;
@@ -63,12 +61,13 @@ std::vector<sim::SimTime> Machine::run(
   return engine.finish_times();
 }
 
-std::shared_ptr<const Group> Machine::intern_group(
-    std::vector<int> world_members) {
-  // Content hash (FNV-1a over the member list): the id is a pure
-  // function of the membership, so it can never leak the order in which
-  // ranks first intern a group into figures or audit keys. The top bit
-  // is reserved for Comm::dup()'s generated ids.
+std::shared_ptr<const Group> Machine::make_world_group(int nranks) const {
+  auto g = std::make_shared<Group>();
+  const auto n = static_cast<std::size_t>(nranks);
+  g->members.resize(n);
+  for (std::size_t r = 0; r < n; ++r) g->members[r] = static_cast<int>(r);
+  // Content hash (FNV-1a over the member list, top bit clear): the id is
+  // a pure function of the run size, never of which rank asks first.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -76,25 +75,11 @@ std::shared_ptr<const Group> Machine::intern_group(
       h *= 1099511628211ull;
     }
   };
-  mix(static_cast<std::uint64_t>(world_members.size()));
-  for (const int m : world_members) {
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(m)));
-  }
-  h &= ~(1ull << 63);
-  if (h == 0) h = 1;
-  const util::MutexLock lk(group_mu_);
-  if (const auto it = groups_.find(h); it != groups_.end()) {
-    MCIO_CHECK_MSG(it->second->members == world_members,
-                   "communicator group hash collision on id " << h);
-    return it->second;
-  }
-  // Node topology, once per group: a counting pass buckets the ranks by
-  // node, and the first-seen order of nodes in rank order is exactly the
-  // leader order.
-  auto g = std::make_shared<Group>();
-  g->id = h;
-  g->members = std::move(world_members);
-  const std::size_t n = g->members.size();
+  mix(n);
+  for (const int m : g->members) mix(static_cast<std::uint64_t>(m));
+  g->id = h & ~(1ull << 63);
+  // Node topology: a counting pass buckets the ranks by node, and the
+  // first-seen order of nodes in rank order is exactly the leader order.
   g->nodes.resize(n);
   g->node_group_of.resize(n);
   std::vector<int> group_of_node(
@@ -112,7 +97,6 @@ std::shared_ptr<const Group> Machine::intern_group(
         static_cast<int>(r));
     g->node_group_of[r] = gi;
   }
-  groups_.emplace(h, g);
   return g;
 }
 

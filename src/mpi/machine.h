@@ -17,8 +17,6 @@
 #include "mpi/message.h"
 #include "sim/engine.h"
 #include "sim/topology.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "verify/observer.h"
 
 namespace mcio::mpi {
@@ -27,9 +25,9 @@ class Comm;
 class Rank;
 
 /// A communicator group: its members and their node topology, computed
-/// once per group and shared by every rank's handle on it.
+/// once per run and shared by every rank's handle on it.
 struct Group {
-  std::uint64_t id = 0;      ///< content hash of `members` (intern_group)
+  std::uint64_t id = 0;      ///< content hash of `members`
   std::vector<int> members;  ///< world ranks, by communicator rank
   std::vector<int> nodes;    ///< physical node of each communicator rank
   /// Each node's ranks ascending; groups ordered by leader (lowest member).
@@ -61,12 +59,6 @@ class Machine {
   /// slots). Returns per-rank virtual finish times.
   std::vector<sim::SimTime> run(int nranks,
                                 const std::function<void(Rank&)>& body);
-
-  /// Interns a communicator group; identical member lists get the same
-  /// shared Group. Its id is a content hash of the member list (top bit
-  /// reserved for Comm::dup()'s generated ids), so it does not depend on
-  /// which rank interns the group first.
-  std::shared_ptr<const Group> intern_group(std::vector<int> world_members);
 
   /// The world group of the current run, built once per run().
   const std::shared_ptr<const Group>& world_group() const {
@@ -117,15 +109,11 @@ class Machine {
  private:
   /// Applies a delivery to the destination endpoint (no scheduling).
   void deliver_now(int world_dst, Envelope env);
+  /// The group of world ranks 0..nranks-1 and its node topology.
+  std::shared_ptr<const Group> make_world_group(int nranks) const;
 
   sim::Cluster cluster_;
   std::vector<Endpoint> endpoints_;
-  /// Interned groups by content hash, for collision detection. Every
-  /// caller runs on the engine's thread; the lock is kept so interning
-  /// stays safe for any concurrent caller.
-  std::map<std::uint64_t, std::shared_ptr<const Group>> groups_
-      MCIO_GUARDED_BY(group_mu_);
-  util::Mutex group_mu_;
   std::shared_ptr<const Group> world_group_;
 
   struct MemoEntry {
@@ -134,7 +122,7 @@ class Machine {
     int taken = 0;
   };
   /// Live plan-memo entries by (communicator id, collective sequence).
-  /// Like the groups, only touched from the engine's thread.
+  /// Only touched from the engine's thread.
   std::map<std::pair<std::uint64_t, std::uint64_t>, MemoEntry> memo_;
   std::uint64_t plan_builds_ = 0;
   sim::Engine* engine_ = nullptr;  // valid during run()

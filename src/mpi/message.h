@@ -1,23 +1,17 @@
 // Message envelopes, receive slots and per-rank endpoints.
 //
-// Matching follows MPI semantics: a receive matches the first envelope in
-// arrival order with the same communicator whose (source, tag) fit the
-// receive's (possibly wildcard) selectors; per-(source,tag) ordering is
-// FIFO. The endpoint keeps hash-bucketed queues keyed on
-// (comm_id, src, tag) so the common cases — fully specified receives and
-// any-source receives with a concrete tag — match in O(1) instead of a
-// linear scan over everything queued. Arrival/post sequence numbers
-// arbitrate between buckets so the matched message/receive is exactly the
-// one the old linear scans would have picked.
+// Every receive names its communicator, source and tag, so matching is
+// one hash lookup: the endpoint keeps a FIFO per exact
+// (comm_id, src, tag) key for unexpected messages and another for posted
+// receives. Per-key FIFO order is all MPI's no-overtaking rule asks of
+// fully specified receives.
 //
 // Containers here sit on the per-message hot path, so they are chosen to
-// avoid per-element heap nodes: buckets live in an open-addressed table,
-// queues are vector-backed rings, and the unexpected store is a deque
-// indexed directly by arrival sequence.
+// avoid per-element heap nodes: buckets live in an open-addressed table
+// and queues are vector-backed rings.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -27,12 +21,9 @@
 
 namespace mcio::mpi {
 
-inline constexpr int kAnySource = -1;
-inline constexpr int kAnyTag = -1;
-
 struct Status {
-  int source = kAnySource;  ///< rank within the communicator
-  int tag = kAnyTag;
+  int source = 0;  ///< rank within the communicator
+  int tag = 0;
   std::uint64_t bytes = 0;
   sim::SimTime arrival = 0.0;  ///< virtual time data was fully delivered
 };
@@ -54,8 +45,8 @@ struct Envelope {
 /// A posted (possibly pending) receive.
 struct RecvSlot {
   std::uint64_t comm_id = 0;
-  int src = kAnySource;
-  int tag = kAnyTag;
+  int src = 0;
+  int tag = 0;
   util::Payload buf;
   /// Blob receive: takes ownership of the whole (framed) envelope instead
   /// of copying into `buf`.
@@ -63,11 +54,6 @@ struct RecvSlot {
   Envelope taken;
   bool done = false;
   Status status;
-
-  bool matches(const Envelope& e) const {
-    return comm_id == e.comm_id && (src == kAnySource || src == e.src) &&
-           (tag == kAnyTag || tag == e.tag);
-  }
 };
 
 /// Completes a matched receive with `env`: copies bytes (or takes the
@@ -98,9 +84,7 @@ inline void fulfill(RecvSlot& slot, Envelope env) {
   slot.done = true;
 }
 
-/// Hash key for one matching bucket. Wildcard-tag traffic never lands in a
-/// bucket (it scans in sequence order), so `tag` is always concrete; `src`
-/// is kAnySource in the any-source index.
+/// Hash key for one matching bucket.
 struct MatchKey {
   std::uint64_t comm_id = 0;
   int src = 0;
@@ -253,7 +237,7 @@ class MatchMap {
 };
 
 /// Per-world-rank message state: the unexpected-message and posted-receive
-/// queues, bucketed for O(1) matching.
+/// queues, one FIFO per exact (comm_id, src, tag) key.
 class Endpoint {
  public:
   /// Number of wait() loops currently parked on this endpoint.
@@ -261,82 +245,28 @@ class Endpoint {
 
   /// Queues an envelope that matched no posted receive.
   void push_unexpected(Envelope env) {
-    const std::uint64_t seq =
-        store_base_ + static_cast<std::uint64_t>(unexpected_.size());
-    unexpected_exact_.get_or_create(MatchKey{env.comm_id, env.src, env.tag})
-        .push_back(seq);
-    unexpected_anysrc_
-        .get_or_create(MatchKey{env.comm_id, kAnySource, env.tag})
-        .push_back(seq);
-    unexpected_.push_back(Stored{std::move(env), false});
+    unexpected_.get_or_create(MatchKey{env.comm_id, env.src, env.tag})
+        .push_back(std::move(env));
   }
 
-  /// Removes and returns the first queued envelope (in arrival order)
-  /// matching (comm_id, src, tag); wildcards allowed. nullopt if none.
+  /// Removes and returns the oldest queued envelope from (comm_id, src,
+  /// tag), or nullopt if none.
   std::optional<Envelope> take_unexpected(std::uint64_t comm_id, int src,
                                           int tag) {
-    if (tag == kAnyTag) {
-      // Rare path: scan the store in arrival order.
-      for (std::size_t i = 0; i < unexpected_.size(); ++i) {
-        Stored& s = unexpected_[i];
-        if (s.taken) continue;
-        if (s.env.comm_id == comm_id &&
-            (src == kAnySource || s.env.src == src)) {
-          return take_at(i);
-        }
-      }
-      return std::nullopt;
-    }
-    auto& index = src == kAnySource ? unexpected_anysrc_ : unexpected_exact_;
-    const MatchKey key{comm_id, src, tag};
-    auto* q = index.find(key);
-    if (q == nullptr) return std::nullopt;
-    // Entries consumed through another index (or a wildcard-tag scan)
-    // stay behind as stale sequence numbers; skip them lazily.
-    while (!q->empty()) {
-      const std::uint64_t seq = q->front();
-      q->pop_front();
-      if (seq < store_base_) continue;
-      const auto i = static_cast<std::size_t>(seq - store_base_);
-      if (unexpected_[i].taken) continue;
-      if (q->empty()) index.erase(key);
-      return take_at(i);
-    }
-    index.erase(key);
-    return std::nullopt;
+    return pop(unexpected_, MatchKey{comm_id, src, tag});
   }
 
   /// Registers a pending receive.
   void post(std::shared_ptr<RecvSlot> slot) {
-    const std::uint64_t seq = post_seq_++;
-    if (slot->src == kAnySource || slot->tag == kAnyTag) {
-      posted_wild_.push_back(Posted{seq, std::move(slot)});
-    } else {
-      const MatchKey key{slot->comm_id, slot->src, slot->tag};
-      posted_exact_.get_or_create(key).push_back(
-          Posted{seq, std::move(slot)});
-    }
+    const MatchKey key{slot->comm_id, slot->src, slot->tag};
+    posted_.get_or_create(key).push_back(std::move(slot));
   }
 
-  /// Removes and returns the first posted receive (in post order) that
-  /// matches `env`, or nullptr when none does.
+  /// Removes and returns the oldest posted receive for `env`'s key, or
+  /// nullptr when none is pending.
   std::shared_ptr<RecvSlot> match_posted(const Envelope& env) {
-    const MatchKey key{env.comm_id, env.src, env.tag};
-    auto* eq = posted_exact_.find(key);
-    const bool have_exact = eq != nullptr && !eq->empty();
-    auto wit = posted_wild_.begin();
-    while (wit != posted_wild_.end() && !wit->slot->matches(env)) ++wit;
-    const bool have_wild = wit != posted_wild_.end();
-    if (have_exact && (!have_wild || eq->front().seq < wit->seq)) {
-      std::shared_ptr<RecvSlot> slot = std::move(eq->front().slot);
-      eq->pop_front();
-      if (eq->empty()) posted_exact_.erase(key);
-      return slot;
-    }
-    if (!have_wild) return nullptr;
-    std::shared_ptr<RecvSlot> slot = std::move(wit->slot);
-    posted_wild_.erase(wit);
-    return slot;
+    return pop(posted_, MatchKey{env.comm_id, env.src, env.tag})
+        .value_or(nullptr);
   }
 
   /// Recycled receive slots: a blocking receive allocates a slot, parks,
@@ -364,58 +294,36 @@ class Endpoint {
   /// as unexpected (no receive ever matched it).
   template <typename Fn>
   void for_each_orphan_message(Fn&& fn) const {
-    for (const Stored& s : unexpected_) {
-      if (!s.taken) fn(s.env);
-    }
+    unexpected_.for_each([&fn](const MatchKey&, const RingFifo<Envelope>& q) {
+      q.for_each(fn);
+    });
   }
 
   /// End-of-run audit sweep: visits every posted receive still pending
   /// (no message ever matched it), as RecvSlots.
   template <typename Fn>
   void for_each_orphan_recv(Fn&& fn) const {
-    for (const Posted& p : posted_wild_) fn(*p.slot);
-    posted_exact_.for_each([&fn](const MatchKey&, const RingFifo<Posted>& q) {
-      q.for_each([&fn](const Posted& p) { fn(*p.slot); });
+    posted_.for_each([&fn](const MatchKey&,
+                           const RingFifo<std::shared_ptr<RecvSlot>>& q) {
+      q.for_each([&fn](const std::shared_ptr<RecvSlot>& s) { fn(*s); });
     });
   }
 
  private:
-  struct Posted {
-    std::uint64_t seq = 0;
-    std::shared_ptr<RecvSlot> slot;
-  };
-
-  struct Stored {
-    Envelope env;
-    bool taken = false;
-  };
-
-  Envelope take_at(std::size_t i) {
-    Envelope env = std::move(unexpected_[i].env);
-    unexpected_[i].taken = true;
-    while (!unexpected_.empty() && unexpected_.front().taken) {
-      unexpected_.pop_front();
-      ++store_base_;
-    }
-    return env;
+  /// Pops the front of `key`'s queue, dropping the key once it drains.
+  template <typename T>
+  static std::optional<T> pop(MatchMap<RingFifo<T>>& map,
+                              const MatchKey& key) {
+    RingFifo<T>* q = map.find(key);
+    if (q == nullptr) return std::nullopt;
+    T v = std::move(q->front());
+    q->pop_front();
+    if (q->empty()) map.erase(key);
+    return v;
   }
 
-  /// Unexpected messages in arrival order. Arrival sequence numbers are
-  /// dense, so entry `seq` lives at index `seq - store_base_`; taken
-  /// entries tombstone in place until the front drains.
-  std::deque<Stored> unexpected_;
-  std::uint64_t store_base_ = 0;  ///< sequence number of unexpected_[0]
-
-  /// Per-key FIFO indexes of arrival sequences into the store.
-  MatchMap<RingFifo<std::uint64_t>> unexpected_exact_;
-  MatchMap<RingFifo<std::uint64_t>> unexpected_anysrc_;
-
-  /// Fully specified pending receives by key; wildcard receives (few at a
-  /// time) in one post-ordered list.
-  MatchMap<RingFifo<Posted>> posted_exact_;
-  std::deque<Posted> posted_wild_;
-  std::uint64_t post_seq_ = 0;
-
+  MatchMap<RingFifo<Envelope>> unexpected_;
+  MatchMap<RingFifo<std::shared_ptr<RecvSlot>>> posted_;
   std::vector<std::shared_ptr<RecvSlot>> slot_pool_;
 };
 

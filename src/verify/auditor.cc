@@ -142,31 +142,20 @@ std::string Auditor::describe_deadlock(std::span<const int> stuck) {
     const auto i = static_cast<std::size_t>(a);
     if (i < waits_.size() && waits_[i].waiting) {
       const WaitInfo& w = waits_[i];
-      os << "blocked in recv(src=";
-      if (w.src_world < 0) {
-        os << "any";
-      } else {
-        os << w.src_world;
-      }
-      os << ", tag=";
-      if (w.tag < 0) {
-        os << "any";
-      } else {
-        os << w.tag;
-      }
-      os << ", comm=" << w.comm_id << ")";
+      os << "blocked in recv(src=" << w.src_world << ", tag=" << w.tag
+         << ", comm=" << w.comm_id << ")";
     } else {
       os << "parked outside a recorded wait";
     }
   }
 
-  // Wait-for cycle: each blocked rank waiting on a specific source has
-  // exactly one outgoing edge, so the graph is functional — walk each
+  // Wait-for cycle: each blocked rank waits on one source, so it has
+  // exactly one outgoing edge and the graph is functional — walk each
   // chain once with a global visit mark.
   std::map<int, int> edge;
   for (const int a : stuck) {
     const auto i = static_cast<std::size_t>(a);
-    if (i < waits_.size() && waits_[i].waiting && waits_[i].src_world >= 0) {
+    if (i < waits_.size() && waits_[i].waiting) {
       edge[a] = waits_[i].src_world;
     }
   }
@@ -259,19 +248,8 @@ void Auditor::on_orphan_recv(int dst_world, std::uint64_t comm_id, int src,
                              int tag) {
   const util::MutexLock lock(hook_mu_);
   std::ostringstream os;
-  os << "rank " << dst_world << " posted recv(src=";
-  if (src < 0) {
-    os << "any";
-  } else {
-    os << src;
-  }
-  os << ", tag=";
-  if (tag < 0) {
-    os << "any";
-  } else {
-    os << tag;
-  }
-  os << ", comm " << comm_id << ") that no message ever matched";
+  os << "rank " << dst_world << " posted recv(src=" << src << ", tag=" << tag
+     << ", comm " << comm_id << ") that no message ever matched";
   add_finding("orphan-recv", os.str());
 }
 

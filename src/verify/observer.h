@@ -71,8 +71,7 @@ class Observer {
     (void)matched;
   }
   /// `actor` is about to park until a receive matching (comm_id,
-  /// src_world, tag) completes; src_world -1 = any source, tag -1 = any
-  /// tag. Paired with on_wait_end.
+  /// src_world, tag) completes. Paired with on_wait_end.
   virtual void on_wait_begin(int actor, std::uint64_t comm_id,
                              int src_world, int tag) {
     (void)actor;

@@ -2,6 +2,8 @@
 // instrumentation, using explicit hand-built exchange plans.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "io/exchange.h"
 #include "mpi/machine.h"
 #include "node/memory.h"
@@ -59,9 +61,13 @@ struct ExchangeHarness {
     return p;
   }
 
-  /// Two ranks write a strided pattern WITH HOLES into one domain.
-  void run_holey_write(bool sieving, bool hier = false) {
-    machine.run(4, [&](mpi::Rank& rank) {
+  /// Two ranks write a strided pattern WITH HOLES into one domain;
+  /// `late_rank` enters the write `delay` virtual seconds late. Returns the
+  /// per-rank finish times.
+  std::vector<sim::SimTime> run_holey_write(bool sieving, bool hier = false,
+                                            int late_rank = -1,
+                                            double delay = 0.0) {
+    return machine.run(4, [&](mpi::Rank& rank) {
       CollContext ctx;
       ctx.rank = &rank;
       ctx.comm = &rank.world();
@@ -103,6 +109,7 @@ struct ExchangeHarness {
       xplan.real_data = true;
       TwoPhaseExchange exchange(ctx, plan,
                                 std::make_shared<const ExchangePlan>(xplan));
+      if (rank.rank() == late_rank) rank.actor().advance(delay);
       exchange.write();
       rank.world().barrier();
     });
@@ -192,6 +199,40 @@ TEST(Exchange, HierarchyCombinesOnNodeAndMatchesFlat) {
   EXPECT_TRUE(workloads::verify_store(h.fs.store(h.fs.open("/x")), all, 3,
                                       &err))
       << err;
+}
+
+// The aggregator (rank 3) drains extent lists in the canonical (domain,
+// source) order — rank 0 then rank 1 — and charges their receive only
+// after the whole drain. The expected finish times were produced by a
+// drain that received in arrival order, so they pin that the clock does
+// not depend on which list arrives first.
+TEST(Exchange, LateExtentListKeepsFinishTimes) {
+  struct Case {
+    int late_rank;  // enters the write 1 ms late
+    std::vector<sim::SimTime> expected;
+  };
+  const Case cases[] = {
+      // Rank 0's list arrives after rank 1's, against the drain order.
+      {0,
+       {0x1.31ebffe26d679p-6, 0x1.31ebffe26d679p-6, 0x1.31f031a05595p-6,
+        0x1.31e7ce24853a2p-6}},
+      // Arrival order matches the drain order; charging each list as it
+      // is drained would absorb rank 0's receive overhead into the wait
+      // for rank 1.
+      {1,
+       {0x1.31e39c669d0c9p-6, 0x1.31e39c669d0c9p-6, 0x1.31e7ce24853ap-6,
+        0x1.31df6aa8b4df2p-6}},
+  };
+  for (const Case& c : cases) {
+    ExchangeHarness h;
+    const std::vector<sim::SimTime> finish = h.run_holey_write(
+        /*sieving=*/true, /*hier=*/false, c.late_rank, /*delay=*/1e-3);
+    std::ostringstream got;
+    got << std::hexfloat;
+    for (const sim::SimTime t : finish) got << t << ' ';
+    EXPECT_EQ(finish, c.expected) << "late rank " << c.late_rank << ": "
+                                  << got.str();
+  }
 }
 
 // --- hierarchical round trips through the full driver stack ---

@@ -262,6 +262,41 @@ TEST(Auditor, OrphanMessageIsReported) {
   EXPECT_NE(msgs[0].find("tag 99"), std::string::npos) << msgs[0];
   EXPECT_NE(msgs[0].find("never received"), std::string::npos) << msgs[0];
   EXPECT_EQ(audit.auditor().counters().unexpected, 1u);
+
+  // Several leftovers on two tags, one key partly drained: rank 1 takes
+  // the first of three tag-7 messages, so two of them and both tag-8
+  // messages stay queued. Each must be reported exactly once, and the
+  // sweep must report them identically on every run.
+  const auto leftovers = [] {
+    MiniCluster fresh;
+    ScopedAudit a(fresh);
+    fresh.machine().run(2, [](mpi::Rank& rank) {
+      const std::byte b[5] = {};
+      if (rank.rank() == 0) {
+        for (const std::size_t n : {1, 2, 3}) {
+          rank.world().send(1, /*tag=*/7, util::ConstPayload::real(b, n));
+        }
+        for (const std::size_t n : {4, 5}) {
+          rank.world().send(1, /*tag=*/8, util::ConstPayload::real(b, n));
+        }
+      } else {
+        std::byte buf[5];
+        rank.world().recv(0, /*tag=*/7, util::Payload::real(buf, sizeof buf));
+      }
+    });
+    return a.messages_of("orphan-message");
+  };
+  const auto first = leftovers();
+  ASSERT_EQ(first.size(), 4u);
+  for (const char* want : {"tag 7, 2 B", "tag 7, 3 B", "tag 8, 4 B",
+                           "tag 8, 5 B"}) {
+    int seen = 0;
+    for (const std::string& m : first) {
+      seen += m.find(want) != std::string::npos ? 1 : 0;
+    }
+    EXPECT_EQ(seen, 1) << want;
+  }
+  EXPECT_EQ(leftovers(), first);
 }
 
 TEST(Auditor, OrphanRecvIsReported) {
