@@ -237,21 +237,49 @@ util::SharedBytes Comm::allgather_wire_hier(std::span<const std::byte> mine,
   return wire;
 }
 
+std::shared_ptr<const void> Comm::decode_max(
+    const Comm& comm, const std::vector<std::byte>& wire) {
+  std::vector<double> all(static_cast<std::size_t>(comm.size()));
+  comm.parse_wire(wire, sizeof(double),
+                  reinterpret_cast<std::byte*>(all.data()));
+  comm.machine_->count_reduce_pass();
+  return std::make_shared<const double>(
+      *std::max_element(all.begin(), all.end()));
+}
+
+std::shared_ptr<const void> Comm::decode_sum(
+    const Comm& comm, const std::vector<std::byte>& wire) {
+  std::vector<double> all(static_cast<std::size_t>(comm.size()));
+  comm.parse_wire(wire, sizeof(double),
+                  reinterpret_cast<std::byte*>(all.data()));
+  comm.machine_->count_reduce_pass();
+  double s = 0.0;
+  for (const double x : all) s += x;  // rank order: bit-stable doubles
+  return std::make_shared<const double>(s);
+}
+
+namespace {
+
+std::span<const std::byte> bytes_of(const double& v) {
+  return {reinterpret_cast<const std::byte*>(&v), sizeof(v)};
+}
+
+double shared_scalar(const util::SharedBytes& wire) {
+  return *std::static_pointer_cast<const double>(wire->decoded);
+}
+
+}  // namespace
+
 double Comm::allreduce_max_hier(double v) {
-  const auto all = allgather_hier(v);
-  return *std::max_element(all->begin(), all->end());
+  return shared_scalar(allgather_wire_hier(bytes_of(v), &decode_max));
 }
 
 double Comm::allreduce_max(double v) {
-  const auto all = allgather(v);
-  return *std::max_element(all->begin(), all->end());
+  return shared_scalar(allgather_wire(bytes_of(v), &decode_max));
 }
 
 double Comm::allreduce_sum(double v) {
-  const auto all = allgather(v);
-  double s = 0.0;
-  for (const double x : *all) s += x;
-  return s;
+  return shared_scalar(allgather_wire(bytes_of(v), &decode_sum));
 }
 
 }  // namespace mcio::mpi

@@ -1,5 +1,7 @@
 #include "mpi/comm.h"
 
+#include <utility>
+
 #include "mpi/machine.h"
 #include "util/check.h"
 
@@ -68,18 +70,20 @@ void Comm::send(int dst, int tag, util::ConstPayload data) {
   actor.advance(machine_->config().send_overhead);
 }
 
-std::shared_ptr<RecvSlot> Comm::post_recv(int src, int tag,
-                                          util::Payload buf, bool take) {
+RecvSlot* Comm::post_recv(int src, int tag, util::Payload buf, bool take) {
   owner_->actor().sync_local();
   Endpoint& ep = my_endpoint();
-  auto slot = ep.acquire_slot();
+  RecvSlot* slot = ep.acquire_slot();
   slot->comm_id = comm_id_;
   slot->src = src;
   slot->tag = tag;
   slot->buf = buf;
   slot->take = take;
-  if (auto env = ep.take_unexpected(comm_id_, src, tag)) {
-    fulfill(*slot, std::move(*env));
+  EnvelopeSlab& slab = machine_->envelopes();
+  const std::uint32_t p =
+      ep.take_unexpected(MatchKey{comm_id_, src, tag}, slab);
+  if (p != kNoParcel) {
+    fulfill(*slot, slab, p);
   } else {
     ep.post(slot);
   }
@@ -87,9 +91,7 @@ std::shared_ptr<RecvSlot> Comm::post_recv(int src, int tag,
 }
 
 Request Comm::irecv(int src, int tag, util::Payload buf) {
-  Request r;
-  r.slot_ = post_recv(src, tag, buf, /*take=*/false);
-  return r;
+  return Request(post_recv(src, tag, buf, /*take=*/false));
 }
 
 void Comm::recv(int src, int tag, util::Payload buf, Status* status) {
@@ -119,8 +121,7 @@ void Comm::wait(Request& request, Status* status) {
   actor.advance_to(request.slot_->status.arrival);
   actor.advance(machine_->config().recv_overhead);
   if (status != nullptr) *status = request.slot_->status;
-  my_endpoint().release_slot(std::move(request.slot_));
-  request.slot_.reset();
+  my_endpoint().release_slot(std::exchange(request.slot_, nullptr));
 }
 
 void Comm::waitall(std::span<Request> requests) {
@@ -205,10 +206,13 @@ void Comm::send_shm(int dst, int tag, util::ConstPayload data) {
 }
 
 Envelope Comm::take_framed(int src, int tag) {
-  auto slot = post_recv(src, tag, util::Payload{}, /*take=*/true);
+  RecvSlot* slot = post_recv(src, tag, util::Payload{}, /*take=*/true);
   park_until_done(*slot);
-  Envelope env = std::move(slot->taken);
-  my_endpoint().release_slot(std::move(slot));
+  const std::uint32_t p = slot->taken;
+  my_endpoint().release_slot(slot);
+  EnvelopeSlab& slab = machine_->envelopes();
+  Envelope env = std::move(slab.env(p));
+  slab.release(p);
   return env;
 }
 

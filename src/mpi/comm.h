@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "mpi/machine.h"
@@ -19,15 +20,28 @@
 
 namespace mcio::mpi {
 
-/// Handle for a non-blocking receive; it completes on match.
+/// Handle for a non-blocking receive; it completes on match. Move-only:
+/// wait() hands its pooled slot back to the endpoint, so exactly one
+/// handle may own it. A request never waited on keeps its slot until the
+/// run ends.
 class Request {
  public:
   Request() = default;
+  Request(const Request&) = delete;
+  Request& operator=(const Request&) = delete;
+  Request(Request&& other) noexcept
+      : slot_(std::exchange(other.slot_, nullptr)) {}
+  Request& operator=(Request&& other) noexcept {
+    slot_ = std::exchange(other.slot_, nullptr);
+    return *this;
+  }
+
   bool valid() const { return slot_ != nullptr; }
 
  private:
   friend class Comm;
-  std::shared_ptr<RecvSlot> slot_;
+  explicit Request(RecvSlot* slot) : slot_(slot) {}
+  RecvSlot* slot_ = nullptr;
 };
 
 /// A received variable-size blob plus the virtual arrival times of its
@@ -148,9 +162,8 @@ class Comm {
   Endpoint& my_endpoint();
 
   /// Matches (src, tag) against the unexpected queue, or posts a pending
-  /// receive; `take` makes it a blob receive of the whole envelope.
-  std::shared_ptr<RecvSlot> post_recv(int src, int tag, util::Payload buf,
-                                      bool take);
+  /// receive; `take` makes it a blob receive of the whole parcel.
+  RecvSlot* post_recv(int src, int tag, util::Payload buf, bool take);
   /// Decodes a complete allgather wire into its shared form.
   using WireDecoder = std::shared_ptr<const void> (*)(
       const Comm&, const std::vector<std::byte>&);
@@ -159,7 +172,7 @@ class Comm {
   /// protocol) over the transport, or over the node's shm channel.
   void send_framed(int dst, int tag, util::OwnedPayload body, bool shm);
   /// Matches the next framed envelope from (src, tag), parking until one
-  /// arrives; charges nothing.
+  /// arrives, and moves it out of the envelope slab; charges nothing.
   Envelope take_framed(int src, int tag);
   /// Parks until `slot` is matched, telling the observer what this fiber
   /// blocks on so a deadlock report can name the missing message (see
@@ -187,6 +200,12 @@ class Comm {
                   std::byte* out) const;
   template <typename T>
   static std::shared_ptr<const void> decode_fixed(
+      const Comm& comm, const std::vector<std::byte>& wire);
+  /// Wire decoders of the allreduces: the root reduces the gathered
+  /// values once, in rank order, and shares the scalar.
+  static std::shared_ptr<const void> decode_max(
+      const Comm& comm, const std::vector<std::byte>& wire);
+  static std::shared_ptr<const void> decode_sum(
       const Comm& comm, const std::vector<std::byte>& wire);
 
   // Hierarchical plumbing over the group's node topology.

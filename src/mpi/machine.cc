@@ -18,22 +18,40 @@ std::vector<sim::SimTime> Machine::run(
   MCIO_CHECK_MSG(nranks <= cluster_.total_ranks(),
                  "nranks " << nranks << " exceeds cluster slots "
                            << cluster_.total_ranks());
-  endpoints_.assign(static_cast<std::size_t>(nranks), Endpoint{});
+  endpoints_.clear();
+  endpoints_.resize(static_cast<std::size_t>(nranks));
+  envelopes_.clear();
   memo_.clear();
   world_group_ = make_world_group(nranks);
   sim::Engine engine;
   engine.set_observer(observer_);
+  engine.set_timed_sink(&Machine::deliver_now, this);
   engine_ = &engine;
+  struct CountOnExit {
+    Machine* m;
+    const sim::Engine& e;
+    ~CountOnExit() {
+      m->heap_pops_ += e.heap_pops();
+      m->in_place_slices_ += e.in_place_slices();
+    }
+  } count_on_exit{this, engine};
+  ranks_.clear();
+  ranks_.resize(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
     engine.spawn([this, r, &body](sim::Actor& actor) {
-      Rank rank(*this, actor, r);
-      body(rank);
+      // The machine owns the rank context, so a rank whose fiber never
+      // finishes (a deadlocked run) still frees it when the run ends.
+      std::unique_ptr<Rank>& rank = ranks_[static_cast<std::size_t>(r)];
+      rank = std::make_unique<Rank>(*this, actor, r);
+      body(*rank);
+      rank.reset();
     });
   }
   try {
     engine.run();
   } catch (...) {
     engine_ = nullptr;
+    ranks_.clear();
     memo_.clear();
     observer_->on_run_aborted();
     throw;
@@ -43,10 +61,11 @@ std::vector<sim::SimTime> Machine::run(
   // every posted receive matched by the time the run completes.
   for (std::size_t r = 0; r < endpoints_.size(); ++r) {
     const int world = static_cast<int>(r);
-    endpoints_[r].for_each_orphan_message([&](const Envelope& env) {
-      observer_->on_orphan_message(world, env.comm_id, env.src, env.tag,
-                                   env.body.size());
-    });
+    endpoints_[r].for_each_orphan_message(
+        envelopes_, [&](const Envelope& env) {
+          observer_->on_orphan_message(world, env.comm_id, env.src, env.tag,
+                                       env.body.size());
+        });
     endpoints_[r].for_each_orphan_recv([&](const RecvSlot& slot) {
       observer_->on_orphan_recv(world, slot.comm_id, slot.src, slot.tag);
     });
@@ -139,28 +158,28 @@ void Machine::deliver(int world_dst, Envelope env) {
   // that arrived by t, and same-time arrivals match in send order.
   MCIO_CHECK_MSG(engine_ != nullptr, "delivery outside run()");
   const sim::SimTime arrival = env.arrival;
-  engine_->post_at(arrival,
-                   [this, world_dst, env = std::move(env)]() mutable {
-                     deliver_now(world_dst, std::move(env));
-                   });
+  engine_->post_at(arrival, envelopes_.add(std::move(env), world_dst));
 }
 
-void Machine::deliver_now(int world_dst, Envelope env) {
-  Endpoint& ep = endpoint(world_dst);
+void Machine::deliver_now(void* self, std::uint32_t token) {
+  Machine& m = *static_cast<Machine*>(self);
+  const int world_dst = m.envelopes_.dst(token);
+  const Envelope& env = m.envelopes_.env(token);
   const sim::SimTime arrival = env.arrival;
-  const std::shared_ptr<RecvSlot> slot = ep.match_posted(env);
-  observer_->on_message_delivered(env.comm_id, env.src, world_dst, env.tag,
-                                  env.body.size(),
-                                  /*matched=*/slot != nullptr);
-  if (slot) {
-    fulfill(*slot, std::move(env));
-    if (ep.waiting > 0 && engine_ != nullptr &&
-        engine_->is_parked(world_dst)) {
-      engine_->unpark(world_dst, arrival);
+  const MatchKey key{env.comm_id, env.src, env.tag};
+  Endpoint& ep = m.endpoint(world_dst);
+  RecvSlot* slot = ep.match_posted(key);
+  m.observer_->on_message_delivered(env.comm_id, env.src, world_dst,
+                                    env.tag, env.body.size(),
+                                    /*matched=*/slot != nullptr);
+  if (slot != nullptr) {
+    fulfill(*slot, m.envelopes_, token);
+    if (ep.waiting > 0 && m.engine_->is_parked(world_dst)) {
+      m.engine_->unpark(world_dst, arrival);
     }
     return;
   }
-  ep.push_unexpected(std::move(env));
+  ep.push_unexpected(key, token, m.envelopes_);
 }
 
 Endpoint& Machine::endpoint(int world_rank) {

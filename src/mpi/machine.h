@@ -77,6 +77,15 @@ class Machine {
   /// Plans built through share_plan() since construction.
   std::uint64_t plan_builds() const { return plan_builds_; }
 
+  /// Reductions over a gathered allreduce vector since construction: one
+  /// per allreduce, done where the root decodes the shared wire.
+  std::uint64_t reduce_passes() const { return reduce_passes_; }
+
+  /// Scheduler counters summed over every run() since construction (see
+  /// sim::Engine::heap_pops() and in_place_slices()).
+  std::uint64_t heap_pops() const { return heap_pops_; }
+  std::uint64_t in_place_slices() const { return in_place_slices_; }
+
   // --- transport internals (used by Comm) ---
 
   /// Computes the arrival time of `bytes` sent from src_node to
@@ -92,12 +101,18 @@ class Machine {
   sim::SimTime shm_transfer(int node, std::uint64_t bytes,
                             sim::SimTime start);
 
-  /// Delivers an envelope whose arrival is already stamped: the delivery
-  /// applies as a timed event at env.arrival, where it matches a posted
-  /// receive or queues as unexpected and wakes a parked receiver.
+  /// Delivers an envelope whose arrival is already stamped: it is parked
+  /// in the envelope slab, and the delivery applies as a timed event at
+  /// env.arrival, where it matches a posted receive or queues as
+  /// unexpected and wakes a parked receiver.
   void deliver(int world_dst, Envelope env);
 
+  /// Counts one allreduce reduction (reduce_passes()).
+  void count_reduce_pass() { ++reduce_passes_; }
+
   Endpoint& endpoint(int world_rank);
+  /// The run's parked envelopes, named by parcel index.
+  EnvelopeSlab& envelopes() { return envelopes_; }
   sim::Engine& engine();
 
   /// Verification observer for transport and run-lifecycle events (never
@@ -107,13 +122,17 @@ class Machine {
   verify::Observer* observer() const { return observer_; }
 
  private:
-  /// Applies a delivery to the destination endpoint (no scheduling).
-  void deliver_now(int world_dst, Envelope env);
+  /// The engine's timed sink: applies the delivery of parcel `token` to
+  /// its destination endpoint.
+  static void deliver_now(void* self, std::uint32_t token);
   /// The group of world ranks 0..nranks-1 and its node topology.
   std::shared_ptr<const Group> make_world_group(int nranks) const;
 
   sim::Cluster cluster_;
   std::vector<Endpoint> endpoints_;
+  EnvelopeSlab envelopes_;
+  /// Each rank's context while its body runs (see run()).
+  std::vector<std::unique_ptr<Rank>> ranks_;
   std::shared_ptr<const Group> world_group_;
 
   struct MemoEntry {
@@ -125,6 +144,9 @@ class Machine {
   /// Only touched from the engine's thread.
   std::map<std::pair<std::uint64_t, std::uint64_t>, MemoEntry> memo_;
   std::uint64_t plan_builds_ = 0;
+  std::uint64_t reduce_passes_ = 0;
+  std::uint64_t heap_pops_ = 0;
+  std::uint64_t in_place_slices_ = 0;
   sim::Engine* engine_ = nullptr;  // valid during run()
   verify::Observer* observer_;
 };

@@ -1,4 +1,5 @@
-// Message envelopes, receive slots and per-rank endpoints.
+// Message envelopes, the envelope slab, receive slots and per-rank
+// endpoints.
 //
 // Every receive names its communicator, source and tag, so matching is
 // one hash lookup: the endpoint keeps a FIFO per exact
@@ -6,14 +7,20 @@
 // receives. Per-key FIFO order is all MPI's no-overtaking rule asks of
 // fully specified receives.
 //
-// Containers here sit on the per-message hot path, so they are chosen to
-// avoid per-element heap nodes: buckets live in an open-addressed table
-// and queues are vector-backed rings.
+// Everything here sits on the per-message hot path and allocates nothing
+// in steady state. An envelope is parked once, at send time, in the
+// machine's EnvelopeSlab and is named by a 4-byte parcel index from then
+// on: the engine's timed event carries it, the unexpected FIFO chains
+// it, and a blob receive takes it. Both FIFOs are intrusive (linked
+// through the slab's parcels and through pooled receive slots), and the
+// buckets live in an open-addressed table that rehashes without
+// allocating.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <optional>
+#include <deque>
+#include <type_traits>
 #include <vector>
 
 #include "sim/time.h"
@@ -42,30 +49,91 @@ struct Envelope {
   sim::SimTime header_arrival = 0.0;
 };
 
+/// Names no parcel: the end of a FIFO chain or of the free list.
+inline constexpr std::uint32_t kNoParcel = UINT32_MAX;
+
+/// Every envelope of a run between its send and its receive, in one
+/// machine-wide slab: a parcel is claimed at send time, named by its
+/// index while it is in flight and queued, and released when a receive
+/// consumes it. Released parcels chain into an intrusive free list, so a
+/// warm slab serves every later message without allocating.
+class EnvelopeSlab {
+ public:
+  /// Parks `env`, addressed to world rank `dst`; returns its parcel.
+  std::uint32_t add(Envelope env, int dst) {
+    std::uint32_t p = free_;
+    if (p != kNoParcel) {
+      free_ = parcels_[p].next;
+      parcels_[p].env = std::move(env);
+    } else {
+      MCIO_CHECK_LT(parcels_.size(), std::size_t{kNoParcel});
+      p = static_cast<std::uint32_t>(parcels_.size());
+      parcels_.push_back(Parcel{std::move(env)});
+    }
+    parcels_[p].dst = dst;
+    parcels_[p].next = kNoParcel;
+    return p;
+  }
+
+  Envelope& env(std::uint32_t p) { return parcels_[p].env; }
+  const Envelope& env(std::uint32_t p) const { return parcels_[p].env; }
+  /// World rank the parcel is addressed to.
+  int dst(std::uint32_t p) const { return parcels_[p].dst; }
+  /// The parcel's link: the next parcel of its unexpected FIFO.
+  std::uint32_t& next(std::uint32_t p) { return parcels_[p].next; }
+  std::uint32_t next(std::uint32_t p) const { return parcels_[p].next; }
+
+  /// Frees `p`, dropping its body (real bytes or a shared buffer).
+  void release(std::uint32_t p) {
+    parcels_[p].env.body = util::OwnedPayload{};
+    parcels_[p].next = free_;
+    free_ = p;
+  }
+
+  /// Drops every parcel (run start).
+  void clear() {
+    parcels_.clear();
+    free_ = kNoParcel;
+  }
+
+ private:
+  struct Parcel {
+    Envelope env;
+    int dst = -1;
+    std::uint32_t next = kNoParcel;  ///< FIFO link, or free-list link
+  };
+
+  std::vector<Parcel> parcels_;
+  std::uint32_t free_ = kNoParcel;
+};
+
 /// A posted (possibly pending) receive.
 struct RecvSlot {
   std::uint64_t comm_id = 0;
   int src = 0;
   int tag = 0;
   util::Payload buf;
-  /// Blob receive: takes ownership of the whole (framed) envelope instead
-  /// of copying into `buf`.
+  /// Blob receive: takes the whole (framed) parcel instead of copying
+  /// into `buf`.
   bool take = false;
-  Envelope taken;
+  std::uint32_t taken = kNoParcel;  ///< the parcel a blob receive took
   bool done = false;
   Status status;
+  RecvSlot* next = nullptr;  ///< posted-FIFO link, or free-list link
 };
 
-/// Completes a matched receive with `env`: copies bytes (or takes the
-/// envelope for blob receives), fills the status and marks it done.
-/// Shared by delivery (posted match) and irecv (unexpected match).
-inline void fulfill(RecvSlot& slot, Envelope env) {
+/// Completes a matched receive with parcel `p`: fills the status, then
+/// copies the bytes and frees the parcel, or, for a blob receive, hands
+/// the parcel itself to the slot. Shared by delivery (posted match) and
+/// irecv (unexpected match).
+inline void fulfill(RecvSlot& slot, EnvelopeSlab& slab, std::uint32_t p) {
+  const Envelope& env = slab.env(p);
   slot.status = Status{env.src, env.tag, env.body.size(), env.arrival};
   if (slot.take) {
     MCIO_CHECK_MSG(env.framed,
                    "plain message consumed by a blob receive (tag "
                        << env.tag << ")");
-    slot.taken = std::move(env);
+    slot.taken = p;
   } else {
     MCIO_CHECK_MSG(!env.framed,
                    "framed blob delivered into a plain receive (tag "
@@ -80,6 +148,7 @@ inline void fulfill(RecvSlot& slot, Envelope env) {
       util::copy_payload(slot.buf.slice(0, env.body.size()),
                          env.body.view());
     }
+    slab.release(p);
   }
   slot.done = true;
 }
@@ -107,39 +176,13 @@ struct MatchKeyHash {
   }
 };
 
-/// Vector-backed FIFO: push at the tail, pop by advancing a head index.
-/// Capacity is retained across drain cycles, so a steady-state queue stops
-/// allocating entirely (std::deque pays a chunk allocation per cycle).
-template <typename T>
-class RingFifo {
- public:
-  bool empty() const { return head_ == items_.size(); }
-  T& front() { return items_[head_]; }
-  const T& front() const { return items_[head_]; }
-  void push_back(T v) { items_.push_back(std::move(v)); }
-  void pop_front() {
-    if (++head_ == items_.size()) {
-      items_.clear();
-      head_ = 0;
-    }
-  }
-
-  /// Visits queued entries front to back (audit sweeps).
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (std::size_t i = head_; i < items_.size(); ++i) fn(items_[i]);
-  }
-
- private:
-  std::vector<T> items_;
-  std::size_t head_ = 0;
-};
-
-/// Open-addressed hash map from MatchKey to a queue type. Collective tags
-/// are never reused, so buckets are born and die constantly: node-based
-/// maps pay an allocation per bucket lifetime, while this table marks dead
-/// cells as tombstones (keeping the queue's capacity for the next tenant)
-/// and compacts them away on rehash.
+/// Open-addressed hash map from MatchKey to a small trivially copyable
+/// value (an intrusive FIFO's head and tail). Collective tags are never
+/// reused, so buckets are born and die constantly: dead cells become
+/// tombstones, compacted away on rehash. A rehash that keeps the table
+/// size (tombstones were the bulk of the load) copies the live cells
+/// through a retained per-thread spare array, so a steady-state table
+/// never allocates.
 template <typename V>
 class MatchMap {
  public:
@@ -154,7 +197,7 @@ class MatchMap {
     }
   }
 
-  /// The live value for `k`, inserting an empty one if absent.
+  /// The live value for `k`, inserting a default one if absent.
   V& get_or_create(const MatchKey& k) {
     if (8 * (used_ + 1) > 5 * cells_.size()) grow();
     std::size_t i = MatchKeyHash{}(k) & mask_;
@@ -165,10 +208,9 @@ class MatchMap {
         const std::size_t at = first_tomb != SIZE_MAX ? first_tomb : i;
         Cell& dst = cells_[at];
         if (dst.state == kEmpty) ++used_;  // tombstones stay counted
-        dst.key = k;
-        dst.state = kLive;
+        dst = Cell{k, V{}, kLive};
         ++live_;
-        return dst.value;  // empty: fresh, or drained by the last tenant
+        return dst.value;
       }
       if (c.state == kLive && c.key == k) return c.value;
       if (c.state == kTomb && first_tomb == SIZE_MAX) first_tomb = i;
@@ -176,9 +218,7 @@ class MatchMap {
     }
   }
 
-  /// Marks `k` dead. Only called once its queue has drained, so the cell's
-  /// value (and its capacity) can be handed to the next key that probes
-  /// here.
+  /// Marks `k` dead. Only called once its queue has drained.
   void erase(const MatchKey& k) {
     std::size_t i = MatchKeyHash{}(k) & mask_;
     while (true) {
@@ -210,23 +250,31 @@ class MatchMap {
     V value;
     std::uint8_t state = kEmpty;
   };
+  static_assert(std::is_trivially_copyable_v<Cell>);
 
   void grow() {
-    // Double when genuinely full; rehash in place when tombstones are the
-    // bulk of the load.
+    // Double when genuinely full; rehash at the same size when tombstones
+    // are the bulk of the load.
     std::size_t n = cells_.empty() ? 64 : cells_.size();
     if (4 * live_ >= cells_.size()) n *= 2;
-    std::vector<Cell> old = std::move(cells_);
-    cells_.assign(n, Cell{});
+    // The spare is shared by every table on this thread: the engine runs
+    // a whole simulation on one thread and rehashes one table at a time.
+    thread_local std::vector<Cell> spare;
+    spare.clear();
+    for (const Cell& c : cells_) {
+      if (c.state == kLive) spare.push_back(c);
+    }
+    if (cells_.size() == n) {
+      std::fill(cells_.begin(), cells_.end(), Cell{});
+    } else {
+      cells_.assign(n, Cell{});
+    }
     mask_ = n - 1;
     used_ = live_;
-    for (Cell& c : old) {
-      if (c.state != kLive) continue;
+    for (const Cell& c : spare) {
       std::size_t i = MatchKeyHash{}(c.key) & mask_;
       while (cells_[i].state != kEmpty) i = (i + 1) & mask_;
-      cells_[i].key = c.key;
-      cells_[i].value = std::move(c.value);
-      cells_[i].state = kLive;
+      cells_[i] = c;
     }
   }
 
@@ -237,94 +285,120 @@ class MatchMap {
 };
 
 /// Per-world-rank message state: the unexpected-message and posted-receive
-/// queues, one FIFO per exact (comm_id, src, tag) key.
+/// FIFOs, one per exact (comm_id, src, tag) key, and the rank's pool of
+/// receive slots.
 class Endpoint {
  public:
+  Endpoint() = default;
+  Endpoint(const Endpoint&) = delete;
+  Endpoint& operator=(const Endpoint&) = delete;
+  Endpoint(Endpoint&&) = default;
+  Endpoint& operator=(Endpoint&&) = default;
+
   /// Number of wait() loops currently parked on this endpoint.
   int waiting = 0;
 
-  /// Queues an envelope that matched no posted receive.
-  void push_unexpected(Envelope env) {
-    unexpected_.get_or_create(MatchKey{env.comm_id, env.src, env.tag})
-        .push_back(std::move(env));
+  /// Queues parcel `p`, which matched no posted receive, under `key`.
+  void push_unexpected(const MatchKey& key, std::uint32_t p,
+                       EnvelopeSlab& slab) {
+    ParcelFifo& q = unexpected_.get_or_create(key);
+    if (q.head == kNoParcel) {
+      q.head = p;
+    } else {
+      slab.next(q.tail) = p;
+    }
+    q.tail = p;
+    slab.next(p) = kNoParcel;
   }
 
-  /// Removes and returns the oldest queued envelope from (comm_id, src,
-  /// tag), or nullopt if none.
-  std::optional<Envelope> take_unexpected(std::uint64_t comm_id, int src,
-                                          int tag) {
-    return pop(unexpected_, MatchKey{comm_id, src, tag});
+  /// Removes and returns the oldest parcel queued under `key`, or
+  /// kNoParcel if none.
+  std::uint32_t take_unexpected(const MatchKey& key,
+                                const EnvelopeSlab& slab) {
+    ParcelFifo* q = unexpected_.find(key);
+    if (q == nullptr) return kNoParcel;
+    const std::uint32_t p = q->head;
+    q->head = slab.next(p);
+    if (q->head == kNoParcel) unexpected_.erase(key);
+    return p;
   }
 
   /// Registers a pending receive.
-  void post(std::shared_ptr<RecvSlot> slot) {
-    const MatchKey key{slot->comm_id, slot->src, slot->tag};
-    posted_.get_or_create(key).push_back(std::move(slot));
-  }
-
-  /// Removes and returns the oldest posted receive for `env`'s key, or
-  /// nullptr when none is pending.
-  std::shared_ptr<RecvSlot> match_posted(const Envelope& env) {
-    return pop(posted_, MatchKey{env.comm_id, env.src, env.tag})
-        .value_or(nullptr);
-  }
-
-  /// Recycled receive slots: a blocking receive allocates a slot, parks,
-  /// and frees it before returning, so one warm slot serves millions of
-  /// receives. Slots still referenced by a live Request are skipped.
-  std::shared_ptr<RecvSlot> acquire_slot() {
-    while (!slot_pool_.empty()) {
-      std::shared_ptr<RecvSlot> s = std::move(slot_pool_.back());
-      slot_pool_.pop_back();
-      if (s.use_count() != 1) continue;  // a Request still holds it
-      s->take = false;
-      s->done = false;
-      s->taken = Envelope{};
-      s->status = Status{};
-      return s;
+  void post(RecvSlot* slot) {
+    SlotFifo& q =
+        posted_.get_or_create(MatchKey{slot->comm_id, slot->src, slot->tag});
+    if (q.head == nullptr) {
+      q.head = slot;
+    } else {
+      q.tail->next = slot;
     }
-    return std::make_shared<RecvSlot>();
+    q.tail = slot;
+    slot->next = nullptr;
   }
 
-  void release_slot(std::shared_ptr<RecvSlot> s) {
-    if (slot_pool_.size() < 1024) slot_pool_.push_back(std::move(s));
+  /// Removes and returns the oldest posted receive for `key`, or nullptr
+  /// when none is pending.
+  RecvSlot* match_posted(const MatchKey& key) {
+    SlotFifo* q = posted_.find(key);
+    if (q == nullptr) return nullptr;
+    RecvSlot* slot = q->head;
+    q->head = slot->next;
+    if (q->head == nullptr) posted_.erase(key);
+    return slot;
   }
 
-  /// End-of-run audit sweep: visits every delivered envelope still queued
+  /// A fresh receive slot from the pool: a blocking receive takes one,
+  /// parks, and gives it back before returning, so one warm slot serves
+  /// millions of receives.
+  RecvSlot* acquire_slot() {
+    if (free_slots_ == nullptr) return &slots_.emplace_back();
+    RecvSlot* s = free_slots_;
+    free_slots_ = s->next;
+    *s = RecvSlot{};
+    return s;
+  }
+
+  /// Returns a completed slot to the pool.
+  void release_slot(RecvSlot* s) {
+    s->next = free_slots_;
+    free_slots_ = s;
+  }
+
+  /// End-of-run audit sweep: visits every delivered parcel still queued
   /// as unexpected (no receive ever matched it).
   template <typename Fn>
-  void for_each_orphan_message(Fn&& fn) const {
-    unexpected_.for_each([&fn](const MatchKey&, const RingFifo<Envelope>& q) {
-      q.for_each(fn);
+  void for_each_orphan_message(const EnvelopeSlab& slab, Fn&& fn) const {
+    unexpected_.for_each([&](const MatchKey&, const ParcelFifo& q) {
+      for (std::uint32_t p = q.head; p != kNoParcel; p = slab.next(p)) {
+        fn(slab.env(p));
+      }
     });
   }
 
   /// End-of-run audit sweep: visits every posted receive still pending
-  /// (no message ever matched it), as RecvSlots.
+  /// (no message ever matched it).
   template <typename Fn>
   void for_each_orphan_recv(Fn&& fn) const {
-    posted_.for_each([&fn](const MatchKey&,
-                           const RingFifo<std::shared_ptr<RecvSlot>>& q) {
-      q.for_each([&fn](const std::shared_ptr<RecvSlot>& s) { fn(*s); });
+    posted_.for_each([&fn](const MatchKey&, const SlotFifo& q) {
+      for (const RecvSlot* s = q.head; s != nullptr; s = s->next) fn(*s);
     });
   }
 
  private:
-  /// Pops the front of `key`'s queue, dropping the key once it drains.
-  template <typename T>
-  static std::optional<T> pop(MatchMap<RingFifo<T>>& map,
-                              const MatchKey& key) {
-    RingFifo<T>* q = map.find(key);
-    if (q == nullptr) return std::nullopt;
-    T v = std::move(q->front());
-    q->pop_front();
-    if (q->empty()) map.erase(key);
-    return v;
-  }
+  struct ParcelFifo {
+    std::uint32_t head = kNoParcel;
+    std::uint32_t tail = kNoParcel;
+  };
+  struct SlotFifo {
+    RecvSlot* head = nullptr;
+    RecvSlot* tail = nullptr;
+  };
 
-  MatchMap<RingFifo<Envelope>> unexpected_;
-  MatchMap<RingFifo<std::shared_ptr<RecvSlot>>> posted_;
-  std::vector<std::shared_ptr<RecvSlot>> slot_pool_;
+  MatchMap<ParcelFifo> unexpected_;
+  MatchMap<SlotFifo> posted_;
+  /// Slot storage; a deque keeps every slot's address stable.
+  std::deque<RecvSlot> slots_;
+  RecvSlot* free_slots_ = nullptr;
 };
 
 }  // namespace mcio::mpi

@@ -19,15 +19,9 @@ void Actor::advance(SimTime dt) {
 
 void Actor::advance_to(SimTime t) { clock_ = std::max(clock_, t); }
 
-void Actor::sync() {
-  engine_->enqueue_slice(id_, /*kind=*/2);
-  engine_->yield_from(id_);
-}
+void Actor::sync() { engine_->next_slice(id_, /*kind=*/2); }
 
-void Actor::sync_local() {
-  engine_->enqueue_slice(id_, /*kind=*/1);
-  engine_->yield_from(id_);
-}
+void Actor::sync_local() { engine_->next_slice(id_, /*kind=*/1); }
 
 void Actor::park() {
   auto& slot = engine_->actors_[static_cast<std::size_t>(id_)];
@@ -65,11 +59,17 @@ int Engine::spawn(std::function<void(Actor&)> body) {
   return id;
 }
 
-void Engine::post_at(SimTime t, std::function<void()> apply) {
+void Engine::set_timed_sink(TimedSink sink, void* ctx) {
+  timed_sink_ = sink;
+  timed_ctx_ = ctx;
+}
+
+void Engine::post_at(SimTime t, std::uint32_t token) {
   MCIO_CHECK_MSG(exec_.slice, "post_at() outside a fiber slice");
+  MCIO_CHECK_MSG(timed_sink_ != nullptr, "post_at() without a timed sink");
   MCIO_CHECK_GE(t, exec_.t - kSlackTolerance);
   const Key key{t, /*kind=*/0, exec_.src, exec_.next_seq++};
-  heap_.push(Event{key, -1, std::move(apply)});
+  heap_.push(Event{key, -1, token});
 }
 
 void Engine::body_wrapper(int id, const std::function<void(Actor&)>& body) {
@@ -97,21 +97,22 @@ void Engine::run() {
           body_wrapper(id, body);
         },
         &main_ctx_);
-    heap_.push(Event{Key{0.0, /*kind=*/2, id, -1}, id, {}});
+    heap_.push(Event{Key{0.0, /*kind=*/2, id, -1}, id});
   }
   pending_bodies_.clear();
   observer_->on_engine_start(static_cast<int>(actors_.size()));
 
   while (!heap_.empty()) {
-    Event ev = std::move(const_cast<Event&>(heap_.top()));
+    const Event ev = heap_.top();
     heap_.pop();
-    run_event(std::move(ev));
+    ++heap_pops_;
+    run_event(ev);
     if (error_) std::rethrow_exception(error_);
   }
   check_no_deadlock();
 }
 
-void Engine::run_event(Event ev) {
+void Engine::run_event(const Event& ev) {
   if (ev.actor >= 0) {
     auto& slot = actors_[static_cast<std::size_t>(ev.actor)];
     exec_ = ExecCtx{ev.key.t, ev.actor, slot.next_seq, /*slice=*/true};
@@ -124,7 +125,7 @@ void Engine::run_event(Event ev) {
     // Timed events (message deliveries) may wake their target but never
     // emit further events.
     exec_ = ExecCtx{ev.key.t, ev.key.a, ev.key.b + 1, /*slice=*/false};
-    ev.apply();
+    timed_sink_(timed_ctx_, ev.token);
   }
   exec_ = ExecCtx{};
 }
@@ -177,10 +178,25 @@ void Engine::yield_from(int id) {
   actors_[static_cast<std::size_t>(id)].fiber->yield_to(&main_ctx_);
 }
 
+void Engine::next_slice(int id, int kind) {
+  const SimTime now = actors_[static_cast<std::size_t>(id)].actor->now();
+  if (heap_.empty() || Key{now, kind, id, -1} < heap_.top().key) {
+    // The heap would hand this very slice back: continue in place (see
+    // the file comment), keeping the slice boundary visible.
+    ++in_place_slices_;
+    observer_->on_actor_yielded(id, now);
+    observer_->on_actor_resumed(id, now);
+    exec_.t = now;
+    return;
+  }
+  enqueue_slice(id, kind);
+  yield_from(id);
+}
+
 void Engine::enqueue_slice(int id, int kind) {
   auto& slot = actors_[static_cast<std::size_t>(id)];
   slot.state = State::kReady;
-  heap_.push(Event{Key{slot.actor->now(), kind, id, -1}, id, {}});
+  heap_.push(Event{Key{slot.actor->now(), kind, id, -1}, id});
 }
 
 }  // namespace mcio::sim

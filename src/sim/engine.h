@@ -7,10 +7,14 @@
 // so every interaction executes in a single deterministic total order:
 // the simulation is causal and bit-for-bit reproducible.
 //
-// Events. The heap holds three kinds of events, ordered by the key
+// Events. An event is plain data, {key, actor, token}: no closure and no
+// heap allocation. The heap holds three kinds, ordered by the key
 // (t, kind, a, b) (Key, below):
 //   - timed events (kind 0): message deliveries applied at their arrival
-//     time, keyed (arrival, stamping actor, seq);
+//     time, keyed (arrival, stamping actor, seq). A timed event carries
+//     an opaque 32-bit token that the engine hands to the one timed sink
+//     its owner registered (set_timed_sink); the machine's token indexes
+//     its pooled envelope slab;
 //   - local slices (kind 1): fiber resumptions enqueued by sync_local()
 //     and park wakeups, keyed (clock, actor id);
 //   - global slices (kind 2): fiber resumptions enqueued by sync() and
@@ -21,11 +25,21 @@
 // arrived at t), and message-path slices (sync_local) run before slices
 // that touch machine-wide state such as the PFS or the memory managers
 // (sync). The committed figures are computed under exactly this
-// interleaving. A slice's same-time
-// re-enqueue orders after the slice itself, post_at() never schedules
-// behind the posting slice's time, and the engine clamps unpark wake
-// times to the executing event's time, so virtual time never runs
-// backwards in the pop order.
+// interleaving. A slice's same-time re-enqueue orders after the slice
+// itself, post_at() never schedules behind the posting slice's time, and
+// the engine clamps unpark wake times to the executing event's time, so
+// virtual time never runs backwards in the pop order.
+//
+// In-place continuation. When sync() or sync_local() would enqueue a
+// slice whose key (clock, kind, id, -1) is strictly below the heap's
+// minimum (or the heap is empty), the scheduler's next pop would be that
+// very slice: nothing else runs between the push and the pop, and keys
+// are unique, so the comparison the heap would make is already decided.
+// The actor then continues without leaving its fiber: the observer still
+// sees the slice end and the next one begin (on_actor_yielded, then
+// on_actor_resumed, at the same clock), the executing event's time moves
+// to the new slice, and the push, the pop and two fiber switches are
+// skipped. The pop order, and so every simulated result, is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -129,12 +143,27 @@ class Engine {
 
   std::size_t num_actors() const { return actors_.size(); }
 
-  /// Schedules a timed event applied at virtual time `t`, keyed
-  /// (t, stamping actor, seq). The machine uses this to apply message
-  /// deliveries at their arrival time. Only a slice may post (a timed
-  /// event never emits further events), and `t` must be >= the slice's
-  /// time.
-  void post_at(SimTime t, std::function<void()> apply);
+  /// Receives the token of each timed event when it pops.
+  using TimedSink = void (*)(void* ctx, std::uint32_t token);
+
+  /// Registers the one sink every timed event is handed to. Must be set
+  /// before the first post_at().
+  void set_timed_sink(TimedSink sink, void* ctx);
+
+  /// Schedules a timed event at virtual time `t`, keyed (t, stamping
+  /// actor, seq); when it pops, the timed sink receives `token`. The
+  /// machine uses this to apply message deliveries at their arrival
+  /// time. Only a slice may post (a timed event never emits further
+  /// events), and `t` must be >= the slice's time.
+  void post_at(SimTime t, std::uint32_t token);
+
+  /// Events popped from the heap so far (slices and timed events).
+  std::uint64_t heap_pops() const { return heap_pops_; }
+  /// Slices that continued in place instead of round-tripping through
+  /// the heap (see the file comment). Every slice is either popped or
+  /// continued, so heap_pops() + in_place_slices() = slices + timed
+  /// events.
+  std::uint64_t in_place_slices() const { return in_place_slices_; }
 
   /// Virtual time at which each actor finished (valid after run()).
   const std::vector<SimTime>& finish_times() const { return finish_times_; }
@@ -168,15 +197,16 @@ class Engine {
   };
 
   /// One schedulable event: a fiber slice (actor >= 0) or a timed
-  /// closure (actor < 0, apply non-empty).
+  /// event (actor < 0) whose token goes to the timed sink.
   struct Event {
     Key key;
     int actor = -1;
-    std::function<void()> apply;
+    std::uint32_t token = 0;
     friend bool operator>(const Event& x, const Event& y) {
       return y.key < x.key;
     }
   };
+  static_assert(sizeof(Event) <= 40, "events stay small plain data");
 
   /// The executing event, for stamping post_at() keys and clamping
   /// unpark() wake times. `src` is -1 outside any event.
@@ -188,10 +218,13 @@ class Engine {
   };
 
   void yield_from(int id);  // fiber -> scheduler
+  /// Ends the running slice of `id` and starts its next one of `kind`,
+  /// in place when that slice would be popped next.
+  void next_slice(int id, int kind);
   void enqueue_slice(int id, int kind);
   void body_wrapper(int id, const std::function<void(Actor&)>& body);
-  /// Executes one popped event (slice or timed closure).
-  void run_event(Event ev);
+  /// Executes one popped event (slice or timed event).
+  void run_event(const Event& ev);
   void check_no_deadlock();
 
   Options options_;
@@ -200,6 +233,10 @@ class Engine {
   std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
   FiberContext main_ctx_{};
   ExecCtx exec_;
+  TimedSink timed_sink_ = nullptr;
+  void* timed_ctx_ = nullptr;
+  std::uint64_t heap_pops_ = 0;
+  std::uint64_t in_place_slices_ = 0;
   verify::Observer* observer_;
   std::exception_ptr error_;
   std::vector<SimTime> finish_times_;

@@ -112,7 +112,41 @@ void Fiber::yield_to(FiberContext* to) { mcio_fiber_switch(&ctx_, *to); }
 
 #else  // portable ucontext fallback
 
+#if defined(__SANITIZE_ADDRESS__)
+#define MCIO_ASAN_FIBERS 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define MCIO_ASAN_FIBERS 1
+#endif
+#endif
+#if defined(MCIO_ASAN_FIBERS)
+#include <sanitizer/common_interface_defs.h>
+#endif
+
 namespace mcio::sim {
+
+namespace {
+
+// ASan tracks one stack per thread. Announcing every switch between the
+// scheduler's stack and a fiber's keeps its view current, so a check that
+// throws inside a fiber unpoisons the fiber's stack, not the scheduler's.
+void start_switch([[maybe_unused]] void** fake_stack,
+                  [[maybe_unused]] const void* bottom,
+                  [[maybe_unused]] std::size_t size) {
+#if defined(MCIO_ASAN_FIBERS)
+  __sanitizer_start_switch_fiber(fake_stack, bottom, size);
+#endif
+}
+
+void finish_switch([[maybe_unused]] void* fake_stack,
+                   [[maybe_unused]] const void** bottom_old,
+                   [[maybe_unused]] std::size_t* size_old) {
+#if defined(MCIO_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(fake_stack, bottom_old, size_old);
+#endif
+}
+
+}  // namespace
 
 // makecontext() can only pass integer arguments, so the Fiber pointer
 // crosses as two 32-bit halves. The split/reassembly is only sound on
@@ -138,8 +172,11 @@ void Fiber::trampoline(unsigned hi, unsigned lo) {
                              static_cast<std::uint64_t>(lo);
   auto* self =
       reinterpret_cast<Fiber*>(static_cast<std::uintptr_t>(bits));
+  finish_switch(nullptr, &self->link_bottom_, &self->link_size_);
   self->body_();
-  // Returning lets ucontext fall through to ctx_.uc_link (the scheduler).
+  // Returning lets ucontext fall through to ctx_.uc_link (the scheduler);
+  // the null fake-stack slot tells ASan this fiber is done.
+  start_switch(nullptr, self->link_bottom_, self->link_size_);
 }
 
 Fiber::Fiber(std::size_t stack_bytes, std::function<void()> body,
@@ -163,11 +200,17 @@ Fiber::Fiber(std::size_t stack_bytes, std::function<void()> body,
 }
 
 void Fiber::resume_from(FiberContext* from) {
+  void* fake_stack = nullptr;
+  start_switch(&fake_stack, stack_.base(), stack_.usable_bytes());
   MCIO_CHECK_EQ(swapcontext(from, &ctx_), 0);
+  finish_switch(fake_stack, nullptr, nullptr);
 }
 
 void Fiber::yield_to(FiberContext* to) {
+  void* fake_stack = nullptr;
+  start_switch(&fake_stack, link_bottom_, link_size_);
   MCIO_CHECK_EQ(swapcontext(&ctx_, to), 0);
+  finish_switch(fake_stack, &link_bottom_, &link_size_);
 }
 
 }  // namespace mcio::sim

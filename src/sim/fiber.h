@@ -90,6 +90,10 @@ class Fiber {
   friend void run_fiber_trampoline(Fiber* self);
 #else
   static void trampoline(unsigned hi, unsigned lo);
+  /// The stack of the context that resumed this fiber, as ASan last saw
+  /// it (read and written only in sanitizer builds).
+  const void* link_bottom_ = nullptr;
+  std::size_t link_size_ = 0;
 #endif
 
   FiberStack stack_;

@@ -25,6 +25,7 @@ namespace {
 thread_local std::int64_t tls_live = 0;
 thread_local std::int64_t tls_peak = 0;
 thread_local std::uint64_t tls_allocated = 0;
+thread_local std::uint64_t tls_allocations = 0;
 
 std::size_t block_size(void* p, [[maybe_unused]] std::size_t requested) {
 #if defined(MCIO_HAVE_MALLOC_USABLE_SIZE)
@@ -40,6 +41,7 @@ void note_alloc(void* p, std::size_t requested) {
   const auto n = static_cast<std::int64_t>(block_size(p, requested));
   tls_live += n;
   tls_allocated += static_cast<std::uint64_t>(n);
+  ++tls_allocations;
   if (tls_live > tls_peak) tls_peak = tls_live;
 }
 
@@ -83,6 +85,7 @@ void reset() {
   tls_live = 0;
   tls_peak = 0;
   tls_allocated = 0;
+  tls_allocations = 0;
 }
 
 std::int64_t live_bytes() { return tls_live; }
@@ -92,6 +95,8 @@ std::uint64_t peak_bytes() {
 }
 
 std::uint64_t allocated_bytes() { return tls_allocated; }
+
+std::uint64_t allocations() { return tls_allocations; }
 
 }  // namespace mcio::util::memtrack
 

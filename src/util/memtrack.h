@@ -35,4 +35,7 @@ std::uint64_t peak_bytes();
 /// Total bytes ever allocated on this thread since reset().
 std::uint64_t allocated_bytes();
 
+/// Number of allocations made on this thread since reset().
+std::uint64_t allocations();
+
 }  // namespace mcio::util::memtrack

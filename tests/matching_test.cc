@@ -1,9 +1,11 @@
 // Message-matching semantics the O(1) endpoint must preserve: per-
 // (communicator, source, tag) FIFO order under heavy interleaving,
-// unexpected/posted crossover, collective-tag reservation at the 28-bit
-// wrap boundary, and end-to-end determinism of a figure-shaped run.
+// unexpected/posted crossover, allocation-free bucket churn,
+// collective-tag reservation at the 28-bit wrap boundary, and end-to-end
+// determinism of a figure-shaped run.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <iomanip>
 #include <sstream>
@@ -17,6 +19,7 @@
 #include "mpi/machine.h"
 #include "node/memory.h"
 #include "pfs/pfs.h"
+#include "util/memtrack.h"
 #include "workloads/ior.h"
 
 namespace mcio::mpi {
@@ -43,6 +46,35 @@ std::int32_t recv_i32(Comm& comm, int src, int tag,
                                 sizeof(v)),
             status);
   return v;
+}
+
+// Collective tags are never reused, so matching buckets are born and die
+// constantly and tombstones force periodic same-size rehashes. Once warm,
+// the table rehashes through its retained spare without allocating.
+TEST(Matching, MatchMapChurnDoesNotAllocate) {
+  struct Fifo {
+    std::uint32_t head = 0;
+    std::uint32_t tail = 0;
+  };
+  constexpr int kLive = 8;
+  MatchMap<Fifo> map;
+  const auto key = [](int tag) { return MatchKey{1, tag % 7, tag}; };
+  const auto churn = [&](int from, int to) {
+    for (int tag = from; tag < to; ++tag) {
+      map.get_or_create(key(tag)).head = static_cast<std::uint32_t>(tag);
+      if (tag >= kLive) map.erase(key(tag - kLive));
+    }
+  };
+  churn(0, 1000);  // warm: the table and the rehash spare
+  util::memtrack::reset();
+  churn(1000, 20000);
+  EXPECT_EQ(util::memtrack::allocations(), 0u);
+  for (int tag = 20000 - kLive; tag < 20000; ++tag) {
+    const Fifo* f = map.find(key(tag));
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(f->head, static_cast<std::uint32_t>(tag));
+  }
+  EXPECT_EQ(map.find(key(20000 - kLive - 1)), nullptr);
 }
 
 // Many live (source, tag) keys at once, receives posted in a different

@@ -41,8 +41,10 @@ TEST(Memtrack, AllocatedBytesAccumulates) {
     std::vector<char> v(1 << 16);
     v[0] = 1;
   }
+  const std::uint64_t count = memtrack::allocations();
   // Four sequential 64 KiB blocks: ~256 KiB total allocated, but only
   // one alive at a time, so the peak is far below the running total.
+  EXPECT_EQ(count, 4u);
   EXPECT_GE(memtrack::allocated_bytes(), 4u << 16);
   EXPECT_LT(memtrack::peak_bytes(), 3u << 16);
 }

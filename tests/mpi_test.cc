@@ -352,6 +352,25 @@ TEST(Comm, HierCollectivesMatchFlat) {
   }
 }
 
+TEST(Comm, AllreduceReducesOncePerCollective) {
+  // The root reduces the gathered values once and every rank reads the
+  // shared scalar; the sum still runs left to right in rank order, so it
+  // is the same double a serial loop computes.
+  constexpr int kRanks = 13;
+  double serial = 0.0;
+  for (int r = 0; r < kRanks; ++r) serial += 0.1 * (r + 1);
+  Machine machine(small_cluster(4, 4));
+  machine.run(kRanks, [serial](Rank& rank) {
+    Comm& c = rank.world();
+    const double mine = 0.1 * (rank.rank() + 1);
+    EXPECT_EQ(c.allreduce_sum(mine), serial);
+    EXPECT_EQ(c.allreduce_max(mine), 0.1 * kRanks);
+    EXPECT_EQ(c.allreduce_max_hier(-mine), -0.1);
+    (void)c.allgather(rank.rank());  // a plain allgather reduces nothing
+  });
+  EXPECT_EQ(machine.reduce_passes(), 3u);
+}
+
 TEST(Machine, FinishTimesDeterministic) {
   const auto once = [] {
     Machine machine(small_cluster());

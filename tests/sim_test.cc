@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -17,6 +20,31 @@
 
 namespace mcio::sim {
 namespace {
+
+/// The engine's timed sink for these tests: each posted closure is kept,
+/// and its index is the timed event's token.
+class ClosureSink {
+ public:
+  explicit ClosureSink(Engine& engine) : engine_(engine) {
+    engine.set_timed_sink(&ClosureSink::apply, this);
+  }
+  ClosureSink(const ClosureSink&) = delete;
+  ClosureSink& operator=(const ClosureSink&) = delete;
+
+  void post_at(SimTime t, std::function<void()> fn) {
+    const auto token = static_cast<std::uint32_t>(fns_.size());
+    fns_.push_back(std::move(fn));
+    engine_.post_at(t, token);
+  }
+
+ private:
+  static void apply(void* self, std::uint32_t token) {
+    static_cast<ClosureSink*>(self)->fns_[token]();
+  }
+
+  Engine& engine_;
+  std::deque<std::function<void()>> fns_;  // stable while one runs
+};
 
 TEST(Engine, RunsActorsToCompletion) {
   Engine engine;
@@ -122,6 +150,7 @@ TEST(Engine, EqualTimeOrderIsDeliveryThenLocalThenGlobal) {
   // same-time re-enqueue runs after the slice itself and after the
   // delivery that slice posted.
   Engine engine;
+  ClosureSink sink(engine);
   std::vector<std::string> log;
   engine.spawn([&log](Actor& a) {
     a.advance(1.0);
@@ -130,16 +159,16 @@ TEST(Engine, EqualTimeOrderIsDeliveryThenLocalThenGlobal) {
     a.sync();
     log.push_back("global0 again");
   });
-  engine.spawn([&log, &engine](Actor& a) {
+  engine.spawn([&log, &sink](Actor& a) {
     a.advance(1.0);
     a.sync_local();
     log.push_back("local1");
-    engine.post_at(1.0, [&log] { log.push_back("delivery from 1"); });
+    sink.post_at(1.0, [&log] { log.push_back("delivery from 1"); });
     a.sync_local();
     log.push_back("local1 again");
   });
-  engine.spawn([&log, &engine](Actor&) {
-    engine.post_at(1.0, [&log] { log.push_back("delivery from 2"); });
+  engine.spawn([&log, &sink](Actor&) {
+    sink.post_at(1.0, [&log] { log.push_back("delivery from 2"); });
   });
   engine.spawn([&log](Actor& a) {
     a.advance(1.0);
@@ -204,18 +233,19 @@ TEST(Engine, SameTimeDeliveriesApplyInStampOrder) {
   // by actor id first, whatever the virtual time they were posted at,
   // then in each actor's program order, across its slices too.
   Engine engine;
+  ClosureSink sink(engine);
   std::vector<std::string> log;
-  engine.spawn([&log, &engine](Actor& a) {
+  engine.spawn([&log, &sink](Actor& a) {
     a.advance(1.0);
     a.sync();
-    engine.post_at(2.0, [&log] { log.push_back("0 first slice"); });
+    sink.post_at(2.0, [&log] { log.push_back("0 first slice"); });
     a.sync();
-    engine.post_at(2.0, [&log] { log.push_back("0 second slice"); });
+    sink.post_at(2.0, [&log] { log.push_back("0 second slice"); });
   });
-  engine.spawn([&log, &engine](Actor&) {
-    engine.post_at(2.0, [&log] { log.push_back("1a"); });
-    engine.post_at(2.0, [&log] { log.push_back("1b"); });
-    engine.post_at(1.5, [&log] { log.push_back("1 earlier"); });
+  engine.spawn([&log, &sink](Actor&) {
+    sink.post_at(2.0, [&log] { log.push_back("1a"); });
+    sink.post_at(2.0, [&log] { log.push_back("1b"); });
+    sink.post_at(1.5, [&log] { log.push_back("1 earlier"); });
   });
   engine.run();
   const std::vector<std::string> expected = {
@@ -235,10 +265,11 @@ struct FloodResult {
 
 FloodResult run_flood() {
   Engine engine;
+  ClosureSink sink(engine);
   FloodResult out;
   constexpr int kActors = 8;
   for (int i = 0; i < kActors; ++i) {
-    engine.spawn([i, &engine, &out](Actor& a) {
+    engine.spawn([i, &sink, &out](Actor& a) {
       int seq = 0;
       for (int k = 0; k < 10; ++k) {
         a.advance(0.001 * ((i + k) % 4 + 1));
@@ -247,7 +278,7 @@ FloodResult run_flood() {
           if (target == i) continue;
           const SimTime arrival = a.now() + 0.0005 * ((i + target + k) % 3 + 1);
           ++out.posted;
-          engine.post_at(arrival, [arrival, i, s = seq++, target, &out] {
+          sink.post_at(arrival, [arrival, i, s = seq++, target, &out] {
             out.log.emplace_back(arrival, i, s, target);
           });
         }
@@ -332,13 +363,14 @@ TEST(Engine, DeliveryUnparkWakesAtArrivalTime) {
   // The message path: a delivery that unparks its receiver wakes it at
   // the arrival time, not at the (earlier) time the sender posted it.
   Engine engine;
+  ClosureSink sink(engine);
   SimTime woke_at = -1.0;
   const int sleeper = engine.spawn([&woke_at](Actor& a) {
     a.park();  // mcio-analyze: allow(unobserved-park) -- scheduler's own test
     woke_at = a.now();
   });
-  engine.spawn([sleeper, &engine](Actor&) {
-    engine.post_at(2.5, [sleeper, &engine] {
+  engine.spawn([sleeper, &engine, &sink](Actor&) {
+    sink.post_at(2.5, [sleeper, &engine] {
       EXPECT_TRUE(engine.is_parked(sleeper));
       engine.unpark(sleeper, 0.0);
     });
@@ -350,10 +382,11 @@ TEST(Engine, DeliveryUnparkWakesAtArrivalTime) {
 
 TEST(Engine, PostAtBehindSliceTimeRejected) {
   Engine engine;
-  engine.spawn([&engine](Actor& a) {
+  ClosureSink sink(engine);
+  engine.spawn([&sink](Actor& a) {
     a.advance(1.0);
     a.sync();
-    engine.post_at(0.5, [] {});
+    sink.post_at(0.5, [] {});
   });
   EXPECT_THROW(engine.run(), util::Error);
 }
@@ -361,12 +394,15 @@ TEST(Engine, PostAtBehindSliceTimeRejected) {
 TEST(Engine, PostAtOutsideSliceRejected) {
   // Before run() there is no slice to stamp the event.
   Engine before;
+  ClosureSink before_sink(before);
   before.spawn([](Actor&) {});
-  EXPECT_THROW(before.post_at(1.0, [] {}), util::Error);
+  EXPECT_THROW(before_sink.post_at(1.0, [] {}), util::Error);
   // A timed event never emits further events.
   Engine nested;
-  nested.spawn([&nested](Actor&) {
-    nested.post_at(1.0, [&nested] { nested.post_at(2.0, [] {}); });
+  ClosureSink nested_sink(nested);
+  nested.spawn([&nested_sink](Actor&) {
+    nested_sink.post_at(1.0,
+                        [&nested_sink] { nested_sink.post_at(2.0, [] {}); });
   });
   EXPECT_THROW(nested.run(), util::Error);
 }
@@ -434,6 +470,102 @@ TEST(Engine, ObserverSeesEverySliceAsResumeYieldPair) {
       E{'r', 0, 0.0}, E{'y', 0, 2.0}, E{'r', 1, 0.0}, E{'y', 1, 1.0},
       E{'r', 1, 1.0}, E{'y', 1, 1.5}, E{'r', 0, 2.0}, E{'y', 0, 2.0}};
   EXPECT_EQ(observer.events, expected);
+}
+
+// In-place continuation: a sync()/sync_local() whose next slice would be
+// the heap's next pop continues without leaving the fiber. Each case pins
+// that the pop order is exactly the heap's.
+
+TEST(Engine, InPlaceContinuationYieldsToSameTimeDelivery) {
+  // A delivery posted at the slice's own time (kind 0) orders before the
+  // actor's kind-1 continuation, so the actor must yield to it; a later
+  // delivery does not stop the continuation.
+  Engine engine;
+  ClosureSink sink(engine);
+  std::vector<std::string> log;
+  engine.spawn([&log, &sink](Actor& a) {
+    a.advance(1.0);
+    sink.post_at(1.0, [&log] { log.push_back("delivery at 1"); });
+    sink.post_at(3.0, [&log] { log.push_back("delivery at 3"); });
+    a.sync_local();
+    log.push_back("slice at 1");
+    a.advance(1.0);
+    a.sync_local();
+    log.push_back("slice at 2");
+  });
+  engine.run();
+  const std::vector<std::string> expected = {"delivery at 1", "slice at 1",
+                                             "slice at 2", "delivery at 3"};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(engine.in_place_slices(), 1u);  // only the slice at 2
+  // The first slice, the slice at 1 and both deliveries were popped.
+  EXPECT_EQ(engine.heap_pops(), 4u);
+}
+
+TEST(Engine, InPlaceContinuationYieldsToLowerIdAtSameClock) {
+  // Equal time and kind: the lower actor id runs first, so actor 1 must
+  // not continue ahead of actor 0's pending slice.
+  Engine engine;
+  std::vector<int> order;
+  for (int i = 0; i < 2; ++i) {
+    engine.spawn([i, &order](Actor& a) {
+      a.advance(1.0);
+      a.sync_local();
+      order.push_back(i);
+    });
+  }
+  engine.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(engine.in_place_slices(), 0u);
+}
+
+TEST(Engine, GlobalSyncNeverContinuesAheadOfLocalSlice) {
+  // Actor 1's kind-1 slice at t = 1 is pending when actor 0 (the lower
+  // id) calls sync() at t = 1: kind 2 orders after kind 1, so actor 0
+  // yields. Actor 1, alone at the front, then continues in place.
+  Engine engine;
+  std::vector<std::string> log;
+  engine.spawn([&log](Actor& a) {
+    a.advance(0.5);
+    a.sync();
+    a.advance(0.5);
+    a.sync();
+    log.push_back("global0");
+  });
+  engine.spawn([&log](Actor& a) {
+    a.advance(1.0);
+    a.sync_local();
+    log.push_back("local1");
+    a.sync_local();
+    log.push_back("local1 again");
+  });
+  engine.run();
+  const std::vector<std::string> expected = {"local1", "local1 again",
+                                             "global0"};
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(engine.in_place_slices(), 1u);
+}
+
+TEST(Engine, PostAtAfterInPlaceContinuationChecksContinuedTime) {
+  // The continued slice runs at the actor's new clock: posting behind it
+  // is rejected exactly as after a popped slice, and posting at it works.
+  for (const SimTime t : {1.5, 2.0}) {
+    Engine engine;
+    ClosureSink sink(engine);
+    bool applied = false;
+    engine.spawn([t, &sink, &applied](Actor& a) {
+      a.advance(2.0);
+      a.sync_local();  // the heap is empty: continues in place
+      sink.post_at(t, [&applied] { applied = true; });
+    });
+    if (t < 2.0) {
+      EXPECT_THROW(engine.run(), util::Error);
+    } else {
+      engine.run();
+      EXPECT_TRUE(applied);
+    }
+    EXPECT_EQ(engine.in_place_slices(), 1u);
+  }
 }
 
 #if defined(__has_feature)
