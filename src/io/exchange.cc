@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <map>
+#include <numeric>
 
 #ifdef MCIO_FUZZ_BUG
 #include <cstdlib>
@@ -35,7 +35,7 @@ bool fuzz_bug_seed(std::uint64_t* seed) {
 void fuzz_bug_corrupt(std::byte* data, std::uint64_t len,
                       std::uint64_t window_offset) {
   std::uint64_t seed = 0;
-  if (len < 2 || !fuzz_bug_seed(&seed)) return;
+  if (data == nullptr || len < 2 || !fuzz_bug_seed(&seed)) return;
   // splitmix64-style mix of (seed, window) — pure, so replays are exact.
   std::uint64_t h = seed ^ (window_offset + 0x9e3779b97f4a7c15ULL);
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -78,6 +78,95 @@ void ExchangePlan::validate(int comm_size) const {
   }
 }
 
+template <typename Emit>
+RouteTable::Rows RouteTable::bucket(int rows, const Emit& emit) {
+  Rows out;
+  out.offsets.assign(rows + 1, 0);
+  emit([&](int row, int) { ++out.offsets[row + 1]; });
+  std::partial_sum(out.offsets.begin(), out.offsets.end(),
+                   out.offsets.begin());
+  out.items.resize(out.offsets.back());
+  std::vector<int> next(out.offsets.begin(), out.offsets.end() - 1);
+  emit([&](int row, int item) { out.items[next[row]++] = item; });
+  return out;
+}
+
+RouteTable RouteTable::derive(const ExchangePlan& plan,
+                              const std::vector<int>& nodes,
+                              bool node_leaders) {
+  const std::vector<FileDomain>& domains = plan.domains;
+  const auto nranks = static_cast<int>(plan.rank_bounds.size());
+  const auto ndomains = static_cast<int>(domains.size());
+  MCIO_CHECK_EQ(nodes.size(), plan.rank_bounds.size());
+  RouteTable t;
+  t.hier_ = node_leaders && nranks > 1;
+  // The domains ending after a rank's bounds start are a suffix, those
+  // starting before its bounds end a prefix; it meets their overlap.
+  t.clients_.reserve(plan.rank_bounds.size());
+  for (const Extent& b : plan.rank_bounds) {
+    if (b.empty()) {
+      t.clients_.emplace_back(0, 0);
+      continue;
+    }
+    const auto first = std::partition_point(
+        domains.begin(), domains.end(),
+        [&](const FileDomain& d) { return d.extent.end() <= b.offset; });
+    const auto last = std::partition_point(
+        first, domains.end(),
+        [&](const FileDomain& d) { return d.extent.offset < b.end(); });
+    t.clients_.emplace_back(first - domains.begin(), last - domains.begin());
+  }
+  t.owned_ = bucket(nranks, [&](const auto& push) {
+    for (int i = 0; i < ndomains; ++i) push(domains[i].aggregator, i);
+  });
+  if (!t.hier_) {
+    t.sources_ = bucket(ndomains, [&](const auto& push) {
+      for (int r = 0; r < nranks; ++r) {
+        for (int i = t.clients_[r].first; i < t.clients_[r].second; ++i) {
+          push(i, r);
+        }
+      }
+    });
+    return t;
+  }
+  // A node's lowest data rank leads it. Independent-fallback and idle
+  // ranks (empty bounds) stay outside the hierarchy, so a node without
+  // data has no leader, though any rank may still aggregate.
+  std::vector<int> lead_of_node(std::ranges::max(nodes) + 1, -1);
+  t.leader_.assign(nranks, -1);
+  for (int r = 0; r < nranks; ++r) {
+    if (plan.rank_bounds[r].empty()) continue;
+    int& lead = lead_of_node[nodes[r]];
+    if (lead < 0) lead = r;
+    t.leader_[r] = lead;
+  }
+  t.members_ = bucket(nranks, [&](const auto& push) {
+    for (int r = 0; r < nranks; ++r) {
+      if (t.leader_[r] >= 0) push(t.leader_[r], r);
+    }
+  });
+  // A leader's node domains are the union of its members' ranges.
+  std::vector<std::pair<int, int>> ranges;
+  t.node_domains_ = bucket(nranks, [&](const auto& push) {
+    for (int l = 0; l < nranks; ++l) {
+      ranges.clear();
+      for (const int m : t.members(l)) ranges.push_back(t.clients_[m]);
+      std::sort(ranges.begin(), ranges.end());
+      int next = 0;
+      for (const auto& [first, last] : ranges) {
+        for (int i = std::max(first, next); i < last; ++i) push(l, i);
+        next = std::max(next, last);
+      }
+    }
+  });
+  t.sources_ = bucket(ndomains, [&](const auto& push) {
+    for (int l = 0; l < nranks; ++l) {
+      for (const int i : t.node_domains(l)) push(i, l);
+    }
+  });
+  return t;
+}
+
 PlanKey::PlanKey(const CollContext& ctx, const char* driver) {
   for (const char* c = driver; *c != '\0'; ++c) {
     add(static_cast<unsigned char>(*c));
@@ -101,6 +190,8 @@ std::shared_ptr<const ExchangePlan> share_exchange_plan(
   const mpi::SharedPlan shared = comm.share_plan(rank_key, [&] {
     auto built = std::make_shared<ExchangePlan>(build());
     built->validate(comm.size());
+    built->routes = RouteTable::derive(*built, comm.nodes(),
+                                       ctx.hints.cb_node_leaders);
     return std::shared_ptr<const void>(std::move(built));
   });
   auto xplan = std::static_pointer_cast<const ExchangePlan>(shared.plan);
@@ -152,8 +243,8 @@ TwoPhaseExchange::TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
   MCIO_CHECK(ctx_.fs != nullptr);
   MCIO_CHECK(ctx_.memory != nullptr);
   MCIO_CHECK(xplan_ != nullptr);
-  MCIO_CHECK_EQ(xplan_->rank_bounds.size(),
-                static_cast<std::size_t>(ctx_.comm->size()));
+  const RouteTable& routes = xplan_->routes;
+  MCIO_CHECK_EQ(routes.ranks(), ctx_.comm->size());
   // The MemoryManager is shared by every rank, so all ranks agree on the
   // protocol variant (and reserve the same tags below).
   degraded_ = ctx_.memory->faults_enabled();
@@ -162,89 +253,25 @@ TwoPhaseExchange::TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
   tag_data_base_ =
       ctx_.comm->reserve_tags(std::max<int>(1, static_cast<int>(
                                                    xplan_->domains.size())));
-  const Extent mine =
-      xplan_->rank_bounds[static_cast<std::size_t>(my_rank())];
-  for (std::size_t i = 0; i < xplan_->domains.size(); ++i) {
-    const FileDomain& d = xplan_->domains[i];
-    if (d.aggregator == my_rank()) {
-      owned_.push_back(DomainWork{static_cast<int>(i), {}});
-    }
-    if (!mine.empty() && util::intersect(mine, d.extent)) {
-      client_domains_.push_back(static_cast<int>(i));
-    }
+  for (const int i : routes.owned(my_rank())) {
+    owned_.push_back(DomainWork{i, {}});
   }
-  // Node-leader hierarchy. The hint (like the MemoryManager) is shared by
-  // every rank, so the extra tag reservations stay collective; with the
-  // hint off nothing below runs and the flat tag sequence is untouched.
-  hier_ = ctx_.hints.cb_node_leaders && ctx_.comm->size() > 1;
-  if (hier_) {
-    tag_hier_lists_ = ctx_.comm->reserve_tags(1);
-    if (degraded_) tag_hier_wsize_ = ctx_.comm->reserve_tags(1);
-    tag_hier_data_base_ =
-        ctx_.comm->reserve_tags(std::max<int>(1, static_cast<int>(
-                                                     xplan_->domains.size())));
-    build_hierarchy();
-  }
-}
-
-void TwoPhaseExchange::build_hierarchy() {
-  // Group data ranks (non-empty bounds) by physical node; a node's lowest
-  // data rank leads it. Independent-fallback and idle ranks stay outside
-  // the client-side hierarchy entirely — a fully exhausted node simply has
-  // no group — though any rank may still serve as an aggregator.
-  std::map<int, std::vector<int>> by_node;
-  for (int s = 0; s < ctx_.comm->size(); ++s) {
-    if (xplan_->rank_bounds[static_cast<std::size_t>(s)].empty()) continue;
-    by_node[ctx_.comm->node_of(s)].push_back(s);
-  }
-  groups_hier_.reserve(by_node.size());
-  for (auto& [node, members] : by_node) {
-    groups_hier_.push_back(NodeGroup{members.front(), std::move(members)});
-  }
-  std::sort(groups_hier_.begin(), groups_hier_.end(),
-            [](const NodeGroup& a, const NodeGroup& b) {
-              return a.leader < b.leader;
-            });
-  for (const NodeGroup& g : groups_hier_) {
-    if (std::binary_search(g.members.begin(), g.members.end(), my_rank())) {
-      members_ = g.members;
-      my_leader_ = g.leader;
-      break;
-    }
-  }
+  clients_ = routes.client_domains(my_rank());
+  // Node-leader hierarchy. The routes are shared by every rank, so the
+  // extra tag reservations stay collective; with the hint off nothing
+  // below runs and the flat tag sequence is untouched.
+  hier_ = routes.hierarchical();
+  if (!hier_) return;
+  tag_hier_lists_ = ctx_.comm->reserve_tags(1);
+  if (degraded_) tag_hier_wsize_ = ctx_.comm->reserve_tags(1);
+  tag_hier_data_base_ =
+      ctx_.comm->reserve_tags(std::max<int>(1, static_cast<int>(
+                                                   xplan_->domains.size())));
+  my_leader_ = routes.leader(my_rank());
   is_leader_ = my_leader_ == my_rank();
   if (!is_leader_) return;
-  for (std::size_t i = 0; i < xplan_->domains.size(); ++i) {
-    const FileDomain& d = xplan_->domains[i];
-    for (const int m : members_) {
-      if (util::intersect(xplan_->rank_bounds[static_cast<std::size_t>(m)],
-                          d.extent)) {
-        node_domains_.push_back(NodeDomain{static_cast<int>(i), {}, {}});
-        break;
-      }
-    }
-  }
-}
-
-void TwoPhaseExchange::direct_sources(const FileDomain& d,
-                                      std::vector<int>* out) const {
-  if (!hier_) {
-    for (int s = 0; s < ctx_.comm->size(); ++s) {
-      const Extent b = xplan_->rank_bounds[static_cast<std::size_t>(s)];
-      if (b.empty() || !util::intersect(b, d.extent)) continue;
-      out->push_back(s);
-    }
-    return;
-  }
-  // Groups ascend by leader, so the appended set stays sorted.
-  for (const NodeGroup& g : groups_hier_) {
-    for (const int m : g.members) {
-      if (util::intersect(xplan_->rank_bounds[static_cast<std::size_t>(m)],
-                          d.extent)) {
-        out->push_back(g.leader);
-        break;
-      }
-    }
+  for (const int i : routes.node_domains(my_rank())) {
+    node_domains_.push_back(NodeDomain{i, {}, {}});
   }
 }
 
@@ -255,6 +282,32 @@ int TwoPhaseExchange::my_node() const {
 }
 
 sim::Actor& TwoPhaseExchange::actor() { return ctx_.rank->actor(); }
+
+Payload TwoPhaseExchange::staging(std::vector<std::byte>* v,
+                                  std::uint64_t n) const {
+  if (!xplan_->real_data) return Payload::virtual_bytes(n);
+  v->resize(n);
+  return Payload::of(*v);
+}
+
+// Where a run sits in a buffer holding the file from `base` on, and where
+// a piece sits in the plan's buffer: the `at` of util::gather/scatter.
+static auto at_file(std::uint64_t base) {
+  return [base](const Extent& run) { return run.offset - base; };
+}
+static std::uint64_t at_plan(const Piece& p) { return p.buf_offset; }
+
+// The extent-list wire: a list's runs as raw Extent records.
+static std::span<const std::byte> encode(const ExtentList& list) {
+  return std::as_bytes(std::span(list.runs()));
+}
+
+static ExtentList decode(const std::vector<std::byte>& bytes) {
+  MCIO_CHECK_EQ(bytes.size() % sizeof(Extent), 0u);
+  std::vector<Extent> runs(bytes.size() / sizeof(Extent));
+  if (!runs.empty()) std::memcpy(runs.data(), bytes.data(), bytes.size());
+  return ExtentList::normalize(std::move(runs));
+}
 
 // Serves `bytes` on `queue` from the actor's global time and advances
 // the actor to the finish.
@@ -299,13 +352,10 @@ static bool next_window(const Extent& fd, std::uint64_t win, Extent* w) {
 
 void TwoPhaseExchange::send_extent_lists() {
   const ExtentList local = ExtentList::normalize(plan_.extents);
-  for (const int di : client_domains_) {
+  for (int di = clients_.first; di < clients_.second; ++di) {
     const FileDomain& d = xplan_->domains[static_cast<std::size_t>(di)];
     const ExtentList part = local.clipped(d.extent);
-    const auto& runs = part.runs();
-    const std::span<const std::byte> blob(
-        reinterpret_cast<const std::byte*>(runs.data()),
-        runs.size() * sizeof(Extent));
+    const std::span<const std::byte> blob = encode(part);
     if (hier_) {
       // Members fold their lists into the leader over shm; the leader's
       // own list is folded locally in leader_collect_extent_lists().
@@ -322,39 +372,26 @@ void TwoPhaseExchange::send_extent_lists() {
 void TwoPhaseExchange::leader_collect_extent_lists() {
   if (!is_leader_) return;
   const ExtentList local = ExtentList::normalize(plan_.extents);
+  const RouteTable& routes = xplan_->routes;
   for (NodeDomain& nd : node_domains_) {
     const FileDomain& d =
         xplan_->domains[static_cast<std::size_t>(nd.index)];
     // Per-member FIFO: a member emits its client domains ascending, and
-    // the node domains it intersects are exactly its client domains, so
+    // the node domains it touches are exactly its client domains, so
     // receiving (domain asc, member asc) matches each member's order.
-    for (const int m : members_) {
-      if (!util::intersect(xplan_->rank_bounds[static_cast<std::size_t>(m)],
-                           d.extent)) {
-        continue;
-      }
-      ExtentList list;
-      if (m == my_rank()) {
-        list = local.clipped(d.extent);
-      } else {
-        const auto bytes = ctx_.comm->recv_blob(m, tag_hier_lists_);
-        MCIO_CHECK_EQ(bytes.size() % sizeof(Extent), 0u);
-        std::vector<Extent> runs(bytes.size() / sizeof(Extent));
-        if (!runs.empty()) {
-          std::memcpy(runs.data(), bytes.data(), bytes.size());
-        }
-        list = ExtentList::normalize(std::move(runs));
-      }
+    for (const int m : routes.members(my_rank())) {
+      if (!routes.touches(m, nd.index)) continue;
+      ExtentList list =
+          m == my_rank()
+              ? local.clipped(d.extent)
+              : decode(ctx_.comm->recv_blob(m, tag_hier_lists_));
       if (list.empty()) continue;
       nd.merged.merge(list);
       nd.per_member.emplace_back(m, std::move(list));
     }
     // Forward the node's merged list (possibly empty — the aggregator
-    // expects one blob per intersecting node).
-    const auto& runs = nd.merged.runs();
-    const std::span<const std::byte> blob(
-        reinterpret_cast<const std::byte*>(runs.data()),
-        runs.size() * sizeof(Extent));
+    // expects one blob per touching node).
+    const std::span<const std::byte> blob = encode(nd.merged);
     ctx_.comm->send_blob(d.aggregator, tag_lists_, blob);
     count_msg(d.aggregator, blob.size());
   }
@@ -370,13 +407,8 @@ void TwoPhaseExchange::recv_extent_lists() {
     mpi::FramedBlob blob;
   };
   std::vector<Pending> pending;
-  std::vector<int> srcs;
   for (DomainWork& work : owned_) {
-    const FileDomain& d =
-        xplan_->domains[static_cast<std::size_t>(work.index)];
-    srcs.clear();
-    direct_sources(d, &srcs);
-    for (const int s : srcs) {
+    for (const int s : xplan_->routes.sources(work.index)) {
       pending.push_back(
           Pending{&work, ctx_.comm->recv_blob_deferred(s, tag_lists_)});
     }
@@ -389,11 +421,7 @@ void TwoPhaseExchange::recv_extent_lists() {
   // arrival is absorbed by the wait for it.
   for (Pending& p : pending) {
     ctx_.comm->charge_blob(p.blob);
-    const std::vector<std::byte>& bytes = p.blob.bytes;
-    MCIO_CHECK_EQ(bytes.size() % sizeof(Extent), 0u);
-    std::vector<Extent> runs(bytes.size() / sizeof(Extent));
-    if (!runs.empty()) std::memcpy(runs.data(), bytes.data(), bytes.size());
-    ExtentList list = ExtentList::normalize(std::move(runs));
+    ExtentList list = decode(p.blob.bytes);
     if (!list.empty()) {
       // Sources are visited in ascending order per domain, so appending
       // keeps per_source sorted.
@@ -646,7 +674,6 @@ void WindowBacking::charge_file(std::uint64_t bytes) {
 void TwoPhaseExchange::negotiate_buffers() {
   grants_.clear();
   grants_.reserve(owned_.size());
-  std::vector<int> srcs;
   for (const DomainWork& work : owned_) {
     const FileDomain& d =
         xplan_->domains[static_cast<std::size_t>(work.index)];
@@ -663,9 +690,7 @@ void TwoPhaseExchange::negotiate_buffers() {
     // their leaders on the hierarchical one), so both sides window the
     // data stream identically.
     const std::uint64_t wsize = g.window_bytes;
-    srcs.clear();
-    direct_sources(d, &srcs);
-    for (const int s : srcs) {
+    for (const int s : xplan_->routes.sources(work.index)) {
       ctx_.comm->send(
           s, tag_wsize_,
           ConstPayload::real(reinterpret_cast<const std::byte*>(&wsize),
@@ -683,11 +708,10 @@ void TwoPhaseExchange::client_send_data() {
   // Hierarchical mode: members stream their packed windows into the node
   // leader over shm instead of to the aggregator (leaders skip this phase
   // entirely — their data folds in during leader_combine_write()).
-  for (std::size_t ci = 0; ci < client_domains_.size(); ++ci) {
-    const int di = client_domains_[ci];
+  for (int di = clients_.first; di < clients_.second; ++di) {
     const FileDomain& d = xplan_->domains[static_cast<std::size_t>(di)];
     const std::uint64_t win =
-        degraded_ ? client_window_[ci] : d.buffer_bytes;
+        degraded_ ? client_window_[di - clients_.first] : d.buffer_bytes;
     for (Extent w{}; next_window(d.extent, win, &w);) {
       cursor.advance(w, &pieces);
       if (pieces.empty()) continue;
@@ -698,26 +722,15 @@ void TwoPhaseExchange::client_send_data() {
       const int dst = hier_ ? my_leader_ : d.aggregator;
       const int tag = hier_ ? tag_hier_data_base_ + di
                             : tag_data_base_ + di;
-      if (xplan_->real_data) {
-        tmp.resize(total);
-        std::uint64_t off = 0;
-        for (const Piece& p : pieces) {
-          std::memcpy(tmp.data() + off, plan_.buffer.data + p.buf_offset,
-                      p.len);
-          off += p.len;
-        }
+      const Payload packed = staging(&tmp, total);
+      util::gather(packed, plan_.buffer, pieces, at_plan);
 #ifdef MCIO_FUZZ_BUG
-        fuzz_bug_corrupt(tmp.data(), tmp.size(), w.offset);
+      fuzz_bug_corrupt(packed.data, packed.size, w.offset);
 #endif
-        if (hier_) {
-          ctx_.comm->send_shm(dst, tag, ConstPayload::of(tmp));
-        } else {
-          ctx_.comm->send(dst, tag, ConstPayload::of(tmp));
-        }
-      } else if (hier_) {
-        ctx_.comm->send_shm(dst, tag, ConstPayload::virtual_bytes(total));
+      if (hier_) {
+        ctx_.comm->send_shm(dst, tag, packed);
       } else {
-        ctx_.comm->send(dst, tag, ConstPayload::virtual_bytes(total));
+        ctx_.comm->send(dst, tag, packed);
       }
       count_msg(dst, total);
     }
@@ -737,6 +750,7 @@ void TwoPhaseExchange::relay_window_sizes() {
     // Window sizes arrive per node domain (each aggregator announces its
     // owned domains ascending; per-source FIFO lines them up), then fan
     // out to every member with data in the domain.
+    const RouteTable& routes = xplan_->routes;
     node_window_.assign(node_domains_.size(), 0);
     for (std::size_t i = 0; i < node_domains_.size(); ++i) {
       const NodeDomain& nd = node_domains_[i];
@@ -744,13 +758,8 @@ void TwoPhaseExchange::relay_window_sizes() {
           xplan_->domains[static_cast<std::size_t>(nd.index)];
       const std::uint64_t wsize = recv_size(d.aggregator, tag_wsize_);
       node_window_[i] = wsize;
-      for (const int m : members_) {
-        if (m == my_rank()) continue;
-        if (!util::intersect(
-                xplan_->rank_bounds[static_cast<std::size_t>(m)],
-                d.extent)) {
-          continue;
-        }
+      for (const int m : routes.members(my_rank())) {
+        if (m == my_rank() || !routes.touches(m, nd.index)) continue;
         ctx_.comm->send_shm(
             m, tag_hier_wsize_,
             ConstPayload::real(reinterpret_cast<const std::byte*>(&wsize),
@@ -762,13 +771,11 @@ void TwoPhaseExchange::relay_window_sizes() {
     // Client: one size per client domain, ascending — from the domain's
     // aggregator, or from my leader, which forwards my intersecting
     // domains ascending (exactly my client domains).
-    client_window_.assign(client_domains_.size(), 0);
-    for (std::size_t i = 0; i < client_domains_.size(); ++i) {
-      const FileDomain& d =
-          xplan_->domains[static_cast<std::size_t>(client_domains_[i])];
-      client_window_[i] =
-          hier_ ? recv_size(my_leader_, tag_hier_wsize_)
-                : recv_size(d.aggregator, tag_wsize_);
+    client_window_.clear();
+    for (int di = clients_.first; di < clients_.second; ++di) {
+      const FileDomain& d = xplan_->domains[static_cast<std::size_t>(di)];
+      client_window_.push_back(hier_ ? recv_size(my_leader_, tag_hier_wsize_)
+                                     : recv_size(d.aggregator, tag_wsize_));
     }
   }
 }
@@ -796,7 +803,7 @@ void TwoPhaseExchange::leader_combine_write() {
       merged.clipped_into(w, &mclip);
       if (mclip.empty()) continue;
       const Extent span = mclip.bounds();
-      if (xplan_->real_data) stage.resize(span.len);
+      const Payload staged = staging(&stage, span.len);
       // Overlay members ascending — within the node the same overlap
       // winner as the flat rank-ascending overlay at the aggregator.
       for (SourceSweep& sw : sweeps) {
@@ -807,29 +814,17 @@ void TwoPhaseExchange::leader_combine_write() {
           // Own pieces fold straight into the staging: the single copy.
           cursor.advance(w, &pieces);
           charge_copy(my_node(), n, 1.0);
-          if (xplan_->real_data) {
-            for (const Piece& p : pieces) {
-              std::memcpy(stage.data() + (p.file_offset - span.offset),
-                          plan_.buffer.data + p.buf_offset, p.len);
-            }
+          for (const Piece& p : pieces) {
+            util::copy_payload(
+                staged.slice(p.file_offset - span.offset, p.len),
+                plan_.buffer.slice(p.buf_offset, p.len));
           }
         } else {
           // The member's packed window blob. Its shm transfer already
           // modeled the single copy, so no extra overlay charge here.
-          if (xplan_->real_data) {
-            buf.resize(n);
-            ctx_.comm->recv(sw.source, tag_hier_data_base_ + nd.index,
-                            Payload::of(buf));
-            std::uint64_t off = 0;
-            for (const Extent& run : sw.clip.runs()) {
-              std::memcpy(stage.data() + (run.offset - span.offset),
-                          buf.data() + off, run.len);
-              off += run.len;
-            }
-          } else {
-            ctx_.comm->recv(sw.source, tag_hier_data_base_ + nd.index,
-                            Payload::virtual_bytes(n));
-          }
+          const Payload got = staging(&buf, n);
+          ctx_.comm->recv(sw.source, tag_hier_data_base_ + nd.index, got);
+          util::scatter(staged, got, sw.clip.runs(), at_file(span.offset));
           if (ctx_.stats != nullptr) {
             ctx_.stats->record_shuffle(ctx_.comm->node_of(sw.source),
                                        my_node(), n);
@@ -839,20 +834,9 @@ void TwoPhaseExchange::leader_combine_write() {
       // One combined message per window to the aggregator.
       const std::uint64_t total = mclip.total_bytes();
       if (mclip.runs().size() > 1) charge_copy(my_node(), total, 1.0);
-      if (xplan_->real_data) {
-        pack.resize(total);
-        std::uint64_t off = 0;
-        for (const Extent& run : mclip.runs()) {
-          std::memcpy(pack.data() + off,
-                      stage.data() + (run.offset - span.offset), run.len);
-          off += run.len;
-        }
-        ctx_.comm->send(d.aggregator, tag_data_base_ + nd.index,
-                        ConstPayload::of(pack));
-      } else {
-        ctx_.comm->send(d.aggregator, tag_data_base_ + nd.index,
-                        ConstPayload::virtual_bytes(total));
-      }
+      const Payload packed = staging(&pack, total);
+      util::gather(packed, staged, mclip.runs(), at_file(span.offset));
+      ctx_.comm->send(d.aggregator, tag_data_base_ + nd.index, packed);
       count_msg(d.aggregator, total);
     }
   }
@@ -883,58 +867,34 @@ void TwoPhaseExchange::leader_scatter_read() {
       const Extent span = mclip.bounds();
       const std::uint64_t total = mclip.total_bytes();
       // The aggregator ships the node's merged runs as one blob.
-      if (xplan_->real_data) {
-        buf.resize(total);
-        ctx_.comm->recv(d.aggregator, tag_data_base_ + nd.index,
-                        Payload::of(buf));
-        stage.resize(span.len);
-        std::uint64_t off = 0;
-        for (const Extent& run : mclip.runs()) {
-          std::memcpy(stage.data() + (run.offset - span.offset),
-                      buf.data() + off, run.len);
-          off += run.len;
-        }
-      } else {
-        ctx_.comm->recv(d.aggregator, tag_data_base_ + nd.index,
-                        Payload::virtual_bytes(total));
-      }
+      const Payload got = staging(&buf, total);
+      ctx_.comm->recv(d.aggregator, tag_data_base_ + nd.index, got);
+      const Payload staged = staging(&stage, span.len);
+      util::scatter(staged, got, mclip.runs(), at_file(span.offset));
       // No staging-unpack charge: the blob arrives packed in ascending
       // run order, so member slices are cut straight out of it — their
       // single copy is the shm serve below. The leader's own pieces are
       // free too: it knows the merged run layout before the recv, so a
       // derived-datatype receive scatters them in place — the same
       // convention under which a flat client's single-piece recv pays no
-      // copy. (The stage rearrangement in the real-data branch is
-      // host-side bookkeeping, not modeled cost.)
+      // copy. (Rearranging real bytes through the stage is host-side
+      // bookkeeping, not modeled cost.)
       for (SourceSweep& sw : sweeps) {
         sw.cursor.clipped_into(w, &sw.clip);
         if (sw.clip.empty()) continue;
         const std::uint64_t n = sw.clip.total_bytes();
         if (sw.source == my_rank()) {
           cursor.advance(w, &pieces);
-          if (xplan_->real_data) {
-            for (const Piece& p : pieces) {
-              std::memcpy(plan_.buffer.data + p.buf_offset,
-                          stage.data() + (p.file_offset - span.offset),
-                          p.len);
-            }
+          for (const Piece& p : pieces) {
+            util::copy_payload(
+                plan_.buffer.slice(p.buf_offset, p.len),
+                staged.slice(p.file_offset - span.offset, p.len));
           }
         } else {
-          if (xplan_->real_data) {
-            slice.resize(n);
-            std::uint64_t off = 0;
-            for (const Extent& run : sw.clip.runs()) {
-              std::memcpy(slice.data() + off,
-                          stage.data() + (run.offset - span.offset),
-                          run.len);
-              off += run.len;
-            }
-            ctx_.comm->send_shm(sw.source, tag_hier_data_base_ + nd.index,
-                                ConstPayload::of(slice));
-          } else {
-            ctx_.comm->send_shm(sw.source, tag_hier_data_base_ + nd.index,
-                                ConstPayload::virtual_bytes(n));
-          }
+          const Payload packed = staging(&slice, n);
+          util::gather(packed, staged, sw.clip.runs(), at_file(span.offset));
+          ctx_.comm->send_shm(sw.source, tag_hier_data_base_ + nd.index,
+                              packed);
           count_msg(sw.source, n);
           if (ctx_.stats != nullptr) {
             ctx_.stats->record_shuffle(my_node(),
@@ -947,8 +907,7 @@ void TwoPhaseExchange::leader_scatter_read() {
 }
 
 metrics::AggregatorRecord TwoPhaseExchange::open_domain(
-    std::size_t k, WindowBacking* b, std::vector<SourceSweep>* sweeps,
-    std::vector<std::byte>* cb) {
+    std::size_t k, WindowBacking* b, std::vector<SourceSweep>* sweeps) {
   const DomainWork& work = owned_[k];
   const FileDomain& d = xplan_->domains[static_cast<std::size_t>(work.index)];
   const BufferGrant grant =
@@ -959,9 +918,6 @@ metrics::AggregatorRecord TwoPhaseExchange::open_domain(
   rec.node = my_node();
   rec.buffer_bytes = grant.window_bytes;
   rec.pressure = b->pressure();
-  if (xplan_->real_data) {
-    cb->resize(std::min<std::uint64_t>(grant.window_bytes, d.extent.len));
-  }
   sweeps->clear();
   for (const auto& [s, list] : work.per_source) {
     sweeps->push_back(SourceSweep{s, util::ExtentCursor(list), {}});
@@ -971,12 +927,12 @@ metrics::AggregatorRecord TwoPhaseExchange::open_domain(
 
 void TwoPhaseExchange::aggregator_write() {
   // Scratch reused across windows and domains: receive staging buffers,
-  // request/size lists, the window cover and the per-source clip lists.
+  // request/payload lists, the window cover and the per-source clip lists.
   std::vector<SourceSweep> sweeps;
   std::vector<std::size_t> active;
   std::vector<mpi::Request> reqs;
   std::vector<std::vector<std::byte>> pool;
-  std::vector<std::uint64_t> sizes;
+  std::vector<Payload> got;
   std::vector<std::byte> cb;
   ExtentList cover;
   WindowBacking b(ctx_);
@@ -984,7 +940,9 @@ void TwoPhaseExchange::aggregator_write() {
     const DomainWork& work = owned_[k];
     const FileDomain& d =
         xplan_->domains[static_cast<std::size_t>(work.index)];
-    metrics::AggregatorRecord rec = open_domain(k, &b, &sweeps, &cb);
+    metrics::AggregatorRecord rec = open_domain(k, &b, &sweeps);
+    const Payload window =
+        staging(&cb, std::min(b.window_bytes(), d.extent.len));
     for (Extent w{}; next_window(d.extent, b.window_bytes(), &w);) {
       cover.clear();
       active.clear();
@@ -1003,22 +961,13 @@ void TwoPhaseExchange::aggregator_write() {
       // Post all receives for this window, then (if the window has holes
       // and sieving is on) pre-read the span — ROMIO's read-modify-write.
       reqs.clear();
-      sizes.clear();
+      got.clear();
       if (pool.size() < active.size()) pool.resize(active.size());
       for (std::size_t i = 0; i < active.size(); ++i) {
         const SourceSweep& sw = sweeps[active[i]];
-        const std::uint64_t n = sw.clip.total_bytes();
-        sizes.push_back(n);
-        if (xplan_->real_data) {
-          pool[i].resize(n);
-          reqs.push_back(ctx_.comm->irecv(sw.source,
-                                          tag_data_base_ + work.index,
-                                          Payload::of(pool[i])));
-        } else {
-          reqs.push_back(ctx_.comm->irecv(sw.source,
-                                          tag_data_base_ + work.index,
-                                          Payload::virtual_bytes(n)));
-        }
+        got.push_back(staging(&pool[i], sw.clip.total_bytes()));
+        reqs.push_back(ctx_.comm->irecv(
+            sw.source, tag_data_base_ + work.index, got.back()));
       }
       // No read-modify-write while any rank is degraded to independent
       // I/O: its extents are exactly the holes the sieve would bridge,
@@ -1028,12 +977,9 @@ void TwoPhaseExchange::aggregator_write() {
       const bool rmw = holes && ctx_.hints.data_sieving_writes &&
                        xplan_->independent_ranks.empty();
       if (rmw) {
-        Payload stage =
-            xplan_->real_data
-                ? Payload::real(cb.data() + (span.offset - w.offset),
-                                span.len)
-                : Payload::virtual_bytes(span.len);
-        ctx_.fs->read(actor(), ctx_.file, span.offset, stage, b.io_scale());
+        ctx_.fs->read(actor(), ctx_.file, span.offset,
+                      window.slice(span.offset - w.offset, span.len),
+                      b.io_scale());
         b.charge_file(span.len);  // the sieved span fills the window
         if (ctx_.stats != nullptr) ctx_.stats->record_rmw(span.len);
       }
@@ -1042,33 +988,21 @@ void TwoPhaseExchange::aggregator_write() {
       // Overlay received pieces into the collective buffer.
       for (std::size_t i = 0; i < active.size(); ++i) {
         const SourceSweep& sw = sweeps[active[i]];
-        b.charge_source(sizes[i]);
-        if (xplan_->real_data) {
-          std::uint64_t off = 0;
-          for (const Extent& run : sw.clip.runs()) {
-            std::memcpy(cb.data() + (run.offset - w.offset),
-                        pool[i].data() + off, run.len);
-            off += run.len;
-          }
-        }
-        rec.bytes_received += sizes[i];
+        b.charge_source(got[i].size);
+        util::scatter(window, got[i], sw.clip.runs(), at_file(w.offset));
+        rec.bytes_received += got[i].size;
         if (ctx_.stats != nullptr) {
           ctx_.stats->record_shuffle(ctx_.comm->node_of(sw.source),
-                                     my_node(), sizes[i]);
+                                     my_node(), got[i].size);
         }
       }
 
       // Ship the window to the file system; a borrowed window drains
       // across the fabric before each PFS op.
-      auto slice_of = [&](const Extent& e) {
-        return xplan_->real_data
-                   ? ConstPayload::real(cb.data() + (e.offset - w.offset),
-                                        e.len)
-                   : ConstPayload::virtual_bytes(e.len);
-      };
       const auto drain = [&](const Extent& out) {
         b.charge_file(out.len);
-        ctx_.fs->write(actor(), ctx_.file, out.offset, slice_of(out),
+        ctx_.fs->write(actor(), ctx_.file, out.offset,
+                       window.slice(out.offset - w.offset, out.len),
                        b.io_scale());
         rec.io_bytes += out.len;
         if (ctx_.stats != nullptr) ctx_.stats->record_io(out.len);
@@ -1096,7 +1030,9 @@ void TwoPhaseExchange::aggregator_read() {
     const DomainWork& work = owned_[k];
     const FileDomain& d =
         xplan_->domains[static_cast<std::size_t>(work.index)];
-    metrics::AggregatorRecord rec = open_domain(k, &b, &sweeps, &cb);
+    metrics::AggregatorRecord rec = open_domain(k, &b, &sweeps);
+    const Payload window =
+        staging(&cb, std::min(b.window_bytes(), d.extent.len));
     for (Extent w{}; next_window(d.extent, b.window_bytes(), &w);) {
       cover.clear();
       for (SourceSweep& sw : sweeps) {
@@ -1108,12 +1044,9 @@ void TwoPhaseExchange::aggregator_read() {
       b.step();
       // Data-sieving read: one contiguous read covering the span.
       const Extent span = cover.bounds();
-      Payload stage =
-          xplan_->real_data
-              ? Payload::real(cb.data() + (span.offset - w.offset),
-                              span.len)
-              : Payload::virtual_bytes(span.len);
-      ctx_.fs->read(actor(), ctx_.file, span.offset, stage, b.io_scale());
+      ctx_.fs->read(actor(), ctx_.file, span.offset,
+                    window.slice(span.offset - w.offset, span.len),
+                    b.io_scale());
       b.charge_file(span.len);  // the read span fills the window
       rec.io_bytes += span.len;
       if (ctx_.stats != nullptr) ctx_.stats->record_io(span.len);
@@ -1122,20 +1055,9 @@ void TwoPhaseExchange::aggregator_read() {
         if (sw.clip.empty()) continue;
         const std::uint64_t n = sw.clip.total_bytes();
         b.charge_source(n);  // pack
-        if (xplan_->real_data) {
-          tmp.resize(n);
-          std::uint64_t off = 0;
-          for (const Extent& run : sw.clip.runs()) {
-            std::memcpy(tmp.data() + off,
-                        cb.data() + (run.offset - w.offset), run.len);
-            off += run.len;
-          }
-          ctx_.comm->send(sw.source, tag_data_base_ + work.index,
-                          ConstPayload::of(tmp));
-        } else {
-          ctx_.comm->send(sw.source, tag_data_base_ + work.index,
-                          ConstPayload::virtual_bytes(n));
-        }
+        const Payload packed = staging(&tmp, n);
+        util::gather(packed, window, sw.clip.runs(), at_file(w.offset));
+        ctx_.comm->send(sw.source, tag_data_base_ + work.index, packed);
         rec.bytes_sent += n;
         count_msg(sw.source, n);
         if (ctx_.stats != nullptr) {
@@ -1161,11 +1083,10 @@ void TwoPhaseExchange::client_recv_data() {
   // Hierarchical mode: members take their slices from the node leader
   // (leaders skip this phase — leader_scatter_read() already landed their
   // pieces).
-  for (std::size_t ci = 0; ci < client_domains_.size(); ++ci) {
-    const int di = client_domains_[ci];
+  for (int di = clients_.first; di < clients_.second; ++di) {
     const FileDomain& d = xplan_->domains[static_cast<std::size_t>(di)];
     const std::uint64_t win =
-        degraded_ ? client_window_[ci] : d.buffer_bytes;
+        degraded_ ? client_window_[di - clients_.first] : d.buffer_bytes;
     const int src = hier_ ? my_leader_ : d.aggregator;
     const int tag = hier_ ? tag_hier_data_base_ + di : tag_data_base_ + di;
     for (Extent w{}; next_window(d.extent, win, &w);) {
@@ -1173,18 +1094,9 @@ void TwoPhaseExchange::client_recv_data() {
       if (pieces.empty()) continue;
       std::uint64_t total = 0;
       for (const Piece& p : pieces) total += p.len;
-      if (xplan_->real_data) {
-        tmp.resize(total);
-        ctx_.comm->recv(src, tag, Payload::of(tmp));
-        std::uint64_t off = 0;
-        for (const Piece& p : pieces) {
-          std::memcpy(plan_.buffer.data + p.buf_offset, tmp.data() + off,
-                      p.len);
-          off += p.len;
-        }
-      } else {
-        ctx_.comm->recv(src, tag, Payload::virtual_bytes(total));
-      }
+      const Payload got = staging(&tmp, total);
+      ctx_.comm->recv(src, tag, got);
+      util::scatter(plan_.buffer, got, pieces, at_plan);
       // Scatter cost (skipped when the data is one run).
       if (pieces.size() > 1) charge_copy(my_node(), total, 1.0);
     }

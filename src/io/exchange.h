@@ -16,6 +16,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -45,6 +46,68 @@ struct DonorElection {
   int donor = -1;  ///< node::MemoryManager::elect_donor's answer
 };
 
+struct ExchangePlan;
+
+/// Who exchanges with whom in one collective: a pure function of the
+/// plan, the communicator's node map and the node-leader hint, derived
+/// once beside the shared plan (share_exchange_plan) so that senders and
+/// receivers read the same lists. Domains index ExchangePlan::domains;
+/// ranks are communicator ranks. Each list is one CSR row (offsets plus
+/// one flat vector).
+class RouteTable {
+ public:
+  /// `nodes` maps each rank to its node; `node_leaders` routes each
+  /// node's data ranks through one leader (hints.cb_node_leaders, moot
+  /// on a single rank).
+  static RouteTable derive(const ExchangePlan& plan,
+                           const std::vector<int>& nodes, bool node_leaders);
+
+  bool hierarchical() const { return hier_; }
+  int ranks() const { return static_cast<int>(clients_.size()); }
+  /// The domains rank `r`'s bounds meet, [first, last): the domains are
+  /// sorted and disjoint, so they are contiguous.
+  std::pair<int, int> client_domains(int r) const { return clients_[r]; }
+  bool touches(int r, int domain) const {
+    return clients_[r].first <= domain && domain < clients_[r].second;
+  }
+  /// Domains rank `r` aggregates, ascending.
+  std::span<const int> owned(int r) const { return owned_.row(r); }
+  /// Ranks that ship straight to `domain`'s aggregator, ascending: every
+  /// rank touching it on the flat path, one leader per touching node on
+  /// the hierarchical one.
+  std::span<const int> sources(int domain) const {
+    return sources_.row(domain);
+  }
+  /// Hierarchical only: the leader of `r`'s node, its lowest data rank
+  /// (non-empty bounds); -1 for a rank without data.
+  int leader(int r) const { return leader_[r]; }
+  /// Hierarchical only: leader `l`'s members, its node's data ranks
+  /// ascending (`l` first); empty for a rank that does not lead.
+  std::span<const int> members(int l) const { return members_.row(l); }
+  /// Hierarchical only: the domains any member of `l` touches, ascending.
+  std::span<const int> node_domains(int l) const {
+    return node_domains_.row(l);
+  }
+
+ private:
+  struct Rows {
+    std::vector<int> offsets;
+    std::vector<int> items;
+    std::span<const int> row(int i) const {
+      return std::span(items).subspan(offsets[i], offsets[i + 1] - offsets[i]);
+    }
+  };
+  /// `rows` rows from `emit(push)`, which calls push(row, item) for every
+  /// entry, each row's items in order; it runs twice (count, then fill).
+  template <typename Emit>
+  static Rows bucket(int rows, const Emit& emit);
+
+  bool hier_ = false;
+  std::vector<std::pair<int, int>> clients_;
+  std::vector<int> leader_;
+  Rows owned_, sources_, members_, node_domains_;
+};
+
 /// The decisions a driver hands to the exchange engine. Every rank of the
 /// communicator holds the same immutable ExchangePlan: the driver builds
 /// it once per collective from the allgathered metadata and every rank
@@ -67,6 +130,9 @@ struct ExchangePlan {
   /// Donor elections the build's plan-time rescue relied on (granted
   /// ones only), in group order.
   std::vector<DonorElection> donor_elections;
+  /// Derived from the fields above by share_exchange_plan, right after
+  /// validate().
+  RouteTable routes;
 
   void validate(int comm_size) const;
 };
@@ -88,7 +154,8 @@ class PlanKey {
 
 /// The current collective's one plan, called by every rank of ctx.comm
 /// right after the metadata allgather `build` reads. The first rank to
-/// arrive runs `build` and validates the result; every rank gets a
+/// arrive runs `build`, validates the result and derives its routes
+/// (ctx.hints.cb_node_leaders picks the path); every rank gets a
 /// pointer to the same immutable plan. Reports this rank's `rank_key`
 /// next to the builder's through Observer::on_plan_taken and, in audit
 /// mode (an observer attached), re-asks the plan's donor elections.
@@ -267,13 +334,6 @@ class TwoPhaseExchange {
     util::ExtentList clip;
   };
 
-  /// One physical node's data ranks (hierarchical mode): the lowest rank
-  /// is the leader; independent-fallback and idle ranks are excluded.
-  struct NodeGroup {
-    int leader = -1;
-    std::vector<int> members;  ///< ascending comm ranks, leader first
-  };
-
   /// Leader-side state for one domain this node's members touch.
   struct NodeDomain {
     int index = -1;  ///< index into xplan_.domains
@@ -297,12 +357,10 @@ class TwoPhaseExchange {
   void close_negotiation();
   void client_send_data();
   /// Aggregator side of owned domain `k`: opens `b` on the domain's grant
-  /// (the planned buffer in fault-free runs), sizes the real-data window
-  /// buffer `cb`, resets `sweeps` to the domain's sources and returns the
-  /// domain's aggregator record.
+  /// (the planned buffer in fault-free runs), resets `sweeps` to the
+  /// domain's sources and returns the domain's aggregator record.
   metrics::AggregatorRecord open_domain(std::size_t k, WindowBacking* b,
-                                        std::vector<SourceSweep>* sweeps,
-                                        std::vector<std::byte>* cb);
+                                        std::vector<SourceSweep>* sweeps);
   void aggregator_write();
   void aggregator_read();
   void client_recv_data();
@@ -311,11 +369,6 @@ class TwoPhaseExchange {
   // members move metadata and payloads into their leader over the node's
   // shm channel; only leaders exchange with aggregators. The aggregator
   // phases above are untouched — their sources simply become leaders.
-  void build_hierarchy();
-  /// Ranks that ship directly to `d`'s aggregator, ascending: every
-  /// intersecting rank on the flat path, one leader per intersecting node
-  /// on the hierarchical path. Appends to `out`.
-  void direct_sources(const FileDomain& d, std::vector<int>* out) const;
   /// Leader: drain member extent lists, merge per domain, forward the
   /// merged lists to the aggregators.
   void leader_collect_extent_lists();
@@ -340,6 +393,9 @@ class TwoPhaseExchange {
   int my_rank() const;
   int my_node() const;
   sim::Actor& actor();
+  /// `n` bytes of staging: `v` resized when payloads are real, else
+  /// virtual, so the gather/scatter helpers skip the copy.
+  util::Payload staging(std::vector<std::byte>* v, std::uint64_t n) const;
 
   /// Charges a packing/scatter memcpy on `node` and advances the actor.
   void charge_copy(int node, std::uint64_t bytes, double bw_scale);
@@ -354,8 +410,8 @@ class TwoPhaseExchange {
   int tag_data_base_ = 0;
   /// Domains this rank serves as aggregator, ascending by index.
   std::vector<DomainWork> owned_;
-  /// Domain indices whose extent intersects this rank's bounds, ascending.
-  std::vector<int> client_domains_;
+  /// Domains this rank's bounds meet, [first, last).
+  std::pair<int, int> clients_;
 
   /// Fault-injected run: aggregation buffers go through the degradation
   /// ladder and their final window sizes are negotiated with the clients
@@ -366,8 +422,7 @@ class TwoPhaseExchange {
   /// Ladder outcome per owned domain (parallel to owned_), fixed once
   /// negotiate_buffers() returns.
   std::vector<BufferGrant> grants_;
-  /// Negotiated window bytes per client domain (parallel to
-  /// client_domains_).
+  /// Negotiated window bytes per client domain (index - clients_.first).
   std::vector<std::uint64_t> client_window_;
 
   // --- node-leader hierarchy (hints.cb_node_leaders) ---
@@ -375,10 +430,6 @@ class TwoPhaseExchange {
   int tag_hier_lists_ = 0;
   int tag_hier_wsize_ = 0;
   int tag_hier_data_base_ = 0;
-  /// All node groups, ascending by leader rank (identical on every rank).
-  std::vector<NodeGroup> groups_hier_;
-  /// My node's group (data ranks only; empty when I have no data).
-  std::vector<int> members_;
   int my_leader_ = -1;
   bool is_leader_ = false;
   /// Leader only: domains any member of my node touches, ascending.

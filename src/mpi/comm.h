@@ -74,6 +74,8 @@ class Comm {
     MCIO_CHECK_LT(crank, size());
     return group_->nodes[static_cast<std::size_t>(crank)];
   }
+  /// Physical node of every rank, by communicator rank.
+  const std::vector<int>& nodes() const { return group_->nodes; }
   /// The lowest rank on each node, ascending (computed once per group).
   const std::vector<int>& node_leaders() const {
     return group_->node_leaders;

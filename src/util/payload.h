@@ -71,6 +71,30 @@ inline void copy_payload(Payload dst, ConstPayload src) {
   }
 }
 
+/// Packs `runs` (anything with a `len`: extents, pieces) back to back
+/// into `dst`, reading each run `r` from `src` at offset `at(r)`.
+template <typename Runs, typename At>
+void gather(Payload dst, ConstPayload src, const Runs& runs, const At& at) {
+  if (dst.data == nullptr || src.data == nullptr) return;
+  std::uint64_t off = 0;
+  for (const auto& r : runs) {
+    std::memcpy(dst.data + off, src.data + at(r), r.len);
+    off += r.len;
+  }
+}
+
+/// The inverse of gather: unpacks `src`'s back-to-back runs into `dst`,
+/// each run `r` at offset `at(r)`.
+template <typename Runs, typename At>
+void scatter(Payload dst, ConstPayload src, const Runs& runs, const At& at) {
+  if (dst.data == nullptr || src.data == nullptr) return;
+  std::uint64_t off = 0;
+  for (const auto& r : runs) {
+    std::memcpy(dst.data + at(r), src.data + off, r.len);
+    off += r.len;
+  }
+}
+
 /// An immutable byte buffer shared by reference: a broadcast hop forwards
 /// the pointer instead of copying the bytes. `decoded` optionally carries
 /// one decoded form of the bytes, attached by the producer before the

@@ -1,7 +1,10 @@
-// The exchange engine: plan validation, RMW/data-sieving behaviour and
-// instrumentation, using explicit hand-built exchange plans.
+// The exchange engine: plan validation, the route table against per-rank
+// reference derivations, RMW/data-sieving behaviour and instrumentation,
+// using explicit hand-built exchange plans.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <sstream>
 
 #include "io/exchange.h"
@@ -9,6 +12,7 @@
 #include "node/memory.h"
 #include "pfs/pfs.h"
 #include "testing.h"
+#include "util/rng.h"
 #include "workloads/ior.h"
 #include "workloads/pattern.h"
 
@@ -33,6 +37,157 @@ TEST(ExchangePlan, Validation) {
   xplan.domains[1].aggregator = 1;
   xplan.domains[1].buffer_bytes = 0;
   EXPECT_THROW(xplan.validate(2), util::Error);
+}
+
+// --- the route table against per-rank reference derivations ---
+
+/// Who-sends-to-whom as every rank once derived it for itself: a bounds
+/// intersect per domain, and a node map electing each node's lowest data
+/// rank.
+struct RouteReference {
+  std::vector<std::vector<int>> clients;       ///< per rank
+  std::vector<std::vector<int>> owned;         ///< per rank
+  std::vector<std::vector<int>> sources;       ///< per domain
+  std::vector<int> leader;                     ///< per rank (hier)
+  std::vector<std::vector<int>> members;       ///< per rank (hier)
+  std::vector<std::vector<int>> node_domains;  ///< per rank (hier)
+
+  RouteReference(const ExchangePlan& plan, const std::vector<int>& nodes,
+                 bool hier) {
+    const auto nranks = static_cast<int>(plan.rank_bounds.size());
+    const auto ndomains = static_cast<int>(plan.domains.size());
+    const auto touches = [&](int r, int i) {
+      const Extent b = plan.rank_bounds[static_cast<std::size_t>(r)];
+      return !b.empty() &&
+             util::intersect(b, plan.domains[static_cast<std::size_t>(i)]
+                                    .extent)
+                 .has_value();
+    };
+    clients.resize(static_cast<std::size_t>(nranks));
+    owned.resize(static_cast<std::size_t>(nranks));
+    sources.resize(static_cast<std::size_t>(ndomains));
+    for (int r = 0; r < nranks; ++r) {
+      for (int i = 0; i < ndomains; ++i) {
+        if (plan.domains[static_cast<std::size_t>(i)].aggregator == r) {
+          owned[static_cast<std::size_t>(r)].push_back(i);
+        }
+        if (touches(r, i)) clients[static_cast<std::size_t>(r)].push_back(i);
+      }
+    }
+    if (!hier) {
+      for (int i = 0; i < ndomains; ++i) {
+        for (int r = 0; r < nranks; ++r) {
+          if (touches(r, i)) sources[static_cast<std::size_t>(i)].push_back(r);
+        }
+      }
+      return;
+    }
+    std::map<int, std::vector<int>> by_node;
+    for (int r = 0; r < nranks; ++r) {
+      if (plan.rank_bounds[static_cast<std::size_t>(r)].empty()) continue;
+      by_node[nodes[static_cast<std::size_t>(r)]].push_back(r);
+    }
+    std::vector<std::vector<int>> groups;
+    for (auto& [node, group] : by_node) groups.push_back(std::move(group));
+    std::sort(groups.begin(), groups.end());  // ascending by leader
+    leader.assign(static_cast<std::size_t>(nranks), -1);
+    members.resize(static_cast<std::size_t>(nranks));
+    node_domains.resize(static_cast<std::size_t>(nranks));
+    for (const std::vector<int>& g : groups) {
+      const int l = g.front();
+      for (const int m : g) leader[static_cast<std::size_t>(m)] = l;
+      members[static_cast<std::size_t>(l)] = g;
+      for (int i = 0; i < ndomains; ++i) {
+        if (std::any_of(g.begin(), g.end(),
+                        [&](int m) { return touches(m, i); })) {
+          node_domains[static_cast<std::size_t>(l)].push_back(i);
+          sources[static_cast<std::size_t>(i)].push_back(l);
+        }
+      }
+    }
+  }
+};
+
+std::vector<int> to_vector(std::span<const int> row) {
+  return {row.begin(), row.end()};
+}
+
+/// A random plan on up to 40 ranks spread over random nodes: idle ranks,
+/// independent-fallback ranks, one node whose data ranks all fell back,
+/// overlapping bounds, and a trailing domain no rank touches.
+ExchangePlan random_plan(util::Rng& rng, std::vector<int>* nodes) {
+  const int nranks = 1 + static_cast<int>(rng.uniform_u64(40));
+  const int nnodes = 1 + static_cast<int>(rng.uniform_u64(8));
+  nodes->clear();
+  for (int r = 0; r < nranks; ++r) {
+    nodes->push_back(static_cast<int>(rng.uniform_u64(nnodes)));
+  }
+  ExchangePlan plan;
+  std::uint64_t end = 0;
+  const int ndomains = static_cast<int>(rng.uniform_u64(12));
+  for (int i = 0; i < ndomains; ++i) {
+    end += rng.uniform_u64(3) * 100;  // a gap, or none
+    const std::uint64_t len = 1 + rng.uniform_u64(400);
+    plan.domains.push_back(FileDomain{
+        {end, len}, static_cast<int>(rng.uniform_u64(nranks)), 64});
+    end += len;
+  }
+  const int fallen_node = static_cast<int>(rng.uniform_u64(nnodes));
+  for (int r = 0; r < nranks; ++r) {
+    const bool fallback =
+        (*nodes)[static_cast<std::size_t>(r)] == fallen_node ||
+        rng.uniform_u64(6) == 0;
+    if (fallback) {
+      plan.independent_ranks.push_back(r);
+      plan.rank_bounds.emplace_back();
+    } else if (rng.uniform_u64(5) == 0) {
+      plan.rank_bounds.emplace_back();  // idle
+    } else {
+      plan.rank_bounds.push_back(Extent{rng.uniform_u64(end + 100),
+                                        1 + rng.uniform_u64(600)});
+    }
+  }
+  // Past every bound: touched by no rank.
+  std::uint64_t reach = end;
+  for (const Extent& b : plan.rank_bounds) reach = std::max(reach, b.end());
+  plan.domains.push_back(FileDomain{{reach + 50, 100}, 0, 64});
+  plan.validate(nranks);
+  return plan;
+}
+
+TEST(RouteTable, MatchesPerRankReference) {
+  util::Rng rng(mcio::testing::test_seed());
+  std::vector<int> nodes;
+  for (int c = 0; c < 300; ++c) {
+    const ExchangePlan plan = random_plan(rng, &nodes);
+    const auto nranks = static_cast<int>(plan.rank_bounds.size());
+    for (const bool hier : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "case " << c << " hier " << hier
+                                        << " ranks " << nranks);
+      const RouteTable t = RouteTable::derive(plan, nodes, hier);
+      const bool expect_hier = hier && nranks > 1;
+      const RouteReference ref(plan, nodes, expect_hier);
+      ASSERT_EQ(t.hierarchical(), expect_hier);
+      ASSERT_EQ(t.ranks(), nranks);
+      for (int r = 0; r < nranks; ++r) {
+        const auto ru = static_cast<std::size_t>(r);
+        const auto [first, last] = t.client_domains(r);
+        std::vector<int> clients;
+        for (int i = first; i < last; ++i) clients.push_back(i);
+        EXPECT_EQ(clients, ref.clients[ru]) << "rank " << r;
+        EXPECT_EQ(to_vector(t.owned(r)), ref.owned[ru]) << "rank " << r;
+        if (!expect_hier) continue;
+        EXPECT_EQ(t.leader(r), ref.leader[ru]) << "rank " << r;
+        EXPECT_EQ(to_vector(t.members(r)), ref.members[ru]) << "rank " << r;
+        EXPECT_EQ(to_vector(t.node_domains(r)), ref.node_domains[ru])
+            << "rank " << r;
+      }
+      for (std::size_t i = 0; i < plan.domains.size(); ++i) {
+        EXPECT_EQ(to_vector(t.sources(static_cast<int>(i))), ref.sources[i])
+            << "domain " << i;
+      }
+    }
+  }
 }
 
 struct ExchangeHarness {
@@ -98,17 +253,16 @@ struct ExchangeHarness {
         plan.buffer = Payload::of(data);
       }
 
-      ExchangePlan xplan;
-      xplan.rank_bounds = {plan.bounds(), Extent{}, Extent{}, Extent{}};
       // All ranks must agree on the bounds; build them directly.
-      xplan.rank_bounds[0] = Extent{0, 1300};
-      xplan.rank_bounds[1] = Extent{200, 1300};
-      xplan.rank_bounds[2] = Extent{};
-      xplan.rank_bounds[3] = Extent{};
-      xplan.domains = {FileDomain{{0, 1600}, 3, 800}};
-      xplan.real_data = true;
-      TwoPhaseExchange exchange(ctx, plan,
-                                std::make_shared<const ExchangePlan>(xplan));
+      const auto xplan = share_exchange_plan(ctx, 0, [] {
+        ExchangePlan p;
+        p.rank_bounds = {Extent{0, 1300}, Extent{200, 1300}, Extent{},
+                         Extent{}};
+        p.domains = {FileDomain{{0, 1600}, 3, 800}};
+        p.real_data = true;
+        return p;
+      });
+      TwoPhaseExchange exchange(ctx, plan, xplan);
       if (rank.rank() == late_rank) rank.actor().advance(delay);
       exchange.write();
       rank.world().barrier();

@@ -1,10 +1,10 @@
 // Deterministic complexity budget for collective planning: a collective
 // write plus read of the ior-scale shape (12 ranks per node, one
-// interleaved 16 KiB transfer per rank) must allocate O(1) host bytes per
-// rank, and build exactly one plan per collective. Replicated O(P^2)
-// planning — every rank rebuilding the plan from its own copy of a
-// P-entry allgather — grows the per-rank bytes linearly with P and fails
-// the 1.25x budget below by a wide margin.
+// interleaved 16 KiB transfer per rank), flat and through node leaders,
+// must allocate O(1) host bytes per rank, and build exactly one plan per
+// collective. Replicated O(P^2) planning — every rank rebuilding the plan
+// from its own copy of a P-entry allgather — grows the per-rank bytes
+// linearly with P and fails the 1.25x budget below by a wide margin.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,7 +27,8 @@ struct ScalePoint {
 
 /// One write + read of the ior-scale shape on `nodes` nodes, allocation
 /// counted on this thread from before the simulation stack is built.
-ScalePoint run_point(int nodes, bool mccio) {
+/// `hier` routes the exchange through node leaders.
+ScalePoint run_point(int nodes, bool mccio, bool hier) {
   bench::Testbed tb;
   tb.nodes = nodes;
   tb.ranks_per_node = 12;
@@ -53,6 +54,7 @@ ScalePoint run_point(int nodes, bool mccio) {
               : &two_phase;
     io::Hints hints;
     hints.cb_buffer_size = kLevel;
+    hints.cb_node_leaders = hier;
     machine.run(nranks, [&](mpi::Rank& rank) {
       const io::AccessPlan plan = workloads::ior_plan(
           rank.rank(), nranks, w,
@@ -70,11 +72,11 @@ ScalePoint run_point(int nodes, bool mccio) {
   return point;
 }
 
-void expect_constant_per_rank(bool mccio) {
+void expect_constant_per_rank(bool mccio, bool hier) {
   // P = 516 ranks, then 2P and 4P.
-  const ScalePoint p1 = run_point(43, mccio);
-  const ScalePoint p2 = run_point(86, mccio);
-  const ScalePoint p4 = run_point(172, mccio);
+  const ScalePoint p1 = run_point(43, mccio, hier);
+  const ScalePoint p2 = run_point(86, mccio, hier);
+  const ScalePoint p4 = run_point(172, mccio, hier);
   for (const ScalePoint& p : {p1, p2, p4}) {
     EXPECT_EQ(p.plan_builds, 2u) << "one plan per collective (write, read)";
   }
@@ -86,11 +88,21 @@ void expect_constant_per_rank(bool mccio) {
 }
 
 TEST(PlanScaling, TwoPhaseBytesPerRankConstant) {
-  expect_constant_per_rank(/*mccio=*/false);
+  expect_constant_per_rank(/*mccio=*/false, /*hier=*/false);
 }
 
 TEST(PlanScaling, MccioBytesPerRankConstant) {
-  expect_constant_per_rank(/*mccio=*/true);
+  expect_constant_per_rank(/*mccio=*/true, /*hier=*/false);
+}
+
+// The node-leader exchange routes through the collective's one route
+// table; a per-rank node map or source scan grows the bytes with P.
+TEST(PlanScaling, TwoPhaseHierBytesPerRankConstant) {
+  expect_constant_per_rank(/*mccio=*/false, /*hier=*/true);
+}
+
+TEST(PlanScaling, MccioHierBytesPerRankConstant) {
+  expect_constant_per_rank(/*mccio=*/true, /*hier=*/true);
 }
 
 }  // namespace

@@ -81,8 +81,8 @@ TEST(ScaleSmoke, SixteenKRanks) {
 
   // Wall-clock budget: generous enough for slow shared CI hosts, tight
   // enough that an accidental O(ranks^2) scheduler path blows through
-  // it. About 53 s on one core of a 4-core x86-64 VM (RelWithDebInfo); an
-  // O(ranks^2) path regresses that to tens of minutes.
+  // it. About 2.5 s on one core of a 4-core x86-64 VM (RelWithDebInfo);
+  // an O(ranks^2) path regresses that to tens of minutes.
 #if defined(MCIO_TEST_UNDER_SANITIZER)
   constexpr double kBudgetSeconds = 900.0;
 #else
