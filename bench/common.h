@@ -487,26 +487,7 @@ inline void check_sweep_equal(const std::vector<SweepPoint>& a,
     MCIO_CHECK_EQ(x.io_bytes(), y.io_bytes());
     // Degradation-ladder trail (nonzero only under fault plans): the
     // ladder's grant/deny/borrow decisions must replay identically too.
-    const metrics::DegradationStats& dx = x.degradation();
-    const metrics::DegradationStats& dy = y.degradation();
-    MCIO_CHECK_EQ(dx.lease_denials, dy.lease_denials);
-    MCIO_CHECK_EQ(dx.lease_retries, dy.lease_retries);
-    MCIO_CHECK_EQ(dx.backoff_s, dy.backoff_s);
-    MCIO_CHECK_EQ(dx.grant_delays, dy.grant_delays);
-    MCIO_CHECK_EQ(dx.grant_delay_s, dy.grant_delay_s);
-    MCIO_CHECK_EQ(dx.revocations, dy.revocations);
-    MCIO_CHECK_EQ(dx.buffer_shrinks, dy.buffer_shrinks);
-    MCIO_CHECK_EQ(dx.spills, dy.spills);
-    MCIO_CHECK_EQ(dx.spilled_bytes, dy.spilled_bytes);
-    MCIO_CHECK_EQ(dx.plan_remerges, dy.plan_remerges);
-    MCIO_CHECK_EQ(dx.exhausted_nodes, dy.exhausted_nodes);
-    MCIO_CHECK_EQ(dx.fallback_ranks, dy.fallback_ranks);
-    MCIO_CHECK_EQ(dx.fallback_bytes, dy.fallback_bytes);
-    MCIO_CHECK_EQ(dx.lease_retry_giveups, dy.lease_retry_giveups);
-    MCIO_CHECK_EQ(dx.borrows, dy.borrows);
-    MCIO_CHECK_EQ(dx.borrowed_bytes, dy.borrowed_bytes);
-    MCIO_CHECK_EQ(dx.borrow_denials, dy.borrow_denials);
-    MCIO_CHECK_EQ(dx.donor_revocations, dy.donor_revocations);
+    MCIO_CHECK(x.degradation() == y.degradation());
   };
   const auto check_run = [&](const RunResult& x, const RunResult& y) {
     MCIO_CHECK_EQ(x.write_bw, y.write_bw);

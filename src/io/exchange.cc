@@ -53,6 +53,7 @@ using util::Extent;
 using util::ExtentList;
 using util::Payload;
 using util::Piece;
+using util::PieceCursor;
 
 void ExchangePlan::validate(int comm_size) const {
   MCIO_CHECK_EQ(rank_bounds.size(), static_cast<std::size_t>(comm_size));
@@ -211,68 +212,76 @@ std::shared_ptr<const ExchangePlan> share_exchange_plan(
   return xplan;
 }
 
-TwoPhaseExchange::PieceCursor::PieceCursor(
-    const std::vector<Extent>& extents)
-    : extents_(extents) {}
-
-void TwoPhaseExchange::PieceCursor::advance(const Extent& window,
-                                            std::vector<Piece>* out) {
-  while (idx_ < extents_.size() &&
-         extents_[idx_].end() <= window.offset) {
-    buf_prefix_ += extents_[idx_].len;
-    ++idx_;
-  }
-  out->clear();
-  std::size_t j = idx_;
-  std::uint64_t prefix = buf_prefix_;
-  while (j < extents_.size() && extents_[j].offset < window.end()) {
-    if (const auto x = util::intersect(extents_[j], window)) {
-      out->push_back(Piece{x->offset,
-                           prefix + (x->offset - extents_[j].offset),
-                           x->len});
-    }
-    prefix += extents_[j].len;
-    ++j;
-  }
-}
-
 TwoPhaseExchange::TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
                                    std::shared_ptr<const ExchangePlan> xplan)
-    : ctx_(ctx), plan_(plan), xplan_(std::move(xplan)) {
+    : ctx_(ctx),
+      plan_(plan),
+      xplan_(std::move(xplan)),
+      stats_(ctx.stats ? *ctx.stats : discard_) {
   MCIO_CHECK(ctx_.comm != nullptr);
   MCIO_CHECK(ctx_.fs != nullptr);
   MCIO_CHECK(ctx_.memory != nullptr);
   MCIO_CHECK(xplan_ != nullptr);
   const RouteTable& routes = xplan_->routes;
   MCIO_CHECK_EQ(routes.ranks(), ctx_.comm->size());
-  // The MemoryManager is shared by every rank, so all ranks agree on the
-  // protocol variant (and reserve the same tags below).
+  // The MemoryManager and the routes are shared by every rank, so all
+  // ranks agree on the protocol variant and the path, and reserve the
+  // same tags below. With node leaders off the node family reserves
+  // nothing and the flat tag sequence is untouched.
   degraded_ = ctx_.memory->faults_enabled();
-  tag_lists_ = ctx_.comm->reserve_tags(1);
-  if (degraded_) tag_wsize_ = ctx_.comm->reserve_tags(1);
-  tag_data_base_ =
-      ctx_.comm->reserve_tags(std::max<int>(1, static_cast<int>(
-                                                   xplan_->domains.size())));
-  for (const int i : routes.owned(my_rank())) {
-    owned_.push_back(DomainWork{i, {}});
+  const int tag_span =
+      std::max<int>(1, static_cast<int>(xplan_->domains.size()));
+  tags_.lists = ctx_.comm->reserve_tags(1);
+  if (degraded_) tags_.wsize = ctx_.comm->reserve_tags(1);
+  tags_.data = ctx_.comm->reserve_tags(tag_span);
+  const bool hier = routes.hierarchical();
+  if (hier) {
+    node_tags_.lists = ctx_.comm->reserve_tags(1);
+    if (degraded_) node_tags_.wsize = ctx_.comm->reserve_tags(1);
+    node_tags_.data = ctx_.comm->reserve_tags(tag_span);
   }
-  clients_ = routes.client_domains(my_rank());
-  // Node-leader hierarchy. The routes are shared by every rank, so the
-  // extra tag reservations stay collective; with the hint off nothing
-  // below runs and the flat tag sequence is untouched.
-  hier_ = routes.hierarchical();
-  if (!hier_) return;
-  tag_hier_lists_ = ctx_.comm->reserve_tags(1);
-  if (degraded_) tag_hier_wsize_ = ctx_.comm->reserve_tags(1);
-  tag_hier_data_base_ =
-      ctx_.comm->reserve_tags(std::max<int>(1, static_cast<int>(
-                                                   xplan_->domains.size())));
-  my_leader_ = routes.leader(my_rank());
-  is_leader_ = my_leader_ == my_rank();
-  if (!is_leader_) return;
-  for (const int i : routes.node_domains(my_rank())) {
-    node_domains_.push_back(NodeDomain{i, {}, {}});
+
+  // A node leader ships nothing upstream as a client: its own bytes fold
+  // into its node hubs, whose sources include it.
+  const int me = my_rank();
+  const int leader = hier ? routes.leader(me) : -1;
+  const auto [first, last] = routes.client_domains(me);
+  if (leader != me) {
+    links_.reserve(static_cast<std::size_t>(last - first));
+    for (int i = first; i < last; ++i) {
+      const FileDomain& d = domain(i);
+      links_.push_back(hier ? Link{i, leader, true, d.buffer_bytes}
+                            : Link{i, d.aggregator, false, d.buffer_bytes});
+    }
+  } else {
+    for (const int i : routes.node_domains(me)) {
+      node_hubs_.push_back(Hub{i, domain(i).buffer_bytes, {}});
+    }
   }
+  for (const int i : routes.owned(me)) {
+    owned_.push_back(Hub{i, domain(i).buffer_bytes, {}});
+    grants_.push_back(BufferGrant{domain(i).buffer_bytes});
+  }
+}
+
+void TwoPhaseExchange::Sweep::reset(const Hub& hub) {
+  sources_.clear();
+  active_.clear();
+  for (const auto& [s, list] : hub.sources) {
+    sources_.push_back(Source{s, util::ExtentCursor(list), {}});
+  }
+}
+
+bool TwoPhaseExchange::Sweep::clip(const Extent& w) {
+  cover_.clear();
+  active_.clear();
+  for (Source& s : sources_) {
+    s.cursor.clipped_into(w, &s.clip);
+    if (s.clip.empty()) continue;
+    cover_.merge(s.clip);
+    active_.push_back(&s);
+  }
+  return !cover_.empty();
 }
 
 int TwoPhaseExchange::my_rank() const { return ctx_.comm->rank(); }
@@ -325,9 +334,7 @@ void TwoPhaseExchange::charge_copy(int node, std::uint64_t bytes,
 }
 
 void TwoPhaseExchange::count_msg(int dst, std::uint64_t bytes) {
-  if (ctx_.stats != nullptr) {
-    ctx_.stats->record_msg(my_node(), ctx_.comm->node_of(dst), bytes);
-  }
+  stats_.record_msg(my_node(), ctx_.comm->node_of(dst), bytes);
 }
 
 // Virtual seconds between the negotiation's allreduce and the aligned
@@ -350,67 +357,60 @@ static bool next_window(const Extent& fd, std::uint64_t win, Extent* w) {
   return true;
 }
 
-void TwoPhaseExchange::send_extent_lists() {
-  const ExtentList local = ExtentList::normalize(plan_.extents);
-  for (int di = clients_.first; di < clients_.second; ++di) {
-    const FileDomain& d = xplan_->domains[static_cast<std::size_t>(di)];
-    const ExtentList part = local.clipped(d.extent);
+void TwoPhaseExchange::send_extent_lists(const ExtentList& local) {
+  for (const Link& link : links_) {
+    const ExtentList part = local.clipped(domain(link.domain).extent);
     const std::span<const std::byte> blob = encode(part);
-    if (hier_) {
-      // Members fold their lists into the leader over shm; the leader's
-      // own list is folded locally in leader_collect_extent_lists().
-      if (is_leader_) continue;
-      ctx_.comm->send_blob_shm(my_leader_, tag_hier_lists_, blob);
-      count_msg(my_leader_, blob.size());
+    if (link.shm) {
+      ctx_.comm->send_blob_shm(link.peer, node_tags_.lists, blob);
     } else {
-      ctx_.comm->send_blob(d.aggregator, tag_lists_, blob);
-      count_msg(d.aggregator, blob.size());
+      ctx_.comm->send_blob(link.peer, tags_.lists, blob);
     }
+    count_msg(link.peer, blob.size());
   }
 }
 
-void TwoPhaseExchange::leader_collect_extent_lists() {
-  if (!is_leader_) return;
-  const ExtentList local = ExtentList::normalize(plan_.extents);
+void TwoPhaseExchange::leader_collect_extent_lists(const ExtentList& local) {
   const RouteTable& routes = xplan_->routes;
-  for (NodeDomain& nd : node_domains_) {
-    const FileDomain& d =
-        xplan_->domains[static_cast<std::size_t>(nd.index)];
-    // Per-member FIFO: a member emits its client domains ascending, and
-    // the node domains it touches are exactly its client domains, so
-    // receiving (domain asc, member asc) matches each member's order.
+  ExtentList merged;  // one hub's union, forwarded and dropped
+  for (Hub& hub : node_hubs_) {
+    const FileDomain& d = domain(hub.index);
+    merged.clear();
+    // Per-member FIFO: a member emits its links ascending, and the node
+    // domains it touches are exactly its links' domains, so receiving
+    // (domain asc, member asc) matches each member's order. The leader's
+    // own list is clipped here.
     for (const int m : routes.members(my_rank())) {
-      if (!routes.touches(m, nd.index)) continue;
+      if (!routes.touches(m, hub.index)) continue;
       ExtentList list =
-          m == my_rank()
-              ? local.clipped(d.extent)
-              : decode(ctx_.comm->recv_blob(m, tag_hier_lists_));
+          m == my_rank() ? local.clipped(d.extent)
+                         : decode(ctx_.comm->recv_blob(m, node_tags_.lists));
       if (list.empty()) continue;
-      nd.merged.merge(list);
-      nd.per_member.emplace_back(m, std::move(list));
+      merged.merge(list);
+      hub.sources.emplace_back(m, std::move(list));
     }
-    // Forward the node's merged list (possibly empty — the aggregator
-    // expects one blob per touching node).
-    const std::span<const std::byte> blob = encode(nd.merged);
-    ctx_.comm->send_blob(d.aggregator, tag_lists_, blob);
+    // Forward the node's union (possibly empty — the aggregator expects
+    // one blob per touching node).
+    const std::span<const std::byte> blob = encode(merged);
+    ctx_.comm->send_blob(d.aggregator, tags_.lists, blob);
     count_msg(d.aggregator, blob.size());
   }
 }
 
 void TwoPhaseExchange::recv_extent_lists() {
   // Drain every expected extent-list blob in the canonical (domain,
-  // source) order, naming each source. Senders emit their client domains
-  // in ascending order, so per-source FIFO hands the k-th blob from a
-  // source to that source's k-th domain of ours.
+  // source) order, naming each source. Senders emit their domains in
+  // ascending order, so per-source FIFO hands the k-th blob from a source
+  // to that source's k-th domain of ours.
   struct Pending {
-    DomainWork* work;
+    Hub* hub;
     mpi::FramedBlob blob;
   };
   std::vector<Pending> pending;
-  for (DomainWork& work : owned_) {
-    for (const int s : xplan_->routes.sources(work.index)) {
+  for (Hub& hub : owned_) {
+    for (const int s : xplan_->routes.sources(hub.index)) {
       pending.push_back(
-          Pending{&work, ctx_.comm->recv_blob_deferred(s, tag_lists_)});
+          Pending{&hub, ctx_.comm->recv_blob_deferred(s, tags_.lists)});
     }
   }
 
@@ -424,17 +424,19 @@ void TwoPhaseExchange::recv_extent_lists() {
     ExtentList list = decode(p.blob.bytes);
     if (!list.empty()) {
       // Sources are visited in ascending order per domain, so appending
-      // keeps per_source sorted.
-      p.work->per_source.emplace_back(p.blob.source, std::move(list));
+      // keeps the hub's sources sorted.
+      p.hub->sources.emplace_back(p.blob.source, std::move(list));
     }
   }
 }
 
 // A grant's transient reclaim delay, waited out before the lease is used.
-static void wait_grant_delay(CollContext& ctx, double delay_s) {
+static void wait_grant_delay(sim::Actor& actor,
+                             metrics::CollectiveStats& stats,
+                             double delay_s) {
   if (delay_s <= 0.0) return;
-  ctx.rank->actor().advance(delay_s);
-  if (ctx.stats != nullptr) ctx.stats->record_grant_delay(delay_s);
+  actor.advance(delay_s);
+  stats.record_grant_delay(delay_s);
 }
 
 BufferGrant TwoPhaseExchange::acquire_buffer(
@@ -453,14 +455,14 @@ BufferGrant TwoPhaseExchange::acquire_buffer(
       // Rung 1 bound: the schedule has denied fault_attempt_cap attempts
       // in this ladder run. Give up on local memory instead of retrying
       // until the schedule relents, and drop to the terminal rungs.
-      if (ctx_.stats != nullptr) ctx_.stats->record_retry_giveup();
+      stats_.record_retry_giveup();
       break;
     }
     actor().sync();
     node::LeaseAttempt att = ctx_.memory->try_lease(node, bytes, site,
                                                     attempt++);
     if (att.granted) {
-      wait_grant_delay(ctx_, att.delay_s);
+      wait_grant_delay(actor(), stats_, att.delay_s);
       BufferGrant g;
       g.revoke_after = att.lease.revoke_after();
       g.window_bytes = bytes;
@@ -470,17 +472,17 @@ BufferGrant TwoPhaseExchange::acquire_buffer(
       att.lease.release();
       return g;
     }
-    if (ctx_.stats != nullptr) ctx_.stats->record_denial();
+    stats_.record_denial();
     if (retries < ctx_.hints.fault_max_retries) {
       // Rung 1: back off in virtual time and re-attempt.
       actor().advance(backoff);
-      if (ctx_.stats != nullptr) ctx_.stats->record_retry(backoff);
+      stats_.record_retry(backoff);
       backoff *= 2.0;
       ++retries;
     } else if (bytes > floor) {
       // Rung 3: shrink the buffer and restart the retry budget.
       bytes = std::max(floor, bytes / 2);
-      if (ctx_.stats != nullptr) ctx_.stats->record_shrink();
+      stats_.record_shrink();
       retries = 0;
       backoff = ctx_.hints.fault_backoff_s;
     } else {
@@ -522,31 +524,34 @@ BufferGrant TwoPhaseExchange::acquire_buffer(
           ++borrow_retries;
           continue;
         }
-        wait_grant_delay(ctx_, att.delay_s);
+        wait_grant_delay(actor(), stats_, att.delay_s);
         BufferGrant g;
         g.window_bytes = ask;
         g.revoke_after = att.lease.revoke_after();
         g.borrow_donor = att.donor;
-        if (ctx_.stats != nullptr) ctx_.stats->record_borrow();
+        stats_.record_borrow();
         // Probe only, as above: the data phases take the real donor
         // lease.
         att.lease.release();
         return g;
       }
     }
-    if (ctx_.stats != nullptr) ctx_.stats->record_borrow_denial();
+    stats_.record_borrow_denial();
   }
   // Rung 5: spill — swap always has room; the buffer is swap-backed and
   // every byte through it pages.
   BufferGrant g;
   g.window_bytes = bytes;
   g.spilled = true;
-  if (ctx_.stats != nullptr) ctx_.stats->record_spill();
+  stats_.record_spill();
   return g;
 }
 
-WindowBacking::WindowBacking(CollContext& ctx)
-    : ctx_(ctx), home_node_(ctx.comm->node_of(ctx.comm->rank())) {}
+WindowBacking::WindowBacking(CollContext& ctx,
+                             metrics::CollectiveStats& stats)
+    : ctx_(ctx),
+      stats_(stats),
+      home_node_(ctx.comm->node_of(ctx.comm->rank())) {}
 
 void WindowBacking::open(const BufferGrant& grant, std::uint64_t site) {
   site_ = site;
@@ -603,12 +608,10 @@ bool WindowBacking::reborrow() {
     // Only a fault-denied election counts as a denial; a probe that
     // found no donor with headroom (the common case while every peer is
     // mid-domain) is just the window watching the pool.
-    if (att.donor >= 0 && ctx_.stats != nullptr) {
-      ctx_.stats->record_borrow_denial();
-    }
+    if (att.donor >= 0) stats_.record_borrow_denial();
     return false;
   }
-  wait_grant_delay(ctx_, att.delay_s);
+  wait_grant_delay(actor, stats_, att.delay_s);
   state_ = State::kBorrowed;
   probing_ = false;
   node_ = att.donor;
@@ -619,7 +622,7 @@ bool WindowBacking::reborrow() {
                    : std::numeric_limits<double>::infinity();
   att.lease.release();
   scale_from_lease();
-  if (ctx_.stats != nullptr) ctx_.stats->record_borrow();
+  stats_.record_borrow();
   return true;
 }
 
@@ -632,12 +635,10 @@ void WindowBacking::step() {
   }
   if (ctx_.rank->actor().now() < revoke_at_) return;
   // Rung 2: the fault plan pulled the backing mid-collective.
-  if (ctx_.stats != nullptr) {
-    if (state_ == State::kBorrowed) {
-      ctx_.stats->record_donor_revocation();
-    } else {
-      ctx_.stats->record_revocation();
-    }
+  if (state_ == State::kBorrowed) {
+    stats_.record_donor_revocation();
+  } else {
+    stats_.record_revocation();
   }
   // Sideways demotion into rung 4: local windows and already-borrowed
   // windows alike migrate their backing to the next elected donor, so
@@ -655,13 +656,11 @@ void WindowBacking::charge_source(std::uint64_t bytes) {
   sim::Cluster& cluster = ctx_.rank->machine().cluster();
   if (state_ == State::kBorrowed) {
     charge(ctx_.rank->actor(), cluster.fabric(node_), bytes, fabric_scale_);
-    if (ctx_.stats != nullptr) ctx_.stats->record_borrowed_bytes(bytes);
+    stats_.record_borrowed_bytes(bytes);
   } else {
     charge(ctx_.rank->actor(), cluster.membus(home_node_), bytes,
            copy_scale_);
-    if (state_ == State::kSwap && ctx_.stats != nullptr) {
-      ctx_.stats->record_spilled_bytes(bytes);
-    }
+    if (state_ == State::kSwap) stats_.record_spilled_bytes(bytes);
   }
 }
 
@@ -672,67 +671,27 @@ void WindowBacking::charge_file(std::uint64_t bytes) {
 }
 
 void TwoPhaseExchange::negotiate_buffers() {
-  grants_.clear();
-  grants_.reserve(owned_.size());
-  for (const DomainWork& work : owned_) {
-    const FileDomain& d =
-        xplan_->domains[static_cast<std::size_t>(work.index)];
+  for (std::size_t k = 0; k < owned_.size(); ++k) {
+    Hub& hub = owned_[k];
+    const FileDomain& d = domain(hub.index);
     // The borrow rung restores the full planned buffer (a rescued group's
     // domains may have been placed with floor-sized buffers), capped by
     // the domain extent so the donor lease never outsizes the data.
     const std::uint64_t borrow_want = std::min<std::uint64_t>(
         d.extent.len,
         std::max<std::uint64_t>(d.buffer_bytes, ctx_.hints.cb_buffer_size));
-    BufferGrant g =
-        acquire_buffer(d.buffer_bytes, d.extent.offset, borrow_want);
+    grants_[k] = acquire_buffer(d.buffer_bytes, d.extent.offset, borrow_want);
+    hub.window = grants_[k].window_bytes;
     // Announce the final window size to every direct source (the same set
     // that sent extent lists — all intersecting ranks on the flat path,
     // their leaders on the hierarchical one), so both sides window the
     // data stream identically.
-    const std::uint64_t wsize = g.window_bytes;
-    for (const int s : xplan_->routes.sources(work.index)) {
+    for (const int s : xplan_->routes.sources(hub.index)) {
       ctx_.comm->send(
-          s, tag_wsize_,
-          ConstPayload::real(reinterpret_cast<const std::byte*>(&wsize),
-                             sizeof(wsize)));
-      count_msg(s, sizeof(wsize));
-    }
-    grants_.push_back(std::move(g));
-  }
-}
-
-void TwoPhaseExchange::client_send_data() {
-  PieceCursor cursor(plan_.extents);
-  std::vector<std::byte> tmp;   // pack staging, reused across windows
-  std::vector<Piece> pieces;    // window pieces, reused across windows
-  // Hierarchical mode: members stream their packed windows into the node
-  // leader over shm instead of to the aggregator (leaders skip this phase
-  // entirely — their data folds in during leader_combine_write()).
-  for (int di = clients_.first; di < clients_.second; ++di) {
-    const FileDomain& d = xplan_->domains[static_cast<std::size_t>(di)];
-    const std::uint64_t win =
-        degraded_ ? client_window_[di - clients_.first] : d.buffer_bytes;
-    for (Extent w{}; next_window(d.extent, win, &w);) {
-      cursor.advance(w, &pieces);
-      if (pieces.empty()) continue;
-      std::uint64_t total = 0;
-      for (const Piece& p : pieces) total += p.len;
-      // Packing cost (skipped when the data is already one run).
-      if (pieces.size() > 1) charge_copy(my_node(), total, 1.0);
-      const int dst = hier_ ? my_leader_ : d.aggregator;
-      const int tag = hier_ ? tag_hier_data_base_ + di
-                            : tag_data_base_ + di;
-      const Payload packed = staging(&tmp, total);
-      util::gather(packed, plan_.buffer, pieces, at_plan);
-#ifdef MCIO_FUZZ_BUG
-      fuzz_bug_corrupt(packed.data, packed.size, w.offset);
-#endif
-      if (hier_) {
-        ctx_.comm->send_shm(dst, tag, packed);
-      } else {
-        ctx_.comm->send(dst, tag, packed);
-      }
-      count_msg(dst, total);
+          s, tags_.wsize,
+          ConstPayload::real(reinterpret_cast<const std::byte*>(&hub.window),
+                             sizeof(hub.window)));
+      count_msg(s, sizeof(hub.window));
     }
   }
 }
@@ -746,71 +705,77 @@ void TwoPhaseExchange::relay_window_sizes() {
     MCIO_CHECK_GT(wsize, 0u);
     return wsize;
   };
-  if (hier_ && is_leader_) {
-    // Window sizes arrive per node domain (each aggregator announces its
-    // owned domains ascending; per-source FIFO lines them up), then fan
-    // out to every member with data in the domain.
-    const RouteTable& routes = xplan_->routes;
-    node_window_.assign(node_domains_.size(), 0);
-    for (std::size_t i = 0; i < node_domains_.size(); ++i) {
-      const NodeDomain& nd = node_domains_[i];
-      const FileDomain& d =
-          xplan_->domains[static_cast<std::size_t>(nd.index)];
-      const std::uint64_t wsize = recv_size(d.aggregator, tag_wsize_);
-      node_window_[i] = wsize;
-      for (const int m : routes.members(my_rank())) {
-        if (m == my_rank() || !routes.touches(m, nd.index)) continue;
-        ctx_.comm->send_shm(
-            m, tag_hier_wsize_,
-            ConstPayload::real(reinterpret_cast<const std::byte*>(&wsize),
-                               sizeof(wsize)));
-        count_msg(m, sizeof(wsize));
-      }
+  // A leader's sizes arrive per node domain (each aggregator announces
+  // its owned domains ascending; per-source FIFO lines them up), then fan
+  // out to every member with data in the domain.
+  const RouteTable& routes = xplan_->routes;
+  for (Hub& hub : node_hubs_) {
+    hub.window = recv_size(domain(hub.index).aggregator, tags_.wsize);
+    for (const int m : routes.members(my_rank())) {
+      if (m == my_rank() || !routes.touches(m, hub.index)) continue;
+      ctx_.comm->send_shm(
+          m, node_tags_.wsize,
+          ConstPayload::real(reinterpret_cast<const std::byte*>(&hub.window),
+                             sizeof(hub.window)));
+      count_msg(m, sizeof(hub.window));
     }
-  } else {
-    // Client: one size per client domain, ascending — from the domain's
-    // aggregator, or from my leader, which forwards my intersecting
-    // domains ascending (exactly my client domains).
-    client_window_.clear();
-    for (int di = clients_.first; di < clients_.second; ++di) {
-      const FileDomain& d = xplan_->domains[static_cast<std::size_t>(di)];
-      client_window_.push_back(hier_ ? recv_size(my_leader_, tag_hier_wsize_)
-                                     : recv_size(d.aggregator, tag_wsize_));
+  }
+  // One size per link, ascending: the leader forwards a member's domains
+  // ascending, exactly its links.
+  for (Link& link : links_) {
+    link.window = recv_size(link.peer, tags_of(link).wsize);
+  }
+}
+
+void TwoPhaseExchange::client_send_data() {
+  PieceCursor cursor(plan_.extents);
+  std::vector<std::byte> tmp;   // pack staging, reused across windows
+  std::vector<Piece> pieces;    // window pieces, reused across windows
+  for (const Link& link : links_) {
+    const FileDomain& d = domain(link.domain);
+    const int tag = tags_of(link).data + link.domain;
+    for (Extent w{}; next_window(d.extent, link.window, &w);) {
+      cursor.advance(w, &pieces);
+      if (pieces.empty()) continue;
+      std::uint64_t total = 0;
+      for (const Piece& p : pieces) total += p.len;
+      // Packing cost (skipped when the data is already one run).
+      if (pieces.size() > 1) charge_copy(my_node(), total, 1.0);
+      const Payload packed = staging(&tmp, total);
+      util::gather(packed, plan_.buffer, pieces, at_plan);
+#ifdef MCIO_FUZZ_BUG
+      fuzz_bug_corrupt(packed.data, packed.size, w.offset);
+#endif
+      if (link.shm) {
+        ctx_.comm->send_shm(link.peer, tag, packed);
+      } else {
+        ctx_.comm->send(link.peer, tag, packed);
+      }
+      count_msg(link.peer, total);
     }
   }
 }
 
 void TwoPhaseExchange::leader_combine_write() {
-  if (!is_leader_) return;
   PieceCursor cursor(plan_.extents);  // own data; windows ascend globally
   std::vector<Piece> pieces;
-  std::vector<std::byte> stage;  // merged window staging
+  std::vector<std::byte> stage;  // combined window staging
   std::vector<std::byte> buf;    // member receive staging
   std::vector<std::byte> pack;   // forward packing
-  std::vector<SourceSweep> sweeps;
-  util::ExtentList mclip;
-  for (std::size_t k = 0; k < node_domains_.size(); ++k) {
-    NodeDomain& nd = node_domains_[k];
-    const FileDomain& d =
-        xplan_->domains[static_cast<std::size_t>(nd.index)];
-    const std::uint64_t win = degraded_ ? node_window_[k] : d.buffer_bytes;
-    sweeps.clear();
-    for (const auto& [m, list] : nd.per_member) {
-      sweeps.push_back(SourceSweep{m, util::ExtentCursor(list), {}});
-    }
-    util::ExtentCursor merged(nd.merged);
-    for (Extent w{}; next_window(d.extent, win, &w);) {
-      merged.clipped_into(w, &mclip);
-      if (mclip.empty()) continue;
-      const Extent span = mclip.bounds();
+  Sweep sweep;
+  for (const Hub& hub : node_hubs_) {
+    const FileDomain& d = domain(hub.index);
+    sweep.reset(hub);
+    for (Extent w{}; next_window(d.extent, hub.window, &w);) {
+      if (!sweep.clip(w)) continue;
+      const ExtentList& cover = sweep.cover();
+      const Extent span = cover.bounds();
       const Payload staged = staging(&stage, span.len);
       // Overlay members ascending — within the node the same overlap
       // winner as the flat rank-ascending overlay at the aggregator.
-      for (SourceSweep& sw : sweeps) {
-        sw.cursor.clipped_into(w, &sw.clip);
-        if (sw.clip.empty()) continue;
-        const std::uint64_t n = sw.clip.total_bytes();
-        if (sw.source == my_rank()) {
+      for (const Sweep::Source* s : sweep.active()) {
+        const std::uint64_t n = s->clip.total_bytes();
+        if (s->rank == my_rank()) {
           // Own pieces fold straight into the staging: the single copy.
           cursor.advance(w, &pieces);
           charge_copy(my_node(), n, 1.0);
@@ -823,67 +788,52 @@ void TwoPhaseExchange::leader_combine_write() {
           // The member's packed window blob. Its shm transfer already
           // modeled the single copy, so no extra overlay charge here.
           const Payload got = staging(&buf, n);
-          ctx_.comm->recv(sw.source, tag_hier_data_base_ + nd.index, got);
-          util::scatter(staged, got, sw.clip.runs(), at_file(span.offset));
-          if (ctx_.stats != nullptr) {
-            ctx_.stats->record_shuffle(ctx_.comm->node_of(sw.source),
-                                       my_node(), n);
-          }
+          ctx_.comm->recv(s->rank, node_tags_.data + hub.index, got);
+          util::scatter(staged, got, s->clip.runs(), at_file(span.offset));
+          stats_.record_shuffle(ctx_.comm->node_of(s->rank), my_node(), n);
         }
       }
       // One combined message per window to the aggregator.
-      const std::uint64_t total = mclip.total_bytes();
-      if (mclip.runs().size() > 1) charge_copy(my_node(), total, 1.0);
+      const std::uint64_t total = cover.total_bytes();
+      if (cover.runs().size() > 1) charge_copy(my_node(), total, 1.0);
       const Payload packed = staging(&pack, total);
-      util::gather(packed, staged, mclip.runs(), at_file(span.offset));
-      ctx_.comm->send(d.aggregator, tag_data_base_ + nd.index, packed);
+      util::gather(packed, staged, cover.runs(), at_file(span.offset));
+      ctx_.comm->send(d.aggregator, tags_.data + hub.index, packed);
       count_msg(d.aggregator, total);
     }
   }
 }
 
 void TwoPhaseExchange::leader_scatter_read() {
-  if (!is_leader_) return;
   PieceCursor cursor(plan_.extents);
   std::vector<Piece> pieces;
-  std::vector<std::byte> stage;  // merged window staging
+  std::vector<std::byte> stage;  // combined window staging
   std::vector<std::byte> buf;    // aggregator receive staging
   std::vector<std::byte> slice;  // per-member packing
-  std::vector<SourceSweep> sweeps;
-  util::ExtentList mclip;
-  for (std::size_t k = 0; k < node_domains_.size(); ++k) {
-    NodeDomain& nd = node_domains_[k];
-    const FileDomain& d =
-        xplan_->domains[static_cast<std::size_t>(nd.index)];
-    const std::uint64_t win = degraded_ ? node_window_[k] : d.buffer_bytes;
-    sweeps.clear();
-    for (const auto& [m, list] : nd.per_member) {
-      sweeps.push_back(SourceSweep{m, util::ExtentCursor(list), {}});
-    }
-    util::ExtentCursor merged(nd.merged);
-    for (Extent w{}; next_window(d.extent, win, &w);) {
-      merged.clipped_into(w, &mclip);
-      if (mclip.empty()) continue;
-      const Extent span = mclip.bounds();
-      const std::uint64_t total = mclip.total_bytes();
-      // The aggregator ships the node's merged runs as one blob.
-      const Payload got = staging(&buf, total);
-      ctx_.comm->recv(d.aggregator, tag_data_base_ + nd.index, got);
+  Sweep sweep;
+  for (const Hub& hub : node_hubs_) {
+    const FileDomain& d = domain(hub.index);
+    sweep.reset(hub);
+    for (Extent w{}; next_window(d.extent, hub.window, &w);) {
+      if (!sweep.clip(w)) continue;
+      const ExtentList& cover = sweep.cover();
+      const Extent span = cover.bounds();
+      // The aggregator ships the node's cover runs as one blob.
+      const Payload got = staging(&buf, cover.total_bytes());
+      ctx_.comm->recv(d.aggregator, tags_.data + hub.index, got);
       const Payload staged = staging(&stage, span.len);
-      util::scatter(staged, got, mclip.runs(), at_file(span.offset));
+      util::scatter(staged, got, cover.runs(), at_file(span.offset));
       // No staging-unpack charge: the blob arrives packed in ascending
       // run order, so member slices are cut straight out of it — their
       // single copy is the shm serve below. The leader's own pieces are
-      // free too: it knows the merged run layout before the recv, so a
+      // free too: it knows the cover's run layout before the recv, so a
       // derived-datatype receive scatters them in place — the same
       // convention under which a flat client's single-piece recv pays no
       // copy. (Rearranging real bytes through the stage is host-side
       // bookkeeping, not modeled cost.)
-      for (SourceSweep& sw : sweeps) {
-        sw.cursor.clipped_into(w, &sw.clip);
-        if (sw.clip.empty()) continue;
-        const std::uint64_t n = sw.clip.total_bytes();
-        if (sw.source == my_rank()) {
+      for (const Sweep::Source* s : sweep.active()) {
+        const std::uint64_t n = s->clip.total_bytes();
+        if (s->rank == my_rank()) {
           cursor.advance(w, &pieces);
           for (const Piece& p : pieces) {
             util::copy_payload(
@@ -892,82 +842,60 @@ void TwoPhaseExchange::leader_scatter_read() {
           }
         } else {
           const Payload packed = staging(&slice, n);
-          util::gather(packed, staged, sw.clip.runs(), at_file(span.offset));
-          ctx_.comm->send_shm(sw.source, tag_hier_data_base_ + nd.index,
-                              packed);
-          count_msg(sw.source, n);
-          if (ctx_.stats != nullptr) {
-            ctx_.stats->record_shuffle(my_node(),
-                                       ctx_.comm->node_of(sw.source), n);
-          }
+          util::gather(packed, staged, s->clip.runs(), at_file(span.offset));
+          ctx_.comm->send_shm(s->rank, node_tags_.data + hub.index, packed);
+          count_msg(s->rank, n);
+          stats_.record_shuffle(my_node(), ctx_.comm->node_of(s->rank), n);
         }
       }
     }
   }
 }
 
-metrics::AggregatorRecord TwoPhaseExchange::open_domain(
-    std::size_t k, WindowBacking* b, std::vector<SourceSweep>* sweeps) {
-  const DomainWork& work = owned_[k];
-  const FileDomain& d = xplan_->domains[static_cast<std::size_t>(work.index)];
-  const BufferGrant grant =
-      degraded_ ? grants_[k] : BufferGrant{d.buffer_bytes};
-  b->open(grant, d.extent.offset);
+metrics::AggregatorRecord TwoPhaseExchange::open_domain(std::size_t k,
+                                                        WindowBacking* b) {
+  b->open(grants_[k], domain(owned_[k].index).extent.offset);
   metrics::AggregatorRecord rec;
   rec.rank = my_rank();
   rec.node = my_node();
-  rec.buffer_bytes = grant.window_bytes;
+  rec.buffer_bytes = grants_[k].window_bytes;
   rec.pressure = b->pressure();
-  sweeps->clear();
-  for (const auto& [s, list] : work.per_source) {
-    sweeps->push_back(SourceSweep{s, util::ExtentCursor(list), {}});
-  }
   return rec;
 }
 
 void TwoPhaseExchange::aggregator_write() {
   // Scratch reused across windows and domains: receive staging buffers,
-  // request/payload lists, the window cover and the per-source clip lists.
-  std::vector<SourceSweep> sweeps;
-  std::vector<std::size_t> active;
+  // request/payload lists and the sweep.
+  Sweep sweep;
   std::vector<mpi::Request> reqs;
   std::vector<std::vector<std::byte>> pool;
   std::vector<Payload> got;
   std::vector<std::byte> cb;
-  ExtentList cover;
-  WindowBacking b(ctx_);
+  WindowBacking b(ctx_, stats_);
   for (std::size_t k = 0; k < owned_.size(); ++k) {
-    const DomainWork& work = owned_[k];
-    const FileDomain& d =
-        xplan_->domains[static_cast<std::size_t>(work.index)];
-    metrics::AggregatorRecord rec = open_domain(k, &b, &sweeps);
-    const Payload window =
-        staging(&cb, std::min(b.window_bytes(), d.extent.len));
-    for (Extent w{}; next_window(d.extent, b.window_bytes(), &w);) {
-      cover.clear();
-      active.clear();
-      for (std::size_t i = 0; i < sweeps.size(); ++i) {
-        sweeps[i].cursor.clipped_into(w, &sweeps[i].clip);
-        if (sweeps[i].clip.empty()) continue;
-        cover.merge(sweeps[i].clip);
-        active.push_back(i);
-      }
-      if (cover.empty()) continue;
+    const Hub& hub = owned_[k];
+    const FileDomain& d = domain(hub.index);
+    metrics::AggregatorRecord rec = open_domain(k, &b);
+    sweep.reset(hub);
+    const Payload window = staging(&cb, std::min(hub.window, d.extent.len));
+    for (Extent w{}; next_window(d.extent, hub.window, &w);) {
+      if (!sweep.clip(w)) continue;
       ++rec.rounds;
       b.step();
+      const ExtentList& cover = sweep.cover();
       const Extent span = cover.bounds();
       const bool holes = !cover.contiguous();
 
       // Post all receives for this window, then (if the window has holes
       // and sieving is on) pre-read the span — ROMIO's read-modify-write.
+      const auto& active = sweep.active();
       reqs.clear();
       got.clear();
       if (pool.size() < active.size()) pool.resize(active.size());
       for (std::size_t i = 0; i < active.size(); ++i) {
-        const SourceSweep& sw = sweeps[active[i]];
-        got.push_back(staging(&pool[i], sw.clip.total_bytes()));
+        got.push_back(staging(&pool[i], active[i]->clip.total_bytes()));
         reqs.push_back(ctx_.comm->irecv(
-            sw.source, tag_data_base_ + work.index, got.back()));
+            active[i]->rank, tags_.data + hub.index, got.back()));
       }
       // No read-modify-write while any rank is degraded to independent
       // I/O: its extents are exactly the holes the sieve would bridge,
@@ -981,20 +909,18 @@ void TwoPhaseExchange::aggregator_write() {
                       window.slice(span.offset - w.offset, span.len),
                       b.io_scale());
         b.charge_file(span.len);  // the sieved span fills the window
-        if (ctx_.stats != nullptr) ctx_.stats->record_rmw(span.len);
+        stats_.record_rmw(span.len);
       }
       ctx_.comm->waitall(reqs);
 
       // Overlay received pieces into the collective buffer.
       for (std::size_t i = 0; i < active.size(); ++i) {
-        const SourceSweep& sw = sweeps[active[i]];
         b.charge_source(got[i].size);
-        util::scatter(window, got[i], sw.clip.runs(), at_file(w.offset));
+        util::scatter(window, got[i], active[i]->clip.runs(),
+                      at_file(w.offset));
         rec.bytes_received += got[i].size;
-        if (ctx_.stats != nullptr) {
-          ctx_.stats->record_shuffle(ctx_.comm->node_of(sw.source),
-                                     my_node(), got[i].size);
-        }
+        stats_.record_shuffle(ctx_.comm->node_of(active[i]->rank), my_node(),
+                              got[i].size);
       }
 
       // Ship the window to the file system; a borrowed window drains
@@ -1005,7 +931,7 @@ void TwoPhaseExchange::aggregator_write() {
                        window.slice(out.offset - w.offset, out.len),
                        b.io_scale());
         rec.io_bytes += out.len;
-        if (ctx_.stats != nullptr) ctx_.stats->record_io(out.len);
+        stats_.record_io(out.len);
       };
       if (rmw || !holes) {
         drain(rmw ? span : cover.runs().front());
@@ -1016,54 +942,43 @@ void TwoPhaseExchange::aggregator_write() {
     // No sync before the release: the window's last act, fs->write, ran
     // in a global slice.
     b.close();
-    if (ctx_.stats != nullptr) ctx_.stats->record_aggregator(rec);
+    stats_.record_aggregator(rec);
   }
 }
 
 void TwoPhaseExchange::aggregator_read() {
-  std::vector<SourceSweep> sweeps;
+  Sweep sweep;
   std::vector<std::byte> cb;
-  ExtentList cover;
   std::vector<std::byte> tmp;  // pack staging, reused across sends
-  WindowBacking b(ctx_);
+  WindowBacking b(ctx_, stats_);
   for (std::size_t k = 0; k < owned_.size(); ++k) {
-    const DomainWork& work = owned_[k];
-    const FileDomain& d =
-        xplan_->domains[static_cast<std::size_t>(work.index)];
-    metrics::AggregatorRecord rec = open_domain(k, &b, &sweeps);
-    const Payload window =
-        staging(&cb, std::min(b.window_bytes(), d.extent.len));
-    for (Extent w{}; next_window(d.extent, b.window_bytes(), &w);) {
-      cover.clear();
-      for (SourceSweep& sw : sweeps) {
-        sw.cursor.clipped_into(w, &sw.clip);
-        if (!sw.clip.empty()) cover.merge(sw.clip);
-      }
-      if (cover.empty()) continue;
+    const Hub& hub = owned_[k];
+    const FileDomain& d = domain(hub.index);
+    metrics::AggregatorRecord rec = open_domain(k, &b);
+    sweep.reset(hub);
+    const Payload window = staging(&cb, std::min(hub.window, d.extent.len));
+    for (Extent w{}; next_window(d.extent, hub.window, &w);) {
+      if (!sweep.clip(w)) continue;
       ++rec.rounds;
       b.step();
       // Data-sieving read: one contiguous read covering the span.
-      const Extent span = cover.bounds();
+      const Extent span = sweep.cover().bounds();
       ctx_.fs->read(actor(), ctx_.file, span.offset,
                     window.slice(span.offset - w.offset, span.len),
                     b.io_scale());
       b.charge_file(span.len);  // the read span fills the window
       rec.io_bytes += span.len;
-      if (ctx_.stats != nullptr) ctx_.stats->record_io(span.len);
+      stats_.record_io(span.len);
 
-      for (const SourceSweep& sw : sweeps) {
-        if (sw.clip.empty()) continue;
-        const std::uint64_t n = sw.clip.total_bytes();
+      for (const Sweep::Source* s : sweep.active()) {
+        const std::uint64_t n = s->clip.total_bytes();
         b.charge_source(n);  // pack
         const Payload packed = staging(&tmp, n);
-        util::gather(packed, window, sw.clip.runs(), at_file(w.offset));
-        ctx_.comm->send(sw.source, tag_data_base_ + work.index, packed);
+        util::gather(packed, window, s->clip.runs(), at_file(w.offset));
+        ctx_.comm->send(s->rank, tags_.data + hub.index, packed);
         rec.bytes_sent += n;
-        count_msg(sw.source, n);
-        if (ctx_.stats != nullptr) {
-          ctx_.stats->record_shuffle(my_node(),
-                                     ctx_.comm->node_of(sw.source), n);
-        }
+        count_msg(s->rank, n);
+        stats_.record_shuffle(my_node(), ctx_.comm->node_of(s->rank), n);
       }
     }
     // Rejoin the global order before returning the lease: the window's
@@ -1072,7 +987,7 @@ void TwoPhaseExchange::aggregator_read() {
     // (time, actor).
     actor().sync();
     b.close();
-    if (ctx_.stats != nullptr) ctx_.stats->record_aggregator(rec);
+    stats_.record_aggregator(rec);
   }
 }
 
@@ -1080,22 +995,16 @@ void TwoPhaseExchange::client_recv_data() {
   PieceCursor cursor(plan_.extents);
   std::vector<std::byte> tmp;   // scatter staging, reused across windows
   std::vector<Piece> pieces;    // window pieces, reused across windows
-  // Hierarchical mode: members take their slices from the node leader
-  // (leaders skip this phase — leader_scatter_read() already landed their
-  // pieces).
-  for (int di = clients_.first; di < clients_.second; ++di) {
-    const FileDomain& d = xplan_->domains[static_cast<std::size_t>(di)];
-    const std::uint64_t win =
-        degraded_ ? client_window_[di - clients_.first] : d.buffer_bytes;
-    const int src = hier_ ? my_leader_ : d.aggregator;
-    const int tag = hier_ ? tag_hier_data_base_ + di : tag_data_base_ + di;
-    for (Extent w{}; next_window(d.extent, win, &w);) {
+  for (const Link& link : links_) {
+    const FileDomain& d = domain(link.domain);
+    const int tag = tags_of(link).data + link.domain;
+    for (Extent w{}; next_window(d.extent, link.window, &w);) {
       cursor.advance(w, &pieces);
       if (pieces.empty()) continue;
       std::uint64_t total = 0;
       for (const Piece& p : pieces) total += p.len;
       const Payload got = staging(&tmp, total);
-      ctx_.comm->recv(src, tag, got);
+      ctx_.comm->recv(link.peer, tag, got);
       util::scatter(plan_.buffer, got, pieces, at_plan);
       // Scatter cost (skipped when the data is one run).
       if (pieces.size() > 1) charge_copy(my_node(), total, 1.0);
@@ -1103,9 +1012,11 @@ void TwoPhaseExchange::client_recv_data() {
   }
 }
 
+// Every stage runs on every rank: a rank without links, hubs or node
+// hubs finds an empty table.
 void TwoPhaseExchange::write() {
   negotiate();
-  if (!hier_ || !is_leader_) client_send_data();
+  client_send_data();
   leader_combine_write();
   aggregator_write();
 }
@@ -1114,15 +1025,17 @@ void TwoPhaseExchange::read() {
   negotiate();
   aggregator_read();
   leader_scatter_read();
-  if (!hier_ || !is_leader_) client_recv_data();
+  client_recv_data();
 }
 
 void TwoPhaseExchange::negotiate() {
-  if (ctx_.stats != nullptr && my_rank() == 0) {
-    ctx_.stats->set_groups(xplan_->num_groups);
+  if (my_rank() == 0) stats_.set_groups(xplan_->num_groups);
+  {
+    // Scoped: the normalized request is dropped before the drain parks.
+    const ExtentList local = ExtentList::normalize(plan_.extents);
+    send_extent_lists(local);
+    leader_collect_extent_lists(local);
   }
-  send_extent_lists();
-  leader_collect_extent_lists();
   recv_extent_lists();
   if (!degraded_) return;
   // Degradation ladder + window-size negotiation: aggregators settle
@@ -1144,8 +1057,9 @@ void TwoPhaseExchange::close_negotiation() {
   // at exactly max(arrival) + slack — one backed-off ladder then delays
   // the whole collective by precisely its own cost.
   actor().sync();
-  const double t = hier_ ? ctx_.comm->allreduce_max_hier(actor().now())
-                         : ctx_.comm->allreduce_max(actor().now());
+  const double t = xplan_->routes.hierarchical()
+                       ? ctx_.comm->allreduce_max_hier(actor().now())
+                       : ctx_.comm->allreduce_max(actor().now());
   actor().advance_to(
       std::max(actor().now(), t + kNegotiationCloseSlack));
 }

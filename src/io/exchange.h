@@ -235,7 +235,8 @@ class WindowBacking {
  public:
   enum class State { kLocal, kBorrowed, kSwap };
 
-  explicit WindowBacking(CollContext& ctx);
+  /// Ladder events land in `stats`.
+  WindowBacking(CollContext& ctx, metrics::CollectiveStats& stats);
 
   /// Takes the lease (on the donor for a borrowed grant) at the actor's
   /// global time and arms the grant's revocation. `site` keys the fault
@@ -274,6 +275,7 @@ class WindowBacking {
   void scale_to_swap();
 
   CollContext& ctx_;
+  metrics::CollectiveStats& stats_;
   int home_node_ = -1;
   std::uint64_t site_ = 0;
   std::uint64_t window_bytes_ = 0;
@@ -288,6 +290,19 @@ class WindowBacking {
 };
 
 /// Runs one collective write or read. Construct per operation.
+///
+/// Every role reduces to tables resolved before data moves, so the data
+/// phases only read them:
+///   links   this rank's client domains, each with its upstream peer (the
+///           domain's aggregator, or the node leader over shm when node
+///           leaders are on; a leader has none) and window size;
+///   hubs    domains this rank gathers, each with its sources' extent
+///           lists: an aggregator's owned domains, and a node leader's
+///           node domains, whose sources are the node's members;
+///   grants  the ladder's terms for each owned domain's buffer.
+/// All three start at the planned buffer; the fault protocol's
+/// negotiation overwrites them. A table a role lacks is empty, so every
+/// stage runs on every rank.
 class TwoPhaseExchange {
  public:
   TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
@@ -302,80 +317,86 @@ class TwoPhaseExchange {
   void fallback_sync();
 
  private:
-  /// Advancing cursor over the local plan's extents; windows must be
-  /// queried in increasing file order (amortized O(1) per extent).
-  class PieceCursor {
+  /// One client domain's upstream end.
+  struct Link {
+    int domain = -1;  ///< index into xplan_->domains
+    int peer = -1;    ///< the domain's aggregator, or this node's leader
+    bool shm = false;  ///< the peer is the node leader (node tags, shm)
+    std::uint64_t window = 0;
+  };
+
+  /// One domain gathered here: an owned domain (sources are the ranks
+  /// that ship to its aggregator) or a leader's node domain (sources are
+  /// the members with bytes in it).
+  struct Hub {
+    int index = -1;  ///< index into xplan_->domains
+    std::uint64_t window = 0;
+    /// Per-source extent lists, ascending by source, empty lists dropped.
+    std::vector<std::pair<int, util::ExtentList>> sources;
+  };
+
+  /// A hub swept window by window (windows ascend within the domain): a
+  /// monotone cursor and a clip per source; the cover is the union of the
+  /// clips.
+  class Sweep {
    public:
-    explicit PieceCursor(const std::vector<util::Extent>& extents);
-    /// Pieces of the plan inside `window` with packed buffer offsets,
-    /// replacing `out`'s contents (caller-owned scratch).
-    void advance(const util::Extent& window, std::vector<util::Piece>* out);
+    struct Source {
+      int rank = -1;
+      util::ExtentCursor cursor;
+      util::ExtentList clip;
+    };
+    void reset(const Hub& hub);
+    /// Clips every source to `w`; false when no source has bytes in it.
+    bool clip(const util::Extent& w);
+    /// Sources with bytes in the last window, ascending.
+    const std::vector<const Source*>& active() const { return active_; }
+    const util::ExtentList& cover() const { return cover_; }
 
    private:
-    const std::vector<util::Extent>& extents_;
-    std::size_t idx_ = 0;
-    std::uint64_t buf_prefix_ = 0;
+    std::vector<Source> sources_;
+    std::vector<const Source*> active_;
+    util::ExtentList cover_;
   };
 
-  struct DomainWork {
-    int index = -1;  ///< index into xplan_.domains
-    /// Per-source clipped extent lists, ascending by source (aggregator
-    /// side).
-    std::vector<std::pair<int, util::ExtentList>> per_source;
+  /// One tag family: extent lists, window sizes, and one data tag per
+  /// domain from `data`.
+  struct Tags {
+    int lists = 0;
+    int wsize = 0;
+    int data = 0;
   };
 
-  /// Sweep state for one source of an aggregator or one member of a node
-  /// leader: a monotone cursor over its extent list (windows ascend
-  /// within a domain) and a reusable clip scratch, replacing a full
-  /// clipped() rescan per window.
-  struct SourceSweep {
-    int source = -1;
-    util::ExtentCursor cursor;
-    util::ExtentList clip;
-  };
-
-  /// Leader-side state for one domain this node's members touch.
-  struct NodeDomain {
-    int index = -1;  ///< index into xplan_.domains
-    /// Per-member clipped lists, ascending by member rank.
-    std::vector<std::pair<int, util::ExtentList>> per_member;
-    util::ExtentList merged;  ///< union of the member lists
-  };
-
-  // Phase helpers.
-  void send_extent_lists();
+  // Phase helpers. `local` is this rank's request, normalized.
+  void send_extent_lists(const util::ExtentList& local);
   void recv_extent_lists();
   /// Everything before data moves, shared by write() and read(): the
   /// extent lists reach the aggregators, then the degraded protocol runs
   /// negotiate_buffers(), relay_window_sizes() and close_negotiation().
   void negotiate();
   void negotiate_buffers();
-  /// Every client learns its negotiated window sizes: flat clients from
-  /// the aggregators; hierarchical leaders take them from the aggregators
-  /// and fan them out to their members, who take them from their leader.
+  /// Every link and node hub learns its negotiated window size: node
+  /// hubs and flat links from the aggregators, and a leader fans each
+  /// node domain's size out to its members' links.
   void relay_window_sizes();
   void close_negotiation();
   void client_send_data();
   /// Aggregator side of owned domain `k`: opens `b` on the domain's grant
-  /// (the planned buffer in fault-free runs), resets `sweeps` to the
-  /// domain's sources and returns the domain's aggregator record.
-  metrics::AggregatorRecord open_domain(std::size_t k, WindowBacking* b,
-                                        std::vector<SourceSweep>* sweeps);
+  /// and returns the domain's aggregator record.
+  metrics::AggregatorRecord open_domain(std::size_t k, WindowBacking* b);
   void aggregator_write();
   void aggregator_read();
   void client_recv_data();
 
-  // Hierarchical (node-leader) stages, active when hints.cb_node_leaders:
-  // members move metadata and payloads into their leader over the node's
-  // shm channel; only leaders exchange with aggregators. The aggregator
-  // phases above are untouched — their sources simply become leaders.
-  /// Leader: drain member extent lists, merge per domain, forward the
-  /// merged lists to the aggregators.
-  void leader_collect_extent_lists();
+  // Node-leader stages (hints.cb_node_leaders): members move metadata and
+  // payloads into their leader over the node's shm channel; only leaders
+  // exchange with aggregators, whose hubs simply list leaders as sources.
+  /// Leader: drain member extent lists into the node hubs and forward
+  /// each hub's union to its aggregator.
+  void leader_collect_extent_lists(const util::ExtentList& local);
   /// Leader write stage: per (domain, window) combine member payloads and
-  /// its own pieces into one staging buffer, forward merged runs.
+  /// its own pieces into one staging buffer, forward the cover's runs.
   void leader_combine_write();
-  /// Leader read stage: per (domain, window) take the merged blob from
+  /// Leader read stage: per (domain, window) take the cover's runs from
   /// the aggregator and scatter member slices over shm.
   void leader_scatter_read();
 
@@ -393,6 +414,13 @@ class TwoPhaseExchange {
   int my_rank() const;
   int my_node() const;
   sim::Actor& actor();
+  const FileDomain& domain(int index) const {
+    return xplan_->domains[static_cast<std::size_t>(index)];
+  }
+  /// The tag family a link's traffic uses.
+  const Tags& tags_of(const Link& link) const {
+    return link.shm ? node_tags_ : tags_;
+  }
   /// `n` bytes of staging: `v` resized when payloads are real, else
   /// virtual, so the gather/scatter helpers skip the copy.
   util::Payload staging(std::vector<std::byte>* v, std::uint64_t n) const;
@@ -406,36 +434,21 @@ class TwoPhaseExchange {
   CollContext& ctx_;
   const AccessPlan& plan_;
   std::shared_ptr<const ExchangePlan> xplan_;
-  int tag_lists_ = 0;
-  int tag_data_base_ = 0;
-  /// Domains this rank serves as aggregator, ascending by index.
-  std::vector<DomainWork> owned_;
-  /// Domains this rank's bounds meet, [first, last).
-  std::pair<int, int> clients_;
-
+  /// Where every record_* lands: ctx.stats, or discard_ without one.
+  metrics::CollectiveStats discard_;
+  metrics::CollectiveStats& stats_;
   /// Fault-injected run: aggregation buffers go through the degradation
   /// ladder and their final window sizes are negotiated with the clients
   /// before data moves. False (the exact legacy protocol) when no
   /// FaultPlan is attached.
   bool degraded_ = false;
-  int tag_wsize_ = 0;
-  /// Ladder outcome per owned domain (parallel to owned_), fixed once
-  /// negotiate_buffers() returns.
-  std::vector<BufferGrant> grants_;
-  /// Negotiated window bytes per client domain (index - clients_.first).
-  std::vector<std::uint64_t> client_window_;
+  Tags tags_;       ///< client/leader ↔ aggregator traffic
+  Tags node_tags_;  ///< member ↔ leader traffic (node leaders only)
 
-  // --- node-leader hierarchy (hints.cb_node_leaders) ---
-  bool hier_ = false;
-  int tag_hier_lists_ = 0;
-  int tag_hier_wsize_ = 0;
-  int tag_hier_data_base_ = 0;
-  int my_leader_ = -1;
-  bool is_leader_ = false;
-  /// Leader only: domains any member of my node touches, ascending.
-  std::vector<NodeDomain> node_domains_;
-  /// Leader only, degraded: negotiated window per node domain.
-  std::vector<std::uint64_t> node_window_;
+  std::vector<Link> links_;
+  std::vector<Hub> owned_;       ///< ascending by index
+  std::vector<Hub> node_hubs_;   ///< node leaders only, ascending
+  std::vector<BufferGrant> grants_;  ///< parallel to owned_
 };
 
 }  // namespace mcio::io

@@ -42,6 +42,9 @@ struct DegradationStats {
   std::uint64_t borrowed_bytes = 0;   ///< bytes through borrowed windows
   std::uint64_t borrow_denials = 0;   ///< donor-less or fault-denied borrows
   std::uint64_t donor_revocations = 0;///< borrowed backing pulled mid-op
+
+  friend bool operator==(const DegradationStats&,
+                         const DegradationStats&) = default;
 };
 
 /// Per-aggregator record.

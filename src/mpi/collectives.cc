@@ -32,6 +32,27 @@ void write_u64_at(std::vector<std::byte>& out, std::size_t pos,
   std::memcpy(out.data() + pos, &v, sizeof(v));
 }
 
+/// A bundle holding one item: `rank`'s bytes.
+std::vector<std::byte> bundle_of(int rank, std::span<const std::byte> mine) {
+  std::vector<std::byte> acc(3 * sizeof(std::uint64_t) + mine.size());
+  write_u64_at(acc, 0, 1);
+  write_u64_at(acc, 8, static_cast<std::uint64_t>(rank));
+  write_u64_at(acc, 16, mine.size());
+  if (!mine.empty()) std::memcpy(acc.data() + 24, mine.data(), mine.size());
+  return acc;
+}
+
+/// Appends `child`'s items to `acc` and adds its count to acc's.
+void splice(std::vector<std::byte>& acc, const std::vector<std::byte>& child) {
+  std::size_t pos = 0;
+  const std::uint64_t n = read_u64(child, pos);
+  std::size_t head = 0;
+  const std::uint64_t count = read_u64(acc, head) + n;
+  acc.insert(acc.end(), child.begin() + static_cast<std::ptrdiff_t>(pos),
+             child.end());
+  write_u64_at(acc, 0, count);
+}
+
 }  // namespace
 
 void Comm::barrier() {
@@ -47,38 +68,19 @@ void Comm::barrier() {
   }
 }
 
-std::vector<std::byte> Comm::tree_gather_wire(
-    int tag, int root, std::span<const std::byte> mine) {
-  const int p = size();
-  const int relative = (rank() - root + p) % p;
-  std::vector<std::byte> acc(3 * sizeof(std::uint64_t) + mine.size());
-  write_u64_at(acc, 0, 1);
-  write_u64_at(acc, 8, static_cast<std::uint64_t>(rank()));
-  write_u64_at(acc, 16, mine.size());
-  if (!mine.empty()) std::memcpy(acc.data() + 24, mine.data(), mine.size());
-  std::uint64_t count = 1;
-  int mask = 1;
-  while (mask < p) {
-    if ((relative & mask) == 0) {
-      const int src_rel = relative | mask;
-      if (src_rel < p) {
-        const int src = (src_rel + root) % p;
-        const auto child = recv_blob(src, tag);
-        std::size_t pos = 0;
-        count += read_u64(child, pos);
-        acc.insert(acc.end(), child.begin() + static_cast<std::ptrdiff_t>(pos),
-                   child.end());
-        write_u64_at(acc, 0, count);
-      }
-    } else {
-      const int dst = ((relative & ~mask) + root) % p;
-      send_blob(dst, tag, acc);
+template <typename RankOf>
+std::vector<std::byte> Comm::tree_gather_wire(int tag, int n, int me,
+                                              const RankOf& rank_of,
+                                              std::vector<std::byte> acc) {
+  for (int mask = 1; mask < n; mask <<= 1) {
+    if ((me & mask) != 0) {
+      send_blob(rank_of(me & ~mask), tag, acc);
       acc.clear();
       break;
     }
-    mask <<= 1;
+    if ((me | mask) < n) splice(acc, recv_blob(rank_of(me | mask), tag));
   }
-  return acc;  // full bundle at root, empty elsewhere
+  return acc;  // full bundle at participant 0, empty elsewhere
 }
 
 void Comm::parse_wire(const std::vector<std::byte>& wire,
@@ -97,25 +99,18 @@ void Comm::parse_wire(const std::vector<std::byte>& wire,
   }
 }
 
-void Comm::tree_bcast_blob(int tag, int root, util::SharedBytes& blob) {
-  const int p = size();
-  const int relative = (rank() - root + p) % p;
+template <typename RankOf>
+void Comm::tree_bcast_blob(int tag, int n, int me, const RankOf& rank_of,
+                           util::SharedBytes& blob) {
   int mask = 1;
-  while (mask < p) {
-    if (relative & mask) {
-      const int src = (relative - mask + root) % p;
-      blob = recv_blob_shared(src, tag);
+  for (; mask < n; mask <<= 1) {
+    if ((me & mask) != 0) {
+      blob = recv_blob_shared(rank_of(me - mask), tag);
       break;
     }
-    mask <<= 1;
   }
-  mask >>= 1;
-  while (mask > 0) {
-    if (relative + mask < p) {
-      const int dst = (relative + mask + root) % p;
-      send_blob_shared(dst, tag, blob);
-    }
-    mask >>= 1;
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    if (me + mask < n) send_blob_shared(rank_of(me + mask), tag, blob);
   }
 }
 
@@ -138,10 +133,12 @@ util::SharedBytes Comm::allgather_wire(std::span<const std::byte> mine,
   // and the same decoded form.
   const int t_gather = next_coll_tag();
   const int t_bcast = next_coll_tag();
-  auto acc = tree_gather_wire(t_gather, 0, mine);
+  const auto self = [](int i) { return i; };
+  auto acc = tree_gather_wire(t_gather, size(), rank(), self,
+                              bundle_of(rank(), mine));
   util::SharedBytes wire;
   if (rank() == 0) wire = seal_wire(std::move(acc), decode);
-  tree_bcast_blob(t_bcast, 0, wire);
+  tree_bcast_blob(t_bcast, size(), rank(), self, wire);
   return wire;
 }
 
@@ -156,12 +153,7 @@ util::SharedBytes Comm::allgather_wire_hier(std::span<const std::byte> mine,
       group_->node_group_of[static_cast<std::size_t>(rank())]);
   const std::vector<int>& my_group = groups[my_li];
   const int leader = my_group.front();
-
-  std::vector<std::byte> acc(3 * sizeof(std::uint64_t) + mine.size());
-  write_u64_at(acc, 0, 1);
-  write_u64_at(acc, 8, static_cast<std::uint64_t>(rank()));
-  write_u64_at(acc, 16, mine.size());
-  if (!mine.empty()) std::memcpy(acc.data() + 24, mine.data(), mine.size());
+  std::vector<std::byte> acc = bundle_of(rank(), mine);
 
   if (rank() != leader) {
     // Member: push my item up, then take the full bundle back down.
@@ -169,66 +161,23 @@ util::SharedBytes Comm::allgather_wire_hier(std::span<const std::byte> mine,
     return recv_blob_shared(leader, t_down);
   }
 
-  // Leader: splice every member item into the node bundle.
-  std::uint64_t count = 1;
+  // Leader: splice every member item into the node bundle, then gather
+  // the node bundles at the first leader and broadcast the full bundle
+  // back across leaders (leader 0 decodes it once); every hop and the
+  // node fan-out forward the one shared buffer.
   for (const int m : my_group) {
-    if (m == leader) continue;
-    const auto child = recv_blob(m, t_up);
-    std::size_t pos = 0;
-    count += read_u64(child, pos);
-    acc.insert(acc.end(), child.begin() + static_cast<std::ptrdiff_t>(pos),
-               child.end());
+    if (m != leader) splice(acc, recv_blob(m, t_up));
   }
-  write_u64_at(acc, 0, count);
-
-  // Inter-node binomial gather at the first leader.
-  const int nl = static_cast<int>(groups.size());
+  const std::vector<int>& leaders = group_->node_leaders;
+  const int nl = static_cast<int>(leaders.size());
   const int li = static_cast<int>(my_li);
-  int mask = 1;
-  while (mask < nl) {
-    if ((li & mask) == 0) {
-      const int src_li = li | mask;
-      if (src_li < nl) {
-        const auto child = recv_blob(
-            groups[static_cast<std::size_t>(src_li)].front(), t_gather);
-        std::size_t pos = 0;
-        count += read_u64(child, pos);
-        acc.insert(acc.end(),
-                   child.begin() + static_cast<std::ptrdiff_t>(pos),
-                   child.end());
-        write_u64_at(acc, 0, count);
-      }
-    } else {
-      send_blob(groups[static_cast<std::size_t>(li & ~mask)].front(),
-                t_gather, acc);
-      acc.clear();
-      break;
-    }
-    mask <<= 1;
-  }
-
-  // Binomial bcast of the full bundle across leaders (rooted at leader 0,
-  // which decodes it once); every hop and the node fan-out forward the
-  // one shared buffer.
+  const auto leader_of = [&](int i) {
+    return leaders[static_cast<std::size_t>(i)];
+  };
+  acc = tree_gather_wire(t_gather, nl, li, leader_of, std::move(acc));
   util::SharedBytes wire;
   if (li == 0) wire = seal_wire(std::move(acc), decode);
-  mask = 1;
-  while (mask < nl) {
-    if (li & mask) {
-      wire = recv_blob_shared(
-          groups[static_cast<std::size_t>(li - mask)].front(), t_bcast);
-      break;
-    }
-    mask <<= 1;
-  }
-  mask >>= 1;
-  while (mask > 0) {
-    if (li + mask < nl) {
-      send_blob_shared(groups[static_cast<std::size_t>(li + mask)].front(),
-                       t_bcast, wire);
-    }
-    mask >>= 1;
-  }
+  tree_bcast_blob(t_bcast, nl, li, leader_of, wire);
 
   // Fan the bundle out across the node.
   for (const int m : my_group) {

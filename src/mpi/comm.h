@@ -184,15 +184,21 @@ class Comm {
   void charge_framed(const FramedBlob& b, std::uint64_t size,
                      Status* status);
 
-  // Tree helpers for collectives. Gathers move one flat wire bundle
-  // (u64 count, then per item u64 rank, u64 len, raw bytes) up a binomial
-  // tree; parse_wire scatters a bundle of fixed-size items into a dense
-  // per-rank array.
-  std::vector<std::byte> tree_gather_wire(int tag, int root,
-                                          std::span<const std::byte> mine);
-  /// Broadcasts `blob` from `root`; every hop forwards the one shared
-  /// buffer.
-  void tree_bcast_blob(int tag, int root, util::SharedBytes& blob);
+  // Binomial trees for collectives over `n` participants rooted at
+  // participant 0; this rank is participant `me`, and `rank_of` maps a
+  // participant to its communicator rank. Gathers move one flat wire
+  // bundle (u64 count, then per item u64 rank, u64 len, raw bytes) up the
+  // tree, starting from this rank's bundle `acc`; parse_wire scatters a
+  // bundle of fixed-size items into a dense per-rank array.
+  template <typename RankOf>
+  std::vector<std::byte> tree_gather_wire(int tag, int n, int me,
+                                          const RankOf& rank_of,
+                                          std::vector<std::byte> acc);
+  /// Broadcasts `blob` from participant 0; every hop forwards the one
+  /// shared buffer.
+  template <typename RankOf>
+  void tree_bcast_blob(int tag, int n, int me, const RankOf& rank_of,
+                       util::SharedBytes& blob);
   /// Freezes a complete wire for broadcast, attaching `decode`'s result.
   util::SharedBytes seal_wire(std::vector<std::byte> wire,
                               WireDecoder decode) const;

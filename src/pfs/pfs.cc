@@ -41,7 +41,6 @@ FileHandle Pfs::create(const std::string& path, int stripe_count) {
     return it->second;
   }
   auto f = std::make_unique<FileState>();
-  f->path = path;
   f->stripe_count = stripe_count;
   f->first_ost = next_first_ost_;
   next_first_ost_ = (next_first_ost_ + 1) % config_.num_osts;
@@ -121,13 +120,12 @@ std::vector<Pfs::Rpc> Pfs::split_request(const FileState& f,
   return out;
 }
 
-sim::SimTime Pfs::serve_rpcs(FileState& f, const std::vector<Rpc>& rpcs,
+sim::SimTime Pfs::serve_rpcs(FileHandle fh, const std::vector<Rpc>& rpcs,
                              bool is_write, int client_node,
                              sim::SimTime start, double client_bw_scale) {
   const double dir_scale =
       is_write ? 1.0
                : config_.ost_read_bandwidth / config_.ost_write_bandwidth;
-  const FileHandle fh = by_path_.at(f.path);
   sim::SimTime done = start;
   for (const Rpc& rpc : rpcs) {
     Ost& ost = osts_[static_cast<std::size_t>(rpc.ost)];
@@ -169,7 +167,7 @@ void Pfs::write(sim::Actor& actor, FileHandle fh, std::uint64_t offset,
   const auto rpcs = split_request(f, offset, data.size);
   const int client_node = cluster_.node_of_rank(actor.id());
   const sim::SimTime done =
-      serve_rpcs(f, rpcs, /*is_write=*/true, client_node, actor.now(),
+      serve_rpcs(fh, rpcs, /*is_write=*/true, client_node, actor.now(),
                  client_bw_scale);
   if (config_.store_data) {
     f.store.write(offset, data);
@@ -188,7 +186,7 @@ void Pfs::read(sim::Actor& actor, FileHandle fh, std::uint64_t offset,
   const auto rpcs = split_request(f, offset, out.size);
   const int client_node = cluster_.node_of_rank(actor.id());
   const sim::SimTime done =
-      serve_rpcs(f, rpcs, /*is_write=*/false, client_node, actor.now(),
+      serve_rpcs(fh, rpcs, /*is_write=*/false, client_node, actor.now(),
                  client_bw_scale);
   if (config_.store_data) {
     f.store.read(offset, out);

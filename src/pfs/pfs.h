@@ -114,7 +114,6 @@ class Pfs {
   };
 
   struct FileState {
-    std::string path;
     int stripe_count = 1;
     int first_ost = 0;  ///< round-robin starting OST
     std::uint64_t size = 0;
@@ -131,7 +130,8 @@ class Pfs {
   std::vector<Rpc> split_request(const FileState& f, std::uint64_t offset,
                                  std::uint64_t len) const;
 
-  sim::SimTime serve_rpcs(FileState& f, const std::vector<Rpc>& rpcs,
+  /// Serves `rpcs` of file `fh`, tracking seeks per (OST, handle).
+  sim::SimTime serve_rpcs(FileHandle fh, const std::vector<Rpc>& rpcs,
                           bool is_write, int client_node,
                           sim::SimTime start, double client_bw_scale);
 

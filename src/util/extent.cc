@@ -55,7 +55,36 @@ void ExtentList::add(const Extent& e) {
 }
 
 void ExtentList::merge(const ExtentList& other) {
-  for (const Extent& e : other.runs_) add(e);
+  if (&other == this || other.runs_.empty()) return;
+  const std::vector<Extent>& in = other.runs_;
+  if (runs_.empty() || runs_.back().end() < in.front().offset) {
+    runs_.insert(runs_.end(), in.begin(), in.end());
+    return;
+  }
+  // Both lists are sorted: merge them by offset from the back into
+  // runs_' grown tail, then coalesce forward, in O(n + m) — inserting
+  // run by run would shift the tail once per interleaved run.
+  std::size_t i = runs_.size();
+  std::size_t j = in.size();
+  runs_.resize(i + j);
+  for (std::size_t k = i + j; j > 0;) {
+    --k;
+    if (i > 0 && runs_[i - 1].offset > in[j - 1].offset) {
+      runs_[k] = runs_[--i];
+    } else {
+      runs_[k] = in[--j];
+    }
+  }
+  std::size_t last = 0;
+  for (std::size_t r = 1; r < runs_.size(); ++r) {
+    if (runs_[r].offset <= runs_[last].end()) {
+      runs_[last].len =
+          std::max(runs_[last].end(), runs_[r].end()) - runs_[last].offset;
+    } else {
+      runs_[++last] = runs_[r];
+    }
+  }
+  runs_.resize(last + 1);
 }
 
 std::uint64_t ExtentList::total_bytes() const {
@@ -94,21 +123,6 @@ void ExtentCursor::clipped_into(const Extent& window, ExtentList* out) {
   }
 }
 
-ExtentList ExtentList::intersected(const ExtentList& other) const {
-  ExtentList out;
-  auto a = runs_.begin();
-  auto b = other.runs_.begin();
-  while (a != runs_.end() && b != other.runs_.end()) {
-    if (auto x = intersect(*a, *b)) out.runs_.push_back(*x);
-    if (a->end() < b->end()) {
-      ++a;
-    } else {
-      ++b;
-    }
-  }
-  return out;
-}
-
 bool ExtentList::covers(const Extent& e) const {
   if (e.empty()) return true;
   auto it = std::lower_bound(
@@ -131,29 +145,22 @@ std::ostream& operator<<(std::ostream& os, const Piece& p) {
             << ", len=" << p.len << "}";
 }
 
-std::vector<Piece> pieces_in_window(const std::vector<Extent>& extents,
-                                    const Extent& window) {
-  std::vector<Piece> out;
-  std::uint64_t buf = 0;
-  for (const Extent& e : extents) {
-    if (const auto x = intersect(e, window)) {
-      out.push_back(Piece{x->offset, buf + (x->offset - e.offset), x->len});
+void PieceCursor::advance(const Extent& window, std::vector<Piece>* out) {
+  const std::vector<Extent>& ext = *extents_;
+  while (idx_ < ext.size() && ext[idx_].end() <= window.offset) {
+    buf_prefix_ += ext[idx_].len;
+    ++idx_;
+  }
+  out->clear();
+  std::uint64_t prefix = buf_prefix_;
+  for (std::size_t j = idx_; j < ext.size() && ext[j].offset < window.end();
+       ++j) {
+    if (const auto x = intersect(ext[j], window)) {
+      out->push_back(
+          Piece{x->offset, prefix + (x->offset - ext[j].offset), x->len});
     }
-    buf += e.len;
-    if (e.offset >= window.end()) break;  // sorted: nothing further matches
+    prefix += ext[j].len;
   }
-  return out;
-}
-
-std::uint64_t packed_offset_of(const std::vector<Extent>& extents,
-                               std::uint64_t pos) {
-  std::uint64_t buf = 0;
-  for (const Extent& e : extents) {
-    if (pos < e.offset) return buf;
-    if (pos < e.end()) return buf + (pos - e.offset);
-    buf += e.len;
-  }
-  return buf;
 }
 
 }  // namespace mcio::util

@@ -55,7 +55,7 @@ class ExtentList {
   /// Inserts one extent, keeping the list normalized.
   void add(const Extent& e);
 
-  /// Union with another list.
+  /// Union with another list, in O(size() + other.size()).
   void merge(const ExtentList& other);
 
   const std::vector<Extent>& runs() const { return runs_; }
@@ -69,9 +69,6 @@ class ExtentList {
 
   /// Bytes of this list falling inside `window`.
   ExtentList clipped(const Extent& window) const;
-
-  /// Set intersection with another normalized list.
-  ExtentList intersected(const ExtentList& other) const;
 
   /// True when every byte of `e` is in this list.
   bool covers(const Extent& e) const;
@@ -127,18 +124,24 @@ struct Piece {
 
 std::ostream& operator<<(std::ostream& os, const Piece& p);
 
-/// Given a process's file extents in monotonically increasing file order
-/// (the packed buffer layout follows that order), returns the pieces of the
-/// request that fall inside `window`, with both file and buffer offsets.
-///
-/// `extents` must be sorted by offset and non-overlapping; the ExtentList
-/// invariants guarantee this for normalized lists.
-std::vector<Piece> pieces_in_window(const std::vector<Extent>& extents,
-                                    const Extent& window);
+/// Monotone cursor over a request's file extents, sorted and disjoint,
+/// whose packed buffer follows their order: yields the pieces inside each
+/// queried window with their file and buffer offsets. Windows must be
+/// queried in increasing offset order (amortized O(1) per extent). The
+/// referenced extents must outlive the cursor and stay unmodified.
+class PieceCursor {
+ public:
+  explicit PieceCursor(const std::vector<Extent>& extents)
+      : extents_(&extents) {}
 
-/// Total bytes of `extents` that fall before `pos` — the buffer offset of
-/// file position `pos` for a packed request. `extents` sorted, disjoint.
-std::uint64_t packed_offset_of(const std::vector<Extent>& extents,
-                               std::uint64_t pos);
+  /// Pieces inside `window`, replacing `out`'s contents (caller-owned
+  /// scratch).
+  void advance(const Extent& window, std::vector<Piece>* out);
+
+ private:
+  const std::vector<Extent>* extents_;
+  std::size_t idx_ = 0;
+  std::uint64_t buf_prefix_ = 0;  ///< packed bytes before extents_[idx_]
+};
 
 }  // namespace mcio::util

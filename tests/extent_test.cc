@@ -2,6 +2,7 @@
 // brute-force byte-set model.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "util/extent.h"
@@ -82,32 +83,38 @@ TEST(ExtentList, Covers) {
   EXPECT_TRUE(list.covers(Extent{500, 0}));
 }
 
-TEST(ExtentList, Intersected) {
-  const auto a = ExtentList::normalize({{0, 10}, {20, 10}, {40, 4}});
-  const auto b = ExtentList::normalize({{5, 20}, {41, 10}});
-  const auto x = a.intersected(b);
-  ASSERT_EQ(x.size(), 3u);
-  EXPECT_EQ(x.runs()[0], (Extent{5, 5}));
-  EXPECT_EQ(x.runs()[1], (Extent{20, 5}));
-  EXPECT_EQ(x.runs()[2], (Extent{41, 3}));
-}
-
 TEST(Pieces, InWindowWithBufferOffsets) {
   const std::vector<Extent> ext = {{0, 10}, {20, 10}, {40, 10}};
-  const auto pieces = pieces_in_window(ext, Extent{5, 40});
+  PieceCursor cursor(ext);
+  std::vector<Piece> pieces;
+  cursor.advance(Extent{5, 40}, &pieces);
   ASSERT_EQ(pieces.size(), 3u);
   EXPECT_EQ(pieces[0], (Piece{5, 5, 5}));
   EXPECT_EQ(pieces[1], (Piece{20, 10, 10}));
   EXPECT_EQ(pieces[2], (Piece{40, 20, 5}));
+  // The next window starts where that one ended.
+  cursor.advance(Extent{45, 100}, &pieces);
+  ASSERT_EQ(pieces.size(), 1u);
+  EXPECT_EQ(pieces[0], (Piece{45, 25, 5}));
 }
 
 TEST(Pieces, PackedOffset) {
+  // Windows starting in a gap or past the end: the cursor's buffer
+  // offsets count every byte before them.
   const std::vector<Extent> ext = {{0, 10}, {20, 10}};
-  EXPECT_EQ(packed_offset_of(ext, 0), 0u);
-  EXPECT_EQ(packed_offset_of(ext, 5), 5u);
-  EXPECT_EQ(packed_offset_of(ext, 15), 10u);  // inside the gap
-  EXPECT_EQ(packed_offset_of(ext, 25), 15u);
-  EXPECT_EQ(packed_offset_of(ext, 100), 20u);
+  PieceCursor cursor(ext);
+  std::vector<Piece> pieces;
+  cursor.advance(Extent{5, 5}, &pieces);
+  ASSERT_EQ(pieces.size(), 1u);
+  EXPECT_EQ(pieces[0], (Piece{5, 5, 5}));
+  cursor.advance(Extent{15, 10}, &pieces);  // starts inside the gap
+  ASSERT_EQ(pieces.size(), 1u);
+  EXPECT_EQ(pieces[0], (Piece{20, 10, 5}));
+  cursor.advance(Extent{25, 10}, &pieces);
+  ASSERT_EQ(pieces.size(), 1u);
+  EXPECT_EQ(pieces[0], (Piece{25, 15, 5}));
+  cursor.advance(Extent{100, 10}, &pieces);
+  EXPECT_TRUE(pieces.empty());
 }
 
 // ---- randomized property tests against a brute-force set-of-bytes model.
@@ -140,6 +147,29 @@ TEST_P(ExtentListProperty, UnionMatchesBruteForce) {
   }
 }
 
+TEST_P(ExtentListProperty, MergeMatchesBruteForce) {
+  Rng rng(GetParam() ^ 0x5eed);
+  for (int round = 0; round < 20; ++round) {
+    // Interleaved, touching and disjoint-after lists, sometimes empty.
+    ExtentList a;
+    ExtentList b;
+    const std::uint64_t b_base = rng.uniform_u64(2) == 0 ? 0 : 300;
+    for (int i = 0; i < 8; ++i) {
+      a.add(Extent{rng.uniform_u64(300), rng.uniform_u64(12)});
+      b.add(Extent{b_base + rng.uniform_u64(300), rng.uniform_u64(12)});
+    }
+    ExtentList by_add = a;
+    for (const Extent& e : b.runs()) by_add.add(e);
+    std::set<std::uint64_t> model = to_set(a);
+    for (const std::uint64_t v : to_set(b)) model.insert(v);
+    a.merge(b);
+    ASSERT_EQ(to_set(a), model);
+    ASSERT_EQ(a, by_add);  // the one normalized form
+    a.merge(a);
+    ASSERT_EQ(a, by_add);
+  }
+}
+
 TEST_P(ExtentListProperty, ClipMatchesBruteForce) {
   Rng rng(GetParam() ^ 0xabcdef);
   std::vector<Extent> raw;
@@ -159,24 +189,6 @@ TEST_P(ExtentListProperty, ClipMatchesBruteForce) {
   }
 }
 
-TEST_P(ExtentListProperty, IntersectionMatchesBruteForce) {
-  Rng rng(GetParam() ^ 0x1234);
-  std::vector<Extent> ra, rb;
-  for (int i = 0; i < 25; ++i) {
-    ra.push_back(Extent{rng.uniform_u64(250), rng.uniform_u64(12)});
-    rb.push_back(Extent{rng.uniform_u64(250), rng.uniform_u64(12)});
-  }
-  const auto a = ExtentList::normalize(ra);
-  const auto b = ExtentList::normalize(rb);
-  const auto sa = to_set(a);
-  const auto sb = to_set(b);
-  std::set<std::uint64_t> expected;
-  for (const auto v : sa) {
-    if (sb.count(v)) expected.insert(v);
-  }
-  EXPECT_EQ(to_set(a.intersected(b)), expected);
-}
-
 TEST_P(ExtentListProperty, PiecesPartitionTheWindow) {
   Rng rng(GetParam() ^ 0x777);
   std::vector<Extent> raw;
@@ -184,20 +196,32 @@ TEST_P(ExtentListProperty, PiecesPartitionTheWindow) {
     raw.push_back(Extent{rng.uniform_u64(400), 1 + rng.uniform_u64(10)});
   }
   const auto list = ExtentList::normalize(raw);
-  const auto& ext = list.runs();
+  // Brute-force reference: each byte's packed buffer offset is the count
+  // of request bytes before it.
+  std::map<std::uint64_t, std::uint64_t> packed;
+  for (const std::uint64_t b : to_set(list)) {
+    packed.emplace(b, packed.size());
+  }
+  PieceCursor cursor(list.runs());
+  std::vector<Piece> pieces;
   // Monotone windows, as the exchange engine issues them.
   std::uint64_t pos = 0;
   while (pos < 420) {
     const std::uint64_t len = 1 + rng.uniform_u64(60);
     const Extent w{pos, len};
-    const auto pieces = pieces_in_window(ext, w);
-    std::uint64_t total = 0;
-    for (const auto& p : pieces) {
-      ASSERT_TRUE(w.contains(Extent{p.file_offset, p.len}));
-      ASSERT_EQ(packed_offset_of(ext, p.file_offset), p.buf_offset);
-      total += p.len;
+    cursor.advance(w, &pieces);
+    std::map<std::uint64_t, std::uint64_t> got;
+    for (const Piece& p : pieces) {
+      for (std::uint64_t i = 0; i < p.len; ++i) {
+        ASSERT_TRUE(got.emplace(p.file_offset + i, p.buf_offset + i).second)
+            << "byte " << p.file_offset + i << " in two pieces";
+      }
     }
-    ASSERT_EQ(total, list.clipped(w).total_bytes());
+    std::map<std::uint64_t, std::uint64_t> expected;
+    for (const auto& [b, off] : packed) {
+      if (w.contains(b)) expected.emplace(b, off);
+    }
+    ASSERT_EQ(got, expected) << "window " << w;
     pos += len;
   }
 }

@@ -470,7 +470,7 @@ TEST(WindowBacking, SwapAfterFailedReborrowIsPromotedLater) {
                                                    io::CollContext& ctx) {
     node::Lease hold1 = cluster.memory().lease(1, 1 << 20);
     node::Lease hold2 = cluster.memory().lease(2, 1 << 20);
-    io::WindowBacking b(ctx);
+    io::WindowBacking b(ctx, stats);
     b.open(revocable_grant(), /*site=*/0);
     EXPECT_EQ(b.state(), State::kLocal);
     b.step();  // not due yet
@@ -508,7 +508,7 @@ TEST(WindowBacking, SpilledAtNegotiationNeverProbes) {
     io::BufferGrant g;
     g.window_bytes = kWindow;
     g.spilled = true;
-    io::WindowBacking b(ctx);
+    io::WindowBacking b(ctx, stats);
     b.open(g, /*site=*/0);
     for (int round = 0; round < 4; ++round) {
       ctx.rank->actor().advance(1.0);
@@ -534,7 +534,7 @@ TEST(WindowBacking, RevokedBorrowedWindowCountsAsDonorRevocation) {
   metrics::CollectiveStats stats;
   with_backing_context(hints, &stats, [&](MiniCluster&,
                                           io::CollContext& ctx) {
-    io::WindowBacking b(ctx);
+    io::WindowBacking b(ctx, stats);
     b.open(revocable_grant(/*donor=*/2), /*site=*/0);
     EXPECT_EQ(b.state(), State::kBorrowed);
     const sim::SimTime t0 = ctx.rank->actor().now();
@@ -561,7 +561,7 @@ TEST(WindowBacking, RevokedBorrowedWindowMigratesToNextDonor) {
   metrics::CollectiveStats stats;
   with_backing_context(borrow_hints(), &stats, [&](MiniCluster& cluster,
                                                    io::CollContext& ctx) {
-    io::WindowBacking b(ctx);
+    io::WindowBacking b(ctx, stats);
     b.open(revocable_grant(/*donor=*/2), /*site=*/0);
     EXPECT_EQ(cluster.memory().available(2), (1u << 20) - kWindow);
     ctx.rank->actor().advance(2e-3);

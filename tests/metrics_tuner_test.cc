@@ -61,6 +61,26 @@ TEST(CollectiveStats, ShuffleClassification) {
   EXPECT_EQ(stats.num_aggregators(), 0);
 }
 
+// Ladder trails compare whole: a difference in any field, the first,
+// the last or a virtual-seconds total, makes two trails unequal.
+TEST(CollectiveStats, DegradationTrailsCompareWhole) {
+  metrics::CollectiveStats a;
+  metrics::CollectiveStats b;
+  EXPECT_TRUE(a.degradation() == b.degradation());
+  a.record_denial();
+  EXPECT_FALSE(a.degradation() == b.degradation());
+  b.record_denial();
+  b.record_donor_revocation();
+  EXPECT_FALSE(a.degradation() == b.degradation());
+  a.record_donor_revocation();
+  a.record_grant_delay(0.25);
+  b.record_grant_delay(0.5);
+  EXPECT_FALSE(a.degradation() == b.degradation());
+  a.record_grant_delay(0.25);
+  b.record_grant_delay(0.0);
+  EXPECT_TRUE(a.degradation() == b.degradation());
+}
+
 class TunerTest : public ::testing::Test {
  protected:
   static sim::ClusterConfig cluster() {

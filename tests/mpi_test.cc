@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <numeric>
+#include <sstream>
+#include <string>
 
 #include "mpi/comm.h"
 #include "mpi/machine.h"
+#include "verify/observer.h"
 
 namespace mcio::mpi {
 namespace {
@@ -317,6 +321,97 @@ TEST_P(CollectiveSizes, HierCollectivesMatchFlat) {
     EXPECT_DOUBLE_EQ(c.allreduce_max_hier(static_cast<double>(me)),
                      static_cast<double>(p - 1));
   });
+}
+
+/// Counts delivered messages; allocates nothing in its hook.
+class DeliveryCounter : public verify::Observer {
+ public:
+  void on_message_delivered(std::uint64_t, int, int, int, std::uint64_t,
+                            bool) override {
+    ++delivered;
+  }
+
+  std::uint64_t delivered = 0;
+};
+
+/// One allgather (flat or node-leader) on a fresh machine: the delivered
+/// message count, then every rank's finish time as a hexfloat.
+std::string allgather_census(int p, bool hier) {
+  Machine machine(small_cluster(4, 4));
+  DeliveryCounter counter;
+  machine.set_observer(&counter);
+  std::vector<double> finish(static_cast<std::size_t>(p));
+  machine.run(p, [&](Rank& rank) {
+    Comm& c = rank.world();
+    if (hier) {
+      c.allgather_hier(rank.rank() * 3 + 1);
+    } else {
+      c.allgather(rank.rank() * 3 + 1);
+    }
+    finish[static_cast<std::size_t>(rank.rank())] = rank.actor().now();
+  });
+  std::ostringstream os;
+  os << counter.delivered << ":" << std::hexfloat;
+  for (const double t : finish) os << ' ' << t;
+  return os.str();
+}
+
+// The trees' traffic and timing, pinned: who sends to whom, in what
+// order and over which channel shows up in the message count and in
+// every rank's finish time.
+TEST_P(CollectiveSizes, AllgatherCensus) {
+  const std::map<int, std::pair<std::string, std::string>> expected = {
+      {1,
+       {"0: 0x0p+0",
+        "0: 0x0p+0"}},
+      {2,
+       {"2: 0x1.4f9e965e1bd93p-18 0x1.92db7120c5c57p-18",
+        "2: 0x1.780d1d6dfbbb5p-19 0x1.5d4658df2732ep-18"}},
+      {3,
+       {"4: 0x1.2e070834bd59p-17 0x1.4fac54ce08c52p-17"
+        " 0x1.0c90764b310eep-17",
+        "4: 0x1.63d31a360f9b1p-18 0x1.f7b8191cc2bf8p-18"
+        " 0x1.101ea6cc41937p-17"}},
+      {5,
+       {"8: 0x1.d5e6d183b460dp-17 0x1.f799dc8cecb8dp-17"
+        " 0x1.f799dc8cecb8dp-17 0x1.0ca673cb12886p-16 0x1.dae994fcbfb4ap-17",
+        "8: 0x1.8c078fe04018ep-17 0x1.cf5540b8d2a6p-17"
+        " 0x1.e3a909029b008p-17 0x1.f7fcd14c635bp-17 0x1.01900d3576aacp-16"}},
+      {7,
+       {"12: 0x1.1ed7923dd1bd1p-16 0x1.2fb7f6fa645fp-16"
+        " 0x1.2fb7f6fa645fp-16 0x1.40985bb6f700fp-16 0x1.6559e31bf1231p-16"
+        " 0x1.763a47d883c5p-16 0x1.54ac589717e9ep-16",
+        "12: 0x1.c847a6089d1abp-17 0x1.05d342768be75p-16"
+        " 0x1.1005bda16427fp-16 0x1.1a3838cc3c68ap-16 0x1.274b258f165d4p-16"
+        " 0x1.4c559354ab4d5p-16 0x1.56880e7f838ep-16"}},
+      {12,
+       {"22: 0x1.7339ff34ae43ep-16 0x1.842b91fd290cap-16"
+        " 0x1.842b91fd290cap-16 0x1.951d24c5a3d56p-16 0x1.e063eadd250ccp-16"
+        " 0x1.f1557da59fd58p-16 0x1.f1557da59fd58p-16 0x1.012388370d4f2p-15"
+        " 0x1.9a6b0a5e46dd7p-16 0x1.ab5c9d26c1a63p-16 0x1.ab5c9d26c1a63p-16"
+        " 0x1.bc4e2fef3c6efp-16",
+        "22: 0x1.4e4a5e62f41fcp-16 0x1.700f476413aa8p-16"
+        " 0x1.7a573c1dce1bcp-16 0x1.849f30d7888dp-16 0x1.bb744a0b6ae89p-16"
+        " 0x1.dd39330c8a735p-16 0x1.e78127c644e49p-16 0x1.f1c91c7fff55dp-16"
+        " 0x1.757b698c8cb94p-16 0x1.9740528dac44p-16 0x1.a188474766b54p-16"
+        " 0x1.abd03c0121268p-16"}},
+      {16,
+       {"30: 0x1.ba2ed8622eacep-16 0x1.cb2e299a96618p-16"
+        " 0x1.cb2e299a96618p-16 0x1.dc2d7ad2fe162p-16 0x1.1503faf375c38p-15"
+        " 0x1.1d83a38fa99ddp-15 0x1.1d83a38fa99dcp-15 0x1.26034c2bdd781p-15"
+        " 0x1.025bfa055b969p-15 0x1.0adba2a18f70dp-15 0x1.0adba2a18f70dp-15"
+        " 0x1.135b4b3dc34b2p-15 0x1.27a087d99fd69p-15 0x1.30203075d3b0ep-15"
+        " 0x1.30203075d3b0ep-15 0x1.389fd912078b3p-15",
+        "30: 0x1.953f37907488bp-16 0x1.b7154e9d7c3a4p-16"
+        " 0x1.c16e71631ed25p-16 0x1.cbc79428c16a6p-16 0x1.028c2a8a98b19p-15"
+        " 0x1.137736111c8a3p-15 0x1.18a3c773edd64p-15 0x1.1dd058d6bf225p-15"
+        " 0x1.dfc85338fd08fp-16 0x1.00cf3523025d4p-15 0x1.05fbc685d3a94p-15"
+        " 0x1.0b2857e8a4f54p-15 0x1.1528b770c2c4cp-15 0x1.2613c2f7469d5p-15"
+        " 0x1.2b40545a17e96p-15 0x1.306ce5bce9357p-15"}},
+  };
+  const int p = GetParam();
+  EXPECT_EQ(allgather_census(p, false), expected.at(p).first);
+  EXPECT_EQ(allgather_census(p, true), expected.at(p).second);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveSizes,

@@ -129,6 +129,27 @@ TEST_F(PfsFixture, SeeksDetected) {
   });
 }
 
+TEST_F(PfsFixture, SeeksTrackedPerHandleAcrossRecreate) {
+  // remove + create of one path yields a new handle; the old handle
+  // still reaches its own file state, so its writes must not move the
+  // new handle's OST head positions.
+  const auto old_fh = fs_.create("/r");
+  fs_.remove("/r");
+  const auto new_fh = fs_.create("/r");
+  ASSERT_NE(old_fh, new_fh);
+  in_actor([&](sim::Actor& a) {
+    fs_.reset_accounting();
+    // The new handle starts one OST later: its stripe 0 and the old
+    // handle's stripe 5 share OST 1, at different object offsets.
+    fs_.write(a, new_fh, 0, ConstPayload::virtual_bytes(1024));
+    fs_.write(a, old_fh, 5 * 1024, ConstPayload::virtual_bytes(1024));
+    const std::uint64_t seeks = fs_.total_seeks();
+    // Contiguous on the new handle's object on OST 1: no seek.
+    fs_.write(a, new_fh, 4 * 1024, ConstPayload::virtual_bytes(1024));
+    EXPECT_EQ(fs_.total_seeks(), seeks);
+  });
+}
+
 TEST_F(PfsFixture, LargerRequestsFasterPerByte) {
   const auto fh = fs_.create("/i");
   in_actor([&](sim::Actor& a) {
