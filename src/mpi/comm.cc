@@ -99,17 +99,21 @@ void Comm::recv(int src, int tag, util::Payload buf, Status* status) {
   wait(r, status);
 }
 
-void Comm::park_until_done(const RecvSlot& slot) {
-  if (slot.done) return;
+void Comm::park_until_done(RecvSlot& slot) {
   sim::Actor& actor = owner_->actor();
-  Endpoint& ep = my_endpoint();
+  // A message that arrived by the time this slice began is in hand.
+  if (slot.done && slot.status.arrival <= actor.slice_time()) return;
   verify::Observer* obs = machine_->observer();
   obs->on_wait_begin(owner_->rank(), comm_id_, world_rank(slot.src),
                      slot.tag);
-  while (!slot.done) {
-    ++ep.waiting;
-    actor.park();
-    --ep.waiting;
+  if (slot.done) {
+    // Matched at send, arriving after this slice began: resume at the
+    // arrival, keyed exactly as a wakeup from a parked wait.
+    actor.advance_to(slot.status.arrival);
+    actor.sync_local();
+  } else {
+    slot.parked = true;
+    actor.park();  // the matching send wakes this rank at the arrival
   }
   obs->on_wait_end(owner_->rank());
 }

@@ -176,10 +176,12 @@ class Comm {
   /// Matches the next framed envelope from (src, tag), parking until one
   /// arrives, and moves it out of the envelope slab; charges nothing.
   Envelope take_framed(int src, int tag);
-  /// Parks until `slot` is matched, telling the observer what this fiber
-  /// blocks on so a deadlock report can name the missing message (see
-  /// DESIGN.md §8).
-  void park_until_done(const RecvSlot& slot);
+  /// Returns once `slot`'s message has arrived: parks until a send
+  /// matches it, or yields until its arrival when it was matched but
+  /// arrives after the executing slice began. Tells the observer what
+  /// this fiber blocks on so a deadlock report can name the missing
+  /// message (see DESIGN.md §8).
+  void park_until_done(RecvSlot& slot);
   /// Charges the receive of a framed blob of `size` bytes timed by `b`.
   void charge_framed(const FramedBlob& b, std::uint64_t size,
                      Status* status);

@@ -1,5 +1,7 @@
 #include "mpi/machine.h"
 
+#include <algorithm>
+
 #include "mpi/comm.h"
 #include "util/check.h"
 
@@ -25,7 +27,6 @@ std::vector<sim::SimTime> Machine::run(
   world_group_ = make_world_group(nranks);
   sim::Engine engine;
   engine.set_observer(observer_);
-  engine.set_timed_sink(&Machine::deliver_now, this);
   engine_ = &engine;
   struct CountOnExit {
     Machine* m;
@@ -33,6 +34,8 @@ std::vector<sim::SimTime> Machine::run(
     ~CountOnExit() {
       m->heap_pops_ += e.heap_pops();
       m->in_place_slices_ += e.in_place_slices();
+      m->heap_high_water_ = std::max(m->heap_high_water_,
+                                     e.heap_high_water());
     }
   } count_on_exit{this, engine};
   ranks_.clear();
@@ -153,33 +156,29 @@ sim::SimTime Machine::shm_transfer(int node, std::uint64_t bytes,
 }
 
 void Machine::deliver(int world_dst, Envelope env) {
-  // Deliveries apply at their arrival virtual time, keyed (arrival,
-  // stamping actor, seq): a receiver resuming at t has seen every message
-  // that arrived by t, and same-time arrivals match in send order.
+  // Matched now, in send order per key. A receive completes at
+  // max(its wait, the arrival) whenever the match happens, so the
+  // message needs no event of its own.
   MCIO_CHECK_MSG(engine_ != nullptr, "delivery outside run()");
-  const sim::SimTime arrival = env.arrival;
-  engine_->post_at(arrival, envelopes_.add(std::move(env), world_dst));
-}
-
-void Machine::deliver_now(void* self, std::uint32_t token) {
-  Machine& m = *static_cast<Machine*>(self);
-  const int world_dst = m.envelopes_.dst(token);
-  const Envelope& env = m.envelopes_.env(token);
-  const sim::SimTime arrival = env.arrival;
   const MatchKey key{env.comm_id, env.src, env.tag};
-  Endpoint& ep = m.endpoint(world_dst);
+  Endpoint& ep = endpoint(world_dst);
   RecvSlot* slot = ep.match_posted(key);
-  m.observer_->on_message_delivered(env.comm_id, env.src, world_dst,
-                                    env.tag, env.body.size(),
-                                    /*matched=*/slot != nullptr);
-  if (slot != nullptr) {
-    fulfill(*slot, m.envelopes_, token);
-    if (ep.waiting > 0 && m.engine_->is_parked(world_dst)) {
-      m.engine_->unpark(world_dst, arrival);
-    }
+  observer_->on_message_delivered(env.comm_id, env.src, world_dst, env.tag,
+                                  env.body.size(),
+                                  /*matched=*/slot != nullptr);
+  if (slot == nullptr) {
+    ep.push_unexpected(key, envelopes_.add(std::move(env)), envelopes_);
     return;
   }
-  ep.push_unexpected(key, token, m.envelopes_);
+  const sim::SimTime arrival = env.arrival;
+  if (slot->take) {
+    fulfill(*slot, envelopes_, envelopes_.add(std::move(env)));
+  } else {
+    complete(*slot, env);
+  }
+  // Only a receiver parked on this very receive waits for it; one that
+  // waits later resumes at the arrival itself (Comm::park_until_done).
+  if (slot->parked) engine_->unpark(world_dst, arrival);
 }
 
 Endpoint& Machine::endpoint(int world_rank) {

@@ -85,6 +85,8 @@ class Machine {
   /// sim::Engine::heap_pops() and in_place_slices()).
   std::uint64_t heap_pops() const { return heap_pops_; }
   std::uint64_t in_place_slices() const { return in_place_slices_; }
+  /// Max of sim::Engine::heap_high_water() over every run().
+  std::size_t heap_high_water() const { return heap_high_water_; }
 
   // --- transport internals (used by Comm) ---
 
@@ -101,10 +103,10 @@ class Machine {
   sim::SimTime shm_transfer(int node, std::uint64_t bytes,
                             sim::SimTime start);
 
-  /// Delivers an envelope whose arrival is already stamped: it is parked
-  /// in the envelope slab, and the delivery applies as a timed event at
-  /// env.arrival, where it matches a posted receive or queues as
-  /// unexpected and wakes a parked receiver.
+  /// Delivers an envelope whose arrival is already stamped, at send
+  /// time: it completes the oldest receive posted under its key and
+  /// wakes the receiver at env.arrival if it is parked on that receive,
+  /// or else queues as unexpected in the envelope slab.
   void deliver(int world_dst, Envelope env);
 
   /// Counts one allreduce reduction (reduce_passes()).
@@ -122,9 +124,6 @@ class Machine {
   verify::Observer* observer() const { return observer_; }
 
  private:
-  /// The engine's timed sink: applies the delivery of parcel `token` to
-  /// its destination endpoint.
-  static void deliver_now(void* self, std::uint32_t token);
   /// The group of world ranks 0..nranks-1 and its node topology.
   std::shared_ptr<const Group> make_world_group(int nranks) const;
 
@@ -147,6 +146,7 @@ class Machine {
   std::uint64_t reduce_passes_ = 0;
   std::uint64_t heap_pops_ = 0;
   std::uint64_t in_place_slices_ = 0;
+  std::size_t heap_high_water_ = 0;
   sim::Engine* engine_ = nullptr;  // valid during run()
   verify::Observer* observer_;
 };

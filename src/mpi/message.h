@@ -4,17 +4,18 @@
 // Every receive names its communicator, source and tag, so matching is
 // one hash lookup: the endpoint keeps a FIFO per exact
 // (comm_id, src, tag) key for unexpected messages and another for posted
-// receives. Per-key FIFO order is all MPI's no-overtaking rule asks of
-// fully specified receives.
+// receives. A message is matched when it is sent (Machine::deliver), so
+// per-key FIFO order is send order: MPI's no-overtaking rule for fully
+// specified receives.
 //
 // Everything here sits on the per-message hot path and allocates nothing
-// in steady state. An envelope is parked once, at send time, in the
-// machine's EnvelopeSlab and is named by a 4-byte parcel index from then
-// on: the engine's timed event carries it, the unexpected FIFO chains
-// it, and a blob receive takes it. Both FIFOs are intrusive (linked
-// through the slab's parcels and through pooled receive slots), and the
-// buckets live in an open-addressed table that rehashes without
-// allocating.
+// in steady state. A message that finds its receive posted completes it
+// straight from the envelope. Any other is parked in the machine's
+// EnvelopeSlab and named by a 4-byte parcel index from then on: the
+// unexpected FIFO chains it, and a blob receive takes it. Both FIFOs are
+// intrusive (linked through the slab's parcels and through pooled receive
+// slots), and the buckets live in an open-addressed table that rehashes
+// without allocating.
 #pragma once
 
 #include <algorithm>
@@ -52,15 +53,16 @@ struct Envelope {
 /// Names no parcel: the end of a FIFO chain or of the free list.
 inline constexpr std::uint32_t kNoParcel = UINT32_MAX;
 
-/// Every envelope of a run between its send and its receive, in one
-/// machine-wide slab: a parcel is claimed at send time, named by its
-/// index while it is in flight and queued, and released when a receive
-/// consumes it. Released parcels chain into an intrusive free list, so a
-/// warm slab serves every later message without allocating.
+/// The envelopes of a run that wait for their receive, in one
+/// machine-wide slab: a parcel is claimed when a message queues as
+/// unexpected or a blob receive takes it, named by its index while it
+/// waits, and released when the receive consumes it. Released parcels
+/// chain into an intrusive free list, so a warm slab serves every later
+/// message without allocating.
 class EnvelopeSlab {
  public:
-  /// Parks `env`, addressed to world rank `dst`; returns its parcel.
-  std::uint32_t add(Envelope env, int dst) {
+  /// Parks `env`; returns its parcel.
+  std::uint32_t add(Envelope env) {
     std::uint32_t p = free_;
     if (p != kNoParcel) {
       free_ = parcels_[p].next;
@@ -70,15 +72,12 @@ class EnvelopeSlab {
       p = static_cast<std::uint32_t>(parcels_.size());
       parcels_.push_back(Parcel{std::move(env)});
     }
-    parcels_[p].dst = dst;
     parcels_[p].next = kNoParcel;
     return p;
   }
 
   Envelope& env(std::uint32_t p) { return parcels_[p].env; }
   const Envelope& env(std::uint32_t p) const { return parcels_[p].env; }
-  /// World rank the parcel is addressed to.
-  int dst(std::uint32_t p) const { return parcels_[p].dst; }
   /// The parcel's link: the next parcel of its unexpected FIFO.
   std::uint32_t& next(std::uint32_t p) { return parcels_[p].next; }
   std::uint32_t next(std::uint32_t p) const { return parcels_[p].next; }
@@ -99,7 +98,6 @@ class EnvelopeSlab {
  private:
   struct Parcel {
     Envelope env;
-    int dst = -1;
     std::uint32_t next = kNoParcel;  ///< FIFO link, or free-list link
   };
 
@@ -118,22 +116,22 @@ struct RecvSlot {
   bool take = false;
   std::uint32_t taken = kNoParcel;  ///< the parcel a blob receive took
   bool done = false;
+  /// Its owner is parked until this receive is matched; the matching
+  /// send wakes it at the arrival.
+  bool parked = false;
   Status status;
   RecvSlot* next = nullptr;  ///< posted-FIFO link, or free-list link
 };
 
-/// Completes a matched receive with parcel `p`: fills the status, then
-/// copies the bytes and frees the parcel, or, for a blob receive, hands
-/// the parcel itself to the slot. Shared by delivery (posted match) and
-/// irecv (unexpected match).
-inline void fulfill(RecvSlot& slot, EnvelopeSlab& slab, std::uint32_t p) {
-  const Envelope& env = slab.env(p);
+/// Completes a matched receive with `env`: fills the status and, for a
+/// plain receive, copies the bytes into its buffer. A blob receive keeps
+/// the envelope itself instead (see fulfill()).
+inline void complete(RecvSlot& slot, const Envelope& env) {
   slot.status = Status{env.src, env.tag, env.body.size(), env.arrival};
   if (slot.take) {
     MCIO_CHECK_MSG(env.framed,
                    "plain message consumed by a blob receive (tag "
                        << env.tag << ")");
-    slot.taken = p;
   } else {
     MCIO_CHECK_MSG(!env.framed,
                    "framed blob delivered into a plain receive (tag "
@@ -148,9 +146,19 @@ inline void fulfill(RecvSlot& slot, EnvelopeSlab& slab, std::uint32_t p) {
       util::copy_payload(slot.buf.slice(0, env.body.size()),
                          env.body.view());
     }
-    slab.release(p);
   }
   slot.done = true;
+}
+
+/// Completes a matched receive with parcel `p`: a blob receive takes the
+/// parcel, a plain one copies it and frees it.
+inline void fulfill(RecvSlot& slot, EnvelopeSlab& slab, std::uint32_t p) {
+  complete(slot, slab.env(p));
+  if (slot.take) {
+    slot.taken = p;
+  } else {
+    slab.release(p);
+  }
 }
 
 /// Hash key for one matching bucket.
@@ -295,16 +303,19 @@ class Endpoint {
   Endpoint(Endpoint&&) = default;
   Endpoint& operator=(Endpoint&&) = default;
 
-  /// Number of wait() loops currently parked on this endpoint.
-  int waiting = 0;
-
   /// Queues parcel `p`, which matched no posted receive, under `key`.
+  /// Messages match in send order, so one key's messages must also
+  /// arrive in send order: a message may not overtake the one queued
+  /// before it (say, one sent over shm, then one over the transport).
   void push_unexpected(const MatchKey& key, std::uint32_t p,
                        EnvelopeSlab& slab) {
     ParcelFifo& q = unexpected_.get_or_create(key);
     if (q.head == kNoParcel) {
       q.head = p;
     } else {
+      MCIO_CHECK_MSG(slab.env(p).arrival >= slab.env(q.tail).arrival,
+                     "message (tag " << key.tag << ") overtakes the one "
+                                     << "sent before it on its key");
       slab.next(q.tail) = p;
     }
     q.tail = p;

@@ -8,10 +8,6 @@
 
 namespace mcio::sim {
 
-namespace {
-constexpr double kSlackTolerance = 1e-12;
-}  // namespace
-
 void Actor::advance(SimTime dt) {
   MCIO_CHECK_GE(dt, 0.0);
   clock_ += dt;
@@ -24,17 +20,8 @@ void Actor::sync() { engine_->next_slice(id_, /*kind=*/2); }
 void Actor::sync_local() { engine_->next_slice(id_, /*kind=*/1); }
 
 void Actor::park() {
-  auto& slot = engine_->actors_[static_cast<std::size_t>(id_)];
-  if (slot.wake_token) {
-    // An unpark raced ahead of this park (a waker that ran while we were
-    // still runnable): consume the token instead of blocking on a wakeup
-    // that already happened.
-    slot.wake_token = false;
-    advance_to(slot.wake_time);
-    slot.wake_time = 0.0;
-    return;
-  }
-  slot.state = Engine::State::kParked;
+  engine_->actors_[static_cast<std::size_t>(id_)].state =
+      Engine::State::kParked;
   engine_->yield_from(id_);
 }
 
@@ -57,19 +44,6 @@ int Engine::spawn(std::function<void(Actor&)> body) {
   actors_.push_back(std::move(slot));
   pending_bodies_.push_back(std::move(body));
   return id;
-}
-
-void Engine::set_timed_sink(TimedSink sink, void* ctx) {
-  timed_sink_ = sink;
-  timed_ctx_ = ctx;
-}
-
-void Engine::post_at(SimTime t, std::uint32_t token) {
-  MCIO_CHECK_MSG(exec_.slice, "post_at() outside a fiber slice");
-  MCIO_CHECK_MSG(timed_sink_ != nullptr, "post_at() without a timed sink");
-  MCIO_CHECK_GE(t, exec_.t - kSlackTolerance);
-  const Key key{t, /*kind=*/0, exec_.src, exec_.next_seq++};
-  heap_.push(Event{key, -1, token});
 }
 
 void Engine::body_wrapper(int id, const std::function<void(Actor&)>& body) {
@@ -97,37 +71,30 @@ void Engine::run() {
           body_wrapper(id, body);
         },
         &main_ctx_);
-    heap_.push(Event{Key{0.0, /*kind=*/2, id, -1}, id});
+    heap_.push(Key{0.0, /*kind=*/2, id});
   }
+  heap_high_water_ = std::max(heap_high_water_, heap_.size());
   pending_bodies_.clear();
   observer_->on_engine_start(static_cast<int>(actors_.size()));
 
   while (!heap_.empty()) {
-    const Event ev = heap_.top();
+    const Key key = heap_.top();
     heap_.pop();
     ++heap_pops_;
-    run_event(ev);
+    run_slice(key);
     if (error_) std::rethrow_exception(error_);
   }
   check_no_deadlock();
 }
 
-void Engine::run_event(const Event& ev) {
-  if (ev.actor >= 0) {
-    auto& slot = actors_[static_cast<std::size_t>(ev.actor)];
-    exec_ = ExecCtx{ev.key.t, ev.actor, slot.next_seq, /*slice=*/true};
-    slot.state = State::kRunning;
-    observer_->on_actor_resumed(ev.actor, slot.actor->now());
-    slot.fiber->resume_from(&main_ctx_);
-    observer_->on_actor_yielded(ev.actor, slot.actor->now());
-    slot.next_seq = exec_.next_seq;
-  } else {
-    // Timed events (message deliveries) may wake their target but never
-    // emit further events.
-    exec_ = ExecCtx{ev.key.t, ev.key.a, ev.key.b + 1, /*slice=*/false};
-    timed_sink_(timed_ctx_, ev.token);
-  }
-  exec_ = ExecCtx{};
+void Engine::run_slice(const Key& key) {
+  auto& slot = actors_[static_cast<std::size_t>(key.id)];
+  slice_t_ = key.t;
+  slot.state = State::kRunning;
+  observer_->on_actor_resumed(key.id, slot.actor->now());
+  slot.fiber->resume_from(&main_ctx_);
+  observer_->on_actor_yielded(key.id, slot.actor->now());
+  slice_t_ = 0.0;
 }
 
 void Engine::check_no_deadlock() {
@@ -148,24 +115,12 @@ void Engine::check_no_deadlock() {
 
 void Engine::unpark(int actor_id, SimTime not_before) {
   auto& slot = actors_.at(static_cast<std::size_t>(actor_id));
-  MCIO_CHECK_MSG(slot.state != State::kDone,
-                 "unpark of finished actor " << actor_id);
-  // A wakeup can never rewind behind the event that issued it: the pop
+  MCIO_CHECK_MSG(slot.state == State::kParked,
+                 "unpark of actor " << actor_id << ", which is not parked");
+  // A wakeup can never rewind behind the slice that issued it: the pop
   // order stays monotone.
-  if (exec_.src >= 0) not_before = std::max(not_before, exec_.t);
-  if (slot.state == State::kParked) {
-    slot.actor->advance_to(not_before);
-    enqueue_slice(actor_id, /*kind=*/1);
-    return;
-  }
-  // Not parked yet: record a wakeup token the next park() consumes.
-  slot.wake_token = true;
-  slot.wake_time = std::max(slot.wake_time, not_before);
-}
-
-bool Engine::is_parked(int actor_id) const {
-  return actors_.at(static_cast<std::size_t>(actor_id)).state ==
-         State::kParked;
+  slot.actor->advance_to(std::max(not_before, slice_t_));
+  enqueue_slice(actor_id, /*kind=*/1);
 }
 
 SimTime Engine::makespan() const {
@@ -180,13 +135,13 @@ void Engine::yield_from(int id) {
 
 void Engine::next_slice(int id, int kind) {
   const SimTime now = actors_[static_cast<std::size_t>(id)].actor->now();
-  if (heap_.empty() || Key{now, kind, id, -1} < heap_.top().key) {
+  if (heap_.empty() || Key{now, kind, id} < heap_.top()) {
     // The heap would hand this very slice back: continue in place (see
     // the file comment), keeping the slice boundary visible.
     ++in_place_slices_;
     observer_->on_actor_yielded(id, now);
     observer_->on_actor_resumed(id, now);
-    exec_.t = now;
+    slice_t_ = now;
     return;
   }
   enqueue_slice(id, kind);
@@ -196,7 +151,8 @@ void Engine::next_slice(int id, int kind) {
 void Engine::enqueue_slice(int id, int kind) {
   auto& slot = actors_[static_cast<std::size_t>(id)];
   slot.state = State::kReady;
-  heap_.push(Event{Key{slot.actor->now(), kind, id, -1}, id});
+  heap_.push(Key{slot.actor->now(), kind, id});
+  heap_high_water_ = std::max(heap_high_water_, heap_.size());
 }
 
 }  // namespace mcio::sim

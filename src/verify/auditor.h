@@ -71,7 +71,7 @@ struct AuditCounters {
   std::uint64_t runs = 0;             ///< Machine::run calls completed
   std::uint64_t slices = 0;           ///< fiber scheduling slices
   std::uint64_t messages = 0;         ///< envelopes delivered
-  std::uint64_t unexpected = 0;       ///< deliveries with no posted recv
+  std::uint64_t unexpected = 0;       ///< sent with no receive posted
   std::uint64_t waits = 0;            ///< blocking receive waits
   std::uint64_t lease_grants = 0;     ///< memory leases granted
   std::uint64_t lease_releases = 0;   ///< memory leases released

@@ -58,8 +58,9 @@ class Observer {
   }
 
   // --- message transport (mpi::Machine / mpi::Comm) ---
-  /// An envelope reached `dst_world`; `matched` = a posted receive took
-  /// it immediately (otherwise it queued as unexpected).
+  /// An envelope was sent to `dst_world`, where it is matched at once:
+  /// `matched` = a receive posted before the send took it (otherwise it
+  /// queued as unexpected).
   virtual void on_message_delivered(std::uint64_t comm_id, int src,
                                     int dst_world, int tag,
                                     std::uint64_t bytes, bool matched) {
@@ -70,8 +71,9 @@ class Observer {
     (void)bytes;
     (void)matched;
   }
-  /// `actor` is about to park until a receive matching (comm_id,
-  /// src_world, tag) completes. Paired with on_wait_end.
+  /// `actor` is about to block until a receive matching (comm_id,
+  /// src_world, tag) completes: it parks until the send, or yields until
+  /// the arrival of a message already matched. Paired with on_wait_end.
   virtual void on_wait_begin(int actor, std::uint64_t comm_id,
                              int src_world, int tag) {
     (void)actor;

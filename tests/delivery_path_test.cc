@@ -1,8 +1,8 @@
 // The scheduler-to-endpoint message path, by deterministic counts: once
 // warm, a virtual-payload message storm makes (almost) no heap
-// allocation per delivered message, and the scheduler accounts for every
-// slice and every delivery exactly once, either popped from the event
-// heap or continued in place.
+// allocation per delivered message, the scheduler accounts for every
+// slice exactly once, either popped from the event heap or continued in
+// place, and no message ever enters the heap.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -87,13 +87,14 @@ TEST(DeliveryPath, NoHeapAllocationPerMessage) {
   EXPECT_LT(static_cast<double>(allocs), 0.01 * static_cast<double>(msgs))
       << allocs << " heap allocations for " << msgs << " messages";
 
-  // Every slice resumed and every delivery applied went through the heap
-  // exactly once, unless the slice continued in place.
+  // Every slice resumed went through the heap exactly once, unless it
+  // continued in place; deliveries are matched at send and pop nothing,
+  // so the heap never holds more than one slice per rank.
   EXPECT_EQ(counts.deliveries, std::uint64_t{kRanks} * kPeers *
                                    (kWarmRounds + kRounds));
-  EXPECT_EQ(machine.heap_pops() + machine.in_place_slices(),
-            counts.slices + counts.deliveries);
+  EXPECT_EQ(machine.heap_pops() + machine.in_place_slices(), counts.slices);
   EXPECT_GT(machine.in_place_slices(), 0u);
+  EXPECT_LE(machine.heap_high_water(), std::size_t{kRanks});
 }
 
 }  // namespace

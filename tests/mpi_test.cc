@@ -2,11 +2,14 @@
 // awkward communicator sizes, and transport timing.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "mpi/comm.h"
 #include "mpi/machine.h"
@@ -416,6 +419,208 @@ TEST_P(CollectiveSizes, AllgatherCensus) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveSizes,
                          ::testing::Values(1, 2, 3, 5, 7, 12, 16));
+
+/// Counts blocking waits; allocates nothing in its hook.
+class WaitCounter : public verify::Observer {
+ public:
+  void on_wait_begin(int, std::uint64_t, int, int) override { ++waits; }
+
+  std::uint64_t waits = 0;
+};
+
+/// Runs `body` on the four ranks of a two-node, two-ranks-per-node
+/// machine: the wait count, every arrival the body notes, then every
+/// rank's finish time, as hexfloats.
+std::string receive_timing(
+    const std::function<void(Rank&, std::vector<double>&)>& body) {
+  Machine machine(small_cluster(2, 2));
+  WaitCounter counter;
+  machine.set_observer(&counter);
+  std::vector<double> arrivals;
+  const std::vector<sim::SimTime> finish =
+      machine.run(4, [&](Rank& rank) { body(rank, arrivals); });
+  std::ostringstream os;
+  os << counter.waits << std::hexfloat << " |";
+  for (const double t : arrivals) os << ' ' << t;
+  os << " |";
+  for (const double t : finish) os << ' ' << t;
+  return os.str();
+}
+
+// When a receive completes, by case: pins the clock a rank resumes at,
+// the arrival it reports and whether it blocked, for every way a message
+// can meet its receive.
+TEST(Transport, ReceiveTimingCensus) {
+  constexpr std::uint64_t kBytes = 4096;
+  const auto msg = util::ConstPayload::virtual_bytes(kBytes);
+  const auto buf = util::Payload::virtual_bytes(kBytes);
+  std::vector<std::string> census;
+
+  // A receive posted before the send.
+  census.push_back(receive_timing([&](Rank& rank, std::vector<double>& out) {
+    Comm& c = rank.world();
+    if (rank.rank() == 0) {
+      rank.actor().advance(2e-6);
+      c.send(2, 1, msg);
+    } else if (rank.rank() == 2) {
+      Status st;
+      c.recv(0, 1, buf, &st);
+      out.push_back(st.arrival);
+    }
+  }));
+
+  // A receive posted after its message arrived.
+  census.push_back(receive_timing([&](Rank& rank, std::vector<double>& out) {
+    Comm& c = rank.world();
+    if (rank.rank() == 0) {
+      c.send(2, 1, msg);
+    } else if (rank.rank() == 2) {
+      rank.actor().advance(1e-3);
+      Status st;
+      c.recv(0, 1, buf, &st);
+      out.push_back(st.arrival);
+    }
+  }));
+
+  // Receives posted at slice time 0, one sent before and one after the
+  // post; the rank computes past both arrivals inside the same slice,
+  // then waits.
+  census.push_back(receive_timing([&](Rank& rank, std::vector<double>& out) {
+    Comm& c = rank.world();
+    if (rank.rank() == 0) {
+      c.send(2, 1, msg);
+    } else if (rank.rank() == 1) {
+      rank.actor().advance(1e-6);
+      c.send(2, 2, msg);
+    } else if (rank.rank() == 2) {
+      Request early = c.irecv(0, 1, buf);
+      Request late = c.irecv(1, 2, buf);
+      rank.actor().advance(1e-3);
+      Status st;
+      c.wait(early, &st);
+      out.push_back(st.arrival);
+      c.wait(late, &st);
+      out.push_back(st.arrival);
+    }
+  }));
+
+  // Two receives waited in the reverse of their arrival order.
+  census.push_back(receive_timing([&](Rank& rank, std::vector<double>& out) {
+    Comm& c = rank.world();
+    if (rank.rank() == 0) {
+      c.send(2, 1, msg);
+    } else if (rank.rank() == 3) {
+      rank.actor().advance(5e-4);
+      c.send(2, 1, msg);
+    } else if (rank.rank() == 2) {
+      Request first = c.irecv(0, 1, buf);
+      Request second = c.irecv(3, 1, buf);
+      Status st;
+      c.wait(second, &st);
+      out.push_back(st.arrival);
+      out.push_back(rank.actor().now());
+      c.wait(first, &st);
+      out.push_back(st.arrival);
+    }
+  }));
+
+  // A deferred blob drain in source order, one blob over shm arriving
+  // after one over the transport, then the charges in the same order.
+  census.push_back(receive_timing([&](Rank& rank, std::vector<double>& out) {
+    Comm& c = rank.world();
+    const std::vector<std::byte> blob(65536);
+    if (rank.rank() == 1) {
+      rank.actor().advance(1.2e-4);
+      c.send_blob_shm(0, 7, blob);
+    } else if (rank.rank() == 2) {
+      c.send_blob(0, 7, blob);
+    } else if (rank.rank() == 0) {
+      std::vector<FramedBlob> blobs;
+      for (const int src : {1, 2}) {
+        blobs.push_back(c.recv_blob_deferred(src, 7));
+        out.push_back(rank.actor().now());
+      }
+      for (const FramedBlob& b : blobs) {
+        Status st;
+        c.charge_blob(b, &st);
+        out.push_back(b.header_arrival);
+        out.push_back(st.arrival);
+      }
+    }
+  }));
+
+  const std::vector<std::string> expected = {
+      "1 | 0x1.3d783c074db2ap-17 | 0x1.92a737110e454p-19 0x0p+0"
+      " 0x1.5f062b48b98dcp-17 0x0p+0",
+      "0 | 0x1.f4b8bb08ebf8dp-18 | 0x1.0c6f7a0b5ed8dp-20 0x0p+0"
+      " 0x1.0667f90d9d777p-10 0x0p+0",
+      "1 | 0x1.f4b8bb08ebf8dp-18 0x1.99187b881cd5cp-17 |"
+      " 0x1.0c6f7a0b5ed8dp-20 0x1.0c6f7a0b5ed8dp-19 0x1.06ab14ec204f2p-10"
+      " 0x0p+0",
+      "1 | 0x1.063adaaefc192p-11 0x1.06c1126c01c89p-11"
+      " 0x1.f4b8bb08ebf8dp-18 | 0x1.0c6f7a0b5ed8dp-20 0x0p+0"
+      " 0x1.07474a290778p-11 0x1.06ab14ec204f3p-11",
+      "1 | 0x1.03ca10ba1f66ap-13 0x1.03ca10ba1f66ap-13"
+      " 0x1.f893922812162p-14 0x1.03ca10ba1f66ap-13 0x1.0dddfb0962155p-19"
+      " 0x1.7f4dafa7ea86ep-14 | 0x1.0c2d8c8a7a5d6p-13 0x1.f827c46a27bc1p-14"
+      " 0x1.0c6f7a0b5ed8dp-19 0x0p+0",
+  };
+  EXPECT_EQ(census, expected);
+}
+
+TEST(Transport, ArrivalAtSliceTimeDoesNotYield) {
+  // A message that arrived by the time the receiver's slice began is in
+  // hand: the wait neither blocks nor yields. One that arrives a tick
+  // after the slice began makes the receiver yield to its arrival.
+  const auto recv_at = [](double t, Status* st) {
+    Machine machine(small_cluster(2, 2));
+    WaitCounter counter;
+    machine.set_observer(&counter);
+    machine.run(4, [&](Rank& rank) {
+      if (rank.rank() == 0) {
+        rank.world().send(2, 1, util::ConstPayload::virtual_bytes(4096));
+      } else if (rank.rank() == 2) {
+        rank.actor().advance_to(t);
+        rank.world().recv(0, 1, util::Payload::virtual_bytes(4096), st);
+      }
+    });
+    return counter.waits;
+  };
+  Status first;
+  EXPECT_EQ(recv_at(0.0, &first), 1u);
+  const double arrival = first.arrival;
+  Status st;
+  EXPECT_EQ(recv_at(arrival, &st), 0u);
+  EXPECT_EQ(st.arrival, arrival);
+  EXPECT_EQ(recv_at(std::nextafter(arrival, 0.0), &st), 1u);
+  EXPECT_EQ(st.arrival, arrival);
+}
+
+TEST(Transport, SameKeyOvertakingRejected) {
+  // Messages match in send order, so one key's messages must arrive in
+  // send order too. A large message over shm, then a small one over the
+  // membus on the same key, arrive inverted: queuing the second behind
+  // the first is rejected.
+  Machine machine(small_cluster(2, 2));
+  try {
+    machine.run(2, [](Rank& rank) {
+      Comm& c = rank.world();
+      const auto buf = util::Payload::virtual_bytes(1 << 30);
+      if (rank.rank() == 0) {
+        c.send_shm(1, 3, util::ConstPayload::virtual_bytes(1 << 30));
+        c.send(1, 3, util::ConstPayload::virtual_bytes(8));
+      } else {
+        rank.actor().advance(1.0);
+        c.recv(0, 3, buf);
+        c.recv(0, 3, buf);
+      }
+    });
+    FAIL() << "an overtaking message was queued";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("overtakes"), std::string::npos)
+        << e.what();
+  }
+}
 
 TEST(Comm, VirtualPayloadMessages) {
   Machine machine(small_cluster());

@@ -1,8 +1,7 @@
 // Simulation kernel: virtual-time scheduling order (including the
-// equal-time order of deliveries, local and global slices), park/unpark
-// and wakeup tokens, the order of timed deliveries, determinism,
-// misuse and deadlock diagnosis, observer notifications, the fiber guard
-// page and bandwidth-queue behaviour.
+// equal-time order of local and global slices), park/unpark, slice time,
+// the heap bound, determinism, misuse and deadlock diagnosis, observer
+// notifications, the fiber guard page and bandwidth-queue behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,31 +19,6 @@
 
 namespace mcio::sim {
 namespace {
-
-/// The engine's timed sink for these tests: each posted closure is kept,
-/// and its index is the timed event's token.
-class ClosureSink {
- public:
-  explicit ClosureSink(Engine& engine) : engine_(engine) {
-    engine.set_timed_sink(&ClosureSink::apply, this);
-  }
-  ClosureSink(const ClosureSink&) = delete;
-  ClosureSink& operator=(const ClosureSink&) = delete;
-
-  void post_at(SimTime t, std::function<void()> fn) {
-    const auto token = static_cast<std::uint32_t>(fns_.size());
-    fns_.push_back(std::move(fn));
-    engine_.post_at(t, token);
-  }
-
- private:
-  static void apply(void* self, std::uint32_t token) {
-    static_cast<ClosureSink*>(self)->fns_[token]();
-  }
-
-  Engine& engine_;
-  std::deque<std::function<void()>> fns_;  // stable while one runs
-};
 
 TEST(Engine, RunsActorsToCompletion) {
   Engine engine;
@@ -92,7 +66,6 @@ TEST(Engine, ParkAndUnparkTransfersControl) {
   engine.spawn([&, sleeper](Actor& a) {
     a.advance(2.5);
     a.sync();
-    EXPECT_TRUE(a.engine().is_parked(sleeper));
     a.engine().unpark(sleeper, a.now());
   });
   engine.run();
@@ -142,15 +115,13 @@ TEST(Engine, AdvanceToNeverMovesBackwards) {
   engine.run();
 }
 
-TEST(Engine, EqualTimeOrderIsDeliveryThenLocalThenGlobal) {
-  // Every event below fires at virtual time 1.0, and actor ids run
+TEST(Engine, EqualTimeOrderIsLocalThenGlobal) {
+  // Every slice below runs at virtual time 1.0, and actor ids run
   // against the kind order, so only the key's kind field can produce the
-  // expected interleaving: a post_at() delivery applies before any
-  // sync_local() slice, which runs before any sync() slice; a slice's
-  // same-time re-enqueue runs after the slice itself and after the
-  // delivery that slice posted.
+  // expected interleaving: a sync_local() slice runs before any sync()
+  // slice, and a slice's same-time re-enqueue keeps its key, so it runs
+  // before a higher id's slice of the same kind and time.
   Engine engine;
-  ClosureSink sink(engine);
   std::vector<std::string> log;
   engine.spawn([&log](Actor& a) {
     a.advance(1.0);
@@ -159,16 +130,17 @@ TEST(Engine, EqualTimeOrderIsDeliveryThenLocalThenGlobal) {
     a.sync();
     log.push_back("global0 again");
   });
-  engine.spawn([&log, &sink](Actor& a) {
+  engine.spawn([&log](Actor& a) {
     a.advance(1.0);
     a.sync_local();
     log.push_back("local1");
-    sink.post_at(1.0, [&log] { log.push_back("delivery from 1"); });
     a.sync_local();
     log.push_back("local1 again");
   });
-  engine.spawn([&log, &sink](Actor&) {
-    sink.post_at(1.0, [&log] { log.push_back("delivery from 2"); });
+  engine.spawn([&log](Actor& a) {
+    a.advance(1.0);
+    a.sync_local();
+    log.push_back("local2");
   });
   engine.spawn([&log](Actor& a) {
     a.advance(1.0);
@@ -177,127 +149,25 @@ TEST(Engine, EqualTimeOrderIsDeliveryThenLocalThenGlobal) {
   });
   engine.run();
   const std::vector<std::string> expected = {
-      "delivery from 2", "local1",        "delivery from 1", "local1 again",
-      "global0",         "global0 again", "global3"};
+      "local1",  "local1 again",  "local2",
+      "global0", "global0 again", "global3"};
   EXPECT_EQ(log, expected);
 }
 
-TEST(Engine, UnparkBeforeParkConsumesToken) {
+TEST(Engine, UnparkOfRunnableActorRejected) {
+  // A waker only wakes an actor parked on it; waking one that is still
+  // runnable is a bug in the waker.
   Engine engine;
-  bool woke = false;
-  int sleeper = -1;
-  sleeper = engine.spawn([&](Actor& a) {
-    a.advance(1.0);
-    a.sync();
-    // The unpark below already happened (at virtual time 0): park must
-    // consume its token and return without blocking.
-    a.park();  // mcio-analyze: allow(unobserved-park) -- scheduler's own test
-    woke = true;
-    EXPECT_DOUBLE_EQ(a.now(), 1.0);  // token time 0.5 never rewinds
-    // A second park has no token: it must genuinely block for the
-    // late unparker.
-    a.park();  // mcio-analyze: allow(unobserved-park) -- scheduler's own test
-    EXPECT_DOUBLE_EQ(a.now(), 2.0);
-  });
-  engine.spawn([&, sleeper](Actor& a) {
-    EXPECT_FALSE(a.engine().is_parked(sleeper));
-    a.engine().unpark(sleeper, 0.5);  // unpark-before-park
-  });
-  engine.spawn([&, sleeper](Actor& a) {
+  const int runnable = engine.spawn([](Actor& a) {
     a.advance(2.0);
     a.sync();
-    EXPECT_TRUE(a.engine().is_parked(sleeper));
-    a.engine().unpark(sleeper, a.now());
   });
-  engine.run();
-  EXPECT_TRUE(woke);
-}
-
-TEST(Engine, TokenDoesNotLeakAcrossParks) {
-  // A token is one wakeup: an actor that parks twice after a single
-  // early unpark must deadlock on the second park.
-  Engine engine;
-  const int sleeper = engine.spawn([](Actor& a) {
-    a.sync();
-    a.park();  // mcio-analyze: allow(unobserved-park) -- consumes the token
-    a.park();  // mcio-analyze: allow(unobserved-park) -- deliberate deadlock
-  });
-  engine.spawn([sleeper](Actor& a) {
-    a.engine().unpark(sleeper, 0.0);
-  });
-  EXPECT_THROW(engine.run(), util::Error);
-}
-
-TEST(Engine, SameTimeDeliveriesApplyInStampOrder) {
-  // Deliveries at one arrival time apply in (stamping actor, seq) order:
-  // by actor id first, whatever the virtual time they were posted at,
-  // then in each actor's program order, across its slices too.
-  Engine engine;
-  ClosureSink sink(engine);
-  std::vector<std::string> log;
-  engine.spawn([&log, &sink](Actor& a) {
+  engine.spawn([runnable](Actor& a) {
     a.advance(1.0);
     a.sync();
-    sink.post_at(2.0, [&log] { log.push_back("0 first slice"); });
-    a.sync();
-    sink.post_at(2.0, [&log] { log.push_back("0 second slice"); });
+    a.engine().unpark(runnable, a.now());
   });
-  engine.spawn([&log, &sink](Actor&) {
-    sink.post_at(2.0, [&log] { log.push_back("1a"); });
-    sink.post_at(2.0, [&log] { log.push_back("1b"); });
-    sink.post_at(1.5, [&log] { log.push_back("1 earlier"); });
-  });
-  engine.run();
-  const std::vector<std::string> expected = {
-      "1 earlier", "0 first slice", "0 second slice", "1a", "1b"};
-  EXPECT_EQ(log, expected);
-}
-
-/// Every actor posts a delivery to every other actor on every slice, at
-/// staggered arrival times strictly after the posting slice, so every
-/// delivery is in the heap before its arrival time pops. Returns the
-/// applied log, one entry (arrival, source, source's post counter,
-/// target) per delivery.
-struct FloodResult {
-  std::vector<std::tuple<SimTime, int, int, int>> log;
-  std::size_t posted = 0;
-};
-
-FloodResult run_flood() {
-  Engine engine;
-  ClosureSink sink(engine);
-  FloodResult out;
-  constexpr int kActors = 8;
-  for (int i = 0; i < kActors; ++i) {
-    engine.spawn([i, &sink, &out](Actor& a) {
-      int seq = 0;
-      for (int k = 0; k < 10; ++k) {
-        a.advance(0.001 * ((i + k) % 4 + 1));
-        a.sync_local();
-        for (int target = 0; target < kActors; ++target) {
-          if (target == i) continue;
-          const SimTime arrival = a.now() + 0.0005 * ((i + target + k) % 3 + 1);
-          ++out.posted;
-          sink.post_at(arrival, [arrival, i, s = seq++, target, &out] {
-            out.log.emplace_back(arrival, i, s, target);
-          });
-        }
-      }
-    });
-  }
-  engine.run();
-  return out;
-}
-
-TEST(Engine, PostAtFloodAppliesEveryDeliveryInKeyOrder) {
-  const FloodResult first = run_flood();
-  EXPECT_EQ(first.posted, 8u * 7u * 10u);
-  ASSERT_EQ(first.log.size(), first.posted);  // nothing dropped
-  // The apply order is exactly (arrival, source, source's seq).
-  auto sorted = first.log;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(first.log, sorted);
-  EXPECT_EQ(run_flood().log, first.log);
+  EXPECT_THROW(engine.run(), util::Error);
 }
 
 /// A sync-heavy mixed workload: staggered advances, syncs and a
@@ -321,7 +191,6 @@ std::vector<SimTime> run_mixed_workload() {
       } else if (i == 1) {
         a.advance(1.0);
         a.sync();
-        EXPECT_TRUE(a.engine().is_parked(parker));
         a.engine().unpark(parker, a.now());
       }
     });
@@ -360,51 +229,50 @@ TEST(Engine, UnparkWakeTimeClampedToWakerSlice) {
 }
 
 TEST(Engine, DeliveryUnparkWakesAtArrivalTime) {
-  // The message path: a delivery that unparks its receiver wakes it at
-  // the arrival time, not at the (earlier) time the sender posted it.
+  // The message path: a send that unparks its receiver wakes it at the
+  // arrival time, not at the (earlier) time of the sending slice.
   Engine engine;
-  ClosureSink sink(engine);
   SimTime woke_at = -1.0;
   const int sleeper = engine.spawn([&woke_at](Actor& a) {
     a.park();  // mcio-analyze: allow(unobserved-park) -- scheduler's own test
     woke_at = a.now();
   });
-  engine.spawn([sleeper, &engine, &sink](Actor&) {
-    sink.post_at(2.5, [sleeper, &engine] {
-      EXPECT_TRUE(engine.is_parked(sleeper));
-      engine.unpark(sleeper, 0.0);
-    });
+  engine.spawn([sleeper](Actor& a) {
+    a.sync_local();
+    a.engine().unpark(sleeper, 2.5);
   });
   engine.run();
   EXPECT_DOUBLE_EQ(woke_at, 2.5);
   EXPECT_DOUBLE_EQ(engine.finish_times()[1], 0.0);
 }
 
-TEST(Engine, PostAtBehindSliceTimeRejected) {
+TEST(Engine, UnparkResumesAsLocalSlice) {
+  // A wakeup is a local slice at the wake time, keyed (t, 1, id): the
+  // woken actor runs before a lower id's global slice at that time, and
+  // after its local one.
   Engine engine;
-  ClosureSink sink(engine);
-  engine.spawn([&sink](Actor& a) {
-    a.advance(1.0);
+  std::vector<std::string> log;
+  engine.spawn([&log](Actor& a) {
+    a.advance(2.0);
     a.sync();
-    sink.post_at(0.5, [] {});
+    log.push_back("global0");
   });
-  EXPECT_THROW(engine.run(), util::Error);
-}
-
-TEST(Engine, PostAtOutsideSliceRejected) {
-  // Before run() there is no slice to stamp the event.
-  Engine before;
-  ClosureSink before_sink(before);
-  before.spawn([](Actor&) {});
-  EXPECT_THROW(before_sink.post_at(1.0, [] {}), util::Error);
-  // A timed event never emits further events.
-  Engine nested;
-  ClosureSink nested_sink(nested);
-  nested.spawn([&nested_sink](Actor&) {
-    nested_sink.post_at(1.0,
-                        [&nested_sink] { nested_sink.post_at(2.0, [] {}); });
+  engine.spawn([&log](Actor& a) {
+    a.advance(2.0);
+    a.sync_local();
+    log.push_back("local1");
   });
-  EXPECT_THROW(nested.run(), util::Error);
+  const int sleeper = engine.spawn([&log](Actor& a) {
+    a.park();  // mcio-analyze: allow(unobserved-park) -- scheduler's own test
+    log.push_back("woken2");
+  });
+  engine.spawn([sleeper](Actor& a) {
+    a.sync_local();
+    a.engine().unpark(sleeper, 2.0);
+  });
+  engine.run();
+  const std::vector<std::string> expected = {"local1", "woken2", "global0"};
+  EXPECT_EQ(log, expected);
 }
 
 TEST(Engine, UnparkOfFinishedActorRejected) {
@@ -476,29 +344,31 @@ TEST(Engine, ObserverSeesEverySliceAsResumeYieldPair) {
 // the heap's next pop continues without leaving the fiber. Each case pins
 // that the pop order is exactly the heap's.
 
-TEST(Engine, InPlaceContinuationYieldsToSameTimeDelivery) {
-  // A delivery posted at the slice's own time (kind 0) orders before the
-  // actor's kind-1 continuation, so the actor must yield to it; a later
-  // delivery does not stop the continuation.
+TEST(Engine, InPlaceContinuationYieldsToLowerKey) {
+  // A pending slice at a lower key stops the continuation; a later one
+  // does not, and every slice is either popped or continued.
   Engine engine;
-  ClosureSink sink(engine);
   std::vector<std::string> log;
-  engine.spawn([&log, &sink](Actor& a) {
+  engine.spawn([&log](Actor& a) {
     a.advance(1.0);
-    sink.post_at(1.0, [&log] { log.push_back("delivery at 1"); });
-    sink.post_at(3.0, [&log] { log.push_back("delivery at 3"); });
-    a.sync_local();
-    log.push_back("slice at 1");
+    a.sync_local();  // actor 1's slice at 0 is pending: yields
+    log.push_back("0 at 1");
     a.advance(1.0);
+    a.sync_local();  // actor 1's slice at 3 is later: continues
+    log.push_back("0 at 2");
+  });
+  engine.spawn([&log](Actor& a) {
+    log.push_back("1 at 0");
+    a.advance(3.0);
     a.sync_local();
-    log.push_back("slice at 2");
+    log.push_back("1 at 3");
   });
   engine.run();
-  const std::vector<std::string> expected = {"delivery at 1", "slice at 1",
-                                             "slice at 2", "delivery at 3"};
+  const std::vector<std::string> expected = {"1 at 0", "0 at 1", "0 at 2",
+                                             "1 at 3"};
   EXPECT_EQ(log, expected);
-  EXPECT_EQ(engine.in_place_slices(), 1u);  // only the slice at 2
-  // The first slice, the slice at 1 and both deliveries were popped.
+  EXPECT_EQ(engine.in_place_slices(), 1u);  // only actor 0's slice at 2
+  // Both first slices, actor 0's slice at 1 and actor 1's at 3 popped.
   EXPECT_EQ(engine.heap_pops(), 4u);
 }
 
@@ -546,26 +416,49 @@ TEST(Engine, GlobalSyncNeverContinuesAheadOfLocalSlice) {
   EXPECT_EQ(engine.in_place_slices(), 1u);
 }
 
-TEST(Engine, PostAtAfterInPlaceContinuationChecksContinuedTime) {
-  // The continued slice runs at the actor's new clock: posting behind it
-  // is rejected exactly as after a popped slice, and posting at it works.
-  for (const SimTime t : {1.5, 2.0}) {
-    Engine engine;
-    ClosureSink sink(engine);
-    bool applied = false;
-    engine.spawn([t, &sink, &applied](Actor& a) {
-      a.advance(2.0);
-      a.sync_local();  // the heap is empty: continues in place
-      sink.post_at(t, [&applied] { applied = true; });
+TEST(Engine, SliceTimeIsTheExecutingSlicesKey) {
+  // slice_time() stays at the slice's key while local computation moves
+  // the clock, then follows the next slice, popped or continued in place.
+  Engine engine;
+  std::vector<SimTime> seen;
+  engine.spawn([&seen](Actor& a) {
+    a.advance(1.0);
+    seen.push_back(a.slice_time());  // first slice, popped at 0
+    a.sync_local();  // actor 1's first slice is pending: yields
+    seen.push_back(a.slice_time());
+    a.advance(1.0);
+    a.sync_local();  // the heap is empty: continues in place
+    seen.push_back(a.slice_time());
+  });
+  engine.spawn([](Actor& a) {
+    a.advance(0.5);
+    a.sync();
+  });
+  engine.run();
+  EXPECT_EQ(seen, (std::vector<SimTime>{0.0, 1.0, 2.0}));
+  // Actor 1's sync at 0.5 and actor 0's last sync_local.
+  EXPECT_EQ(engine.in_place_slices(), 2u);
+}
+
+TEST(Engine, HeapHoldsAtMostOneSlicePerActor) {
+  // Each actor has at most one pending slice, whatever it does: the heap
+  // starts at one first slice per actor and never grows past it.
+  Engine engine;
+  constexpr int kActors = 6;
+  for (int i = 0; i < kActors; ++i) {
+    engine.spawn([i](Actor& a) {
+      for (int k = 0; k < 30; ++k) {
+        a.advance(0.001 * ((i * 5 + k) % 7 + 1));
+        if (k % 3 == 0) {
+          a.sync();
+        } else {
+          a.sync_local();
+        }
+      }
     });
-    if (t < 2.0) {
-      EXPECT_THROW(engine.run(), util::Error);
-    } else {
-      engine.run();
-      EXPECT_TRUE(applied);
-    }
-    EXPECT_EQ(engine.in_place_slices(), 1u);
   }
+  engine.run();
+  EXPECT_EQ(engine.heap_high_water(), std::size_t{kActors});
 }
 
 #if defined(__has_feature)
