@@ -358,8 +358,12 @@ static bool next_window(const Extent& fd, std::uint64_t win, Extent* w) {
 }
 
 void TwoPhaseExchange::send_extent_lists(const ExtentList& local) {
+  // Links ascend by domain and domains by offset, so one cursor clips
+  // them all into one scratch list (each send copies the blob out).
+  util::ExtentCursor cursor(local);
+  ExtentList part;
   for (const Link& link : links_) {
-    const ExtentList part = local.clipped(domain(link.domain).extent);
+    cursor.clipped_into(domain(link.domain).extent, &part);
     const std::span<const std::byte> blob = encode(part);
     if (link.shm) {
       ctx_.comm->send_blob_shm(link.peer, node_tags_.lists, blob);
@@ -372,6 +376,7 @@ void TwoPhaseExchange::send_extent_lists(const ExtentList& local) {
 
 void TwoPhaseExchange::leader_collect_extent_lists(const ExtentList& local) {
   const RouteTable& routes = xplan_->routes;
+  util::ExtentCursor own(local);  // node hubs ascend by offset
   ExtentList merged;  // one hub's union, forwarded and dropped
   for (Hub& hub : node_hubs_) {
     const FileDomain& d = domain(hub.index);
@@ -383,7 +388,7 @@ void TwoPhaseExchange::leader_collect_extent_lists(const ExtentList& local) {
     for (const int m : routes.members(my_rank())) {
       if (!routes.touches(m, hub.index)) continue;
       ExtentList list =
-          m == my_rank() ? local.clipped(d.extent)
+          m == my_rank() ? own.clipped(d.extent)
                          : decode(ctx_.comm->recv_blob(m, node_tags_.lists));
       if (list.empty()) continue;
       merged.merge(list);

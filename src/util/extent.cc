@@ -17,22 +17,39 @@ std::optional<Extent> intersect(const Extent& a, const Extent& b) {
   return Extent{lo, hi - lo};
 }
 
-ExtentList ExtentList::normalize(std::vector<Extent> extents) {
-  std::erase_if(extents, [](const Extent& e) { return e.empty(); });
-  std::sort(extents.begin(), extents.end(),
-            [](const Extent& a, const Extent& b) {
-              return a.offset != b.offset ? a.offset < b.offset
-                                          : a.len < b.len;
-            });
-  ExtentList out;
-  for (const Extent& e : extents) {
-    if (!out.runs_.empty() && e.offset <= out.runs_.back().end()) {
-      Extent& last = out.runs_.back();
-      last.len = std::max(last.end(), e.end()) - last.offset;
+namespace {
+
+/// Merges the overlapping and adjacent runs of offset-sorted `runs` in
+/// place.
+void coalesce(std::vector<Extent>* runs) {
+  std::size_t last = 0;
+  for (std::size_t i = 1; i < runs->size(); ++i) {
+    Extent& run = (*runs)[last];
+    const Extent& next = (*runs)[i];
+    if (next.offset <= run.end()) {
+      run.len = std::max(run.end(), next.end()) - run.offset;
     } else {
-      out.runs_.push_back(e);
+      (*runs)[++last] = next;
     }
   }
+  if (!runs->empty()) runs->resize(last + 1);
+}
+
+}  // namespace
+
+ExtentList ExtentList::normalize(std::vector<Extent> extents) {
+  std::erase_if(extents, [](const Extent& e) { return e.empty(); });
+  const auto by_offset_then_len = [](const Extent& a, const Extent& b) {
+    return a.offset != b.offset ? a.offset < b.offset : a.len < b.len;
+  };
+  // Flattened datatypes, decoded wire lists and plans arrive sorted:
+  // checking costs O(n), sorting them again O(n log n).
+  if (!std::is_sorted(extents.begin(), extents.end(), by_offset_then_len)) {
+    std::sort(extents.begin(), extents.end(), by_offset_then_len);
+  }
+  coalesce(&extents);
+  ExtentList out;  // adopts the argument's storage
+  out.runs_ = std::move(extents);
   return out;
 }
 
@@ -75,16 +92,7 @@ void ExtentList::merge(const ExtentList& other) {
       runs_[k] = in[--j];
     }
   }
-  std::size_t last = 0;
-  for (std::size_t r = 1; r < runs_.size(); ++r) {
-    if (runs_[r].offset <= runs_[last].end()) {
-      runs_[last].len =
-          std::max(runs_[last].end(), runs_[r].end()) - runs_[last].offset;
-    } else {
-      runs_[++last] = runs_[r];
-    }
-  }
-  runs_.resize(last + 1);
+  coalesce(&runs_);
 }
 
 std::uint64_t ExtentList::total_bytes() const {

@@ -50,6 +50,9 @@ class ExtentList {
   ExtentList() = default;
 
   /// Builds a normalized list from arbitrary input (may overlap/unsorted).
+  /// O(n) when the input is already sorted by (offset, len), O(n log n)
+  /// otherwise. Coalesces in place and adopts the argument's storage:
+  /// it allocates nothing itself.
   static ExtentList normalize(std::vector<Extent> extents);
 
   /// Inserts one extent, keeping the list normalized.

@@ -10,10 +10,15 @@ namespace mcio::verify {
 
 namespace {
 
-/// Set difference a − b over normalized lists; O(|a| + |b|) amortized.
+/// The (offset, len) order of util::ExtentList::normalize.
+bool by_offset_then_len(const util::Extent& x, const util::Extent& y) {
+  return x.offset != y.offset ? x.offset < y.offset : x.len < y.len;
+}
+
+/// Set difference a − b over normalized lists; O(|a| + |b|).
 util::ExtentList subtract(const util::ExtentList& a,
                           const util::ExtentList& b) {
-  util::ExtentList out;
+  std::vector<util::Extent> out;
   const auto& cuts = b.runs();
   std::size_t j = 0;
   for (const util::Extent& run : a.runs()) {
@@ -22,39 +27,52 @@ util::ExtentList subtract(const util::ExtentList& a,
     while (j < cuts.size() && cuts[j].end() <= pos) ++j;
     std::size_t k = j;
     while (pos < end && k < cuts.size() && cuts[k].offset < end) {
-      if (cuts[k].offset > pos) out.add({pos, cuts[k].offset - pos});
+      if (cuts[k].offset > pos) out.push_back({pos, cuts[k].offset - pos});
       pos = std::max(pos, cuts[k].end());
       ++k;
     }
-    if (pos < end) out.add({pos, end - pos});
+    if (pos < end) out.push_back({pos, end - pos});
   }
-  return out;
+  return util::ExtentList::normalize(std::move(out));
 }
 
-/// Sorts `raw` in place, returns its normalized union, and reports up to
-/// `max_overlaps` byte ranges covered by more than one input extent.
-util::ExtentList normalize_with_overlaps(
-    std::vector<util::Extent>* raw, std::vector<util::Extent>* overlaps,
-    std::size_t max_overlaps) {
-  std::sort(raw->begin(), raw->end(),
-            [](const util::Extent& x, const util::Extent& y) {
-              return x.offset != y.offset ? x.offset < y.offset
-                                          : x.len < y.len;
+/// Union of P normalized lists holding N runs in all, consuming them, by
+/// a pairwise tree of linear merges: O(N log P). Merging file neighbours
+/// first lets plans that tile the file coalesce at the first levels,
+/// which makes the common case close to O(N).
+util::ExtentList union_of(std::vector<util::ExtentList>* lists) {
+  std::sort(lists->begin(), lists->end(),
+            [](const util::ExtentList& a, const util::ExtentList& b) {
+              return a.bounds().offset < b.bounds().offset;
             });
-  util::ExtentList out;
+  for (std::size_t step = 1; step < lists->size(); step *= 2) {
+    for (std::size_t i = 0; i + step < lists->size(); i += 2 * step) {
+      (*lists)[i].merge((*lists)[i + step]);
+      (*lists)[i + step] = {};
+    }
+  }
+  return lists->empty() ? util::ExtentList{} : std::move(lists->front());
+}
+
+/// Byte ranges (up to `max_overlaps`) covered by more than one extent of
+/// `raw`, which it sorts in place.
+std::vector<util::Extent> overlaps_of(std::vector<util::Extent>* raw,
+                                      std::size_t max_overlaps) {
+  if (!std::is_sorted(raw->begin(), raw->end(), by_offset_then_len)) {
+    std::sort(raw->begin(), raw->end(), by_offset_then_len);
+  }
+  std::vector<util::Extent> overlaps;
   std::uint64_t cover_end = 0;
   bool any = false;
   for (const util::Extent& e : *raw) {
     if (e.empty()) continue;
-    if (any && e.offset < cover_end && overlaps &&
-        overlaps->size() < max_overlaps) {
-      overlaps->push_back({e.offset, std::min(cover_end, e.end()) - e.offset});
+    if (any && e.offset < cover_end && overlaps.size() < max_overlaps) {
+      overlaps.push_back({e.offset, std::min(cover_end, e.end()) - e.offset});
     }
     cover_end = any ? std::max(cover_end, e.end()) : e.end();
     any = true;
-    out.add(e);
   }
-  return out;
+  return overlaps;
 }
 
 /// "N B in [a,b) [c,d) ..." — at most `max_runs` runs spelled out.
@@ -385,7 +403,10 @@ void Auditor::on_collective_begin(const void* fs, int file, bool is_write,
   }
   const std::shared_ptr<Epoch>& ep = ks.open[idx];
   ++ep->begun;
-  ep->planned.insert(ep->planned.end(), extents.begin(), extents.end());
+  // One exactly sized copy per rank; normalize is linear on the sorted
+  // plans ranks submit and sorts an unsorted one alone.
+  ep->plans.push_back(
+      util::ExtentList::normalize({extents.begin(), extents.end()}));
   const auto r = static_cast<std::size_t>(rank);
   if (r >= stacks_.size()) stacks_.resize(r + 1);
   stacks_[r].push_back(ep);
@@ -454,12 +475,11 @@ void Auditor::close_epoch(Epoch& ep) {
     }
   }
 
-  const util::ExtentList planned =
-      normalize_with_overlaps(&ep.planned, nullptr, 0);
+  const util::ExtentList planned = union_of(&ep.plans);
   if (ep.is_write) {
-    std::vector<util::Extent> dup;
+    std::vector<util::Extent> dup = overlaps_of(&ep.written, 4);
     const util::ExtentList written =
-        normalize_with_overlaps(&ep.written, &dup, 4);
+        util::ExtentList::normalize(std::move(ep.written));
     if (!dup.empty()) {
       util::ExtentList dups = util::ExtentList::normalize(std::move(dup));
       std::ostringstream os;
@@ -475,7 +495,7 @@ void Auditor::close_epoch(Epoch& ep) {
       add_finding("byte-loss", os.str());
     }
     const util::ExtentList preread =
-        normalize_with_overlaps(&ep.preread, nullptr, 0);
+        util::ExtentList::normalize(std::move(ep.preread));
     const util::ExtentList unplanned =
         subtract(subtract(written, planned), preread);
     if (!unplanned.empty()) {
@@ -488,7 +508,7 @@ void Auditor::close_epoch(Epoch& ep) {
     }
   } else {
     const util::ExtentList read =
-        normalize_with_overlaps(&ep.preread, nullptr, 0);
+        util::ExtentList::normalize(std::move(ep.preread));
     const util::ExtentList missing = subtract(planned, read);
     if (!missing.empty()) {
       std::ostringstream os;

@@ -166,9 +166,11 @@ class Auditor final : public Observer {
     int participants = 0;
     int begun = 0;
     int ended = 0;
+    /// Each rank's plan, normalized on arrival, so the close can merge
+    /// the P sorted lists in O(N log P) for N runs.
+    std::vector<util::ExtentList> plans;
     // Raw event accumulation — O(1) per event on the simulation's hot
     // path; normalized and checked once, when the epoch closes.
-    std::vector<util::Extent> planned;  ///< all ranks' plan extents
     std::vector<util::Extent> written;  ///< PFS writes observed
     std::vector<util::Extent> preread;  ///< PFS reads (write RMW / read)
     /// Outstanding lease bytes and grant count per (manager id, node).

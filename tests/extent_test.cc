@@ -2,10 +2,12 @@
 // brute-force byte-set model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 
 #include "util/extent.h"
+#include "util/memtrack.h"
 #include "util/rng.h"
 
 namespace mcio::util {
@@ -47,6 +49,18 @@ TEST(ExtentList, NormalizeMergesAdjacentAndOverlapping) {
   EXPECT_EQ(list.runs()[1], (Extent{29, 3}));
   EXPECT_EQ(list.total_bytes(), 18u);
   EXPECT_EQ(list.bounds(), (Extent{0, 32}));
+}
+
+TEST(ExtentList, NormalizingANormalizedListAllocatesAtMostOnce) {
+  // The exchange decodes every wire list through normalize: a sorted
+  // list must be adopted, not re-sorted into a second vector. The one
+  // allocation is the by-value copy of the argument.
+  std::vector<Extent> runs;
+  for (std::uint64_t i = 0; i < 100'000; ++i) runs.push_back({i * 16, 8});
+  memtrack::reset();
+  const ExtentList list = ExtentList::normalize(runs);
+  EXPECT_LE(memtrack::allocations(), 1u);
+  EXPECT_EQ(list.runs(), runs);
 }
 
 TEST(ExtentList, AddKeepsUnionCorrect) {
@@ -144,6 +158,57 @@ TEST_P(ExtentListProperty, UnionMatchesBruteForce) {
     }
     ASSERT_EQ(to_set(list), model);
     ASSERT_EQ(list.total_bytes(), model.size());
+  }
+}
+
+bool by_offset_then_len(const Extent& a, const Extent& b) {
+  return a.offset != b.offset ? a.offset < b.offset : a.len < b.len;
+}
+
+// The textbook normalization: drop empties, sort by (offset, len), then
+// coalesce into a fresh list.
+std::vector<Extent> sort_then_coalesce(std::vector<Extent> in) {
+  std::erase_if(in, [](const Extent& e) { return e.empty(); });
+  std::sort(in.begin(), in.end(), by_offset_then_len);
+  std::vector<Extent> out;
+  for (const Extent& e : in) {
+    if (!out.empty() && e.offset <= out.back().end()) {
+      out.back().len = std::max(out.back().end(), e.end()) - out.back().offset;
+    } else {
+      out.push_back(e);
+    }
+  }
+  return out;
+}
+
+TEST_P(ExtentListProperty, NormalizeMatchesSortThenCoalesce) {
+  Rng rng(GetParam() ^ 0x50e7);
+  for (int round = 0; round < 40; ++round) {
+    std::vector<Extent> raw;
+    for (int i = 0; i < 50; ++i) {
+      raw.push_back(Extent{rng.uniform_u64(400), rng.uniform_u64(12)});
+    }
+    std::vector<Extent> sorted = raw;  // overlaps, duplicates, empties
+    std::sort(sorted.begin(), sorted.end(), by_offset_then_len);
+    sorted.push_back(sorted.back());
+    std::vector<Extent> adjacent;  // sorted, touching and gapped runs
+    for (std::uint64_t pos = 0; adjacent.size() < 50;) {
+      pos += rng.uniform_u64(2) == 0 ? 0 : 1 + rng.uniform_u64(5);
+      adjacent.push_back(Extent{pos, 1 + rng.uniform_u64(8)});
+      pos = adjacent.back().end();
+    }
+    const std::vector<Extent> shapes[] = {
+        sort_then_coalesce(raw),  // already normalized
+        adjacent,
+        sorted,
+        raw,  // unsorted, with empty extents
+        {{7, 0}, {3, 0}},
+        {},
+    };
+    for (const std::vector<Extent>& in : shapes) {
+      ASSERT_EQ(ExtentList::normalize(in).runs(), sort_then_coalesce(in))
+          << "round " << round << ", " << in.size() << " extents";
+    }
   }
 }
 

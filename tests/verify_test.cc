@@ -4,6 +4,7 @@
 // collectives must stay zero-finding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -192,6 +193,124 @@ TEST(Auditor, UnplannedWriteIsReported) {
   const auto msgs = audit.messages_of("unplanned-write");
   ASSERT_EQ(msgs.size(), 1u) << audit.auditor().report();
   EXPECT_NE(msgs[0].find("[1048576,1048592)"), std::string::npos) << msgs[0];
+}
+
+/// Rank r plans [32r, 32r + 64), so neighbours overlap by 32 B; rank 0
+/// alone writes the union once, optionally skipping one byte.
+class UnionWriter final : public io::CollectiveDriver {
+ public:
+  explicit UnionWriter(std::uint64_t skip = ~std::uint64_t{0}) : skip_(skip) {}
+
+  void write_all(io::CollContext& ctx, const io::AccessPlan& plan) override {
+    (void)plan;
+    if (ctx.comm->rank() == 0) {
+      const std::uint64_t end =
+          static_cast<std::uint64_t>(ctx.comm->size() - 1) * 32 + 64;
+      const std::vector<std::byte> bytes(end);
+      const auto write = [&](std::uint64_t from, std::uint64_t to) {
+        if (from >= to) return;
+        ctx.fs->write(ctx.rank->actor(), ctx.file, from,
+                      util::ConstPayload::real(bytes.data(), to - from));
+      };
+      write(0, std::min(skip_, end));
+      if (skip_ < end) write(skip_ + 1, end);
+    }
+    ctx.comm->barrier();
+  }
+
+  void read_all(io::CollContext& ctx, const io::AccessPlan& plan) override {
+    (void)plan;
+    ctx.comm->barrier();
+  }
+
+  const char* name() const override { return "union"; }
+
+ private:
+  std::uint64_t skip_;
+};
+
+void run_overlapping_plans(MiniCluster& cluster, UnionWriter& driver) {
+  cluster.machine().run(
+      cluster.total_ranks(), [&](mpi::Rank& rank) {
+        std::vector<std::byte> buf(64);
+        io::AccessPlan plan;
+        plan.extents.push_back(
+            util::Extent{static_cast<std::uint64_t>(rank.rank()) * 32, 64});
+        plan.buffer = util::Payload::of(buf);
+        io::MPIFile file(rank, rank.world(), cluster.services(), "/audit",
+                         /*create=*/true, io::Hints{}, &driver);
+        file.write_all_plan(plan);
+      });
+}
+
+TEST(Auditor, OverlappingPlansWrittenOnceAreZeroFinding) {
+  MiniCluster cluster;
+  ASSERT_GE(cluster.total_ranks(), 2);
+  ScopedAudit audit(cluster);
+  UnionWriter driver;
+  run_overlapping_plans(cluster, driver);
+  EXPECT_TRUE(audit.auditor().clean()) << audit.auditor().report();
+  EXPECT_EQ(audit.auditor().counters().collectives, 1u);
+}
+
+TEST(Auditor, ByteDroppedInsideAPlanOverlapIsReported) {
+  MiniCluster cluster;
+  ScopedAudit audit(cluster);
+  UnionWriter driver(/*skip=*/40);  // ranks 0 and 1 both plan [32,64)
+  run_overlapping_plans(cluster, driver);
+  ASSERT_EQ(audit.auditor().findings().size(), 1u) << audit.auditor().report();
+  const auto msgs = audit.messages_of("byte-loss");
+  ASSERT_EQ(msgs.size(), 1u) << audit.auditor().report();
+  EXPECT_NE(msgs[0].find("1 B in [40,41)"), std::string::npos) << msgs[0];
+}
+
+/// Findings of one write epoch driven straight through the observer
+/// hooks: rank r submits plans[r], and rank 0 writes `writes`.
+std::vector<verify::Finding> audit_epoch(
+    const std::vector<std::vector<util::Extent>>& plans,
+    const std::vector<util::Extent>& writes) {
+  verify::Auditor auditor;
+  auditor.set_deferred(true);
+  const int fs = 0;  // any stable address names the file system
+  const int ranks = static_cast<int>(plans.size());
+  auditor.on_engine_start(ranks);
+  for (int r = 0; r < ranks; ++r) {
+    auditor.on_collective_begin(&fs, 0, true, ranks, r,
+                                plans[static_cast<std::size_t>(r)]);
+  }
+  auditor.on_actor_resumed(0, 0.0);
+  for (const util::Extent& w : writes) {
+    auditor.on_pfs_write(&fs, 0, w.offset, w.len);
+  }
+  auditor.on_actor_yielded(0, 0.0);
+  for (int r = 0; r < ranks; ++r) {
+    auditor.on_collective_end(&fs, 0, true, r);
+  }
+  return auditor.findings();
+}
+
+TEST(Auditor, UnsortedPlanSpanGivesTheSortedVerdict) {
+  const std::vector<util::Extent> rank0 = {{0, 10}, {20, 10}, {40, 10}};
+  const std::vector<util::Extent> rank1 = {{5, 15}, {30, 5}, {60, 4}};
+  // [0,2) is written twice, byte 44 is lost, [50,60) is unplanned.
+  const std::vector<util::Extent> writes = {{0, 35}, {0, 2}, {40, 4}, {45, 19}};
+  const auto sorted = audit_epoch({rank0, rank1}, writes);
+  ASSERT_EQ(sorted.size(), 3u);
+  const std::vector<util::Extent> r0(rank0.rbegin(), rank0.rend());
+  const std::vector<util::Extent> r1 = {{60, 4}, {5, 15}, {30, 5}};
+  const auto unsorted = audit_epoch({r0, r1}, writes);
+  ASSERT_EQ(unsorted.size(), sorted.size());
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    EXPECT_EQ(unsorted[i].kind, sorted[i].kind);
+    EXPECT_EQ(unsorted[i].message, sorted[i].message);
+  }
+  EXPECT_EQ(sorted[0].kind, "byte-duplicate");
+  EXPECT_EQ(sorted[1].kind, "byte-loss");
+  EXPECT_NE(sorted[1].message.find("1 B in [44,45)"), std::string::npos)
+      << sorted[1].message;
+  EXPECT_EQ(sorted[2].kind, "unplanned-write");
+  EXPECT_NE(sorted[2].message.find("10 B in [50,60)"), std::string::npos)
+      << sorted[2].message;
 }
 
 TEST(Auditor, LeakedLeaseIsReported) {
