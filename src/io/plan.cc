@@ -33,9 +33,8 @@ void AccessPlan::validate() const {
 
 AccessPlan make_plan(std::vector<util::Extent> extents,
                      util::Payload buffer) {
-  auto normalized = util::ExtentList::normalize(std::move(extents));
   AccessPlan plan;
-  plan.extents = normalized.runs();
+  plan.extents = util::ExtentList::normalize(std::move(extents)).runs();
   plan.buffer = buffer;
   plan.validate();
   return plan;

@@ -26,10 +26,6 @@ SharedPlan Comm::share_plan(
   return machine_->share_plan(comm_id_, coll_seq_, size(), key, build);
 }
 
-Endpoint& Comm::my_endpoint() {
-  return machine_->endpoint(owner_->rank());
-}
-
 int Comm::next_coll_tag() {
   return static_cast<int>(0x20000000u +
                           static_cast<std::uint32_t>(coll_seq_++ &
@@ -70,24 +66,29 @@ void Comm::send(int dst, int tag, util::ConstPayload data) {
   actor.advance(machine_->config().send_overhead);
 }
 
-RecvSlot* Comm::post_recv(int src, int tag, util::Payload buf, bool take) {
+std::uint32_t Comm::post_recv(int src, int tag, util::Payload buf,
+                             bool take) {
   owner_->actor().sync_local();
-  Endpoint& ep = my_endpoint();
-  RecvSlot* slot = ep.acquire_slot();
-  slot->comm_id = comm_id_;
-  slot->src = src;
-  slot->tag = tag;
-  slot->buf = buf;
-  slot->take = take;
-  EnvelopeSlab& slab = machine_->envelopes();
-  const std::uint32_t p =
-      ep.take_unexpected(MatchKey{comm_id_, src, tag}, slab);
-  if (p != kNoParcel) {
-    fulfill(*slot, slab, p);
+  SlotPool& slots = machine_->slots();
+  const std::uint32_t s = slots.add(RecvSlot{});
+  RecvSlot& slot = slots[s];
+  slot.src = src;
+  slot.tag = tag;
+  slot.buf = buf;
+  slot.take = take;
+  MatchTable& matches = machine_->matches();
+  MatchTable::Cell& cell = matches.probe(
+      MatchKey{comm_id_, static_cast<std::uint32_t>(owner_->rank()),
+               static_cast<std::uint32_t>(src),
+               static_cast<std::uint32_t>(tag)});
+  if (cell.waits(MatchTable::kMessages)) {
+    EnvelopeSlab& slab = machine_->envelopes();
+    fulfill(slot, slab, matches.pop(cell, slab[cell.head].next));
   } else {
-    ep.post(slot);
+    if (cell.head != kNone) slots[cell.tail].next = s;
+    MatchTable::append(cell, MatchTable::kReceives, s);
   }
-  return slot;
+  return s;
 }
 
 Request Comm::irecv(int src, int tag, util::Payload buf) {
@@ -121,11 +122,13 @@ void Comm::park_until_done(RecvSlot& slot) {
 void Comm::wait(Request& request, Status* status) {
   MCIO_CHECK_MSG(request.valid(), "wait on an invalid/consumed request");
   sim::Actor& actor = owner_->actor();
-  park_until_done(*request.slot_);
-  actor.advance_to(request.slot_->status.arrival);
+  SlotPool& slots = machine_->slots();
+  RecvSlot& slot = slots[request.slot_];
+  park_until_done(slot);
+  actor.advance_to(slot.status.arrival);
   actor.advance(machine_->config().recv_overhead);
-  if (status != nullptr) *status = request.slot_->status;
-  my_endpoint().release_slot(std::exchange(request.slot_, nullptr));
+  if (status != nullptr) *status = slot.status;
+  slots.release(std::exchange(request.slot_, kNone));
 }
 
 void Comm::waitall(std::span<Request> requests) {
@@ -210,12 +213,13 @@ void Comm::send_shm(int dst, int tag, util::ConstPayload data) {
 }
 
 Envelope Comm::take_framed(int src, int tag) {
-  RecvSlot* slot = post_recv(src, tag, util::Payload{}, /*take=*/true);
-  park_until_done(*slot);
-  const std::uint32_t p = slot->taken;
-  my_endpoint().release_slot(slot);
+  const std::uint32_t s = post_recv(src, tag, util::Payload{}, /*take=*/true);
+  SlotPool& slots = machine_->slots();
+  park_until_done(slots[s]);
+  const std::uint32_t p = slots[s].taken;
+  slots.release(s);
   EnvelopeSlab& slab = machine_->envelopes();
-  Envelope env = std::move(slab.env(p));
+  Envelope env = std::move(slab[p]);
   slab.release(p);
   return env;
 }

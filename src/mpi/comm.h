@@ -21,7 +21,7 @@
 namespace mcio::mpi {
 
 /// Handle for a non-blocking receive; it completes on match. Move-only:
-/// wait() hands its pooled slot back to the endpoint, so exactly one
+/// wait() hands its pooled slot back to the machine, so exactly one
 /// handle may own it. A request never waited on keeps its slot until the
 /// run ends.
 class Request {
@@ -30,18 +30,18 @@ class Request {
   Request(const Request&) = delete;
   Request& operator=(const Request&) = delete;
   Request(Request&& other) noexcept
-      : slot_(std::exchange(other.slot_, nullptr)) {}
+      : slot_(std::exchange(other.slot_, kNone)) {}
   Request& operator=(Request&& other) noexcept {
-    slot_ = std::exchange(other.slot_, nullptr);
+    slot_ = std::exchange(other.slot_, kNone);
     return *this;
   }
 
-  bool valid() const { return slot_ != nullptr; }
+  bool valid() const { return slot_ != kNone; }
 
  private:
   friend class Comm;
-  explicit Request(RecvSlot* slot) : slot_(slot) {}
-  RecvSlot* slot_ = nullptr;
+  explicit Request(std::uint32_t slot) : slot_(slot) {}
+  std::uint32_t slot_ = kNone;  ///< index into the machine's SlotPool
 };
 
 /// A received variable-size blob plus the virtual arrival times of its
@@ -161,11 +161,11 @@ class Comm {
        int my_index, std::uint64_t comm_id);
 
   int next_coll_tag();
-  Endpoint& my_endpoint();
 
-  /// Matches (src, tag) against the unexpected queue, or posts a pending
-  /// receive; `take` makes it a blob receive of the whole parcel.
-  RecvSlot* post_recv(int src, int tag, util::Payload buf, bool take);
+  /// Takes the oldest message queued under (src, tag), or posts a pending
+  /// receive; `take` makes it a blob receive of the whole parcel. Returns
+  /// the receive's slot index.
+  std::uint32_t post_recv(int src, int tag, util::Payload buf, bool take);
   /// Decodes a complete allgather wire into its shared form.
   using WireDecoder = std::shared_ptr<const void> (*)(
       const Comm&, const std::vector<std::byte>&);

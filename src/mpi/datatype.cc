@@ -88,8 +88,8 @@ Datatype Datatype::indexed(
     max_end = std::max(max_end, (disp + blocklen) * base.extent_);
   }
   // Normalize: indexed blocks may be listed out of order.
-  auto normalized = util::ExtentList::normalize(std::move(runs));
-  return Datatype(std::vector<Extent>(normalized.runs()), 0, max_end);
+  return Datatype(util::ExtentList::normalize(std::move(runs)).runs(), 0,
+                  max_end);
 }
 
 Datatype Datatype::subarray(const std::vector<std::uint64_t>& sizes,
@@ -152,8 +152,7 @@ Datatype Datatype::subarray(const std::vector<std::uint64_t>& sizes,
   }
   std::uint64_t full_elems = 1;
   for (const std::uint64_t s : sizes) full_elems *= s;
-  auto normalized = util::ExtentList::normalize(std::move(runs));
-  return Datatype(std::vector<Extent>(normalized.runs()), 0,
+  return Datatype(util::ExtentList::normalize(std::move(runs)).runs(), 0,
                   full_elems * base.extent_);
 }
 

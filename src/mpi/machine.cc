@@ -20,9 +20,9 @@ std::vector<sim::SimTime> Machine::run(
   MCIO_CHECK_MSG(nranks <= cluster_.total_ranks(),
                  "nranks " << nranks << " exceeds cluster slots "
                            << cluster_.total_ranks());
-  endpoints_.clear();
-  endpoints_.resize(static_cast<std::size_t>(nranks));
   envelopes_.clear();
+  slots_.clear();
+  matches_.clear();
   memo_.clear();
   world_group_ = make_world_group(nranks);
   sim::Engine engine;
@@ -62,17 +62,21 @@ std::vector<sim::SimTime> Machine::run(
   engine_ = nullptr;
   // Orphan sweep: every delivered message must have been received and
   // every posted receive matched by the time the run completes.
-  for (std::size_t r = 0; r < endpoints_.size(); ++r) {
-    const int world = static_cast<int>(r);
-    endpoints_[r].for_each_orphan_message(
-        envelopes_, [&](const Envelope& env) {
-          observer_->on_orphan_message(world, env.comm_id, env.src, env.tag,
-                                       env.body.size());
-        });
-    endpoints_[r].for_each_orphan_recv([&](const RecvSlot& slot) {
-      observer_->on_orphan_recv(world, slot.comm_id, slot.src, slot.tag);
-    });
-  }
+  matches_.for_each([&](const MatchTable::Cell& c) {
+    const int world = static_cast<int>(c.dst);
+    if (c.side == MatchTable::kMessages) {
+      for (std::uint32_t p = c.head; p != kNone; p = envelopes_[p].next) {
+        const Envelope& env = envelopes_[p];
+        observer_->on_orphan_message(world, env.comm_id, env.src, env.tag,
+                                     env.body.size());
+      }
+    } else {
+      for (std::uint32_t s = c.head; s != kNone; s = slots_[s].next) {
+        observer_->on_orphan_recv(world, c.comm_id, static_cast<int>(c.src),
+                                  static_cast<int>(c.tag));
+      }
+    }
+  });
   // Every shared plan must have been taken by all of its ranks.
   for (const auto& [key, entry] : memo_) {
     observer_->on_orphan_plan(key.first, key.second, entry.taken,
@@ -160,29 +164,39 @@ void Machine::deliver(int world_dst, Envelope env) {
   // max(its wait, the arrival) whenever the match happens, so the
   // message needs no event of its own.
   MCIO_CHECK_MSG(engine_ != nullptr, "delivery outside run()");
-  const MatchKey key{env.comm_id, env.src, env.tag};
-  Endpoint& ep = endpoint(world_dst);
-  RecvSlot* slot = ep.match_posted(key);
+  MatchTable::Cell& cell = matches_.probe(
+      MatchKey{env.comm_id, static_cast<std::uint32_t>(world_dst),
+               static_cast<std::uint32_t>(env.src),
+               static_cast<std::uint32_t>(env.tag)});
+  const bool matched = cell.waits(MatchTable::kReceives);
   observer_->on_message_delivered(env.comm_id, env.src, world_dst, env.tag,
-                                  env.body.size(),
-                                  /*matched=*/slot != nullptr);
-  if (slot == nullptr) {
-    ep.push_unexpected(key, envelopes_.add(std::move(env)), envelopes_);
+                                  env.body.size(), matched);
+  if (!matched) {
+    // Messages match in send order, so one key's messages must also
+    // arrive in send order: a message may not overtake the one queued
+    // before it (say, one sent over shm, then one over the transport).
+    const std::uint32_t p = envelopes_.add(std::move(env));
+    if (cell.head != kNone) {
+      Envelope& prev = envelopes_[cell.tail];
+      MCIO_CHECK_MSG(envelopes_[p].arrival >= prev.arrival,
+                     "message (tag " << cell.tag << ") overtakes the one "
+                                     << "sent before it on its key");
+      prev.next = p;
+    }
+    MatchTable::append(cell, MatchTable::kMessages, p);
     return;
   }
+  RecvSlot& slot = slots_[cell.head];
+  matches_.pop(cell, slot.next);
   const sim::SimTime arrival = env.arrival;
-  if (slot->take) {
-    fulfill(*slot, envelopes_, envelopes_.add(std::move(env)));
+  if (slot.take) {
+    fulfill(slot, envelopes_, envelopes_.add(std::move(env)));
   } else {
-    complete(*slot, env);
+    complete(slot, env);
   }
   // Only a receiver parked on this very receive waits for it; one that
   // waits later resumes at the arrival itself (Comm::park_until_done).
-  if (slot->parked) engine_->unpark(world_dst, arrival);
-}
-
-Endpoint& Machine::endpoint(int world_rank) {
-  return endpoints_.at(static_cast<std::size_t>(world_rank));
+  if (slot.parked) engine_->unpark(world_dst, arrival);
 }
 
 sim::Engine& Machine::engine() {

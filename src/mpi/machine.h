@@ -112,9 +112,12 @@ class Machine {
   /// Counts one allreduce reduction (reduce_passes()).
   void count_reduce_pass() { ++reduce_passes_; }
 
-  Endpoint& endpoint(int world_rank);
   /// The run's parked envelopes, named by parcel index.
   EnvelopeSlab& envelopes() { return envelopes_; }
+  /// The run's receive slots, named by slot index.
+  SlotPool& slots() { return slots_; }
+  /// The run's one match table.
+  MatchTable& matches() { return matches_; }
   sim::Engine& engine();
 
   /// Verification observer for transport and run-lifecycle events (never
@@ -128,8 +131,9 @@ class Machine {
   std::shared_ptr<const Group> make_world_group(int nranks) const;
 
   sim::Cluster cluster_;
-  std::vector<Endpoint> endpoints_;
   EnvelopeSlab envelopes_;
+  SlotPool slots_;
+  MatchTable matches_;
   /// Each rank's context while its body runs (see run()).
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::shared_ptr<const Group> world_group_;

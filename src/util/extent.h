@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <optional>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 namespace mcio::util {
@@ -61,7 +62,10 @@ class ExtentList {
   /// Union with another list, in O(size() + other.size()).
   void merge(const ExtentList& other);
 
-  const std::vector<Extent>& runs() const { return runs_; }
+  const std::vector<Extent>& runs() const& { return runs_; }
+  /// Moves the runs out of a list about to die, so
+  /// `normalize(...).runs()` hands its vector over instead of copying it.
+  std::vector<Extent> runs() && { return std::move(runs_); }
   bool empty() const { return runs_.empty(); }
   std::size_t size() const { return runs_.size(); }
 

@@ -7,6 +7,7 @@
 #include "mpi/machine.h"
 #include "node/memory.h"
 #include "pfs/pfs.h"
+#include "util/memtrack.h"
 #include "workloads/collperf.h"
 #include "workloads/ior.h"
 #include "workloads/pattern.h"
@@ -38,6 +39,18 @@ TEST(AccessPlan, MakePlanNormalizes) {
                                   Payload::of(buf));
   ASSERT_EQ(plan.extents.size(), 1u);
   EXPECT_EQ(plan.extents[0], (Extent{0, 30}));
+}
+
+TEST(AccessPlan, MakePlanOnASortedListAllocatesAtMostOnce) {
+  // normalize adopts a sorted list and the plan moves the runs out of it:
+  // the one allocation is the by-value copy of the argument.
+  std::vector<Extent> extents;
+  for (std::uint64_t i = 0; i < 100'000; ++i) extents.push_back({i * 16, 8});
+  util::memtrack::reset();
+  const auto plan =
+      io::make_plan(extents, Payload::virtual_bytes(100'000 * 8));
+  EXPECT_LE(util::memtrack::allocations(), 1u);
+  EXPECT_EQ(plan.extents, extents);
 }
 
 struct FileHarness {

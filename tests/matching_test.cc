@@ -1,14 +1,17 @@
-// Message-matching semantics the O(1) endpoint must preserve: per-
-// (communicator, source, tag) FIFO order under heavy interleaving,
-// unexpected/posted crossover, allocation-free bucket churn,
+// Message-matching semantics the machine's one match table must
+// preserve: per-(destination, communicator, source, tag) FIFO order under
+// heavy interleaving, unexpected/posted crossover on one key and across
+// destinations, the end-of-run orphan sweep, allocation-free cell churn,
 // collective-tag reservation at the 28-bit wrap boundary, and end-to-end
 // determinism of a figure-shaped run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/mccio_driver.h"
@@ -20,6 +23,7 @@
 #include "node/memory.h"
 #include "pfs/pfs.h"
 #include "util/memtrack.h"
+#include "verify/observer.h"
 #include "workloads/ior.h"
 
 namespace mcio::mpi {
@@ -48,33 +52,186 @@ std::int32_t recv_i32(Comm& comm, int src, int tag,
   return v;
 }
 
-// Collective tags are never reused, so matching buckets are born and die
+// Collective tags are never reused, so match cells are born and die
 // constantly and tombstones force periodic same-size rehashes. Once warm,
 // the table rehashes through its retained spare without allocating.
-TEST(Matching, MatchMapChurnDoesNotAllocate) {
-  struct Fifo {
-    std::uint32_t head = 0;
-    std::uint32_t tail = 0;
+TEST(Matching, MatchTableChurnDoesNotAllocate) {
+  constexpr std::uint32_t kLive = 8;
+  MatchTable table;
+  const auto key = [](std::uint32_t tag) {
+    return MatchKey{1, tag % 5, tag % 7, tag};
   };
-  constexpr int kLive = 8;
-  MatchMap<Fifo> map;
-  const auto key = [](int tag) { return MatchKey{1, tag % 7, tag}; };
-  const auto churn = [&](int from, int to) {
-    for (int tag = from; tag < to; ++tag) {
-      map.get_or_create(key(tag)).head = static_cast<std::uint32_t>(tag);
-      if (tag >= kLive) map.erase(key(tag - kLive));
+  const auto churn = [&](std::uint32_t from, std::uint32_t to) {
+    for (std::uint32_t tag = from; tag < to; ++tag) {
+      MatchTable::append(table.probe(key(tag)), MatchTable::kMessages, tag);
+      if (tag >= kLive) {
+        MatchTable::Cell& old = table.probe(key(tag - kLive));
+        EXPECT_EQ(table.pop(old, kNone), tag - kLive);
+      }
     }
   };
   churn(0, 1000);  // warm: the table and the rehash spare
   util::memtrack::reset();
   churn(1000, 20000);
   EXPECT_EQ(util::memtrack::allocations(), 0u);
-  for (int tag = 20000 - kLive; tag < 20000; ++tag) {
-    const Fifo* f = map.find(key(tag));
-    ASSERT_NE(f, nullptr);
-    EXPECT_EQ(f->head, static_cast<std::uint32_t>(tag));
+  int live = 0;
+  table.for_each([&](const MatchTable::Cell& c) {
+    ++live;
+    EXPECT_TRUE(c.waits(MatchTable::kMessages));
+    EXPECT_GE(c.tag, 20000 - kLive);
+    EXPECT_EQ(c.head, c.tag);
+    EXPECT_EQ(c.tail, c.tag);
+  });
+  EXPECT_EQ(live, static_cast<int>(kLive));
+}
+
+// Keys that differ only by destination never cross-match: one source
+// sends the same tag to every rank before any receive is posted, so every
+// destination's messages queue as unexpected under one (comm, src, tag).
+TEST(Matching, DestinationsNeverCrossMatch) {
+  Machine machine(small_cluster(2, 4));
+  machine.run(8, [](Rank& rank) {
+    constexpr int kRounds = 3;
+    Comm& world = rank.world();
+    if (rank.rank() == 0) {
+      for (int r = 0; r < kRounds; ++r) {
+        for (int dst = 1; dst < world.size(); ++dst) {
+          send_i32(world, dst, 21, dst * 100 + r);
+        }
+      }
+    }
+    world.barrier();  // every send above precedes every receive below
+    if (rank.rank() != 0) {
+      for (int r = 0; r < kRounds; ++r) {
+        EXPECT_EQ(recv_i32(world, 0, 21), rank.rank() * 100 + r);
+      }
+    }
+  });
+}
+
+/// Counts how one key's messages were matched.
+struct KeyCensus : verify::Observer {
+  int tag = 0;
+  int matched = 0;
+  int unexpected = 0;
+  void on_message_delivered(std::uint64_t, int, int, int t, std::uint64_t,
+                            bool was_matched) override {
+    if (t != tag) return;
+    ++(was_matched ? matched : unexpected);
   }
-  EXPECT_EQ(map.find(key(20000 - kLive - 1)), nullptr);
+};
+
+// One key flips sides over many rounds: its receives wait in the cell,
+// then its messages do, and back, with one to three waiters each time.
+TEST(Matching, OneKeyFlipsSidesOverManyRounds) {
+  constexpr int kTag = 5;
+  constexpr int kRounds = 40;
+  KeyCensus census;
+  census.tag = kTag;
+  Machine machine(small_cluster(2, 1));
+  machine.set_observer(&census);
+  machine.run(2, [](Rank& rank) {
+    Comm& world = rank.world();
+    for (int round = 0; round < kRounds; ++round) {
+      const int n = 1 + round % 3;
+      const bool posted_first = round % 2 == 0;
+      if (rank.rank() == 0) {
+        if (posted_first) world.barrier();
+        for (int i = 0; i < n; ++i) send_i32(world, 1, kTag, round * 10 + i);
+        if (!posted_first) world.barrier();
+      } else {
+        std::vector<std::int32_t> got(static_cast<std::size_t>(n), -1);
+        std::vector<Request> reqs;
+        if (!posted_first) world.barrier();
+        for (std::int32_t& v : got) {
+          reqs.push_back(world.irecv(
+              0, kTag,
+              util::Payload::real(reinterpret_cast<std::byte*>(&v),
+                                  sizeof(v))));
+        }
+        if (posted_first) world.barrier();
+        world.waitall(reqs);
+        for (int i = 0; i < n; ++i) {
+          EXPECT_EQ(got[static_cast<std::size_t>(i)], round * 10 + i);
+        }
+      }
+      world.barrier();
+    }
+  });
+  // Rounds 0, 2, ... post first; rounds 1, 3, ... send first.
+  int posted = 0;
+  int queued = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    (round % 2 == 0 ? posted : queued) += 1 + round % 3;
+  }
+  EXPECT_EQ(census.matched, posted);
+  EXPECT_EQ(census.unexpected, queued);
+}
+
+/// Records the end-of-run orphan sweep, in the order it reports.
+struct OrphanLog : verify::Observer {
+  std::vector<std::string> lines;
+  void on_orphan_message(int dst, std::uint64_t, int src, int tag,
+                         std::uint64_t bytes) override {
+    lines.push_back("message " + std::to_string(src) + "->" +
+                    std::to_string(dst) + " tag " + std::to_string(tag) +
+                    " " + std::to_string(bytes) + " B");
+  }
+  void on_orphan_recv(int dst, std::uint64_t, int src, int tag) override {
+    lines.push_back("recv " + std::to_string(src) + "->" +
+                    std::to_string(dst) + " tag " + std::to_string(tag));
+  }
+};
+
+// Both orphan kinds on several destinations: each leftover message and
+// each unmatched receive is reported exactly once, and two runs report
+// them in the same order.
+TEST(Matching, OrphanSweepReportsEachLeftoverOnce) {
+  const auto sweep = [] {
+    OrphanLog log;
+    Machine machine(small_cluster(2, 2));
+    machine.set_observer(&log);
+    machine.run(4, [](Rank& rank) {
+      Comm& world = rank.world();
+      const std::byte b[8] = {};
+      std::byte buf[8];
+      if (rank.rank() == 0) {
+        // Two messages to each peer on tag 7; nobody receives them.
+        for (int dst = 1; dst < 4; ++dst) {
+          for (int i = 0; i < 2; ++i) {
+            world.send(dst, 7,
+                       util::ConstPayload::real(
+                           b, static_cast<std::size_t>(dst + i)));
+          }
+        }
+      } else {
+        // One receive per peer that no message matches; rank 2 posts two.
+        Request r = world.irecv(0, 9, util::Payload::real(buf, sizeof buf));
+        (void)r;
+        if (rank.rank() == 2) {
+          Request r2 =
+              world.irecv(3, 9, util::Payload::real(buf, sizeof buf));
+          (void)r2;
+        }
+      }
+    });
+    return log.lines;
+  };
+  const std::vector<std::string> first = sweep();
+  std::vector<std::string> want;
+  for (int dst = 1; dst < 4; ++dst) {
+    for (int i = 0; i < 2; ++i) {
+      want.push_back("message 0->" + std::to_string(dst) + " tag 7 " +
+                     std::to_string(dst + i) + " B");
+    }
+    want.push_back("recv 0->" + std::to_string(dst) + " tag 9");
+  }
+  want.push_back("recv 3->2 tag 9");
+  std::vector<std::string> sorted = first;
+  std::sort(sorted.begin(), sorted.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(sorted, want);
+  EXPECT_EQ(sweep(), first);
 }
 
 // Many live (source, tag) keys at once, receives posted in a different
