@@ -382,9 +382,7 @@ std::shared_ptr<const io::ExchangePlan> MccioDriver::build_plan(
   mine.node_available = ctx.memory->available(mine.node);
   // With node leaders on, the metadata allgather itself goes hierarchical:
   // O(nodes) NIC messages instead of O(ranks).
-  const auto all = ctx.hints.cb_node_leaders
-                       ? ctx.comm->allgather_hier(mine)
-                       : ctx.comm->allgather(mine);
+  const auto all = ctx.comm->allgather(mine, ctx.hints.cb_node_leaders);
   io::PlanKey key(ctx, name());
   key.add(config_.msg_group)
       .add(config_.msg_ind)

@@ -172,8 +172,8 @@ std::shared_ptr<const ExchangePlan> share_exchange_plan(
 //
 //   plan    remerge        domains merged away from memory-poor hosts
 //                          (MCCIO placement, §3.3; plan_remerges)
-//   rung 1  retry          exponential backoff, fault_max_retries per
-//                          level, capped at fault_attempt_cap total
+//   rung 1  retry          exponential backoff, kFaultMaxRetries per
+//                          level, capped at kFaultAttemptCap total
 //                          attempts (lease_retries, lease_retry_giveups)
 //   rung 2  revocation     granted backing pulled mid-collective: finish
 //           tolerance      at swap speed, data intact (revocations /
@@ -321,7 +321,8 @@ class TwoPhaseExchange {
   struct Link {
     int domain = -1;  ///< index into xplan_->domains
     int peer = -1;    ///< the domain's aggregator, or this node's leader
-    bool shm = false;  ///< the peer is the node leader (node tags, shm)
+    /// kShm when the peer is the node leader (node tags, shm channel).
+    mpi::Channel channel = mpi::Channel::kTransport;
     std::uint64_t window = 0;
   };
 
@@ -410,6 +411,17 @@ class TwoPhaseExchange {
   /// extent) before settling for the ladder's current size.
   BufferGrant acquire_buffer(std::uint64_t want, std::uint64_t site,
                              std::uint64_t borrow_want);
+  /// Lease retries (exponential backoff in virtual time) per buffer size
+  /// before the ladder shrinks the buffer; also the borrow rung's retry
+  /// budget across both of its ask sizes.
+  static constexpr int kFaultMaxRetries = 4;
+  /// Hard cap on fault-aware lease attempts within one ladder run. When
+  /// the fault schedule denies this many attempts the ladder gives up on
+  /// local memory (counted as a lease_retry_giveup) and jumps straight to
+  /// its terminal rungs (borrow, then spill) instead of retrying until
+  /// the schedule relents. Sized above any full retry×shrink descent of
+  /// the default ladder, so it only fires on adversarial schedules.
+  static constexpr std::uint64_t kFaultAttemptCap = 64;
 
   int my_rank() const;
   int my_node() const;
@@ -419,7 +431,7 @@ class TwoPhaseExchange {
   }
   /// The tag family a link's traffic uses.
   const Tags& tags_of(const Link& link) const {
-    return link.shm ? node_tags_ : tags_;
+    return link.channel == mpi::Channel::kShm ? node_tags_ : tags_;
   }
   /// `n` bytes of staging: `v` resized when payloads are real, else
   /// virtual, so the gather/scatter helpers skip the copy.

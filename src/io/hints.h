@@ -26,21 +26,11 @@ struct Hints {
   bool cb_node_leaders = false;
 
   // --- graceful degradation under memory faults (node::FaultPlan) ---
-  /// Lease retries (exponential backoff in virtual time) before the
-  /// ladder shrinks the aggregation buffer.
-  int fault_max_retries = 4;
   /// First retry backoff in virtual seconds; doubles per retry.
   double fault_backoff_s = 1e-3;
   /// The ladder never shrinks an aggregation buffer below this; once at
   /// the floor it spills (forced overcommitted lease, swap speed).
   std::uint64_t fault_shrink_floor = 1ull << 20;
-  /// Hard cap on fault-aware lease attempts within one ladder run. When
-  /// the fault schedule denies this many attempts the ladder gives up on
-  /// local memory (counted as a lease_retry_giveup) and jumps straight to
-  /// its terminal rungs (borrow, then spill) instead of retrying until
-  /// the schedule relents. Sized above any full retry×shrink descent of
-  /// the default ladder, so it only fires on adversarial schedules.
-  int fault_attempt_cap = 64;
   /// Borrow-far-memory rung (rung 4): when the local ladder bottoms out,
   /// lease an aggregation window on a donor node with headroom and reach
   /// it over the fabric (ClusterConfig::fabric_mem_*) instead of spilling

@@ -97,9 +97,7 @@ std::shared_ptr<const ExchangePlan> TwoPhaseDriver::build_plan(
                      plan.buffer.is_virtual() ? 1 : 0)};
   // With node leaders on, the metadata allgather itself goes hierarchical:
   // O(nodes) NIC messages instead of O(ranks).
-  const auto all = ctx.hints.cb_node_leaders
-                       ? ctx.comm->allgather_hier(mine)
-                       : ctx.comm->allgather(mine);
+  const auto all = ctx.comm->allgather(mine, ctx.hints.cb_node_leaders);
   PlanKey key(ctx, "two-phase");
   key.add(static_cast<std::uint64_t>(ctx.hints.cb_nodes))
       .add(ctx.hints.align_file_domains ? 1 : 0)

@@ -35,8 +35,8 @@ struct DegradationStats {
   std::uint64_t exhausted_nodes = 0; ///< data-bearing nodes exhausted
   std::uint64_t fallback_ranks = 0;  ///< ranks degraded to independent I/O
   std::uint64_t fallback_bytes = 0;  ///< bytes moved by those ranks
-  /// Ladder runs that hit hints.fault_attempt_cap and gave up on local
-  /// memory (jumping to the terminal borrow/spill rungs).
+  /// Ladder runs that hit TwoPhaseExchange::kFaultAttemptCap and gave up
+  /// on local memory (jumping to the terminal borrow/spill rungs).
   std::uint64_t lease_retry_giveups = 0;
   std::uint64_t borrows = 0;          ///< far-memory borrowed buffers
   std::uint64_t borrowed_bytes = 0;   ///< bytes through borrowed windows

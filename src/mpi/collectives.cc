@@ -1,9 +1,10 @@
 // Collective algorithms (binomial trees and dissemination), modelled on
-// the MPICH implementations that back ROMIO. The *_hier variants add a
-// node-leader level: intra-node legs cross the shm channel into the
-// node's lowest rank, only leaders run the inter-node binomial step, and
-// results fan back out over shm — O(nodes) NIC messages instead of
-// O(ranks).
+// the MPICH implementations that back ROMIO. The allgather family runs
+// one node-leader tree: intra-node legs cross the shm channel into each
+// group's lowest rank, only leaders run the binomial step, and results
+// fan back out over shm. With `hier` a group is a node, so the NIC sees
+// O(nodes) messages instead of O(ranks); without it every rank is its
+// own group, which is exactly the flat binomial tree.
 #include <algorithm>
 #include <cstring>
 
@@ -123,65 +124,48 @@ util::SharedBytes Comm::seal_wire(std::vector<std::byte> wire,
 }
 
 util::SharedBytes Comm::allgather_wire(std::span<const std::byte> mine,
-                                       WireDecoder decode) {
-  // Gather the flat bundle at rank 0, then broadcast it verbatim. The
-  // bundle lists items in tree-arrival order rather than rank order (the
-  // historical broadcast repacked by rank); consumers index by the rank
-  // key and the byte count on every hop is unchanged, so neither results
-  // nor simulated timing can tell the difference. The root decodes the
-  // bundle once, before sharing it: every rank receives the same buffer
-  // and the same decoded form.
+                                       WireDecoder decode, bool hier) {
+  // Members push their items up to their leader; the leaders gather the
+  // flat bundle at the first leader, which decodes it once, and broadcast
+  // it verbatim; leaders fan it back out. Every hop and the fan-out
+  // forward the one shared buffer, so every rank receives the same
+  // buffer and the same decoded form. The bundle lists items in
+  // tree-arrival order rather than rank order; consumers index by the
+  // rank key. Only `hier` has member legs, so only it reserves their
+  // tags.
+  const int t_up = hier ? next_coll_tag() : 0;
   const int t_gather = next_coll_tag();
   const int t_bcast = next_coll_tag();
-  const auto self = [](int i) { return i; };
-  auto acc = tree_gather_wire(t_gather, size(), rank(), self,
-                              bundle_of(rank(), mine));
-  util::SharedBytes wire;
-  if (rank() == 0) wire = seal_wire(std::move(acc), decode);
-  tree_bcast_blob(t_bcast, size(), rank(), self, wire);
-  return wire;
-}
-
-util::SharedBytes Comm::allgather_wire_hier(std::span<const std::byte> mine,
-                                            WireDecoder decode) {
-  const auto& groups = group_->node_groups;
-  const int t_up = next_coll_tag();
-  const int t_gather = next_coll_tag();
-  const int t_bcast = next_coll_tag();
-  const int t_down = next_coll_tag();
-  const auto my_li = static_cast<std::size_t>(
-      group_->node_group_of[static_cast<std::size_t>(rank())]);
-  const std::vector<int>& my_group = groups[my_li];
+  const int t_down = hier ? next_coll_tag() : 0;
+  const int me = rank();
+  // This rank's group, and the group's index among the leaders.
+  const int li =
+      hier ? world_->node_group_of[static_cast<std::size_t>(me)] : me;
+  const std::span<const int> my_group =
+      hier ? std::span<const int>(
+                 world_->node_groups[static_cast<std::size_t>(li)])
+           : std::span<const int>(&me, 1);
   const int leader = my_group.front();
-  std::vector<std::byte> acc = bundle_of(rank(), mine);
+  std::vector<std::byte> acc = bundle_of(me, mine);
 
-  if (rank() != leader) {
-    // Member: push my item up, then take the full bundle back down.
-    send_blob_shm(leader, t_up, acc);
+  if (me != leader) {
+    send_blob(leader, t_up, acc, Channel::kShm);
     return recv_blob_shared(leader, t_down);
   }
-
-  // Leader: splice every member item into the node bundle, then gather
-  // the node bundles at the first leader and broadcast the full bundle
-  // back across leaders (leader 0 decodes it once); every hop and the
-  // node fan-out forward the one shared buffer.
-  for (const int m : my_group) {
-    if (m != leader) splice(acc, recv_blob(m, t_up));
+  for (const int m : my_group.subspan(1)) {
+    splice(acc, recv_blob(m, t_up));
   }
-  const std::vector<int>& leaders = group_->node_leaders;
-  const int nl = static_cast<int>(leaders.size());
-  const int li = static_cast<int>(my_li);
+  const std::vector<int>& leaders = world_->node_leaders;
+  const int nl = hier ? static_cast<int>(leaders.size()) : size();
   const auto leader_of = [&](int i) {
-    return leaders[static_cast<std::size_t>(i)];
+    return hier ? leaders[static_cast<std::size_t>(i)] : i;
   };
   acc = tree_gather_wire(t_gather, nl, li, leader_of, std::move(acc));
   util::SharedBytes wire;
   if (li == 0) wire = seal_wire(std::move(acc), decode);
   tree_bcast_blob(t_bcast, nl, li, leader_of, wire);
-
-  // Fan the bundle out across the node.
-  for (const int m : my_group) {
-    if (m != leader) send_blob_shm_shared(m, t_down, wire);
+  for (const int m : my_group.subspan(1)) {
+    send_blob_shared(m, t_down, wire, Channel::kShm);
   }
   return wire;
 }
@@ -219,16 +203,12 @@ double shared_scalar(const util::SharedBytes& wire) {
 
 }  // namespace
 
-double Comm::allreduce_max_hier(double v) {
-  return shared_scalar(allgather_wire_hier(bytes_of(v), &decode_max));
-}
-
-double Comm::allreduce_max(double v) {
-  return shared_scalar(allgather_wire(bytes_of(v), &decode_max));
+double Comm::allreduce_max(double v, bool hier) {
+  return shared_scalar(allgather_wire(bytes_of(v), &decode_max, hier));
 }
 
 double Comm::allreduce_sum(double v) {
-  return shared_scalar(allgather_wire(bytes_of(v), &decode_sum));
+  return shared_scalar(allgather_wire(bytes_of(v), &decode_sum, false));
 }
 
 }  // namespace mcio::mpi

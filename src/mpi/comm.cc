@@ -7,23 +7,16 @@
 
 namespace mcio::mpi {
 
-Comm::Comm(Machine* machine, Rank* owner, std::shared_ptr<const Group> group,
-           int my_index, std::uint64_t comm_id)
-    : machine_(machine),
-      owner_(owner),
-      group_(std::move(group)),
-      my_index_(my_index),
-      comm_id_(comm_id) {
-  MCIO_CHECK_GE(my_index_, 0);
-  MCIO_CHECK_LT(my_index_, size());
-  MCIO_CHECK_EQ(group_->members[static_cast<std::size_t>(my_index_)],
-                owner_->rank());
+Comm::Comm(Machine* machine, Rank* owner)
+    : machine_(machine), owner_(owner), world_(machine->world_group()) {
+  MCIO_CHECK_GE(rank(), 0);
+  MCIO_CHECK_LT(rank(), size());
 }
 
 SharedPlan Comm::share_plan(
     std::uint64_t key,
     const std::function<std::shared_ptr<const void>()>& build) {
-  return machine_->share_plan(comm_id_, coll_seq_, size(), key, build);
+  return machine_->share_plan(coll_seq_, size(), key, build);
 }
 
 int Comm::next_coll_tag() {
@@ -51,19 +44,56 @@ int Comm::reserve_tags(int n) {
   return base;
 }
 
-void Comm::send(int dst, int tag, util::ConstPayload data) {
+void Comm::send(int dst, int tag, util::ConstPayload data, Channel channel) {
+  post(dst, tag, util::OwnedPayload(data), channel, /*framed=*/false);
+}
+
+void Comm::send_blob(int dst, int tag, std::span<const std::byte> blob,
+                     Channel channel) {
+  post(dst, tag,
+       util::OwnedPayload(util::ConstPayload::real(
+           blob.empty() ? nullptr : blob.data(), blob.size())),
+       channel, /*framed=*/true);
+}
+
+void Comm::send_blob_shared(int dst, int tag, util::SharedBytes blob,
+                            Channel channel) {
+  post(dst, tag, util::OwnedPayload(std::move(blob)), channel,
+       /*framed=*/true);
+}
+
+void Comm::post(int dst, int tag, util::OwnedPayload body, Channel channel,
+                bool framed) {
   sim::Actor& actor = owner_->actor();
-  actor.sync_local();  // stamp the send in virtual-time order
-  const int wdst = world_rank(dst);
+  const int src_node = node_of(rank());
+  const int dst_node = node_of(dst);
+  const bool shm = channel == Channel::kShm;
+  if (shm) MCIO_CHECK_EQ(src_node, dst_node);
+  const double overhead = shm ? machine_->config().shm_send_overhead
+                              : machine_->config().send_overhead;
+  const auto pass = [&](std::uint64_t bytes) {
+    actor.sync_local();  // stamp the pass in virtual-time order
+    const sim::SimTime arrival =
+        shm ? machine_->shm_transfer(src_node, bytes, actor.now())
+            : machine_->transfer(src_node, dst_node, bytes, actor.now());
+    actor.advance(overhead);
+    return arrival;
+  };
+  // A framed blob charges both passes of the historical two-message
+  // protocol (size header, then body) so the simulated clock and resource
+  // state are bit-identical, and is delivered as one framed envelope. A
+  // receiver cannot tell which channel a message crossed: only the
+  // charged resource differs. Delivery needs no sender clock, so it
+  // follows the passes' overheads.
+  const std::uint64_t size = body.size();
   Envelope env;
-  env.comm_id = comm_id_;
   env.src = rank();
   env.tag = tag;
-  env.body = util::OwnedPayload(data);
-  env.arrival = machine_->transfer(node_of(rank()), node_of(dst), data.size,
-                                   actor.now());
-  machine_->deliver(wdst, std::move(env));
-  actor.advance(machine_->config().send_overhead);
+  env.framed = framed;
+  if (framed) env.header_arrival = pass(sizeof(size));
+  env.arrival = framed && size == 0 ? env.header_arrival : pass(size);
+  env.body = std::move(body);
+  machine_->deliver(dst, std::move(env));
 }
 
 std::uint32_t Comm::post_recv(int src, int tag, util::Payload buf,
@@ -78,7 +108,7 @@ std::uint32_t Comm::post_recv(int src, int tag, util::Payload buf,
   slot.take = take;
   MatchTable& matches = machine_->matches();
   MatchTable::Cell& cell = matches.probe(
-      MatchKey{comm_id_, static_cast<std::uint32_t>(owner_->rank()),
+      MatchKey{static_cast<std::uint32_t>(rank()),
                static_cast<std::uint32_t>(src),
                static_cast<std::uint32_t>(tag)});
   if (cell.waits(MatchTable::kMessages)) {
@@ -105,8 +135,7 @@ void Comm::park_until_done(RecvSlot& slot) {
   // A message that arrived by the time this slice began is in hand.
   if (slot.done && slot.status.arrival <= actor.slice_time()) return;
   verify::Observer* obs = machine_->observer();
-  obs->on_wait_begin(owner_->rank(), comm_id_, world_rank(slot.src),
-                     slot.tag);
+  obs->on_wait_begin(owner_->rank(), id(), slot.src, slot.tag);
   if (slot.done) {
     // Matched at send, arriving after this slice began: resume at the
     // arrival, keyed exactly as a wakeup from a parked wait.
@@ -135,81 +164,6 @@ void Comm::waitall(std::span<Request> requests) {
   for (Request& r : requests) {
     if (r.valid()) wait(r);
   }
-}
-
-void Comm::send_blob(int dst, int tag, std::span<const std::byte> blob) {
-  send_framed(dst, tag,
-              util::OwnedPayload(util::ConstPayload::real(
-                  blob.empty() ? nullptr : blob.data(), blob.size())),
-              /*shm=*/false);
-}
-
-void Comm::send_blob_shared(int dst, int tag, util::SharedBytes blob) {
-  send_framed(dst, tag, util::OwnedPayload(std::move(blob)), /*shm=*/false);
-}
-
-void Comm::send_blob_shm(int dst, int tag, std::span<const std::byte> blob) {
-  send_framed(dst, tag,
-              util::OwnedPayload(util::ConstPayload::real(
-                  blob.empty() ? nullptr : blob.data(), blob.size())),
-              /*shm=*/true);
-}
-
-void Comm::send_blob_shm_shared(int dst, int tag, util::SharedBytes blob) {
-  send_framed(dst, tag, util::OwnedPayload(std::move(blob)), /*shm=*/true);
-}
-
-void Comm::send_framed(int dst, int tag, util::OwnedPayload body, bool shm) {
-  sim::Actor& actor = owner_->actor();
-  const int wdst = world_rank(dst);
-  const int src_node = node_of(rank());
-  const int dst_node = node_of(dst);
-  if (shm) MCIO_CHECK_EQ(src_node, dst_node);
-  const double overhead = shm ? machine_->config().shm_send_overhead
-                              : machine_->config().send_overhead;
-  const auto pass = [&](std::uint64_t bytes) {
-    actor.sync_local();
-    const sim::SimTime arrival =
-        shm ? machine_->shm_transfer(src_node, bytes, actor.now())
-            : machine_->transfer(src_node, dst_node, bytes, actor.now());
-    actor.advance(overhead);
-    return arrival;
-  };
-  const std::uint64_t size = body.size();
-  // Charge both transport passes of the historical two-message protocol
-  // (size header, then body) so the simulated clock and resource state
-  // are bit-identical; deliver the result as a single framed envelope. A
-  // receiver cannot tell which channel a blob crossed — only the charged
-  // resource differs.
-  const sim::SimTime header_arrival = pass(sizeof(size));
-  const sim::SimTime arrival = size > 0 ? pass(size) : header_arrival;
-  Envelope env;
-  env.comm_id = comm_id_;
-  env.src = rank();
-  env.tag = tag;
-  env.body = std::move(body);
-  env.framed = true;
-  env.header_arrival = header_arrival;
-  env.arrival = arrival;
-  machine_->deliver(wdst, std::move(env));
-}
-
-void Comm::send_shm(int dst, int tag, util::ConstPayload data) {
-  sim::Actor& actor = owner_->actor();
-  actor.sync_local();
-  const int wdst = world_rank(dst);
-  const int node = node_of(rank());
-  MCIO_CHECK_EQ(node, node_of(dst));
-  const sim::SimTime arrival =
-      machine_->shm_transfer(node, data.size, actor.now());
-  actor.advance(machine_->config().shm_send_overhead);
-  Envelope env;
-  env.comm_id = comm_id_;
-  env.src = rank();
-  env.tag = tag;
-  env.body = util::OwnedPayload(data);
-  env.arrival = arrival;
-  machine_->deliver(wdst, std::move(env));
 }
 
 Envelope Comm::take_framed(int src, int tag) {

@@ -1,9 +1,14 @@
-// Communicators: point-to-point messaging and collectives.
+// The world communicator: point-to-point messaging and collectives.
 //
 // The API mirrors the MPI subset ROMIO's collective I/O machinery uses.
-// Every receive names its source and tag (no wildcards), and every rank
-// runs on the one world communicator. Operations are byte-oriented; the
-// typed allgather<T> wraps them for trivially copyable metadata.
+// Every rank of a run runs on the one world communicator, so a rank's
+// communicator rank is its rank, and every receive names its source and
+// tag (no wildcards). A send picks its Channel: the membus/NIC transport,
+// or the node's shared-memory segment between ranks of one node. The
+// allgather/allreduce_max collectives run the node-leader tree when
+// asked (`hier`), else the same tree over one-rank groups. Operations
+// are byte-oriented; the typed allgather<T> wraps them for trivially
+// copyable metadata.
 #pragma once
 
 #include <cstdint>
@@ -48,51 +53,50 @@ class Request {
 /// size header and body, so the receive cost can be charged later (and in
 /// a different order than the blobs were drained in).
 struct FramedBlob {
-  int source = 0;  ///< rank within the communicator
+  int source = 0;
   int tag = 0;
   std::vector<std::byte> bytes;
   sim::SimTime header_arrival = 0.0;
   sim::SimTime arrival = 0.0;  ///< body arrival (== header for empty blobs)
 };
 
+/// The path a message's bytes take: the membus/NIC transport
+/// (Machine::transfer), or the node's shared-memory segment
+/// (Machine::shm_transfer), which needs both ends on one node.
+enum class Channel : std::uint8_t { kTransport, kShm };
+
 class Comm {
  public:
-  int rank() const { return my_index_; }
-  int size() const { return static_cast<int>(group_->members.size()); }
-  /// Communicator id: the group's content hash.
-  std::uint64_t id() const { return comm_id_; }
+  int rank() const { return owner_->rank(); }
+  int size() const { return static_cast<int>(world_->nodes.size()); }
+  /// The world id the verify::Observer hooks report.
+  std::uint64_t id() const { return world_->id; }
 
-  /// World rank of a rank in this communicator.
-  int world_rank(int crank) const {
-    MCIO_CHECK_GE(crank, 0);
-    MCIO_CHECK_LT(crank, size());
-    return group_->members[static_cast<std::size_t>(crank)];
+  /// Physical node hosting a rank.
+  int node_of(int r) const {
+    MCIO_CHECK_GE(r, 0);
+    MCIO_CHECK_LT(r, size());
+    return world_->nodes[static_cast<std::size_t>(r)];
   }
-  /// Physical node hosting a rank of this communicator.
-  int node_of(int crank) const {
-    MCIO_CHECK_GE(crank, 0);
-    MCIO_CHECK_LT(crank, size());
-    return group_->nodes[static_cast<std::size_t>(crank)];
-  }
-  /// Physical node of every rank, by communicator rank.
-  const std::vector<int>& nodes() const { return group_->nodes; }
-  /// The lowest rank on each node, ascending (computed once per group).
+  /// Physical node of every rank.
+  const std::vector<int>& nodes() const { return world_->nodes; }
+  /// The lowest rank on each node, ascending (computed once per run).
   const std::vector<int>& node_leaders() const {
-    return group_->node_leaders;
+    return world_->node_leaders;
   }
 
   /// The current collective's shared plan: call it from every rank, right
   /// after the collective whose result `build` reads. The first rank to
   /// arrive runs `build`; every rank gets the same object and the
-  /// builder's input hash (Machine::share_plan, keyed by this
-  /// communicator and its collective sequence). `key` hashes this rank's
-  /// own plan inputs.
+  /// builder's input hash (Machine::share_plan, keyed by the collective
+  /// sequence). `key` hashes this rank's own plan inputs.
   SharedPlan share_plan(
       std::uint64_t key,
       const std::function<std::shared_ptr<const void>()>& build);
 
-  // --- point-to-point ---
-  void send(int dst, int tag, util::ConstPayload data);
+  // --- point-to-point (a kShm send needs `dst` on this rank's node) ---
+  void send(int dst, int tag, util::ConstPayload data,
+            Channel channel = Channel::kTransport);
   void recv(int src, int tag, util::Payload buf, Status* status = nullptr);
   Request irecv(int src, int tag, util::Payload buf);
   void wait(Request& request, Status* status = nullptr);
@@ -102,9 +106,11 @@ class Comm {
   /// time charged is identical to the historical two-message protocol
   /// (8-byte size header then body on the same tag): both transport
   /// passes still run, but only one envelope is delivered and matched.
-  void send_blob(int dst, int tag, std::span<const std::byte> blob);
+  void send_blob(int dst, int tag, std::span<const std::byte> blob,
+                 Channel channel = Channel::kTransport);
   /// send_blob of a shared immutable buffer: same charges, no copy.
-  void send_blob_shared(int dst, int tag, util::SharedBytes blob);
+  void send_blob_shared(int dst, int tag, util::SharedBytes blob,
+                        Channel channel = Channel::kTransport);
   /// Receives a blob of unknown size.
   std::vector<std::byte> recv_blob(int src, int tag,
                                    Status* status = nullptr);
@@ -118,35 +124,21 @@ class Comm {
   /// recv_blob keeping a shared sender's buffer shared (no copy).
   util::SharedBytes recv_blob_shared(int src, int tag);
 
-  /// Same-node variants of send/send_blob moving the payload over the
-  /// node's shared-memory channel instead of the membus/NIC transport —
-  /// the modeled single-copy path of the node-leader hierarchy. The
-  /// destination must live on the sender's node. Received with the normal
-  /// recv/recv_blob family.
-  void send_shm(int dst, int tag, util::ConstPayload data);
-  void send_blob_shm(int dst, int tag, std::span<const std::byte> blob);
-  void send_blob_shm_shared(int dst, int tag, util::SharedBytes blob);
-
-  // --- collectives (must be called by every rank of the communicator in
-  //     the same order) ---
+  // --- collectives (must be called by every rank in the same order) ---
   void barrier();
 
   // Typed allgather of trivially copyable metadata. It decodes the
   // gathered wire once per collective: every rank gets the same vector.
+  // With `hier`, intra-node legs ride the shm channel into the node's
+  // lowest rank, only leaders take the inter-node binomial step, and the
+  // result fans back out over shm: the same result, a different modeled
+  // traffic pattern (allreduce_max alike).
   template <typename T>
-  std::shared_ptr<const std::vector<T>> allgather(const T& v);
+  std::shared_ptr<const std::vector<T>> allgather(const T& v,
+                                                  bool hier = false);
 
-  double allreduce_max(double v);
+  double allreduce_max(double v, bool hier = false);
   double allreduce_sum(double v);
-
-  // --- hierarchical (node-leader) collectives ---
-  // Intra-node legs ride the shm channel into the node's lowest rank, only
-  // leaders take the inter-node binomial step, and results fan back out
-  // over shm. Results are identical to the flat variants; only the modeled
-  // traffic pattern differs. Same collective-call discipline applies.
-  template <typename T>
-  std::shared_ptr<const std::vector<T>> allgather_hier(const T& v);
-  double allreduce_max_hier(double v);
 
   /// Reserves `n` consecutive tags from the collective tag space and
   /// returns the first. Collective in the weak sense: every rank must
@@ -157,8 +149,7 @@ class Comm {
   friend class Rank;
   friend class Machine;
 
-  Comm(Machine* machine, Rank* owner, std::shared_ptr<const Group> group,
-       int my_index, std::uint64_t comm_id);
+  Comm(Machine* machine, Rank* owner);
 
   int next_coll_tag();
 
@@ -170,9 +161,11 @@ class Comm {
   using WireDecoder = std::shared_ptr<const void> (*)(
       const Comm&, const std::vector<std::byte>&);
 
-  /// Charges and delivers one framed blob (the two-pass header + body
-  /// protocol) over the transport, or over the node's shm channel.
-  void send_framed(int dst, int tag, util::OwnedPayload body, bool shm);
+  /// Charges and delivers one message over `channel`: a plain one in one
+  /// pass, a framed blob in the two passes (size header, then body) of
+  /// the historical two-message protocol.
+  void post(int dst, int tag, util::OwnedPayload body, Channel channel,
+            bool framed);
   /// Matches the next framed envelope from (src, tag), parking until one
   /// arrives, and moves it out of the envelope slab; charges nothing.
   Envelope take_framed(int src, int tag);
@@ -188,7 +181,7 @@ class Comm {
 
   // Binomial trees for collectives over `n` participants rooted at
   // participant 0; this rank is participant `me`, and `rank_of` maps a
-  // participant to its communicator rank. Gathers move one flat wire
+  // participant to its rank. Gathers move one flat wire
   // bundle (u64 count, then per item u64 rank, u64 len, raw bytes) up the
   // tree, starting from this rank's bundle `acc`; parse_wire scatters a
   // bundle of fixed-size items into a dense per-rank array.
@@ -204,8 +197,10 @@ class Comm {
   /// Freezes a complete wire for broadcast, attaching `decode`'s result.
   util::SharedBytes seal_wire(std::vector<std::byte> wire,
                               WireDecoder decode) const;
+  /// Gathers every rank's `mine` into one wire and shares it, decoded by
+  /// `decode`, over the node-leader tree (`hier`) or the flat one.
   util::SharedBytes allgather_wire(std::span<const std::byte> mine,
-                                   WireDecoder decode);
+                                   WireDecoder decode, bool hier);
   void parse_wire(const std::vector<std::byte>& wire, std::uint64_t elem_size,
                   std::byte* out) const;
   template <typename T>
@@ -218,15 +213,9 @@ class Comm {
   static std::shared_ptr<const void> decode_sum(
       const Comm& comm, const std::vector<std::byte>& wire);
 
-  // Hierarchical plumbing over the group's node topology.
-  util::SharedBytes allgather_wire_hier(std::span<const std::byte> mine,
-                                        WireDecoder decode);
-
   Machine* machine_;
   Rank* owner_;
-  std::shared_ptr<const Group> group_;
-  int my_index_;
-  std::uint64_t comm_id_;
+  std::shared_ptr<const Group> world_;
   std::uint64_t coll_seq_ = 0;
 };
 
@@ -242,20 +231,11 @@ std::shared_ptr<const void> Comm::decode_fixed(
 }
 
 template <typename T>
-std::shared_ptr<const std::vector<T>> Comm::allgather(const T& v) {
+std::shared_ptr<const std::vector<T>> Comm::allgather(const T& v, bool hier) {
   static_assert(std::is_trivially_copyable_v<T>);
   const auto* p = reinterpret_cast<const std::byte*>(&v);
   const util::SharedBytes wire = allgather_wire(
-      std::span<const std::byte>(p, sizeof(T)), &decode_fixed<T>);
-  return std::static_pointer_cast<const std::vector<T>>(wire->decoded);
-}
-
-template <typename T>
-std::shared_ptr<const std::vector<T>> Comm::allgather_hier(const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto* p = reinterpret_cast<const std::byte*>(&v);
-  const util::SharedBytes wire = allgather_wire_hier(
-      std::span<const std::byte>(p, sizeof(T)), &decode_fixed<T>);
+      std::span<const std::byte>(p, sizeof(T)), &decode_fixed<T>, hier);
   return std::static_pointer_cast<const std::vector<T>>(wire->decoded);
 }
 

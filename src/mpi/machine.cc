@@ -62,25 +62,25 @@ std::vector<sim::SimTime> Machine::run(
   engine_ = nullptr;
   // Orphan sweep: every delivered message must have been received and
   // every posted receive matched by the time the run completes.
+  const std::uint64_t world_id = world_group_->id;
   matches_.for_each([&](const MatchTable::Cell& c) {
-    const int world = static_cast<int>(c.dst);
+    const int dst = static_cast<int>(c.dst);
     if (c.side == MatchTable::kMessages) {
       for (std::uint32_t p = c.head; p != kNone; p = envelopes_[p].next) {
         const Envelope& env = envelopes_[p];
-        observer_->on_orphan_message(world, env.comm_id, env.src, env.tag,
+        observer_->on_orphan_message(dst, world_id, env.src, env.tag,
                                      env.body.size());
       }
     } else {
       for (std::uint32_t s = c.head; s != kNone; s = slots_[s].next) {
-        observer_->on_orphan_recv(world, c.comm_id, static_cast<int>(c.src),
+        observer_->on_orphan_recv(dst, world_id, static_cast<int>(c.src),
                                   static_cast<int>(c.tag));
       }
     }
   });
   // Every shared plan must have been taken by all of its ranks.
-  for (const auto& [key, entry] : memo_) {
-    observer_->on_orphan_plan(key.first, key.second, entry.taken,
-                              entry.takers);
+  for (const auto& [seq, entry] : memo_) {
+    observer_->on_orphan_plan(world_id, seq, entry.taken, entry.takers);
   }
   memo_.clear();
   observer_->on_run_end();  // may throw on findings (enforcing mode)
@@ -90,10 +90,9 @@ std::vector<sim::SimTime> Machine::run(
 std::shared_ptr<const Group> Machine::make_world_group(int nranks) const {
   auto g = std::make_shared<Group>();
   const auto n = static_cast<std::size_t>(nranks);
-  g->members.resize(n);
-  for (std::size_t r = 0; r < n; ++r) g->members[r] = static_cast<int>(r);
-  // Content hash (FNV-1a over the member list, top bit clear): the id is
-  // a pure function of the run size, never of which rank asks first.
+  // Content hash (FNV-1a over the size and the ranks 0..n-1, top bit
+  // clear): the id is a pure function of the run size, never of which
+  // rank asks first.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     for (int i = 0; i < 8; ++i) {
@@ -102,7 +101,7 @@ std::shared_ptr<const Group> Machine::make_world_group(int nranks) const {
     }
   };
   mix(n);
-  for (const int m : g->members) mix(static_cast<std::uint64_t>(m));
+  for (std::size_t r = 0; r < n; ++r) mix(r);
   g->id = h & ~(1ull << 63);
   // Node topology: a counting pass buckets the ranks by node, and the
   // first-seen order of nodes in rank order is exactly the leader order.
@@ -111,7 +110,7 @@ std::shared_ptr<const Group> Machine::make_world_group(int nranks) const {
   std::vector<int> group_of_node(
       static_cast<std::size_t>(cluster_.config().num_nodes), -1);
   for (std::size_t r = 0; r < n; ++r) {
-    const int node = cluster_.node_of_rank(g->members[r]);
+    const int node = cluster_.node_of_rank(static_cast<int>(r));
     g->nodes[r] = node;
     int& gi = group_of_node[static_cast<std::size_t>(node)];
     if (gi < 0) {
@@ -127,12 +126,12 @@ std::shared_ptr<const Group> Machine::make_world_group(int nranks) const {
 }
 
 SharedPlan Machine::share_plan(
-    std::uint64_t comm_id, std::uint64_t seq, int takers, std::uint64_t key,
+    std::uint64_t seq, int takers, std::uint64_t key,
     const std::function<std::shared_ptr<const void>()>& build) {
-  auto it = memo_.find({comm_id, seq});
+  auto it = memo_.find(seq);
   if (it == memo_.end()) {
-    MemoEntry entry{SharedPlan{build(), key, comm_id, seq}, takers, 0};
-    it = memo_.emplace(std::make_pair(comm_id, seq), std::move(entry)).first;
+    MemoEntry entry{SharedPlan{build(), key, seq}, takers, 0};
+    it = memo_.emplace(seq, std::move(entry)).first;
     ++plan_builds_;
   }
   MemoEntry& entry = it->second;
@@ -159,17 +158,17 @@ sim::SimTime Machine::shm_transfer(int node, std::uint64_t bytes,
   return cluster_.shm(node).serve(start, static_cast<double>(bytes));
 }
 
-void Machine::deliver(int world_dst, Envelope env) {
+void Machine::deliver(int dst, Envelope env) {
   // Matched now, in send order per key. A receive completes at
   // max(its wait, the arrival) whenever the match happens, so the
   // message needs no event of its own.
   MCIO_CHECK_MSG(engine_ != nullptr, "delivery outside run()");
   MatchTable::Cell& cell = matches_.probe(
-      MatchKey{env.comm_id, static_cast<std::uint32_t>(world_dst),
+      MatchKey{static_cast<std::uint32_t>(dst),
                static_cast<std::uint32_t>(env.src),
                static_cast<std::uint32_t>(env.tag)});
   const bool matched = cell.waits(MatchTable::kReceives);
-  observer_->on_message_delivered(env.comm_id, env.src, world_dst, env.tag,
+  observer_->on_message_delivered(world_group_->id, env.src, dst, env.tag,
                                   env.body.size(), matched);
   if (!matched) {
     // Messages match in send order, so one key's messages must also
@@ -196,7 +195,7 @@ void Machine::deliver(int world_dst, Envelope env) {
   }
   // Only a receiver parked on this very receive waits for it; one that
   // waits later resumes at the arrival itself (Comm::park_until_done).
-  if (slot.parked) engine_->unpark(world_dst, arrival);
+  if (slot.parked) engine_->unpark(dst, arrival);
 }
 
 sim::Engine& Machine::engine() {
@@ -206,9 +205,7 @@ sim::Engine& Machine::engine() {
 
 Rank::Rank(Machine& machine, sim::Actor& actor, int world_rank)
     : machine_(machine), actor_(actor), world_rank_(world_rank) {
-  const std::shared_ptr<const Group>& world = machine.world_group();
-  world_ = std::unique_ptr<Comm>(
-      new Comm(&machine, this, world, world_rank, world->id));
+  world_ = std::unique_ptr<Comm>(new Comm(&machine, this));
 }
 
 Rank::~Rank() = default;

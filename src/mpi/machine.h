@@ -24,15 +24,16 @@ namespace mcio::mpi {
 class Comm;
 class Rank;
 
-/// A communicator group: its members and their node topology, computed
-/// once per run and shared by every rank's handle on it.
+/// The world of one run: its ranks' node topology, computed once per run
+/// and shared by every rank's handle on it.
 struct Group {
-  std::uint64_t id = 0;      ///< content hash of `members`
-  std::vector<int> members;  ///< world ranks, by communicator rank
-  std::vector<int> nodes;    ///< physical node of each communicator rank
+  /// The world id the verify::Observer hooks report: a content hash of
+  /// the run size.
+  std::uint64_t id = 0;
+  std::vector<int> nodes;  ///< physical node of each rank
   /// Each node's ranks ascending; groups ordered by leader (lowest member).
   std::vector<std::vector<int>> node_groups;
-  /// Index into node_groups of each communicator rank.
+  /// Index into node_groups of each rank.
   std::vector<int> node_group_of;
   /// The lowest rank on each node, ascending (node_groups' leaders).
   std::vector<int> node_leaders;
@@ -43,8 +44,7 @@ struct SharedPlan {
   std::shared_ptr<const void> plan;
   /// Hash of the builder's rank-local plan inputs.
   std::uint64_t key = 0;
-  /// The memo key: communicator id and collective sequence.
-  std::uint64_t comm_id = 0;
+  /// The memo key: the collective sequence.
   std::uint64_t seq = 0;
 };
 
@@ -65,13 +65,12 @@ class Machine {
     return world_group_;
   }
 
-  /// The plan memo of collective `seq` on communicator `comm_id`, taken
-  /// by `takers` ranks: the first to ask runs `build` and records its
-  /// input hash `key`; every ask gets the same object and the builder's
-  /// key. The entry is dropped once all `takers` took it; one still
-  /// present when run() ends is reported to the observer.
-  SharedPlan share_plan(std::uint64_t comm_id, std::uint64_t seq,
-                        int takers, std::uint64_t key,
+  /// The plan memo of collective `seq`, taken by `takers` ranks: the
+  /// first to ask runs `build` and records its input hash `key`; every
+  /// ask gets the same object and the builder's key. The entry is dropped
+  /// once all `takers` took it; one still present when run() ends is
+  /// reported to the observer.
+  SharedPlan share_plan(std::uint64_t seq, int takers, std::uint64_t key,
                         const std::function<std::shared_ptr<const void>()>&
                             build);
   /// Plans built through share_plan() since construction.
@@ -107,7 +106,7 @@ class Machine {
   /// time: it completes the oldest receive posted under its key and
   /// wakes the receiver at env.arrival if it is parked on that receive,
   /// or else queues as unexpected in the envelope slab.
-  void deliver(int world_dst, Envelope env);
+  void deliver(int dst, Envelope env);
 
   /// Counts one allreduce reduction (reduce_passes()).
   void count_reduce_pass() { ++reduce_passes_; }
@@ -127,7 +126,7 @@ class Machine {
   verify::Observer* observer() const { return observer_; }
 
  private:
-  /// The group of world ranks 0..nranks-1 and its node topology.
+  /// The world of ranks 0..nranks-1 and its node topology.
   std::shared_ptr<const Group> make_world_group(int nranks) const;
 
   sim::Cluster cluster_;
@@ -143,9 +142,9 @@ class Machine {
     int takers = 0;
     int taken = 0;
   };
-  /// Live plan-memo entries by (communicator id, collective sequence).
-  /// Only touched from the engine's thread.
-  std::map<std::pair<std::uint64_t, std::uint64_t>, MemoEntry> memo_;
+  /// Live plan-memo entries by collective sequence. Only touched from the
+  /// engine's thread.
+  std::map<std::uint64_t, MemoEntry> memo_;
   std::uint64_t plan_builds_ = 0;
   std::uint64_t reduce_passes_ = 0;
   std::uint64_t heap_pops_ = 0;

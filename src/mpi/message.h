@@ -1,13 +1,14 @@
 // Message envelopes, the envelope slab, receive slots and the machine's
 // one match table.
 //
-// Every receive names its communicator, source and tag, so matching is
-// one hash probe into a single machine-wide table keyed by the exact
-// (dst, comm_id, src, tag). A message is matched when it is sent
-// (Machine::deliver), so a key never holds unexpected messages and
-// posted receives at the same time: its cell keeps one signed FIFO of
-// whichever side waits. Per-key FIFO order is send order: MPI's
-// no-overtaking rule for fully specified receives.
+// Every rank runs on the one world communicator and every receive names
+// its source and tag, so matching is one hash probe into a single
+// machine-wide table keyed by the exact (dst, src, tag), in a 24-byte
+// cell. A message is matched when it is sent (Machine::deliver), so a
+// key never holds unexpected messages and posted receives at the same
+// time: its cell keeps one signed FIFO of whichever side waits. Per-key
+// FIFO order is send order: MPI's no-overtaking rule for fully
+// specified receives.
 //
 // Everything here sits on the per-message hot path and allocates nothing
 // in steady state. A message that finds its receive posted completes it
@@ -30,7 +31,7 @@
 namespace mcio::mpi {
 
 struct Status {
-  int source = 0;  ///< rank within the communicator
+  int source = 0;
   int tag = 0;
   std::uint64_t bytes = 0;
   sim::SimTime arrival = 0.0;  ///< virtual time data was fully delivered
@@ -42,8 +43,7 @@ inline constexpr std::uint32_t kNone = UINT32_MAX;
 
 /// A message in flight or queued as unexpected.
 struct Envelope {
-  std::uint64_t comm_id = 0;
-  int src = 0;  ///< source rank within the communicator
+  int src = 0;
   int tag = 0;
   util::OwnedPayload body;
   sim::SimTime arrival = 0.0;
@@ -162,12 +162,11 @@ inline void fulfill(RecvSlot& slot, EnvelopeSlab& slab, std::uint32_t p) {
   }
 }
 
-/// The key of one match cell: the receiving world rank and the exact
-/// (communicator, source, tag) its receive names.
+/// The key of one match cell: the receiving rank and the exact (source,
+/// tag) its receive names.
 struct MatchKey {
-  std::uint64_t comm_id = 0;
-  std::uint32_t dst = 0;  ///< world rank
-  std::uint32_t src = 0;  ///< rank within the communicator
+  std::uint32_t dst = 0;
+  std::uint32_t src = 0;
   std::uint32_t tag = 0;
 };
 
@@ -186,7 +185,6 @@ class MatchTable {
   enum Side : std::uint8_t { kMessages = 0, kReceives = 1 };
 
   struct Cell {
-    std::uint64_t comm_id = 0;
     std::uint32_t dst = 0;
     std::uint32_t src = 0;
     std::uint32_t tag = 0;
@@ -210,13 +208,13 @@ class MatchTable {
       if (c.state == kEmpty) {
         Cell& at = tomb != nullptr ? *tomb : c;
         if (tomb == nullptr) ++used_;  // tombstones stay counted
-        at = Cell{k.comm_id, k.dst, k.src, k.tag};
+        at = Cell{k.dst, k.src, k.tag};
         at.state = kLive;
         ++live_;
         return at;
       }
-      if (c.state == kLive && c.comm_id == k.comm_id && c.dst == k.dst &&
-          c.src == k.src && c.tag == k.tag) {
+      if (c.state == kLive && c.dst == k.dst && c.src == k.src &&
+          c.tag == k.tag) {
         return c;
       }
       if (c.state == kTomb && tomb == nullptr) tomb = &c;
@@ -265,12 +263,11 @@ class MatchTable {
  private:
   enum : std::uint8_t { kEmpty = 0, kLive = 1, kTomb = 2 };
   static_assert(std::is_trivially_copyable_v<Cell>);
-  static_assert(sizeof(Cell) == 32);
+  static_assert(sizeof(Cell) == 24);
 
   static std::size_t hash(const MatchKey& k) {
-    // Fold the four fields, then a splitmix64 finalizer.
-    std::uint64_t h = k.comm_id ^
-                      ((static_cast<std::uint64_t>(k.dst) << 32) | k.src) ^
+    // Fold the three fields, then a splitmix64 finalizer.
+    std::uint64_t h = ((static_cast<std::uint64_t>(k.dst) << 32) | k.src) ^
                       (k.tag * 0x9e3779b97f4a7c15ull);
     h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
     h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
@@ -300,7 +297,7 @@ class MatchTable {
     mask_ = n - 1;
     used_ = live_;
     for (const Cell& c : spare_) {
-      std::size_t i = hash(MatchKey{c.comm_id, c.dst, c.src, c.tag}) & mask_;
+      std::size_t i = hash(MatchKey{c.dst, c.src, c.tag}) & mask_;
       while (cells_[i].state != kEmpty) i = (i + 1) & mask_;
       cells_[i] = c;
     }

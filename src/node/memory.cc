@@ -189,10 +189,6 @@ std::uint64_t MemoryManager::high_water(int node) const {
   return high_water_.at(static_cast<std::size_t>(node));
 }
 
-void MemoryManager::reset_high_water() {
-  std::fill(high_water_.begin(), high_water_.end(), 0);
-}
-
 double MemoryManager::pressure_bw_scale(double pressure) const {
   return bw_scale_for(pressure, config_.membus_bandwidth);
 }

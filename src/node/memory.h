@@ -175,7 +175,6 @@ class MemoryManager {
 
   /// High-water mark of leased bytes per node (for reports).
   std::uint64_t high_water(int node) const;
-  void reset_high_water();
 
   /// Bandwidth scale for a given pressure fraction: time is blended
   /// between the fast path and the swap device.

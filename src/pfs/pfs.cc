@@ -191,7 +191,6 @@ void Pfs::read(sim::Actor& actor, FileHandle fh, std::uint64_t offset,
   if (config_.store_data) {
     f.store.read(offset, out);
   }
-  bytes_read_ += static_cast<double>(out.size);
   observer_->on_pfs_read(this, fh, offset, out.size);
   actor.advance_to(done);
 }
@@ -200,13 +199,8 @@ void Pfs::flush_locality() {
   for (Ost& ost : osts_) ost.last_end.clear();
 }
 
-sim::BandwidthQueue& Pfs::ost_queue(int ost) {
-  return osts_.at(static_cast<std::size_t>(ost)).queue;
-}
-
 void Pfs::reset_accounting() {
   bytes_written_ = 0.0;
-  bytes_read_ = 0.0;
   rpcs_ = 0;
   seeks_ = 0;
   for (Ost& ost : osts_) ost.queue.reset_accounting();
@@ -216,15 +210,6 @@ const Store& Pfs::store(FileHandle fh) const { return state(fh).store; }
 
 std::uint64_t Pfs::content_hash(FileHandle fh) const {
   return state(fh).store.content_hash();
-}
-
-Store Pfs::clone_store(FileHandle fh) const {
-  return state(fh).store.clone();
-}
-
-void Pfs::read_raw(FileHandle fh, std::uint64_t offset,
-                   util::Payload out) const {
-  state(fh).store.read(offset, out);
 }
 
 Pfs::FileState& Pfs::state(FileHandle fh) {

@@ -77,10 +77,8 @@ class Pfs {
 
   // Accounting for reports.
   double total_bytes_written() const { return bytes_written_; }
-  double total_bytes_read() const { return bytes_read_; }
   std::uint64_t total_rpcs() const { return rpcs_; }
   std::uint64_t total_seeks() const { return seeks_; }
-  sim::BandwidthQueue& ost_queue(int ost);
   int num_osts() const { return static_cast<int>(osts_.size()); }
   void reset_accounting();
 
@@ -91,15 +89,6 @@ class Pfs {
   /// Only meaningful with store_data; the differential fuzzer's byte
   /// oracle compares drivers through this.
   std::uint64_t content_hash(FileHandle fh) const;
-
-  /// Deep copy of the file's contents, usable after this Pfs (and the
-  /// simulation behind it) is destroyed.
-  Store clone_store(FileHandle fh) const;
-
-  /// Store-level readback that bypasses the timing model entirely (no
-  /// actor, no RPC accounting) — for oracles diffing file contents.
-  void read_raw(FileHandle fh, std::uint64_t offset,
-                util::Payload out) const;
 
   /// Verification observer for store-level read/write events (never
   /// null; defaults to verify::global_observer() or a no-op).
@@ -146,7 +135,6 @@ class Pfs {
   int next_first_ost_ = 0;
   verify::Observer* observer_;
   double bytes_written_ = 0.0;
-  double bytes_read_ = 0.0;
   std::uint64_t rpcs_ = 0;
   std::uint64_t seeks_ = 0;
 };

@@ -40,10 +40,6 @@ class Store {
   /// the byte oracle the differential fuzzer compares drivers with.
   std::uint64_t content_hash() const;
 
-  /// Deep copy of the logical contents (for diffing a file after the
-  /// simulation that produced it is torn down).
-  Store clone() const { return *this; }
-
  private:
   using Page = std::array<std::byte, kPageSize>;
   std::unordered_map<std::uint64_t, Page> pages_;

@@ -30,10 +30,6 @@ struct Extent {
   bool overlaps(const Extent& other) const {
     return offset < other.end() && other.offset < end();
   }
-  /// True when `other` starts exactly where this extent ends.
-  bool adjacent_before(const Extent& other) const {
-    return end() == other.offset;
-  }
 
   friend bool operator==(const Extent&, const Extent&) = default;
 };

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/check.h"
-
 namespace mcio::util {
 
 void RunningStats::add(double x) {
@@ -37,50 +35,6 @@ double RunningStats::max() const { return count_ == 0 ? 0.0 : max_; }
 double RunningStats::cv() const {
   const double m = mean();
   return m == 0.0 ? 0.0 : stdev() / m;
-}
-
-double percentile(std::vector<double> values, double p) {
-  MCIO_CHECK(!values.empty());
-  MCIO_CHECK_GE(p, 0.0);
-  MCIO_CHECK_LE(p, 100.0);
-  std::sort(values.begin(), values.end());
-  if (p <= 0.0) return values.front();
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(values.size())));
-  return values[std::min(values.size(), std::max<std::size_t>(rank, 1)) - 1];
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  MCIO_CHECK_LT(lo, hi);
-  MCIO_CHECK_GT(buckets, 0u);
-}
-
-void Histogram::add(double x) {
-  // Clamp into the edge buckets *before* any float→integer conversion:
-  // x == hi_ lands in the last bucket (the old arithmetic pushed it one
-  // past the end), and far-out or non-finite samples never reach a cast
-  // whose value would be unrepresentable (undefined behaviour).
-  std::size_t idx = 0;
-  if (x >= hi_) {
-    idx = counts_.size() - 1;
-  } else if (x > lo_) {
-    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-    idx = std::min(counts_.size() - 1,
-                   static_cast<std::size_t>((x - lo_) / width));
-  }
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  MCIO_CHECK_LT(i, counts_.size());
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const {
-  return bucket_lo(i) + (hi_ - lo_) / static_cast<double>(counts_.size());
 }
 
 }  // namespace mcio::util

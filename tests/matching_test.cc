@@ -1,5 +1,5 @@
 // Message-matching semantics the machine's one match table must
-// preserve: per-(destination, communicator, source, tag) FIFO order under
+// preserve: per-(destination, source, tag) FIFO order under
 // heavy interleaving, unexpected/posted crossover on one key and across
 // destinations, the end-of-run orphan sweep, allocation-free cell churn,
 // collective-tag reservation at the 28-bit wrap boundary, and end-to-end
@@ -59,7 +59,7 @@ TEST(Matching, MatchTableChurnDoesNotAllocate) {
   constexpr std::uint32_t kLive = 8;
   MatchTable table;
   const auto key = [](std::uint32_t tag) {
-    return MatchKey{1, tag % 5, tag % 7, tag};
+    return MatchKey{tag % 5, tag % 7, tag};
   };
   const auto churn = [&](std::uint32_t from, std::uint32_t to) {
     for (std::uint32_t tag = from; tag < to; ++tag) {
@@ -87,7 +87,7 @@ TEST(Matching, MatchTableChurnDoesNotAllocate) {
 
 // Keys that differ only by destination never cross-match: one source
 // sends the same tag to every rank before any receive is posted, so every
-// destination's messages queue as unexpected under one (comm, src, tag).
+// destination's messages queue as unexpected under one (src, tag).
 TEST(Matching, DestinationsNeverCrossMatch) {
   Machine machine(small_cluster(2, 4));
   machine.run(8, [](Rank& rank) {

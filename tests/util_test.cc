@@ -90,54 +90,6 @@ TEST(RunningStats, EmptyAndSingle) {
   EXPECT_EQ(s.max(), 3.5);
 }
 
-TEST(Percentile, NearestRank) {
-  std::vector<double> v{5, 1, 4, 2, 3};
-  EXPECT_EQ(percentile(v, 0), 1.0);
-  EXPECT_EQ(percentile(v, 50), 3.0);
-  EXPECT_EQ(percentile(v, 100), 5.0);
-  EXPECT_EQ(percentile(v, 20), 1.0);
-  EXPECT_EQ(percentile(v, 21), 2.0);
-}
-
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);  // clamps to first
-  h.add(0.5);
-  h.add(9.9);
-  h.add(42.0);  // clamps to last
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 4.0);
-}
-
-TEST(Histogram, UpperBoundaryLandsInLastBucket) {
-  // x == hi is a valid sample of the last bucket, not one-past-the-end
-  // (and must not go through an out-of-range float→size_t cast, which is
-  // undefined behaviour).
-  Histogram h(0.0, 10.0, 5);
-  h.add(10.0);
-  EXPECT_EQ(h.bucket(4), 1u);
-  EXPECT_EQ(h.total(), 1u);
-  h.add(1e300);  // far above hi: clamps without overflow
-  EXPECT_EQ(h.bucket(4), 2u);
-  h.add(-1e300);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(Histogram, InternalBoundariesRoundDown) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(2.0);  // exactly on the 0/1 boundary: belongs to bucket 1
-  h.add(4.0);
-  h.add(0.0);  // lo itself: first bucket
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.bucket(2), 1u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
 TEST(Bytes, FormatRoundNumbers) {
   EXPECT_EQ(format_bytes(512), "512 B");
   EXPECT_EQ(format_bytes(2 * kKiB), "2 KiB");
