@@ -578,6 +578,34 @@ TEST(WindowBacking, RevokedBorrowedWindowMigratesToNextDonor) {
   EXPECT_EQ(d.borrows, 1u);
 }
 
+TEST(WindowBacking, ReborrowAdoptsItsProbeLease) {
+  // A revoked window re-borrows onto a donor with room for one window
+  // plus the reserve but not for two: the probe's grant must become the
+  // window's lease, not sit beside a second grant of the same bytes.
+  metrics::CollectiveStats stats;
+  with_backing_context(borrow_hints(), &stats, [&](MiniCluster& cluster,
+                                                   io::CollContext& ctx) {
+    constexpr std::uint64_t kFree = 400 << 10;  // >= window + reserve
+    static_assert(kFree < 2 * kWindow);
+    node::Lease hold1 = cluster.memory().lease(1, (1 << 20) - kFree);
+    node::Lease hold2 = cluster.memory().lease(2, (1 << 20) - kFree);
+    io::WindowBacking b(ctx, stats);
+    b.open(revocable_grant(), /*site=*/0);
+    ctx.rank->actor().advance(2e-3);
+    b.step();
+    EXPECT_EQ(b.state(), State::kBorrowed);
+    EXPECT_EQ(b.pressure(), 0.0);
+    EXPECT_EQ(cluster.memory().available(1), kFree - kWindow);
+    b.close();
+    EXPECT_EQ(cluster.memory().available(1), kFree);
+    hold1.release();
+    hold2.release();
+  });
+  const metrics::DegradationStats& d = stats.degradation();
+  EXPECT_EQ(d.revocations, 1u);
+  EXPECT_EQ(d.borrows, 1u);
+}
+
 /// One faulted collective write+read; returns per-rank finish times.
 std::vector<sim::SimTime> faulted_timed_run(bool mccio) {
   MiniClusterOptions opt;
