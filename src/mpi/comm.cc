@@ -98,7 +98,8 @@ void Comm::post(int dst, int tag, util::OwnedPayload body, Channel channel,
 
 std::uint32_t Comm::post_recv(int src, int tag, util::Payload buf,
                              bool take) {
-  owner_->actor().sync_local();
+  // No yield: the k-th receive of a (dst, src, tag) FIFO takes the key's
+  // k-th message whenever either side comes first.
   SlotPool& slots = machine_->slots();
   const std::uint32_t s = slots.add(RecvSlot{});
   RecvSlot& slot = slots[s];
@@ -132,15 +133,14 @@ void Comm::recv(int src, int tag, util::Payload buf, Status* status) {
 
 void Comm::park_until_done(RecvSlot& slot) {
   sim::Actor& actor = owner_->actor();
-  // A message that arrived by the time this slice began is in hand.
-  if (slot.done && slot.status.arrival <= actor.slice_time()) return;
+  // A message that arrived by this rank's clock is in hand.
+  if (slot.done && slot.status.arrival <= actor.now()) return;
   verify::Observer* obs = machine_->observer();
   obs->on_wait_begin(owner_->rank(), id(), slot.src, slot.tag);
   if (slot.done) {
-    // Matched at send, arriving after this slice began: resume at the
-    // arrival, keyed exactly as a wakeup from a parked wait.
+    // Matched at send: the receive completes at the arrival whatever the
+    // host order, so there is nothing to yield for.
     actor.advance_to(slot.status.arrival);
-    actor.sync_local();
   } else {
     slot.parked = true;
     actor.park();  // the matching send wakes this rank at the arrival

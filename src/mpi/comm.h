@@ -99,6 +99,8 @@ class Comm {
             Channel channel = Channel::kTransport);
   void recv(int src, int tag, util::Payload buf, Status* status = nullptr);
   Request irecv(int src, int tag, util::Payload buf);
+  /// Completes `request` at max(clock, arrival) plus the receive
+  /// overhead. It yields only while its message has not been sent.
   void wait(Request& request, Status* status = nullptr);
   void waitall(std::span<Request> requests);
 
@@ -154,8 +156,8 @@ class Comm {
   int next_coll_tag();
 
   /// Takes the oldest message queued under (src, tag), or posts a pending
-  /// receive; `take` makes it a blob receive of the whole parcel. Returns
-  /// the receive's slot index.
+  /// receive, without yielding; `take` makes it a blob receive of the
+  /// whole parcel. Returns the receive's slot index.
   std::uint32_t post_recv(int src, int tag, util::Payload buf, bool take);
   /// Decodes a complete allgather wire into its shared form.
   using WireDecoder = std::shared_ptr<const void> (*)(
@@ -169,11 +171,11 @@ class Comm {
   /// Matches the next framed envelope from (src, tag), parking until one
   /// arrives, and moves it out of the envelope slab; charges nothing.
   Envelope take_framed(int src, int tag);
-  /// Returns once `slot`'s message has arrived: parks until a send
-  /// matches it, or yields until its arrival when it was matched but
-  /// arrives after the executing slice began. Tells the observer what
-  /// this fiber blocks on so a deadlock report can name the missing
-  /// message (see DESIGN.md §8).
+  /// Returns with the clock at or past `slot`'s arrival: parks until a
+  /// send matches a receive that is still unmatched, else moves the clock
+  /// to the arrival without yielding. Tells the observer what this fiber
+  /// waits on, unless the message is already in hand by its clock, so a
+  /// deadlock report can name the missing message (see DESIGN.md §8).
   void park_until_done(RecvSlot& slot);
   /// Charges the receive of a framed blob of `size` bytes timed by `b`.
   void charge_framed(const FramedBlob& b, std::uint64_t size,

@@ -23,6 +23,7 @@ std::vector<sim::SimTime> Machine::run(
   envelopes_.clear();
   slots_.clear();
   matches_.clear();
+  last_send_.assign(static_cast<std::size_t>(nranks), LastSend{});
   memo_.clear();
   world_group_ = make_world_group(nranks);
   sim::Engine engine;
@@ -168,25 +169,40 @@ void Machine::deliver(int dst, Envelope env) {
                static_cast<std::uint32_t>(env.src),
                static_cast<std::uint32_t>(env.tag)});
   const bool matched = cell.waits(MatchTable::kReceives);
+  // Messages match in send order, so one key's messages must also arrive
+  // in send order: a message may not overtake the key's previous one
+  // (say, one sent over shm, then one over the transport). Its arrival
+  // is known here while the key's cell lives, as the message queued
+  // before this one or, carried by the receive this one completes, the
+  // message matched before it; and as the sender's own previous message
+  // when that went to the same key.
+  sim::SimTime floor = 0.0;
+  if (matched) {
+    floor = slots_[cell.head].status.arrival;
+  } else if (cell.head != kNone) {
+    floor = envelopes_[cell.tail].arrival;
+  }
+  LastSend& last = last_send_[static_cast<std::size_t>(env.src)];
+  if (last.dst == dst && last.tag == env.tag) {
+    floor = std::max(floor, last.arrival);
+  }
+  last = LastSend{dst, env.tag, env.arrival};
+  MCIO_CHECK_MSG(env.arrival >= floor,
+                 "message (tag " << env.tag << ") overtakes the one sent "
+                                 << "before it on its key");
   observer_->on_message_delivered(world_group_->id, env.src, dst, env.tag,
                                   env.body.size(), matched);
   if (!matched) {
-    // Messages match in send order, so one key's messages must also
-    // arrive in send order: a message may not overtake the one queued
-    // before it (say, one sent over shm, then one over the transport).
     const std::uint32_t p = envelopes_.add(std::move(env));
-    if (cell.head != kNone) {
-      Envelope& prev = envelopes_[cell.tail];
-      MCIO_CHECK_MSG(envelopes_[p].arrival >= prev.arrival,
-                     "message (tag " << cell.tag << ") overtakes the one "
-                                     << "sent before it on its key");
-      prev.next = p;
-    }
+    if (cell.head != kNone) envelopes_[cell.tail].next = p;
     MatchTable::append(cell, MatchTable::kMessages, p);
     return;
   }
   RecvSlot& slot = slots_[cell.head];
   matches_.pop(cell, slot.next);
+  // The next receive waiting on this key has not used its status yet:
+  // it carries this arrival, the floor of the message that completes it.
+  if (slot.next != kNone) slots_[slot.next].status.arrival = env.arrival;
   const sim::SimTime arrival = env.arrival;
   if (slot.take) {
     fulfill(slot, envelopes_, envelopes_.add(std::move(env)));
@@ -194,7 +210,7 @@ void Machine::deliver(int dst, Envelope env) {
     complete(slot, env);
   }
   // Only a receiver parked on this very receive waits for it; one that
-  // waits later resumes at the arrival itself (Comm::park_until_done).
+  // waits later moves its clock to the arrival (Comm::park_until_done).
   if (slot.parked) engine_->unpark(dst, arrival);
 }
 

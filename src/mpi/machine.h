@@ -105,7 +105,9 @@ class Machine {
   /// Delivers an envelope whose arrival is already stamped, at send
   /// time: it completes the oldest receive posted under its key and
   /// wakes the receiver at env.arrival if it is parked on that receive,
-  /// or else queues as unexpected in the envelope slab.
+  /// or else queues as unexpected in the envelope slab. A message that
+  /// would arrive before a known earlier message of its key is a CHECK
+  /// failure (matching is in send order).
   void deliver(int dst, Envelope env);
 
   /// Counts one allreduce reduction (reduce_passes()).
@@ -136,6 +138,14 @@ class Machine {
   /// Each rank's context while its body runs (see run()).
   std::vector<std::unique_ptr<Rank>> ranks_;
   std::shared_ptr<const Group> world_group_;
+  /// Each sender's latest message: its key and arrival, for deliver()'s
+  /// non-overtaking guard.
+  struct LastSend {
+    int dst = -1;
+    int tag = 0;
+    sim::SimTime arrival = 0.0;
+  };
+  std::vector<LastSend> last_send_;
 
   struct MemoEntry {
     SharedPlan shared;

@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 #include <utility>
 
@@ -23,6 +24,24 @@ void Actor::park() {
   engine_->actors_[static_cast<std::size_t>(id_)].state =
       Engine::State::kParked;
   engine_->yield_from(id_);
+}
+
+Engine::PackedKey Engine::pack(const Key& key) {
+  const auto bits = std::bit_cast<std::uint64_t>(key.t);
+  // +inf's bits bound the non-negative doubles; a set sign bit (-0.0,
+  // negatives) or a NaN lies above them.
+  MCIO_CHECK_MSG(bits <= 0x7ff0000000000000ull,
+                 "slice time " << key.t << " is negative, -0.0 or NaN");
+  return (static_cast<PackedKey>(bits) << 64) |
+         (static_cast<PackedKey>(static_cast<std::uint32_t>(key.kind))
+          << 32) |
+         static_cast<std::uint32_t>(key.id);
+}
+
+Engine::Key Engine::unpack(PackedKey packed) {
+  return Key{std::bit_cast<SimTime>(static_cast<std::uint64_t>(packed >> 64)),
+             static_cast<int>(static_cast<std::uint32_t>(packed >> 32)),
+             static_cast<int>(static_cast<std::uint32_t>(packed))};
 }
 
 Engine::Engine() : Engine(Options{}) {}
@@ -71,14 +90,14 @@ void Engine::run() {
           body_wrapper(id, body);
         },
         &main_ctx_);
-    heap_.push(Key{0.0, /*kind=*/2, id});
+    heap_.push(pack(Key{0.0, /*kind=*/2, id}));
   }
   heap_high_water_ = std::max(heap_high_water_, heap_.size());
   pending_bodies_.clear();
   observer_->on_engine_start(static_cast<int>(actors_.size()));
 
   while (!heap_.empty()) {
-    const Key key = heap_.top();
+    const Key key = unpack(heap_.top());
     heap_.pop();
     ++heap_pops_;
     run_slice(key);
@@ -120,7 +139,8 @@ void Engine::unpark(int actor_id, SimTime not_before) {
   // A wakeup can never rewind behind the slice that issued it: the pop
   // order stays monotone.
   slot.actor->advance_to(std::max(not_before, slice_t_));
-  enqueue_slice(actor_id, /*kind=*/1);
+  enqueue_slice(actor_id,
+                pack(Key{slot.actor->now(), /*kind=*/1, actor_id}));
 }
 
 SimTime Engine::makespan() const {
@@ -135,7 +155,8 @@ void Engine::yield_from(int id) {
 
 void Engine::next_slice(int id, int kind) {
   const SimTime now = actors_[static_cast<std::size_t>(id)].actor->now();
-  if (heap_.empty() || Key{now, kind, id} < heap_.top()) {
+  const PackedKey key = pack(Key{now, kind, id});
+  if (heap_.empty() || key < heap_.top()) {
     // The heap would hand this very slice back: continue in place (see
     // the file comment), keeping the slice boundary visible.
     ++in_place_slices_;
@@ -144,14 +165,13 @@ void Engine::next_slice(int id, int kind) {
     slice_t_ = now;
     return;
   }
-  enqueue_slice(id, kind);
+  enqueue_slice(id, key);
   yield_from(id);
 }
 
-void Engine::enqueue_slice(int id, int kind) {
-  auto& slot = actors_[static_cast<std::size_t>(id)];
-  slot.state = State::kReady;
-  heap_.push(Key{slot.actor->now(), kind, id});
+void Engine::enqueue_slice(int id, PackedKey key) {
+  actors_[static_cast<std::size_t>(id)].state = State::kReady;
+  heap_.push(key);
   heap_high_water_ = std::max(heap_high_water_, heap_.size());
 }
 

@@ -1,11 +1,15 @@
 // The deterministic virtual-time scheduler.
 //
-// Every actor (MPI rank) is a fiber with its own virtual clock. Whenever
-// an actor is about to *interact* with shared simulation state it yields
-// through sync() or sync_local() and resumes only when its slice is the
-// lowest event left. One loop on one thread pops events from one heap,
-// so every interaction executes in a single deterministic total order:
-// the simulation is causal and bit-for-bit reproducible.
+// Every actor (MPI rank) is a fiber with its own virtual clock. An actor
+// yields only before it touches a shared resource: through sync_local()
+// before a message pass charges its node's NIC, membus or shm queue, and
+// through sync() before it touches machine-wide state such as the PFS or
+// the memory managers. It resumes only when its slice is the lowest event
+// left. One loop on one thread pops events from one heap, so every
+// resource access executes in a single deterministic total order: the
+// simulation is causal and bit-for-bit reproducible. Work that depends on
+// no host order (local computation, posting or completing a receive in
+// the machine's match table) runs inside the slice without yielding.
 //
 // Events. Every event is a fiber slice, plain data keyed (t, kind, id)
 // (Key, below), with no closure and no heap allocation. There are two
@@ -16,14 +20,19 @@
 //     actor's first slice at spawn, keyed (clock, actor id).
 // The kinds select no different machinery; they fix the order of slices
 // at equal virtual time: message-path slices (sync_local) run before
-// slices that touch machine-wide state such as the PFS or the memory
-// managers (sync). An actor has at most one slice in the heap, so the
-// heap never holds more events than there are actors. Messages are not
-// events: the machine matches each one when it is sent and wakes a
-// parked receiver at the arrival time through unpark(), whose wake time
-// the engine clamps to the executing slice's time, so virtual time never
-// runs backwards in the pop order. The committed figures are computed
-// under exactly this interleaving.
+// slices that touch machine-wide state (sync). An actor has at most one
+// slice in the heap, so the heap never holds more events than there are
+// actors. Messages are not events: the machine matches each one when it
+// is sent and wakes a parked receiver at the arrival time through
+// unpark(), whose wake time the engine clamps to the executing slice's
+// time, so virtual time never runs backwards in the pop order. The
+// committed figures are computed under exactly this interleaving.
+//
+// The heap stores each Key packed into one unsigned 128-bit integer
+// (Engine::pack): the IEEE-754 bits of t, then kind, then id. A clock is
+// never negative, and the bits of non-negative doubles order as their
+// values, so one integer compare orders the heap exactly as Key's
+// operator<=> would; pack() rejects a negative, -0.0 or NaN time.
 //
 // In-place continuation. When sync() or sync_local() would enqueue a
 // slice whose key (clock, kind, id) is strictly below the heap's minimum
@@ -71,19 +80,13 @@ class Actor {
   void sync();
 
   /// Local-class yield: resumes as a kind-1 slice, ahead of global slices
-  /// at the same time. Call before message-path interactions (the
-  /// endpoint and the node's NIC/membus/shm queues).
+  /// at the same time. Call before a message pass charges the node's
+  /// NIC/membus/shm queues.
   void sync_local();
 
   /// Blocks until another actor calls Engine::unpark() on this id. The
   /// clock after waking is max(clock at park, wake time).
   void park();
-
-  /// Virtual time of the executing slice: the key time it was popped
-  /// (or continued in place) at. now() may run ahead of it by local
-  /// computation inside the slice; every event at a lower key has
-  /// already run.
-  SimTime slice_time() const;
 
   Engine& engine() const { return *engine_; }
 
@@ -112,6 +115,15 @@ class Engine {
     friend auto operator<=>(const Key&, const Key&) = default;
   };
   static_assert(sizeof(Key) <= 16, "events stay small plain data");
+
+  /// A Key as the heap stores it: t's IEEE bits in the high 64 bits, then
+  /// kind, then id, so integer order is Key order.
+  __extension__ typedef unsigned __int128 PackedKey;
+  /// Packs `key` (kind and id are never negative); a negative, -0.0 or
+  /// NaN time is a CHECK failure, since its bits would not order as its
+  /// value.
+  static PackedKey pack(const Key& key);
+  static Key unpack(PackedKey packed);
 
   Engine();
   explicit Engine(Options options);
@@ -172,7 +184,8 @@ class Engine {
   /// Ends the running slice of `id` and starts its next one of `kind`,
   /// in place when that slice would be popped next.
   void next_slice(int id, int kind);
-  void enqueue_slice(int id, int kind);
+  /// Makes `id` ready and pushes its next slice, keyed `key`.
+  void enqueue_slice(int id, PackedKey key);
   void body_wrapper(int id, const std::function<void(Actor&)>& body);
   /// Executes one popped slice.
   void run_slice(const Key& key);
@@ -181,10 +194,11 @@ class Engine {
   Options options_;
   std::vector<ActorSlot> actors_;
   std::vector<std::function<void(Actor&)>> pending_bodies_;
-  std::priority_queue<Key, std::vector<Key>, std::greater<>> heap_;
+  std::priority_queue<PackedKey, std::vector<PackedKey>, std::greater<>>
+      heap_;
   FiberContext main_ctx_{};
-  /// The executing slice's time, for slice_time() and for clamping
-  /// unpark() wake times; 0 outside any slice.
+  /// The executing slice's time, for clamping unpark() wake times; 0
+  /// outside any slice.
   SimTime slice_t_ = 0.0;
   std::uint64_t heap_pops_ = 0;
   std::uint64_t in_place_slices_ = 0;
@@ -194,7 +208,5 @@ class Engine {
   std::vector<SimTime> finish_times_;
   bool running_ = false;
 };
-
-inline SimTime Actor::slice_time() const { return engine_->slice_t_; }
 
 }  // namespace mcio::sim

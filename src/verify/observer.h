@@ -71,9 +71,10 @@ class Observer {
     (void)bytes;
     (void)matched;
   }
-  /// `actor` is about to block until a receive matching (comm_id,
-  /// src_world, tag) completes: it parks until the send, or yields until
-  /// the arrival of a message already matched. Paired with on_wait_end.
+  /// `actor` is about to wait for a receive matching (comm_id,
+  /// src_world, tag): it parks until the send, or moves its clock to the
+  /// arrival of a message already matched that arrives past it. Paired
+  /// with on_wait_end.
   virtual void on_wait_begin(int actor, std::uint64_t comm_id,
                              int src_world, int tag) {
     (void)actor;

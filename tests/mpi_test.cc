@@ -2,6 +2,7 @@
 // awkward communicator sizes, and transport timing.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -716,6 +717,42 @@ TEST(Transport, SameKeyOvertakingRejected) {
   } catch (const util::Error& e) {
     EXPECT_NE(std::string(e.what()).find("overtakes"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Transport, SameKeyOvertakingRejectedWithReceivesPostedFirst) {
+  // The same inversion with both receives posted at t = 0, before either
+  // send, so each message completes a posted receive. With `interleave`,
+  // a message on another key goes between the two, so only the arrival
+  // the second receive carries from the first match can reject it.
+  for (const bool interleave : {false, true}) {
+    Machine machine(small_cluster(2, 2));
+    try {
+      machine.run(2, [interleave](Rank& rank) {
+        Comm& c = rank.world();
+        if (rank.rank() == 0) {
+          rank.actor().advance(1e-6);  // rank 1 posts first
+          c.send(1, 3, util::ConstPayload::virtual_bytes(1 << 30),
+                 Channel::kShm);
+          if (interleave) c.send(1, 4, util::ConstPayload::virtual_bytes(8));
+          c.send(1, 3, util::ConstPayload::virtual_bytes(8));
+        } else {
+          // No heap object lives on this stack: the run aborts while this
+          // rank is parked, so its fiber never unwinds.
+          const auto buf = util::Payload::virtual_bytes(1 << 30);
+          std::array<Request, 3> reqs;
+          reqs[0] = c.irecv(0, 3, buf);
+          reqs[1] = c.irecv(0, 3, buf);
+          if (interleave) reqs[2] = c.irecv(0, 4, buf);
+          c.waitall(reqs);
+        }
+      });
+      FAIL() << "an overtaking message was matched (interleave "
+             << interleave << ")";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("overtakes"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -1,13 +1,17 @@
 // Simulation kernel: virtual-time scheduling order (including the
-// equal-time order of local and global slices), park/unpark, slice time,
-// the heap bound, determinism, misuse and deadlock diagnosis, observer
-// notifications, the fiber guard page and bandwidth-queue behaviour.
+// equal-time order of local and global slices and the packed heap key),
+// park/unpark and the wake-time clamp, the heap bound, determinism,
+// misuse and deadlock diagnosis, observer notifications, the fiber guard
+// page and bandwidth-queue behaviour.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <limits>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -416,28 +420,85 @@ TEST(Engine, GlobalSyncNeverContinuesAheadOfLocalSlice) {
   EXPECT_EQ(engine.in_place_slices(), 1u);
 }
 
-TEST(Engine, SliceTimeIsTheExecutingSlicesKey) {
-  // slice_time() stays at the slice's key while local computation moves
-  // the clock, then follows the next slice, popped or continued in place.
+TEST(Engine, UnparkClampIsTheExecutingSlicesKey) {
+  // unpark() clamps a wake time to the executing slice's key time, which
+  // stays put while local computation moves the waker's clock, then
+  // follows the next slice, popped or continued in place.
   Engine engine;
-  std::vector<SimTime> seen;
-  engine.spawn([&seen](Actor& a) {
-    a.advance(1.0);
-    seen.push_back(a.slice_time());  // first slice, popped at 0
-    a.sync_local();  // actor 1's first slice is pending: yields
-    seen.push_back(a.slice_time());
-    a.advance(1.0);
-    a.sync_local();  // the heap is empty: continues in place
-    seen.push_back(a.slice_time());
-  });
+  std::vector<SimTime> woke(4, -1.0);
+  for (int i = 0; i < 4; ++i) {
+    engine.spawn([i, &woke](Actor& a) {
+      a.park();  // mcio-analyze: allow(unobserved-park) -- scheduler's own test
+      woke[static_cast<std::size_t>(i)] = a.now();
+    });
+  }
   engine.spawn([](Actor& a) {
-    a.advance(0.5);
-    a.sync();
+    a.advance(1.0);
+    a.engine().unpark(0, 0.0);  // first slice, popped at 0
+    a.sync_local();  // actor 0's wakeup at 0 is pending: yields
+    a.advance(1.0);
+    a.engine().unpark(1, 0.0);  // popped at 1
+    a.sync_local();  // actor 1's wakeup at 1 is pending: yields
+    a.advance(1.0);
+    a.sync_local();  // the heap is empty: continues in place at 3
+    a.advance(1.0);
+    a.engine().unpark(2, 0.0);
+    a.engine().unpark(3, 3.5);  // a wake time past the slice's stands
   });
   engine.run();
-  EXPECT_EQ(seen, (std::vector<SimTime>{0.0, 1.0, 2.0}));
-  // Actor 1's sync at 0.5 and actor 0's last sync_local.
-  EXPECT_EQ(engine.in_place_slices(), 2u);
+  EXPECT_EQ(woke, (std::vector<SimTime>{0.0, 1.0, 3.0, 3.5}));
+  EXPECT_EQ(engine.in_place_slices(), 1u);
+}
+
+TEST(Engine, PackedKeyOrdersAsKey) {
+  // The heap's packed key orders exactly as Key over the times a clock
+  // can hold: equal times, equal kinds, 0.0, subnormals and large t.
+  const std::vector<SimTime> times = {
+      0.0,
+      std::numeric_limits<SimTime>::denorm_min(),
+      2 * std::numeric_limits<SimTime>::denorm_min(),
+      std::numeric_limits<SimTime>::min() / 2,
+      std::numeric_limits<SimTime>::min(),
+      1e-9,
+      1.0,
+      std::nextafter(1.0, 2.0),
+      3.25,
+      1e300,
+      std::numeric_limits<SimTime>::max(),
+      std::numeric_limits<SimTime>::infinity()};
+  std::mt19937_64 rng(20261019);
+  const auto draw = [&] {
+    const std::size_t i = rng() % (times.size() + 1);
+    // One draw in times.size() + 1 is an arbitrary finite time.
+    const SimTime t = i < times.size()
+                          ? times[i]
+                          : std::ldexp(static_cast<double>(rng() >> 11),
+                                       static_cast<int>(rng() % 200) - 150);
+    return Engine::Key{t, static_cast<int>(1 + rng() % 2),
+                       static_cast<int>(rng() % 4 == 0
+                                            ? std::numeric_limits<int>::max()
+                                            : rng() % 3)};
+  };
+  for (int n = 0; n < 20000; ++n) {
+    const Engine::Key a = draw();
+    const Engine::Key b = draw();
+    const Engine::PackedKey pa = Engine::pack(a);
+    const Engine::PackedKey pb = Engine::pack(b);
+    ASSERT_EQ(pa < pb, a < b) << a.t << ' ' << b.t;
+    ASSERT_EQ(pa == pb, a == b) << a.t << ' ' << b.t;
+    const Engine::Key back = Engine::unpack(pa);
+    ASSERT_EQ(back, a);
+  }
+}
+
+TEST(Engine, NegativeOrMinusZeroClockRejected) {
+  // A set sign bit would order -0.0 and negative times after every
+  // positive one: packing such a key is a CHECK failure.
+  for (const SimTime t : {-0.0, -std::numeric_limits<SimTime>::denorm_min(),
+                          -1.0, std::numeric_limits<SimTime>::quiet_NaN()}) {
+    EXPECT_THROW(Engine::pack(Engine::Key{t, 1, 0}), util::Error) << t;
+  }
+  EXPECT_NO_THROW(Engine::pack(Engine::Key{0.0, 1, 0}));
 }
 
 TEST(Engine, HeapHoldsAtMostOneSlicePerActor) {

@@ -3,6 +3,8 @@
 // workload × driver × memory configurations.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "testing.h"
 #include "workloads/collperf.h"
 #include "workloads/ior.h"
@@ -85,6 +87,16 @@ struct SweepParam {
   std::uint64_t mem;
   double stdev;
 };
+
+/// Names a sweep point by its fields, so test names are the same in
+/// every build (gtest's default prints the struct's bytes, padding
+/// included).
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  static constexpr const char* kWorkloads[] = {"strided", "ior-interleaved",
+                                               "ior-segmented", "collperf"};
+  *os << kWorkloads[p.workload] << (p.mccio ? "/mccio" : "/two-phase")
+      << "/mem=" << p.mem << "/stdev=" << p.stdev;
+}
 
 class RoundTripSweep : public ::testing::TestWithParam<SweepParam> {};
 
