@@ -80,15 +80,16 @@ int main(int argc, char** argv) {
   for (const std::uint64_t mem : mems) {
     for (const double rate : revokes) {
       bench::RunOptions base;
-      base.driver = bench::DriverKind::kMccio;
+      base.driver = core::DriverKind::kMccio;
       base.nranks = nranks;
       base.testbed = tb;
       base.mem_mean = mem;
       base.mem_stdev = stdev;
-      base.faults.denial_rate = denial;
-      base.faults.exhaust_rate = exhaust;
-      base.faults.revoke_rate = rate;
-      base.attach_fault_plan = true;  // zero-rate point: same protocol
+      // Engaged at every rate, so the zero-rate point runs the same
+      // negotiated protocol as the rest.
+      base.faults = node::FaultConfig{.denial_rate = denial,
+                                      .revoke_rate = rate,
+                                      .exhaust_rate = exhaust};
       base.hints.fault_backoff_s = backoff;
       base.hints.cb_node_leaders = hier;
       const auto remerge = bench::run_experiment(base, make_plan);
@@ -98,7 +99,7 @@ int main(int argc, char** argv) {
       const auto borrow = bench::run_experiment(bo, make_plan);
 
       bench::RunOptions ind = base;
-      ind.driver = bench::DriverKind::kIndependent;
+      ind.driver = core::DriverKind::kIndependent;
       ind.hints.cb_node_leaders = false;
       const auto indep = bench::run_experiment(ind, make_plan);
 

@@ -35,18 +35,18 @@ int main(int argc, char** argv) {
 
   util::Table table({"strategy", "write MB/s", "read MB/s"});
   for (const auto kind :
-       {bench::DriverKind::kIndependent, bench::DriverKind::kTwoPhase,
-        bench::DriverKind::kMccio}) {
+       {core::DriverKind::kIndependent, core::DriverKind::kTwoPhase,
+        core::DriverKind::kMccio}) {
     bench::RunOptions opt;
     opt.driver = kind;
     opt.nranks = nranks;
     opt.testbed = tb;
     opt.mem_mean = 16ull << 20;
     const auto r = bench::run_experiment(opt, make_plan);
-    rep.add_point(bench::driver_name(kind))
+    rep.add_point(core::driver_name(kind))
         .set("write_mbs", r.write_bw / 1e6)
         .set("read_mbs", r.read_bw / 1e6);
-    table.add(bench::driver_name(kind), util::fixed(r.write_bw / 1e6),
+    table.add(core::driver_name(kind), util::fixed(r.write_bw / 1e6),
               util::fixed(r.read_bw / 1e6));
   }
   std::cout << "# Ablation — independent vs collective strategies (IOR "

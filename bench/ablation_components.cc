@@ -33,20 +33,20 @@ int main(int argc, char** argv) {
 
   struct Variant {
     const char* name;
-    bench::DriverKind kind;
+    core::DriverKind kind;
     bool groups;
     bool remerge;
     bool memory;
   };
   const Variant variants[] = {
-      {"two-phase baseline", bench::DriverKind::kTwoPhase, false, false,
+      {"two-phase baseline", core::DriverKind::kTwoPhase, false, false,
        false},
-      {"mccio (full)", bench::DriverKind::kMccio, true, true, true},
-      {"mccio, no group division", bench::DriverKind::kMccio, false, true,
+      {"mccio (full)", core::DriverKind::kMccio, true, true, true},
+      {"mccio, no group division", core::DriverKind::kMccio, false, true,
        true},
-      {"mccio, no remerging", bench::DriverKind::kMccio, true, false,
+      {"mccio, no remerging", core::DriverKind::kMccio, true, false,
        true},
-      {"mccio, memory-blind", bench::DriverKind::kMccio, true, true,
+      {"mccio, memory-blind", core::DriverKind::kMccio, true, true,
        false},
   };
 

@@ -57,22 +57,23 @@ int main(int argc, char** argv) {
                      "retries", "shrinks", "spills", "fallbacks"});
   for (const double rate : rates) {
     bench::RunOptions base;
-    base.driver = bench::DriverKind::kTwoPhase;
+    base.driver = core::DriverKind::kTwoPhase;
     base.nranks = nranks;
     base.testbed = tb;
     base.mem_mean = mem;
     base.mem_stdev = stdev;
-    base.faults.denial_rate = rate;
-    base.faults.revoke_rate = revoke;
-    base.faults.delay_rate = delay;
-    base.faults.exhaust_rate = exhaust;
-    base.attach_fault_plan = true;  // zero-rate point: same protocol
+    // Engaged at every rate, so the zero-rate point runs the same
+    // negotiated protocol as the rest.
+    base.faults = node::FaultConfig{.denial_rate = rate,
+                                    .revoke_rate = revoke,
+                                    .delay_rate = delay,
+                                    .exhaust_rate = exhaust};
     base.hints.fault_backoff_s = backoff;
     base.hints.borrow_far_memory = borrow;
     const auto normal = bench::run_experiment(base, make_plan);
 
     bench::RunOptions mc = base;
-    mc.driver = bench::DriverKind::kMccio;
+    mc.driver = core::DriverKind::kMccio;
     const auto mccio = bench::run_experiment(mc, make_plan);
 
     // The mccio write-phase ladder counters, aggregated for the table;

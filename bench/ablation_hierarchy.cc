@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     tb.ranks_per_node = rpn;
     tb.nodes = nranks / rpn;
     for (const auto kind :
-         {bench::DriverKind::kTwoPhase, bench::DriverKind::kMccio}) {
+         {core::DriverKind::kTwoPhase, core::DriverKind::kMccio}) {
       bench::RunOptions opt;
       opt.driver = kind;
       opt.nranks = nranks;
@@ -55,11 +55,11 @@ int main(int argc, char** argv) {
       const std::uint64_t hier_msgs = hier.write_stats.msgs_inter_node() +
                                       hier.read_stats.msgs_inter_node();
       util::Json& point =
-          rep.add_point(std::string(bench::driver_name(kind)) + "/rpn" +
+          rep.add_point(std::string(core::driver_name(kind)) + "/rpn" +
                         std::to_string(rpn))
               .set("ranks_per_node", rpn)
               .set("nodes", tb.nodes)
-              .set("driver", bench::driver_name(kind))
+              .set("driver", core::driver_name(kind))
               .set("mem_bytes", mem)
               .set("flat_write_mbs", flat.write_bw / 1e6)
               .set("hier_write_mbs", hier.write_bw / 1e6)
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       bench::set_message_counters(point, "flat_read_", flat.read_stats);
       bench::set_message_counters(point, "hier_write_", hier.write_stats);
       bench::set_message_counters(point, "hier_read_", hier.read_stats);
-      table.add(rpn, bench::driver_name(kind),
+      table.add(rpn, core::driver_name(kind),
                 util::fixed(flat.write_bw / 1e6),
                 util::fixed(hier.write_bw / 1e6),
                 util::fixed(flat.read_bw / 1e6),

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
        {std::uint64_t{128} << 20, std::uint64_t{8} << 20}) {
     for (int nah = 1; nah <= 4; ++nah) {
       bench::RunOptions opt;
-      opt.driver = bench::DriverKind::kMccio;
+      opt.driver = core::DriverKind::kMccio;
       opt.nranks = nranks;
       opt.testbed = tb;
       opt.mem_mean = mem;

@@ -34,14 +34,14 @@ int main(int argc, char** argv) {
                      "rd gain"});
   for (const double stdev : {0.0, 0.1, 0.25, 0.5, 0.75, 1.0}) {
     bench::RunOptions base;
-    base.driver = bench::DriverKind::kTwoPhase;
+    base.driver = core::DriverKind::kTwoPhase;
     base.nranks = nranks;
     base.testbed = tb;
     base.mem_mean = mem;
     base.mem_stdev = stdev;
     const auto normal = bench::run_experiment(base, make_plan);
     bench::RunOptions mc = base;
-    mc.driver = bench::DriverKind::kMccio;
+    mc.driver = core::DriverKind::kMccio;
     const auto mccio = bench::run_experiment(mc, make_plan);
     rep.add_point("stdev=" + util::fixed(stdev, 2))
         .set("rel_stdev", stdev)

@@ -1,7 +1,7 @@
 // Shared bench harness: the simulated testbed (paper §4: 640-node Linux
 // cluster, 2×6-core Xeons, 24 GB/node, DDR InfiniBand, DDN-backed Lustre
-// with 1 MB stripes) and the write/read measurement loop used by every
-// figure reproduction.
+// with 1 MB stripes), the write/read measurement loop used by every
+// figure reproduction, and the memory sweep and report of Figures 6-8.
 #pragma once
 
 #include <sys/resource.h>
@@ -17,11 +17,9 @@
 #include <utility>
 #include <vector>
 
-#include "core/mccio_driver.h"
+#include "core/drivers.h"
 #include "core/tuner.h"
-#include "io/independent.h"
 #include "io/mpi_file.h"
-#include "io/two_phase_driver.h"
 #include "metrics/collective_stats.h"
 #include "mpi/machine.h"
 #include "node/memory.h"
@@ -221,20 +219,6 @@ struct Testbed {
   }
 };
 
-enum class DriverKind { kTwoPhase, kMccio, kIndependent };
-
-inline const char* driver_name(DriverKind k) {
-  switch (k) {
-    case DriverKind::kTwoPhase:
-      return "two-phase";
-    case DriverKind::kMccio:
-      return "mccio";
-    case DriverKind::kIndependent:
-      return "independent";
-  }
-  return "?";
-}
-
 /// Builds each rank's (virtual-payload) plan.
 using BenchPlanFactory = std::function<io::AccessPlan(int rank, int nranks)>;
 
@@ -246,7 +230,7 @@ struct RunResult {
 };
 
 struct RunOptions {
-  DriverKind driver = DriverKind::kTwoPhase;
+  core::DriverKind driver = core::DriverKind::kTwoPhase;
   int nranks = 0;
   Testbed testbed;
   /// Per-aggregator memory knob M of the paper's sweeps: the baseline's
@@ -258,21 +242,13 @@ struct RunOptions {
   std::uint64_t mem_seed = 20120512;  ///< fixed: same draws for all drivers
   core::MccioConfig mccio;
   io::Hints hints;
-  /// Memory-pressure fault injection; a FaultPlan is attached to the
-  /// MemoryManager only when any rate is nonzero, so the default keeps
-  /// every run on the exact fault-free code path (golden-compatible).
-  node::FaultConfig faults;
-  /// Attach the FaultPlan even when every rate is zero. Fault sweeps set
-  /// this so their zero-rate point runs the same degraded protocol
-  /// (buffer negotiation before data movement) as every other point —
-  /// otherwise the first step of the sweep compares two protocols.
-  bool attach_fault_plan = false;
-  /// Audit this run through a private deferred Auditor instead of the
-  /// global one, folding its counters into the global totals afterwards.
-  /// Required when run_experiment calls execute concurrently (the global
-  /// Auditor is single-simulation state); findings become a thrown
-  /// util::Error either way.
-  bool private_audit = false;
+  /// Memory-pressure fault injection: engaged, a FaultPlan is attached to
+  /// the MemoryManager, so the run takes the degraded protocol (buffer
+  /// negotiation before data movement) even at all-zero rates — a fault
+  /// sweep's zero-rate point then compares the same protocol as its
+  /// others. Disengaged (the default), the run stays on the fault-free
+  /// code path.
+  std::optional<node::FaultConfig> faults;
 };
 
 /// Attaches the degradation-ladder counters of one collective phase to a
@@ -316,16 +292,15 @@ inline void set_message_counters(util::Json& point,
 /// collective read; returns the paper-style aggregate bandwidths.
 inline RunResult run_experiment(const RunOptions& opt,
                                 const BenchPlanFactory& make_plan) {
-  // Concurrent experiments cannot share the global Auditor (it holds
-  // single-simulation state); give each its own and fold the monotone
-  // counters back into the global totals on completion. Enforcement is
-  // unchanged: a private Auditor throws on findings exactly like the
-  // global one. Declared before the simulation stack — Machine, Pfs and
-  // MemoryManager all notify their observer from their destructors.
-  std::optional<verify::Auditor> private_auditor;
-  if (opt.private_audit && verify::global_audit_active()) {
-    private_auditor.emplace();
-  }
+  // The global Auditor holds single-simulation state, so each experiment
+  // audits through its own — experiments may run concurrently (see
+  // run_memory_sweep) — and folds the monotone counters into the global
+  // totals on completion. A private Auditor throws on findings exactly
+  // like the global one. Declared before the simulation stack — Machine,
+  // Pfs and MemoryManager all notify their observer from their
+  // destructors.
+  std::optional<verify::Auditor> auditor;
+  if (verify::global_audit_active()) auditor.emplace();
   struct AbsorbOnExit {
     verify::Auditor* aud;
     ~AbsorbOnExit() {
@@ -333,7 +308,7 @@ inline RunResult run_experiment(const RunOptions& opt,
         verify::global_auditor().absorb_counters(aud->counters());
       }
     }
-  } absorb{private_auditor ? &*private_auditor : nullptr};
+  } absorb{auditor ? &*auditor : nullptr};
 
   mpi::Machine machine(opt.testbed.cluster());
   pfs::Pfs fs(machine.cluster(), opt.testbed.pfs());
@@ -341,32 +316,20 @@ inline RunResult run_experiment(const RunOptions& opt,
   var.relative_stdev = opt.mem_stdev;
   node::MemoryManager memory(opt.testbed.cluster(), opt.mem_mean, var,
                              opt.mem_seed);
-  node::FaultPlan fault_plan(opt.testbed.nodes, opt.faults);
-  if (opt.faults.any() || opt.attach_fault_plan) {
-    memory.set_fault_plan(&fault_plan);
+  std::optional<node::FaultPlan> fault_plan;
+  if (opt.faults) {
+    fault_plan.emplace(opt.testbed.nodes, *opt.faults);
+    memory.set_fault_plan(&*fault_plan);
   }
 
-  if (private_auditor) {
-    machine.set_observer(&*private_auditor);
-    fs.set_observer(&*private_auditor);
-    memory.set_observer(&*private_auditor);
+  if (auditor) {
+    machine.set_observer(&*auditor);
+    fs.set_observer(&*auditor);
+    memory.set_observer(&*auditor);
   }
 
-  io::TwoPhaseDriver two_phase;
-  core::MccioDriver mccio(opt.mccio);
-  io::IndependentDriver independent;
-  io::CollectiveDriver* driver = nullptr;
-  switch (opt.driver) {
-    case DriverKind::kTwoPhase:
-      driver = &two_phase;
-      break;
-    case DriverKind::kMccio:
-      driver = &mccio;
-      break;
-    case DriverKind::kIndependent:
-      driver = &independent;
-      break;
-  }
+  core::Drivers drivers(opt.mccio);
+  io::CollectiveDriver* const driver = &drivers.get(opt.driver);
 
   io::Hints hints = opt.hints;
   hints.cb_buffer_size = opt.mem_mean;  // the baseline's fixed buffer
@@ -430,15 +393,14 @@ struct SweepPoint {
 
 /// Computes the (memory × {two-phase, mccio}) grid of a figure on up to
 /// `threads` host threads (`--threads`). Every cell builds its own
-/// simulation stack, so the grid parallelizes without changing any
-/// simulated number; concurrent cells audit through private Auditors
-/// (counters fold into the global totals, which stay independent of
-/// scheduling). Results come back in sweep order — callers emit their
-/// tables and JSON sequentially afterwards, so the figure output is
-/// identical for every --threads value; only host wall time varies.
+/// simulation stack and Auditor, so the grid parallelizes without
+/// changing any simulated number or the global audit totals. Results
+/// come back in sweep order, so a report emitted afterwards is identical
+/// for every thread count; only host wall time varies.
 inline std::vector<SweepPoint> run_memory_sweep(
     int threads, const std::vector<std::uint64_t>& mems,
     const RunOptions& base, const BenchPlanFactory& make_plan) {
+  MCIO_CHECK_GE(threads, 1);
   std::vector<SweepPoint> points(mems.size());
   for (std::size_t i = 0; i < mems.size(); ++i) {
     points[i].mem_bytes = mems[i];
@@ -450,8 +412,8 @@ inline std::vector<SweepPoint> run_memory_sweep(
     const bool is_mccio = (task % 2) != 0;
     RunOptions opt = base;
     opt.mem_mean = pt.mem_bytes;
-    opt.driver = is_mccio ? DriverKind::kMccio : DriverKind::kTwoPhase;
-    opt.private_audit = threads > 1;
+    opt.driver =
+        is_mccio ? core::DriverKind::kMccio : core::DriverKind::kTwoPhase;
     RunResult& out = is_mccio ? pt.mccio : pt.normal;
     meters[static_cast<std::size_t>(task)] =
         metered([&] { out = run_experiment(opt, make_plan); });
@@ -466,52 +428,74 @@ inline std::vector<SweepPoint> run_memory_sweep(
   return points;
 }
 
-/// CHECK-fails unless two sweeps produced identical simulated results:
-/// bandwidths bit-exact, aggregation and message counters equal. Host
-/// meters are exempt — wall clock legitimately varies. Backs the
-/// --threads-sweep determinism assertion (every simulated number must be
-/// independent of the host thread count).
-inline void check_sweep_equal(const std::vector<SweepPoint>& a,
-                              const std::vector<SweepPoint>& b) {
-  MCIO_CHECK_EQ(a.size(), b.size());
-  const auto check_stats = [](const metrics::CollectiveStats& x,
-                              const metrics::CollectiveStats& y) {
-    MCIO_CHECK_EQ(x.num_aggregators(), y.num_aggregators());
-    MCIO_CHECK_EQ(x.num_groups(), y.num_groups());
-    MCIO_CHECK_EQ(x.msgs_intra_node(), y.msgs_intra_node());
-    MCIO_CHECK_EQ(x.msgs_inter_node(), y.msgs_inter_node());
-    MCIO_CHECK_EQ(x.bytes_inter_node(), y.bytes_inter_node());
-    MCIO_CHECK_EQ(x.shuffle_intra_node(), y.shuffle_intra_node());
-    MCIO_CHECK_EQ(x.shuffle_inter_node(), y.shuffle_inter_node());
-    MCIO_CHECK_EQ(x.rmw_bytes(), y.rmw_bytes());
-    MCIO_CHECK_EQ(x.io_bytes(), y.io_bytes());
-    // Degradation-ladder trail (nonzero only under fault plans): the
-    // ladder's grant/deny/borrow decisions must replay identically too.
-    MCIO_CHECK(x.degradation() == y.degradation());
-  };
-  const auto check_run = [&](const RunResult& x, const RunResult& y) {
-    MCIO_CHECK_EQ(x.write_bw, y.write_bw);
-    MCIO_CHECK_EQ(x.read_bw, y.read_bw);
-    check_stats(x.write_stats, y.write_stats);
-    check_stats(x.read_stats, y.read_stats);
-  };
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    MCIO_CHECK_EQ(a[i].mem_bytes, b[i].mem_bytes);
-    check_run(a[i].normal, b[i].normal);
-    check_run(a[i].mccio, b[i].mccio);
-  }
+/// Consumes the options every figure sweep shares: `--nodes` (default
+/// `nodes`), `--ranks` (default every core), `--mem-stdev` and `--hier`.
+inline RunOptions figure_options(const util::Cli& cli, int nodes) {
+  RunOptions base;
+  base.testbed.nodes = static_cast<int>(cli.get_int("nodes", nodes));
+  base.nranks = static_cast<int>(cli.get_int(
+      "ranks", base.testbed.nodes * base.testbed.ranks_per_node));
+  base.mem_stdev = cli.get_double("mem-stdev", 0.5);
+  base.hints.cb_node_leaders = cli.get_bool("hier", false);
+  return base;
 }
 
-/// Consumes the shared host-parallelism flag of the figure benches:
-/// `--threads` (sweep cells run on this many host threads). It never
-/// changes any simulated output.
-struct ParallelFlags {
-  int threads = 1;
-
-  explicit ParallelFlags(const util::Cli& cli)
-      : threads(static_cast<int>(cli.get_int("threads", 1))) {
-    MCIO_CHECK_GE(threads, 1);
-  }
+/// The average MCCIO gains a paper figure reports, as printed ("+81.2%").
+struct PaperGains {
+  const char* write;
+  const char* read;
 };
+
+/// Reports one Figure 6-8 memory sweep: prints `title` and the per-point
+/// table, then `notes` (lines a figure adds) and the average MCCIO gains
+/// beside the paper's, and records every point for --json.
+inline void report_memory_sweep(const std::string& title,
+                                const std::vector<SweepPoint>& points,
+                                const PaperGains& paper, JsonReporter& rep,
+                                const std::string& notes = "") {
+  util::Table table({"mem/agg", "normal wr MB/s", "mccio wr MB/s",
+                     "wr gain", "normal rd MB/s", "mccio rd MB/s",
+                     "rd gain", "aggs(mccio)", "groups"});
+  double wr_gain_sum = 0.0;
+  double rd_gain_sum = 0.0;
+  for (const SweepPoint& pt : points) {
+    const std::uint64_t mem = pt.mem_bytes;
+    const RunResult& normal = pt.normal;
+    const RunResult& mccio = pt.mccio;
+    const double wr_gain = mccio.write_bw / normal.write_bw - 1.0;
+    const double rd_gain = mccio.read_bw / normal.read_bw - 1.0;
+    util::Json& point =
+        rep.add_point(util::format_bytes(mem), pt.meter)
+            .set("mem_bytes", mem)
+            .set("normal_write_mbs", normal.write_bw / 1e6)
+            .set("mccio_write_mbs", mccio.write_bw / 1e6)
+            .set("normal_read_mbs", normal.read_bw / 1e6)
+            .set("mccio_read_mbs", mccio.read_bw / 1e6)
+            .set("mccio_aggregators", mccio.write_stats.num_aggregators())
+            .set("mccio_groups", mccio.write_stats.num_groups());
+    set_message_counters(point, "normal_write_", normal.write_stats);
+    set_message_counters(point, "normal_read_", normal.read_stats);
+    set_message_counters(point, "mccio_write_", mccio.write_stats);
+    set_message_counters(point, "mccio_read_", mccio.read_stats);
+    wr_gain_sum += wr_gain;
+    rd_gain_sum += rd_gain;
+    table.add(util::format_bytes(mem), util::fixed(normal.write_bw / 1e6),
+              util::fixed(mccio.write_bw / 1e6), util::percent(wr_gain),
+              util::fixed(normal.read_bw / 1e6),
+              util::fixed(mccio.read_bw / 1e6), util::percent(rd_gain),
+              mccio.write_stats.num_aggregators(),
+              mccio.write_stats.num_groups());
+  }
+  const auto count = static_cast<double>(points.size());
+  std::cout << "# " << title << "\n";
+  table.print(std::cout);
+  std::cout << notes;
+  std::cout << "average write improvement: "
+            << util::percent(wr_gain_sum / count) << "   (paper: "
+            << paper.write << ")\n";
+  std::cout << "average read improvement:  "
+            << util::percent(rd_gain_sum / count) << "   (paper: "
+            << paper.read << ")\n";
+}
 
 }  // namespace mcio::bench

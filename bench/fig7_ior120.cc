@@ -11,18 +11,13 @@ using namespace mcio;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  bench::Testbed tb;
-  tb.nodes = static_cast<int>(cli.get_int("nodes", 10));
-  const int nranks = static_cast<int>(
-      cli.get_int("ranks", tb.nodes * tb.ranks_per_node));
+  const bench::RunOptions base = bench::figure_options(cli, 10);
   workloads::IorConfig w;
   w.block_size = cli.get_bytes("block", 32ull << 20);
   w.transfer_size = cli.get_bytes("transfer", 1ull << 20);
   w.segments = 1;
   w.interleaved = true;
-  const double stdev = cli.get_double("mem-stdev", 0.5);
-  const bool hier = cli.get_bool("hier", false);
-  const bench::ParallelFlags par(cli);
+  const auto threads = static_cast<int>(cli.get_int("threads", 1));
   bench::JsonReporter rep(cli, "fig7_ior120");
   bench::configure_audit(cli);
   cli.check_unused();
@@ -33,58 +28,12 @@ int main(int argc, char** argv) {
         util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w)));
   };
 
-  util::Table table({"mem/agg", "normal wr MB/s", "mccio wr MB/s",
-                     "wr gain", "normal rd MB/s", "mccio rd MB/s",
-                     "rd gain", "aggs(mccio)", "groups"});
-  double wr_gain_sum = 0.0;
-  double rd_gain_sum = 0.0;
-  int count = 0;
-  bench::RunOptions base;
-  base.nranks = nranks;
-  base.testbed = tb;
-  base.mem_stdev = stdev;
-  base.hints.cb_node_leaders = hier;
   const auto points = bench::run_memory_sweep(
-      par.threads, bench::paper_memory_sweep(), base, make_plan);
-  for (const bench::SweepPoint& pt : points) {
-    const std::uint64_t mem = pt.mem_bytes;
-    const bench::RunResult& normal = pt.normal;
-    const bench::RunResult& mccio = pt.mccio;
-
-    const double wr_gain = mccio.write_bw / normal.write_bw - 1.0;
-    const double rd_gain = mccio.read_bw / normal.read_bw - 1.0;
-    util::Json& point =
-        rep.add_point(util::format_bytes(mem), pt.meter)
-            .set("mem_bytes", mem)
-            .set("normal_write_mbs", normal.write_bw / 1e6)
-            .set("mccio_write_mbs", mccio.write_bw / 1e6)
-            .set("normal_read_mbs", normal.read_bw / 1e6)
-            .set("mccio_read_mbs", mccio.read_bw / 1e6)
-            .set("mccio_aggregators", mccio.write_stats.num_aggregators())
-            .set("mccio_groups", mccio.write_stats.num_groups());
-    bench::set_message_counters(point, "normal_write_", normal.write_stats);
-    bench::set_message_counters(point, "normal_read_", normal.read_stats);
-    bench::set_message_counters(point, "mccio_write_", mccio.write_stats);
-    bench::set_message_counters(point, "mccio_read_", mccio.read_stats);
-    wr_gain_sum += wr_gain;
-    rd_gain_sum += rd_gain;
-    ++count;
-    table.add(util::format_bytes(mem), util::fixed(normal.write_bw / 1e6),
-              util::fixed(mccio.write_bw / 1e6), util::percent(wr_gain),
-              util::fixed(normal.read_bw / 1e6),
-              util::fixed(mccio.read_bw / 1e6), util::percent(rd_gain),
-              mccio.write_stats.num_aggregators(),
-              mccio.write_stats.num_groups());
-  }
-  std::cout << "# Figure 7 — IOR, " << nranks
-            << " processes, 32 MB per process, interleaved\n";
-  table.print(std::cout);
-  std::cout << "average write improvement: "
-            << util::percent(wr_gain_sum / count)
-            << "   (paper: +81.2%)\n";
-  std::cout << "average read improvement:  "
-            << util::percent(rd_gain_sum / count)
-            << "   (paper: +82.4%)\n";
+      threads, bench::paper_memory_sweep(), base, make_plan);
+  bench::report_memory_sweep(
+      "Figure 7 — IOR, " + std::to_string(base.nranks) + " processes, " +
+          util::format_bytes(w.block_size) + " per process, interleaved",
+      points, {"+81.2%", "+82.4%"}, rep);
   rep.write();
   return 0;
 }

@@ -237,6 +237,33 @@ io::ExchangePlan plan_from(const MccioConfig& config,
               xplan.independent_ranks.end());
   }
 
+  // The classic leaf search with remerging (§3.2/§3.3): bisects `region`
+  // into Msg_ind-sized leaves, at most `cap` of them, and places each on
+  // the best host among `candidates`' (empty = every rank).
+  const auto leaf_search = [&](const Extent& region, std::uint64_t cap,
+                               std::vector<int> candidates) {
+    const LocationInput lin{.rank_bounds = xplan.rank_bounds,
+                            .rank_nodes = rank_nodes,
+                            .candidate_ranks = std::move(candidates),
+                            .node_available = &node_available,
+                            .node_aggregators = &node_aggregators,
+                            .mem_min = mem_min,
+                            .msg_ind = msg_ind,
+                            .buffer_align = stripe,
+                            .n_ah = config.n_ah,
+                            .remerging = config.remerging,
+                            .remerges = &remerges,
+                            .memory_aware = config.memory_aware};
+    PartitionTree tree(region);
+    tree.bisect_into(
+        std::clamp<std::uint64_t>((region.len + msg_ind - 1) / msg_ind, 1,
+                                  cap),
+        stripe);
+    for (const io::FileDomain& d : locate_aggregators(tree, lin)) {
+      xplan.domains.push_back(d);
+    }
+  };
+
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
     const AggregationGroup& group = groups[gi];
     if (group.region.empty()) continue;
@@ -253,25 +280,7 @@ io::ExchangePlan plan_from(const MccioConfig& config,
       // Healthy ranks from other groups whose requests still intersect
       // the region — interleaved layouts — pick up its domains via the
       // leaf search over all ranks. Serial layouts leave only holes.
-      LocationInput lin;
-      lin.rank_bounds = xplan.rank_bounds;
-      lin.rank_nodes = rank_nodes;
-      lin.node_available = &node_available;
-      lin.node_aggregators = &node_aggregators;
-      lin.mem_min = mem_min;
-      lin.msg_ind = msg_ind;
-      lin.buffer_align = stripe;
-      lin.n_ah = config.n_ah;
-      lin.remerging = config.remerging;
-      lin.memory_aware = config.memory_aware;
-      lin.remerges = &remerges;
-      const std::uint64_t by_msg_ind =
-          (group.region.len + msg_ind - 1) / msg_ind;
-      PartitionTree tree(group.region);
-      tree.bisect_into(std::clamp<std::uint64_t>(by_msg_ind, 1, 16),
-                       stripe);
-      auto domains = locate_aggregators(tree, lin);
-      for (io::FileDomain& d : domains) xplan.domains.push_back(d);
+      leaf_search(group.region, 16, {});
       continue;
     }
 
@@ -290,28 +299,11 @@ io::ExchangePlan plan_from(const MccioConfig& config,
 
     if (slots.empty()) {
       // Fallback: the leaf-by-leaf host search with remerging.
-      const std::uint64_t by_msg_ind =
-          (group.region.len + msg_ind - 1) / msg_ind;
-      const std::uint64_t cap = std::max<std::uint64_t>(
-          1, group_nodes.size() * static_cast<std::uint64_t>(config.n_ah));
-      PartitionTree tree(group.region);
-      tree.bisect_into(std::clamp<std::uint64_t>(by_msg_ind, 1, cap),
-                       stripe);
-      LocationInput lin;
-      lin.rank_bounds = xplan.rank_bounds;
-      lin.rank_nodes = rank_nodes;
-      lin.candidate_ranks = group.ranks;
-      lin.node_available = &node_available;
-      lin.node_aggregators = &node_aggregators;
-      lin.mem_min = mem_min;
-      lin.msg_ind = msg_ind;
-      lin.buffer_align = stripe;
-      lin.n_ah = config.n_ah;
-      lin.remerging = config.remerging;
-      lin.memory_aware = config.memory_aware;
-      lin.remerges = &remerges;
-      auto domains = locate_aggregators(tree, lin);
-      for (io::FileDomain& d : domains) xplan.domains.push_back(d);
+      leaf_search(group.region,
+                  std::max<std::uint64_t>(
+                      1, group_nodes.size() *
+                             static_cast<std::uint64_t>(config.n_ah)),
+                  group.ranks);
       continue;
     }
 

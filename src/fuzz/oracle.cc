@@ -5,10 +5,7 @@
 #include <sstream>
 #include <vector>
 
-#include "core/mccio_driver.h"
-#include "io/independent.h"
 #include "io/mpi_file.h"
-#include "io/two_phase_driver.h"
 #include "mpi/machine.h"
 #include "node/fault.h"
 #include "node/memory.h"
@@ -17,6 +14,8 @@
 #include "workloads/pattern.h"
 
 namespace mcio::fuzz {
+
+using core::DriverKind;
 
 namespace {
 
@@ -72,18 +71,6 @@ node::FaultConfig fault_config_for(const Scenario& s) {
 
 }  // namespace
 
-const char* driver_kind_name(DriverKind kind) {
-  switch (kind) {
-    case DriverKind::kMccio:
-      return "mccio";
-    case DriverKind::kTwoPhase:
-      return "two-phase";
-    case DriverKind::kIndependent:
-      return "independent";
-  }
-  return "?";
-}
-
 RunOutcome run_scenario(const Scenario& scenario, DriverKind kind) {
   scenario.validate();
   RunOutcome out;
@@ -133,21 +120,8 @@ RunOutcome run_scenario(const Scenario& scenario, DriverKind kind) {
     memory.set_fault_plan(&*faults);
   }
 
-  core::MccioDriver mccio(mccio_config_for(scenario));
-  io::TwoPhaseDriver two_phase;
-  io::IndependentDriver independent;
-  io::CollectiveDriver* driver = nullptr;
-  switch (kind) {
-    case DriverKind::kMccio:
-      driver = &mccio;
-      break;
-    case DriverKind::kTwoPhase:
-      driver = &two_phase;
-      break;
-    case DriverKind::kIndependent:
-      driver = &independent;
-      break;
-  }
+  core::Drivers drivers(mccio_config_for(scenario));
+  io::CollectiveDriver* const driver = &drivers.get(kind);
 
   const io::Hints hints = hints_for(scenario, kind);
   const io::MPIFile::Services services{&fs, &memory};
@@ -244,7 +218,7 @@ bool DiffResult::ok() const {
 std::string DiffResult::classify() const {
   for (int i = 0; i < 3; ++i) {
     const RunOutcome& r = runs[i];
-    const char* name = driver_kind_name(static_cast<DriverKind>(i));
+    const char* name = core::driver_name(static_cast<DriverKind>(i));
     if (!r.completed) {
       return std::string("exception:") + name;
     }
@@ -262,7 +236,7 @@ std::string DiffResult::classify() const {
   for (int i = 0; i < 3; ++i) {
     if (!runs[i].pattern_ok) {
       return std::string("pattern-mismatch:") +
-             driver_kind_name(static_cast<DriverKind>(i));
+             core::driver_name(static_cast<DriverKind>(i));
     }
   }
   return "ok";
@@ -278,7 +252,7 @@ std::string DiffResult::describe() const {
      << ", " << scenario.total_bytes() << " bytes)\n";
   for (int i = 0; i < 3; ++i) {
     const RunOutcome& r = runs[i];
-    os << "  " << driver_kind_name(static_cast<DriverKind>(i)) << ": ";
+    os << "  " << core::driver_name(static_cast<DriverKind>(i)) << ": ";
     if (!r.completed) {
       os << "exception: " << r.error << "\n";
       continue;

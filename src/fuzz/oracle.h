@@ -25,14 +25,11 @@
 #include <string>
 #include <vector>
 
+#include "core/drivers.h"
 #include "fuzz/scenario.h"
 #include "verify/auditor.h"
 
 namespace mcio::fuzz {
-
-enum class DriverKind { kMccio = 0, kTwoPhase = 1, kIndependent = 2 };
-
-const char* driver_kind_name(DriverKind kind);
 
 /// Outcome of one scenario under one driver.
 struct RunOutcome {
@@ -55,9 +52,9 @@ struct RunOutcome {
 
 struct DiffResult {
   Scenario scenario;
-  RunOutcome runs[3];  ///< indexed by DriverKind
+  RunOutcome runs[3];  ///< indexed by core::DriverKind
 
-  const RunOutcome& run(DriverKind kind) const {
+  const RunOutcome& run(core::DriverKind kind) const {
     return runs[static_cast<int>(kind)];
   }
 
@@ -74,7 +71,7 @@ struct DiffResult {
 /// Reentrant: each run audits through its own deferred Auditor (folding
 /// monotone counters into the global totals), so concurrent calls from a
 /// case-parallel fuzz loop are safe.
-RunOutcome run_scenario(const Scenario& scenario, DriverKind kind);
+RunOutcome run_scenario(const Scenario& scenario, core::DriverKind kind);
 
 /// Runs all three drivers and compares.
 DiffResult run_differential(const Scenario& scenario);

@@ -1,8 +1,8 @@
 // Clang thread-safety capability annotations (no-ops off-clang).
 //
-// The bench/fuzz host pools (DESIGN.md §12), the auditor and the log
-// sink share state across host threads only through explicitly guarded
-// fields and monotone counters. These macros let clang's
+// The bench/fuzz host pools (DESIGN.md §12) and the auditor share state
+// across host threads only through explicitly guarded fields and
+// monotone counters. These macros let clang's
 // -Wthread-safety analysis (enforced with -Werror in the
 // clang-thread-safety CI job; see DESIGN.md §13) prove that every
 // access to a guarded field happens under its capability — at compile

@@ -2,12 +2,15 @@
 // produce byte-identical simulated results at every host thread count
 // (--threads) and with the audit observer attached or detached —
 // including the audit counter trail and the degradation-ladder counters
-// under fault injection. The two fault sweeps are also pinned to fixed
-// MB/s and ladder counters.
+// under fault injection. It is the gate behind the figure benches' and
+// the fuzz driver's --threads: nothing checks thread counts against each
+// other at run time. The two fault sweeps are also pinned to fixed MB/s
+// and ladder counters.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -227,6 +230,58 @@ std::vector<PinnedPoint> borrow_hierarchy_pins() {
         {0, 0, 0x0p+0, 0, 0x0p+0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}}}};
 }
 
+/// CHECK-fails unless two sweeps produced identical simulated results:
+/// bandwidths bit-exact, aggregation and message counters equal. Host
+/// meters are exempt — wall clock legitimately varies.
+void check_sweep_equal(const std::vector<bench::SweepPoint>& a,
+                       const std::vector<bench::SweepPoint>& b) {
+  MCIO_CHECK_EQ(a.size(), b.size());
+  const auto check_stats = [](const metrics::CollectiveStats& x,
+                              const metrics::CollectiveStats& y) {
+    MCIO_CHECK_EQ(x.num_aggregators(), y.num_aggregators());
+    MCIO_CHECK_EQ(x.num_groups(), y.num_groups());
+    MCIO_CHECK_EQ(x.msgs_intra_node(), y.msgs_intra_node());
+    MCIO_CHECK_EQ(x.msgs_inter_node(), y.msgs_inter_node());
+    MCIO_CHECK_EQ(x.bytes_inter_node(), y.bytes_inter_node());
+    MCIO_CHECK_EQ(x.shuffle_intra_node(), y.shuffle_intra_node());
+    MCIO_CHECK_EQ(x.shuffle_inter_node(), y.shuffle_inter_node());
+    MCIO_CHECK_EQ(x.rmw_bytes(), y.rmw_bytes());
+    MCIO_CHECK_EQ(x.io_bytes(), y.io_bytes());
+    // Degradation-ladder trail (nonzero only under fault plans): the
+    // ladder's grant/deny/borrow decisions must replay identically too.
+    MCIO_CHECK(x.degradation() == y.degradation());
+  };
+  const auto check_run = [&](const bench::RunResult& x,
+                             const bench::RunResult& y) {
+    MCIO_CHECK_EQ(x.write_bw, y.write_bw);
+    MCIO_CHECK_EQ(x.read_bw, y.read_bw);
+    check_stats(x.write_stats, y.write_stats);
+    check_stats(x.read_stats, y.read_stats);
+  };
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    MCIO_CHECK_EQ(a[i].mem_bytes, b[i].mem_bytes);
+    check_run(a[i].normal, b[i].normal);
+    check_run(a[i].mccio, b[i].mccio);
+  }
+}
+
+/// The global audit census `run` adds: the global Auditor's counters
+/// after it, minus those before.
+verify::AuditCounters census_of(const std::function<void()>& run) {
+  using C = verify::AuditCounters;
+  const C before = verify::global_auditor().counters();
+  run();
+  C added = verify::global_auditor().counters();
+  for (std::uint64_t C::*field :
+       {&C::runs, &C::slices, &C::messages, &C::unexpected, &C::waits,
+        &C::lease_grants, &C::lease_releases, &C::pfs_writes,
+        &C::pfs_reads, &C::pfs_bytes_written, &C::pfs_bytes_read,
+        &C::collectives, &C::findings}) {
+    added.*field -= before.*field;
+  }
+  return added;
+}
+
 /// Runs the sweep once as the golden and checks every other axis against
 /// it; a non-empty `pinned` also checks the golden against fixed values.
 void expect_matrix_identical(const bench::RunOptions& base,
@@ -239,7 +294,7 @@ void expect_matrix_identical(const bench::RunOptions& base,
   // Host-thread axis: cells computed concurrently.
   for (const int threads : {2, 8}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    bench::check_sweep_equal(
+    check_sweep_equal(
         golden, bench::run_memory_sweep(threads, mini_sweep(), base, plan));
   }
   // Audit axis: observers are passive, so detaching the auditor cannot
@@ -247,7 +302,7 @@ void expect_matrix_identical(const bench::RunOptions& base,
   const DetachedGlobalObserver no_audit;
   for (const int threads : {1, 2}) {
     SCOPED_TRACE("no audit, threads=" + std::to_string(threads));
-    bench::check_sweep_equal(
+    check_sweep_equal(
         golden, bench::run_memory_sweep(threads, mini_sweep(), base, plan));
   }
 }
@@ -271,10 +326,8 @@ TEST(DeterminismMatrix, FaultLadderSweep) {
   // replay identically (check_sweep_equal compares the full degradation
   // counter set) and match the pinned outcome.
   bench::RunOptions base = small_testbed();
-  base.faults.denial_rate = 0.2;
-  base.faults.revoke_rate = 0.1;
-  base.faults.delay_rate = 0.1;
-  base.attach_fault_plan = true;
+  base.faults = node::FaultConfig{
+      .denial_rate = 0.2, .revoke_rate = 0.1, .delay_rate = 0.1};
   expect_matrix_identical(base, ior_factory(), fault_ladder_pins());
 }
 
@@ -284,10 +337,53 @@ TEST(DeterminismMatrix, BorrowAndHierarchyFaultSweep) {
   bench::RunOptions base = small_testbed();
   base.hints.cb_node_leaders = true;
   base.hints.borrow_far_memory = true;
-  base.faults.denial_rate = 0.15;
-  base.faults.exhaust_rate = 0.25;
-  base.attach_fault_plan = true;
+  base.faults =
+      node::FaultConfig{.denial_rate = 0.15, .exhaust_rate = 0.25};
   expect_matrix_identical(base, ior_factory(), borrow_hierarchy_pins());
+}
+
+TEST(DeterminismMatrix, SweepAuditCensusIndependentOfThreads) {
+  // Every experiment audits through its own Auditor and folds the
+  // counters into the global totals, so the census a sweep adds cannot
+  // depend on how its cells were scheduled.
+  ASSERT_TRUE(verify::global_audit_active());
+  const bench::RunOptions base = small_testbed();
+  const auto sweep = [&](int threads) {
+    return census_of([&] {
+      bench::run_memory_sweep(threads, mini_sweep(), base, ior_factory());
+    });
+  };
+  const verify::AuditCounters one = sweep(1);
+  EXPECT_EQ(one.runs, 2 * mini_sweep().size());
+  EXPECT_GT(one.messages, 0u);
+  EXPECT_EQ(one.findings, 0u);
+  for (const int threads : {2, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_TRUE(sweep(threads) == one);
+  }
+}
+
+TEST(DeterminismMatrix, EngagedZeroRateFaultsRunTheNegotiatedProtocol) {
+  // An engaged FaultConfig attaches a fault plan even when no rate can
+  // fire, so the run negotiates buffers before moving data; a disengaged
+  // one stays on the fault-free path. The negotiation's messages tell
+  // the two apart.
+  ASSERT_TRUE(verify::global_audit_active());
+  const auto messages = [](const bench::RunOptions& opt) {
+    return census_of([&] { bench::run_experiment(opt, ior_factory()); })
+        .messages;
+  };
+  bench::RunOptions plain = small_testbed();
+  plain.mem_mean = 4 * kMiB;
+  for (const core::DriverKind kind :
+       {core::DriverKind::kTwoPhase, core::DriverKind::kMccio}) {
+    SCOPED_TRACE(core::driver_name(kind));
+    plain.driver = kind;
+    bench::RunOptions zero = plain;
+    zero.faults = node::FaultConfig{};
+    ASSERT_FALSE(zero.faults->any());
+    EXPECT_NE(messages(zero), messages(plain));
+  }
 }
 
 TEST(DeterminismMatrix, FuzzOracleIdenticalAcrossRuns) {

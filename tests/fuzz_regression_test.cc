@@ -314,8 +314,8 @@ TEST(Oracle, CleanStridedScenarioPasses) {
     EXPECT_TRUE(run.pattern_ok) << run.pattern_error;
     EXPECT_TRUE(run.findings.empty());
   }
-  EXPECT_EQ(d.run(DriverKind::kMccio).file_hash,
-            d.run(DriverKind::kIndependent).file_hash);
+  EXPECT_EQ(d.run(core::DriverKind::kMccio).file_hash,
+            d.run(core::DriverKind::kIndependent).file_hash);
 }
 
 TEST(Oracle, OverlapScenarioToleratesDuplicates) {
@@ -333,7 +333,7 @@ TEST(Oracle, OverlapScenarioToleratesDuplicates) {
   EXPECT_TRUE(d.ok()) << d.describe();
   // The independent baseline writes the shared region once per rank, so
   // duplicate findings must have been raised — and tolerated.
-  EXPECT_GT(d.run(DriverKind::kIndependent).tolerated_duplicates, 0u);
+  EXPECT_GT(d.run(core::DriverKind::kIndependent).tolerated_duplicates, 0u);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "util/bytes.h"
 #include "util/check.h"
 #include "util/cli.h"
-#include "util/log.h"
 #include "util/payload.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -192,17 +191,6 @@ TEST(Payload, CopyAndOwned) {
   EXPECT_EQ(vowned.size(), 32u);
   // Virtual into real buffers is a no-op copy (checked at higher layers).
   copy_payload(Payload::virtual_bytes(8), ConstPayload::of(src));
-}
-
-TEST(Log, LevelThresholding) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Below-threshold messages are dropped (no observable side effect to
-  // assert beyond not crashing); above-threshold messages print.
-  MCIO_LOG(kDebug) << "dropped " << 1;
-  MCIO_LOG(kError) << "printed " << 2;
-  set_log_level(before);
 }
 
 }  // namespace
