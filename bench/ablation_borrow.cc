@@ -79,29 +79,29 @@ int main(int argc, char** argv) {
                      "fallbacks"});
   for (const std::uint64_t mem : mems) {
     for (const double rate : revokes) {
-      bench::RunOptions base;
-      base.driver = core::DriverKind::kMccio;
-      base.nranks = nranks;
-      base.testbed = tb;
-      base.mem_mean = mem;
-      base.mem_stdev = stdev;
+      core::StackConfig config = tb.stack(mem, stdev);
       // Engaged at every rate, so the zero-rate point runs the same
       // negotiated protocol as the rest.
-      base.faults = node::FaultConfig{.denial_rate = denial,
-                                      .revoke_rate = rate,
-                                      .exhaust_rate = exhaust};
-      base.hints.fault_backoff_s = backoff;
-      base.hints.cb_node_leaders = hier;
-      const auto remerge = bench::run_experiment(base, make_plan);
+      config.faults = node::FaultConfig{.denial_rate = denial,
+                                        .revoke_rate = rate,
+                                        .exhaust_rate = exhaust};
+      const auto run = [&](core::DriverKind kind, const io::Hints& hints) {
+        core::SimStack stack(config);
+        return core::run_write_read(stack, kind, {}, hints, nranks,
+                                    make_plan);
+      };
+      io::Hints hints = bench::hints_at(mem);
+      hints.fault_backoff_s = backoff;
+      hints.cb_node_leaders = hier;
+      const auto remerge = run(core::DriverKind::kMccio, hints);
 
-      bench::RunOptions bo = base;
-      bo.hints.borrow_far_memory = true;
-      const auto borrow = bench::run_experiment(bo, make_plan);
+      io::Hints bo = hints;
+      bo.borrow_far_memory = true;
+      const auto borrow = run(core::DriverKind::kMccio, bo);
 
-      bench::RunOptions ind = base;
-      ind.driver = core::DriverKind::kIndependent;
-      ind.hints.cb_node_leaders = false;
-      const auto indep = bench::run_experiment(ind, make_plan);
+      io::Hints ind = hints;
+      ind.cb_node_leaders = false;
+      const auto indep = run(core::DriverKind::kIndependent, ind);
 
       const metrics::DegradationStats& dr =
           remerge.write_stats.degradation();

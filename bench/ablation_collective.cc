@@ -37,12 +37,10 @@ int main(int argc, char** argv) {
   for (const auto kind :
        {core::DriverKind::kIndependent, core::DriverKind::kTwoPhase,
         core::DriverKind::kMccio}) {
-    bench::RunOptions opt;
-    opt.driver = kind;
-    opt.nranks = nranks;
-    opt.testbed = tb;
-    opt.mem_mean = 16ull << 20;
-    const auto r = bench::run_experiment(opt, make_plan);
+    core::SimStack stack(tb.stack(16ull << 20));
+    const auto r = core::run_write_read(stack, kind, {},
+                                        bench::hints_at(16ull << 20),
+                                        nranks, make_plan);
     rep.add_point(core::driver_name(kind))
         .set("write_mbs", r.write_bw / 1e6)
         .set("read_mbs", r.read_bw / 1e6);

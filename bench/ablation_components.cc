@@ -53,15 +53,14 @@ int main(int argc, char** argv) {
   util::Table table({"variant", "write MB/s", "read MB/s", "aggregators",
                      "groups", "buffer stdev"});
   for (const Variant& v : variants) {
-    bench::RunOptions opt;
-    opt.driver = v.kind;
-    opt.nranks = nranks;
-    opt.testbed = tb;
-    opt.mem_mean = mem;
-    opt.mccio.group_division = v.groups;
-    opt.mccio.remerging = v.remerge;
-    opt.mccio.memory_aware = v.memory;
-    const auto r = bench::run_experiment(opt, make_plan);
+    core::MccioConfig mccio;
+    mccio.group_division = v.groups;
+    mccio.remerging = v.remerge;
+    mccio.memory_aware = v.memory;
+    core::SimStack stack(tb.stack(mem));
+    const auto r = core::run_write_read(stack, v.kind, mccio,
+                                        bench::hints_at(mem), nranks,
+                                        make_plan);
     rep.add_point(v.name)
         .set("write_mbs", r.write_bw / 1e6)
         .set("read_mbs", r.read_bw / 1e6)

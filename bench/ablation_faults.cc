@@ -56,25 +56,23 @@ int main(int argc, char** argv) {
                      "normal rd MB/s", "mccio rd MB/s", "denials",
                      "retries", "shrinks", "spills", "fallbacks"});
   for (const double rate : rates) {
-    bench::RunOptions base;
-    base.driver = core::DriverKind::kTwoPhase;
-    base.nranks = nranks;
-    base.testbed = tb;
-    base.mem_mean = mem;
-    base.mem_stdev = stdev;
+    core::StackConfig config = tb.stack(mem, stdev);
     // Engaged at every rate, so the zero-rate point runs the same
     // negotiated protocol as the rest.
-    base.faults = node::FaultConfig{.denial_rate = rate,
-                                    .revoke_rate = revoke,
-                                    .delay_rate = delay,
-                                    .exhaust_rate = exhaust};
-    base.hints.fault_backoff_s = backoff;
-    base.hints.borrow_far_memory = borrow;
-    const auto normal = bench::run_experiment(base, make_plan);
-
-    bench::RunOptions mc = base;
-    mc.driver = core::DriverKind::kMccio;
-    const auto mccio = bench::run_experiment(mc, make_plan);
+    config.faults = node::FaultConfig{.denial_rate = rate,
+                                      .revoke_rate = revoke,
+                                      .delay_rate = delay,
+                                      .exhaust_rate = exhaust};
+    io::Hints hints = bench::hints_at(mem);
+    hints.fault_backoff_s = backoff;
+    hints.borrow_far_memory = borrow;
+    const auto run = [&](core::DriverKind kind) {
+      core::SimStack stack(config);
+      return core::run_write_read(stack, kind, {}, hints, nranks,
+                                  make_plan);
+    };
+    const auto normal = run(core::DriverKind::kTwoPhase);
+    const auto mccio = run(core::DriverKind::kMccio);
 
     // The mccio write-phase ladder counters, aggregated for the table;
     // the JSON point carries all four phase/driver combinations.

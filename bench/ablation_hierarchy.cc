@@ -40,15 +40,15 @@ int main(int argc, char** argv) {
     tb.nodes = nranks / rpn;
     for (const auto kind :
          {core::DriverKind::kTwoPhase, core::DriverKind::kMccio}) {
-      bench::RunOptions opt;
-      opt.driver = kind;
-      opt.nranks = nranks;
-      opt.testbed = tb;
-      opt.mem_mean = mem;
-      const auto flat = bench::run_experiment(opt, make_plan);
-
-      opt.hints.cb_node_leaders = true;
-      const auto hier = bench::run_experiment(opt, make_plan);
+      io::Hints hints = bench::hints_at(mem);
+      const auto run = [&] {
+        core::SimStack stack(tb.stack(mem));
+        return core::run_write_read(stack, kind, {}, hints, nranks,
+                                    make_plan);
+      };
+      const auto flat = run();
+      hints.cb_node_leaders = true;
+      const auto hier = run();
 
       const std::uint64_t flat_msgs = flat.write_stats.msgs_inter_node() +
                                       flat.read_stats.msgs_inter_node();

@@ -32,16 +32,15 @@ int main(int argc, char** argv) {
   for (const std::uint64_t mem :
        {std::uint64_t{128} << 20, std::uint64_t{8} << 20}) {
     for (int nah = 1; nah <= 4; ++nah) {
-      bench::RunOptions opt;
-      opt.driver = core::DriverKind::kMccio;
-      opt.nranks = nranks;
-      opt.testbed = tb;
-      opt.mem_mean = mem;
-      opt.mccio.n_ah = nah;
+      core::MccioConfig mccio;
+      mccio.n_ah = nah;
       // Let N_ah actually fan out: allow extra slots whenever each still
       // gets at least Msg_ind/4.
-      opt.mccio.msg_ind = 32ull << 20;
-      const auto r = bench::run_experiment(opt, make_plan);
+      mccio.msg_ind = 32ull << 20;
+      core::SimStack stack(tb.stack(mem));
+      const auto r = core::run_write_read(stack, core::DriverKind::kMccio,
+                                          mccio, bench::hints_at(mem),
+                                          nranks, make_plan);
       rep.add_point("nah=" + std::to_string(nah) + " " +
                     util::format_bytes(mem))
           .set("n_ah", nah)

@@ -33,16 +33,13 @@ int main(int argc, char** argv) {
                      "wr gain", "normal rd MB/s", "mccio rd MB/s",
                      "rd gain"});
   for (const double stdev : {0.0, 0.1, 0.25, 0.5, 0.75, 1.0}) {
-    bench::RunOptions base;
-    base.driver = core::DriverKind::kTwoPhase;
-    base.nranks = nranks;
-    base.testbed = tb;
-    base.mem_mean = mem;
-    base.mem_stdev = stdev;
-    const auto normal = bench::run_experiment(base, make_plan);
-    bench::RunOptions mc = base;
-    mc.driver = core::DriverKind::kMccio;
-    const auto mccio = bench::run_experiment(mc, make_plan);
+    const auto run = [&](core::DriverKind kind) {
+      core::SimStack stack(tb.stack(mem, stdev));
+      return core::run_write_read(stack, kind, {}, bench::hints_at(mem),
+                                  nranks, make_plan);
+    };
+    const auto normal = run(core::DriverKind::kTwoPhase);
+    const auto mccio = run(core::DriverKind::kMccio);
     rep.add_point("stdev=" + util::fixed(stdev, 2))
         .set("rel_stdev", stdev)
         .set("normal_write_mbs", normal.write_bw / 1e6)

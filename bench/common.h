@@ -1,7 +1,8 @@
 // Shared bench harness: the simulated testbed (paper §4: 640-node Linux
 // cluster, 2×6-core Xeons, 24 GB/node, DDR InfiniBand, DDN-backed Lustre
-// with 1 MB stripes), the write/read measurement loop used by every
-// figure reproduction, and the memory sweep and report of Figures 6-8.
+// with 1 MB stripes) as a core::StackConfig, the --json reporter, and the
+// memory sweep and report of Figures 6-8. Every experiment runs the one
+// write/read loop of core::run_write_read.
 #pragma once
 
 #include <sys/resource.h>
@@ -12,18 +13,13 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/drivers.h"
+#include "core/experiment.h"
 #include "core/tuner.h"
-#include "io/mpi_file.h"
 #include "metrics/collective_stats.h"
-#include "mpi/machine.h"
-#include "node/memory.h"
-#include "pfs/pfs.h"
 #include "util/bytes.h"
 #include "util/check.h"
 #include "util/cli.h"
@@ -217,39 +213,29 @@ struct Testbed {
     p.store_data = false;          // virtual payloads at paper scale
     return p;
   }
+
+  /// The stack of one experiment at the paper's memory knob M =
+  /// `mem_mean`: each node's mean available aggregation memory, drawn
+  /// with `mem_stdev` spread as a fraction of the mean (paper §4 ¶4) from
+  /// a fixed seed, so every driver sees the same draws.
+  core::StackConfig stack(std::uint64_t mem_mean,
+                          double mem_stdev = 0.5) const {
+    core::StackConfig s;
+    s.cluster = cluster();
+    s.pfs = pfs();
+    s.mem_mean = mem_mean;
+    s.mem_variance.relative_stdev = mem_stdev;
+    return s;
+  }
 };
 
-/// Builds each rank's (virtual-payload) plan.
-using BenchPlanFactory = std::function<io::AccessPlan(int rank, int nranks)>;
-
-struct RunResult {
-  double write_bw = 0.0;  ///< bytes/s
-  double read_bw = 0.0;
-  metrics::CollectiveStats write_stats;
-  metrics::CollectiveStats read_stats;
-};
-
-struct RunOptions {
-  core::DriverKind driver = core::DriverKind::kTwoPhase;
-  int nranks = 0;
-  Testbed testbed;
-  /// Per-aggregator memory knob M of the paper's sweeps: the baseline's
-  /// fixed cb_buffer_size and the mean of each node's available
-  /// aggregation memory.
-  std::uint64_t mem_mean = 16ull << 20;
-  /// Availability stdev as a fraction of the mean (paper §4 ¶4).
-  double mem_stdev = 0.5;
-  std::uint64_t mem_seed = 20120512;  ///< fixed: same draws for all drivers
-  core::MccioConfig mccio;
+/// The baseline's hints at aggregation memory M: its fixed
+/// cb_buffer_size is M.
+inline io::Hints hints_at(std::uint64_t mem) {
   io::Hints hints;
-  /// Memory-pressure fault injection: engaged, a FaultPlan is attached to
-  /// the MemoryManager, so the run takes the degraded protocol (buffer
-  /// negotiation before data movement) even at all-zero rates — a fault
-  /// sweep's zero-rate point then compares the same protocol as its
-  /// others. Disengaged (the default), the run stays on the fault-free
-  /// code path.
-  std::optional<node::FaultConfig> faults;
-};
+  hints.cb_buffer_size = mem;
+  return hints;
+}
 
 /// Attaches the degradation-ladder counters of one collective phase to a
 /// JSON point, prefixed "write_"/"read_" (the --json fault schema).
@@ -288,91 +274,6 @@ inline void set_message_counters(util::Json& point,
       .set(prefix + "bytes_inter_node", stats.bytes_inter_node());
 }
 
-/// One experiment: collective write of the whole workload, cache flush,
-/// collective read; returns the paper-style aggregate bandwidths.
-inline RunResult run_experiment(const RunOptions& opt,
-                                const BenchPlanFactory& make_plan) {
-  // The global Auditor holds single-simulation state, so each experiment
-  // audits through its own — experiments may run concurrently (see
-  // run_memory_sweep) — and folds the monotone counters into the global
-  // totals on completion. A private Auditor throws on findings exactly
-  // like the global one. Declared before the simulation stack — Machine,
-  // Pfs and MemoryManager all notify their observer from their
-  // destructors.
-  std::optional<verify::Auditor> auditor;
-  if (verify::global_audit_active()) auditor.emplace();
-  struct AbsorbOnExit {
-    verify::Auditor* aud;
-    ~AbsorbOnExit() {
-      if (aud != nullptr) {
-        verify::global_auditor().absorb_counters(aud->counters());
-      }
-    }
-  } absorb{auditor ? &*auditor : nullptr};
-
-  mpi::Machine machine(opt.testbed.cluster());
-  pfs::Pfs fs(machine.cluster(), opt.testbed.pfs());
-  node::MemoryVariance var;
-  var.relative_stdev = opt.mem_stdev;
-  node::MemoryManager memory(opt.testbed.cluster(), opt.mem_mean, var,
-                             opt.mem_seed);
-  std::optional<node::FaultPlan> fault_plan;
-  if (opt.faults) {
-    fault_plan.emplace(opt.testbed.nodes, *opt.faults);
-    memory.set_fault_plan(&*fault_plan);
-  }
-
-  if (auditor) {
-    machine.set_observer(&*auditor);
-    fs.set_observer(&*auditor);
-    memory.set_observer(&*auditor);
-  }
-
-  core::Drivers drivers(opt.mccio);
-  io::CollectiveDriver* const driver = &drivers.get(opt.driver);
-
-  io::Hints hints = opt.hints;
-  hints.cb_buffer_size = opt.mem_mean;  // the baseline's fixed buffer
-
-  RunResult result;
-
-  machine.run(opt.nranks, [&](mpi::Rank& rank) {
-    io::AccessPlan plan = make_plan(rank.rank(), opt.nranks);
-    const double my_bytes = static_cast<double>(plan.total_bytes());
-    const double all_bytes = rank.world().allreduce_sum(my_bytes);
-
-    io::MPIFile file(rank, rank.world(),
-                     io::MPIFile::Services{&fs, &memory}, "/bench",
-                     /*create=*/true, hints, driver);
-    file.set_stats(&result.write_stats);
-
-    rank.world().barrier();
-    const double t0 = rank.world().allreduce_max(rank.actor().now());
-    file.write_all_plan(plan);
-    rank.world().barrier();
-    const double t1 = rank.world().allreduce_max(rank.actor().now());
-
-    // The paper evicts cached data with memory flushing after the write
-    // phase; drop server-side locality state the same way.
-    if (rank.rank() == 0) fs.flush_locality();
-    rank.world().barrier();
-
-    file.set_stats(&result.read_stats);
-    const double t2 = rank.world().allreduce_max(rank.actor().now());
-    file.read_all_plan(plan);
-    rank.world().barrier();
-    const double t3 = rank.world().allreduce_max(rank.actor().now());
-
-    if (rank.rank() == 0) {
-      result.write_bw = all_bytes / (t1 - t0);
-      result.read_bw = all_bytes / (t3 - t2);
-      result.write_stats.set_elapsed(t1 - t0);
-      result.read_stats.set_elapsed(t3 - t2);
-    }
-  });
-  return result;
-}
-
 /// The memory sweep of Figures 6-8, largest first like the paper's plots.
 inline std::vector<std::uint64_t> paper_memory_sweep() {
   using util::kMiB;
@@ -380,26 +281,35 @@ inline std::vector<std::uint64_t> paper_memory_sweep() {
           8 * kMiB,   4 * kMiB,  2 * kMiB};
 }
 
+/// What a Figure 6-8 memory sweep holds fixed across its points. Each
+/// point sets the stack's memory mean and the hints' cb_buffer_size to
+/// its memory level M.
+struct SweepSetup {
+  core::StackConfig stack;
+  io::Hints hints;
+  int nranks = 0;
+};
+
 /// One memory-sweep point of Figures 6-8: the baseline and MCCIO runs at
 /// one aggregation-memory setting, plus host meters covering both runs
 /// (wall summed, allocation peak maxed — the two runs may execute on
 /// different pool threads, so their thread-local peaks are independent).
 struct SweepPoint {
   std::uint64_t mem_bytes = 0;
-  RunResult normal;
-  RunResult mccio;
+  core::WriteReadResult normal;
+  core::WriteReadResult mccio;
   TaskMeter meter;
 };
 
 /// Computes the (memory × {two-phase, mccio}) grid of a figure on up to
 /// `threads` host threads (`--threads`). Every cell builds its own
-/// simulation stack and Auditor, so the grid parallelizes without
-/// changing any simulated number or the global audit totals. Results
-/// come back in sweep order, so a report emitted afterwards is identical
-/// for every thread count; only host wall time varies.
+/// core::SimStack, which audits on its own, so the grid parallelizes
+/// without changing any simulated number or the global audit totals.
+/// Results come back in sweep order, so a report emitted afterwards is
+/// identical for every thread count; only host wall time varies.
 inline std::vector<SweepPoint> run_memory_sweep(
     int threads, const std::vector<std::uint64_t>& mems,
-    const RunOptions& base, const BenchPlanFactory& make_plan) {
+    const SweepSetup& setup, const core::PlanFactory& make_plan) {
   MCIO_CHECK_GE(threads, 1);
   std::vector<SweepPoint> points(mems.size());
   for (std::size_t i = 0; i < mems.size(); ++i) {
@@ -410,13 +320,17 @@ inline std::vector<SweepPoint> run_memory_sweep(
   util::parallel_for(threads, n, [&](int task) {
     SweepPoint& pt = points[static_cast<std::size_t>(task / 2)];
     const bool is_mccio = (task % 2) != 0;
-    RunOptions opt = base;
-    opt.mem_mean = pt.mem_bytes;
-    opt.driver =
-        is_mccio ? core::DriverKind::kMccio : core::DriverKind::kTwoPhase;
-    RunResult& out = is_mccio ? pt.mccio : pt.normal;
-    meters[static_cast<std::size_t>(task)] =
-        metered([&] { out = run_experiment(opt, make_plan); });
+    core::StackConfig config = setup.stack;
+    config.mem_mean = pt.mem_bytes;
+    io::Hints hints = setup.hints;
+    hints.cb_buffer_size = pt.mem_bytes;
+    meters[static_cast<std::size_t>(task)] = metered([&] {
+      core::SimStack stack(config);
+      (is_mccio ? pt.mccio : pt.normal) = core::run_write_read(
+          stack,
+          is_mccio ? core::DriverKind::kMccio : core::DriverKind::kTwoPhase,
+          {}, hints, setup.nranks, make_plan);
+    });
   });
   for (std::size_t i = 0; i < mems.size(); ++i) {
     const TaskMeter& a = meters[2 * i];
@@ -430,14 +344,15 @@ inline std::vector<SweepPoint> run_memory_sweep(
 
 /// Consumes the options every figure sweep shares: `--nodes` (default
 /// `nodes`), `--ranks` (default every core), `--mem-stdev` and `--hier`.
-inline RunOptions figure_options(const util::Cli& cli, int nodes) {
-  RunOptions base;
-  base.testbed.nodes = static_cast<int>(cli.get_int("nodes", nodes));
-  base.nranks = static_cast<int>(cli.get_int(
-      "ranks", base.testbed.nodes * base.testbed.ranks_per_node));
-  base.mem_stdev = cli.get_double("mem-stdev", 0.5);
-  base.hints.cb_node_leaders = cli.get_bool("hier", false);
-  return base;
+inline SweepSetup figure_options(const util::Cli& cli, int nodes) {
+  Testbed tb;
+  tb.nodes = static_cast<int>(cli.get_int("nodes", nodes));
+  SweepSetup setup;
+  setup.nranks = static_cast<int>(
+      cli.get_int("ranks", tb.nodes * tb.ranks_per_node));
+  setup.stack = tb.stack(/*mem_mean=*/0, cli.get_double("mem-stdev", 0.5));
+  setup.hints.cb_node_leaders = cli.get_bool("hier", false);
+  return setup;
 }
 
 /// The average MCCIO gains a paper figure reports, as printed ("+81.2%").
@@ -460,8 +375,8 @@ inline void report_memory_sweep(const std::string& title,
   double rd_gain_sum = 0.0;
   for (const SweepPoint& pt : points) {
     const std::uint64_t mem = pt.mem_bytes;
-    const RunResult& normal = pt.normal;
-    const RunResult& mccio = pt.mccio;
+    const core::WriteReadResult& normal = pt.normal;
+    const core::WriteReadResult& mccio = pt.mccio;
     const double wr_gain = mccio.write_bw / normal.write_bw - 1.0;
     const double rd_gain = mccio.read_bw / normal.read_bw - 1.0;
     util::Json& point =

@@ -13,7 +13,7 @@ using namespace mcio;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const bench::RunOptions base = bench::figure_options(cli, 10);
+  const bench::SweepSetup setup = bench::figure_options(cli, 10);
   const auto dim =
       static_cast<std::uint64_t>(cli.get_int("dim", 1024));
   const auto threads = static_cast<int>(cli.get_int("threads", 1));
@@ -33,9 +33,9 @@ int main(int argc, char** argv) {
   };
 
   const auto points = bench::run_memory_sweep(
-      threads, bench::paper_memory_sweep(), base, make_plan);
+      threads, bench::paper_memory_sweep(), setup, make_plan);
   bench::report_memory_sweep(
-      "Figure 6 — coll_perf, " + std::to_string(base.nranks) +
+      "Figure 6 — coll_perf, " + std::to_string(setup.nranks) +
           " processes, " + std::to_string(dim) + "^3 doubles (" +
           util::format_bytes(workloads::collperf_total_bytes(w)) + " file)",
       points, {"+34.2%", "+22.9%"}, rep);

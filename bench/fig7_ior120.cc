@@ -11,7 +11,7 @@ using namespace mcio;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const bench::RunOptions base = bench::figure_options(cli, 10);
+  const bench::SweepSetup setup = bench::figure_options(cli, 10);
   workloads::IorConfig w;
   w.block_size = cli.get_bytes("block", 32ull << 20);
   w.transfer_size = cli.get_bytes("transfer", 1ull << 20);
@@ -29,9 +29,9 @@ int main(int argc, char** argv) {
   };
 
   const auto points = bench::run_memory_sweep(
-      threads, bench::paper_memory_sweep(), base, make_plan);
+      threads, bench::paper_memory_sweep(), setup, make_plan);
   bench::report_memory_sweep(
-      "Figure 7 — IOR, " + std::to_string(base.nranks) + " processes, " +
+      "Figure 7 — IOR, " + std::to_string(setup.nranks) + " processes, " +
           util::format_bytes(w.block_size) + " per process, interleaved",
       points, {"+81.2%", "+82.4%"}, rep);
   rep.write();

@@ -17,7 +17,7 @@ using namespace mcio;
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  const bench::RunOptions base = bench::figure_options(cli, 90);
+  const bench::SweepSetup setup = bench::figure_options(cli, 90);
   workloads::IorConfig w;
   w.block_size = cli.get_bytes("block", 32ull << 20);
   w.transfer_size = cli.get_bytes("transfer", 1ull << 20);
@@ -35,10 +35,10 @@ int main(int argc, char** argv) {
   };
 
   const auto points = bench::run_memory_sweep(
-      threads, bench::paper_memory_sweep(), base, make_plan);
+      threads, bench::paper_memory_sweep(), setup, make_plan);
 
   // The baseline's bandwidth range across the sweep, beside the paper's.
-  const auto range = [&](double bench::RunResult::*bw) {
+  const auto range = [&](double core::WriteReadResult::*bw) {
     const auto [lo, hi] = std::minmax_element(
         points.begin(), points.end(),
         [&](const bench::SweepPoint& a, const bench::SweepPoint& b) {
@@ -48,13 +48,13 @@ int main(int argc, char** argv) {
            util::fixed(lo->normal.*bw / 1e6);
   };
   std::ostringstream notes;
-  notes << "normal write range: " << range(&bench::RunResult::write_bw)
+  notes << "normal write range: " << range(&core::WriteReadResult::write_bw)
         << " MB/s   (paper: 1631.91 -> 396.36)\n";
-  notes << "normal read range:  " << range(&bench::RunResult::read_bw)
+  notes << "normal read range:  " << range(&core::WriteReadResult::read_bw)
         << " MB/s   (paper: 2047.05 -> 861.62)\n";
 
   bench::report_memory_sweep(
-      "Figure 8 — IOR, " + std::to_string(base.nranks) + " processes, " +
+      "Figure 8 — IOR, " + std::to_string(setup.nranks) + " processes, " +
           util::format_bytes(w.block_size) + " per process, interleaved",
       points, {"+24.3%", "+57.8%"}, rep, notes.str());
   rep.write();

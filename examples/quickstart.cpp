@@ -1,14 +1,14 @@
-// Quickstart: write and read a shared file collectively with both the
-// two-phase baseline and memory-conscious collective I/O, on a small
-// simulated cluster, with real data verified end to end.
+// Quickstart: write and read a shared file collectively with
+// memory-conscious collective I/O, the two-phase baseline or independent
+// I/O, on a small simulated cluster, with real data verified end to end.
 //
-//   ./quickstart [--ranks=24] [--driver=mccio|two-phase]
+//   ./quickstart [--ranks=24] [--driver=mccio|two-phase|independent]
 #include <iostream>
+#include <optional>
 #include <vector>
 
-#include "core/mccio_driver.h"
+#include "core/drivers.h"
 #include "io/mpi_file.h"
-#include "io/two_phase_driver.h"
 #include "mpi/machine.h"
 #include "node/memory.h"
 #include "pfs/pfs.h"
@@ -24,6 +24,12 @@ int main(int argc, char** argv) {
   const int nranks = static_cast<int>(cli.get_int("ranks", 24));
   const std::string driver_name = cli.get_string("driver", "mccio");
   cli.check_unused();
+  const std::optional<core::DriverKind> kind = core::driver_kind(driver_name);
+  if (!kind) {
+    std::cerr << "unknown --driver=" << driver_name
+              << " (expected mccio, two-phase or independent)\n";
+    return 1;
+  }
 
   // 1. A simulated cluster: 12 ranks per node, plus a striped file
   //    system and a per-node memory manager.
@@ -43,12 +49,8 @@ int main(int argc, char** argv) {
                              variance, /*seed=*/42);
 
   // 2. Pick a collective driver.
-  io::TwoPhaseDriver two_phase;
-  core::MccioDriver mccio;
-  io::CollectiveDriver* driver =
-      driver_name == "two-phase"
-          ? static_cast<io::CollectiveDriver*>(&two_phase)
-          : &mccio;
+  core::Drivers drivers(core::MccioConfig{});
+  io::CollectiveDriver* driver = &drivers.get(*kind);
 
   // 3. Every rank runs this body, exactly like an MPI program.
   metrics::CollectiveStats stats;

@@ -3,6 +3,9 @@
 // harness and the differential fuzz oracle alike.
 #pragma once
 
+#include <optional>
+#include <string_view>
+
 #include "core/config.h"
 #include "core/mccio_driver.h"
 #include "io/driver.h"
@@ -16,6 +19,9 @@ enum class DriverKind { kMccio = 0, kTwoPhase = 1, kIndependent = 2 };
 
 /// "mccio", "two-phase" or "independent": the driver's name().
 const char* driver_name(DriverKind kind);
+
+/// The kind driver_name() names `name`, or nullopt for any other string.
+std::optional<DriverKind> driver_kind(std::string_view name);
 
 /// One of each driver; a run takes the one its kind selects.
 class Drivers {

@@ -1,15 +1,10 @@
 #include "fuzz/oracle.h"
 
 #include <algorithm>
-#include <optional>
 #include <sstream>
 #include <vector>
 
-#include "io/mpi_file.h"
-#include "mpi/machine.h"
-#include "node/fault.h"
-#include "node/memory.h"
-#include "pfs/pfs.h"
+#include "core/experiment.h"
 #include "util/check.h"
 #include "workloads/pattern.h"
 
@@ -59,14 +54,33 @@ core::MccioConfig mccio_config_for(const Scenario& s) {
   return c;
 }
 
-node::FaultConfig fault_config_for(const Scenario& s) {
-  node::FaultConfig f;
-  f.denial_rate = s.fault_denial;
-  f.revoke_rate = s.fault_revoke;
-  f.delay_rate = s.fault_delay;
-  f.exhaust_rate = s.fault_exhaust;
-  f.seed = s.fault_seed;
-  return f;
+/// The scenario's simulated world: real bytes on the PFS, every run
+/// audited through a deferred Auditor (enforcing mode would make a
+/// finding thrown mid-run indistinguishable from a driver crash).
+core::StackConfig stack_config_for(const Scenario& s) {
+  core::StackConfig c;
+  c.cluster.num_nodes = s.nodes;
+  c.cluster.ranks_per_node = s.ranks_per_node;
+  c.pfs.num_osts = s.num_osts;
+  c.pfs.stripe_unit = s.stripe_unit;
+  c.pfs.max_rpc_bytes = s.max_rpc_bytes;
+  c.pfs.store_data = true;
+  c.mem_mean = s.mem_mean;
+  c.mem_variance.relative_stdev = s.mem_stdev;
+  // The default floor (1 MiB) would erase the starved end of the sampled
+  // mean range; keep draws meaningful below it.
+  c.mem_variance.floor_bytes = std::min<std::uint64_t>(
+      c.mem_variance.floor_bytes,
+      std::max<std::uint64_t>(s.mem_mean / 4, 64ull << 10));
+  c.mem_seed = s.mem_seed;
+  const node::FaultConfig f{.denial_rate = s.fault_denial,
+                            .revoke_rate = s.fault_revoke,
+                            .delay_rate = s.fault_delay,
+                            .exhaust_rate = s.fault_exhaust,
+                            .seed = s.fault_seed};
+  if (f.any()) c.faults = f;
+  c.audit = core::Audit::kDeferred;
+  return c;
 }
 
 }  // namespace
@@ -75,93 +89,41 @@ RunOutcome run_scenario(const Scenario& scenario, DriverKind kind) {
   scenario.validate();
   RunOutcome out;
 
-  // A private deferred Auditor per run: enforcing mode would make a
-  // finding thrown mid-run indistinguishable from a driver crash, and a
-  // run-local instance (instead of the global one) makes the oracle
-  // reentrant for the case-parallel fuzz loop. Declared before the
-  // simulation stack — Machine, Pfs and MemoryManager all notify their
-  // observer from their destructors. Monotone counters fold into the
-  // global totals on return.
-  verify::Auditor audit;
-  audit.set_deferred(true);
+  // A fresh stack per run: the three drivers see byte-identical clones
+  // of the same simulated world. Each rank writes the pattern from its
+  // own buffer and reads back into separate storage.
+  core::SimStack stack(stack_config_for(scenario));
+  const auto n = static_cast<std::size_t>(scenario.nranks);
+  std::vector<std::vector<std::byte>> written(n);
+  std::vector<std::vector<std::byte>> read_back(n);
+  const auto plan_over = [&](std::vector<std::vector<std::byte>>& storage,
+                             int rank) {
+    const std::vector<util::Extent> extents = scenario.rank_extents(rank);
+    std::uint64_t bytes = 0;
+    for (const util::Extent& e : extents) bytes += e.len;
+    std::vector<std::byte>& buf = storage[static_cast<std::size_t>(rank)];
+    buf.resize(bytes);
+    return io::make_plan(extents, util::Payload::of(buf));
+  };
 
-  // A fresh cluster + PFS + memory stack per run: the three drivers see
-  // byte-identical clones of the same simulated world.
-  sim::ClusterConfig cluster;
-  cluster.num_nodes = scenario.nodes;
-  cluster.ranks_per_node = scenario.ranks_per_node;
-  mpi::Machine machine(cluster);
-  machine.set_observer(&audit);
-
-  pfs::PfsConfig pfs_config;
-  pfs_config.num_osts = scenario.num_osts;
-  pfs_config.stripe_unit = scenario.stripe_unit;
-  pfs_config.max_rpc_bytes = scenario.max_rpc_bytes;
-  pfs_config.store_data = true;
-  pfs::Pfs fs(machine.cluster(), pfs_config);
-  fs.set_observer(&audit);
-
-  node::MemoryVariance variance;
-  variance.relative_stdev = scenario.mem_stdev;
-  // The default floor (1 MiB) would erase the starved end of the sampled
-  // mean range; keep draws meaningful below it.
-  variance.floor_bytes =
-      std::min<std::uint64_t>(variance.floor_bytes,
-                              std::max<std::uint64_t>(scenario.mem_mean / 4,
-                                                      64ull << 10));
-  node::MemoryManager memory(cluster, scenario.mem_mean, variance,
-                             scenario.mem_seed);
-  memory.set_observer(&audit);
-
-  std::optional<node::FaultPlan> faults;
-  const node::FaultConfig fault_config = fault_config_for(scenario);
-  if (fault_config.any()) {
-    faults.emplace(cluster.num_nodes, fault_config);
-    memory.set_fault_plan(&*faults);
-  }
-
-  core::Drivers drivers(mccio_config_for(scenario));
-  io::CollectiveDriver* const driver = &drivers.get(kind);
-
-  const io::Hints hints = hints_for(scenario, kind);
-  const io::MPIFile::Services services{&fs, &memory};
-  const std::string path = "/fuzz";
-
-  std::vector<std::uint64_t> rank_read_hash(
-      static_cast<std::size_t>(scenario.nranks), kFnvOffset);
   pfs::FileHandle handle = -1;
-
   try {
-    machine.run(scenario.nranks, [&](mpi::Rank& rank) {
-      const std::vector<util::Extent> extents =
-          scenario.rank_extents(rank.rank());
-      std::uint64_t bytes = 0;
-      for (const util::Extent& e : extents) bytes += e.len;
-
-      std::vector<std::byte> wstorage(bytes);
-      io::AccessPlan wplan =
-          io::make_plan(extents, util::Payload::of(wstorage));
-      workloads::fill_pattern(wplan, scenario.pattern_seed);
-
-      io::MPIFile file(rank, rank.world(), services, path,
-                       /*create=*/true, hints, driver);
-      if (rank.rank() == 0) handle = file.handle();
-      file.write_all_plan(wplan);
-      rank.world().barrier();
-
-      std::vector<std::byte> rstorage(bytes);
-      io::AccessPlan rplan =
-          io::make_plan(extents, util::Payload::of(rstorage));
-      file.read_all_plan(rplan);
-      rank.world().barrier();
-      rank_read_hash[static_cast<std::size_t>(rank.rank())] =
-          fnv1a(kFnvOffset, rstorage.data(), rstorage.size());
-    });
+    handle = core::run_write_read(
+                 stack, kind, mccio_config_for(scenario),
+                 hints_for(scenario, kind), scenario.nranks,
+                 [&](int rank, int) {
+                   io::AccessPlan plan = plan_over(written, rank);
+                   workloads::fill_pattern(plan, scenario.pattern_seed);
+                   return plan;
+                 },
+                 [&](int rank, int) { return plan_over(read_back, rank); })
+                 .file;
     out.completed = true;
   } catch (const std::exception& e) {
     out.error = e.what();
   }
 
+  const verify::Auditor& audit = *stack.auditor();
   const bool tolerate_duplicates = scenario.has_cross_rank_overlap();
   for (const verify::Finding& f : audit.findings()) {
     if (tolerate_duplicates && f.kind == "byte-duplicate") {
@@ -171,13 +133,13 @@ RunOutcome run_scenario(const Scenario& scenario, DriverKind kind) {
     out.findings.push_back(f);
   }
   out.counters = audit.counters();
-  verify::global_auditor().absorb_counters(audit.counters());
 
   if (out.completed) {
     MCIO_CHECK_GE(handle, 0);
-    out.file_hash = fs.content_hash(handle);
+    out.file_hash = stack.fs().content_hash(handle);
     std::uint64_t rh = kFnvOffset;
-    for (const std::uint64_t h : rank_read_hash) {
+    for (const std::vector<std::byte>& buf : read_back) {
+      const std::uint64_t h = fnv1a(kFnvOffset, buf.data(), buf.size());
       for (int b = 0; b < 64; b += 8) {
         rh ^= (h >> b) & 0xff;
         rh *= kFnvPrime;
@@ -187,8 +149,8 @@ RunOutcome run_scenario(const Scenario& scenario, DriverKind kind) {
 
     std::string err;
     out.pattern_ok = workloads::verify_store(
-        fs.store(handle), scenario.all_extents(), scenario.pattern_seed,
-        &err);
+        stack.fs().store(handle), scenario.all_extents(),
+        scenario.pattern_seed, &err);
     out.pattern_error = err;
   }
   return out;

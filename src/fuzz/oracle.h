@@ -2,8 +2,12 @@
 //
 // One scenario runs through three independent drivers — MCCIO, classic
 // two-phase, and plan-time independent I/O — each on its own freshly
-// constructed machine + PFS instance (identical configuration, so the
-// instances are clones of one another). The oracle then asserts:
+// built core::SimStack (identical configuration, so the stacks are
+// clones of one another) and through core::run_write_read, the same
+// timed write / flush / read loop the benches run, here over real bytes
+// read back into separate storage. The oracle itself only lowers the
+// scenario to a stack config, hints and plans, hashes the results and
+// gives the verdict. It asserts:
 //
 //   1. Byte-identical file contents across all three drivers
 //      (Pfs::content_hash over the written file).
@@ -67,10 +71,10 @@ struct DiffResult {
   std::string classify() const;
 };
 
-/// Runs the scenario under one driver on a fresh simulated machine.
-/// Reentrant: each run audits through its own deferred Auditor (folding
-/// monotone counters into the global totals), so concurrent calls from a
-/// case-parallel fuzz loop are safe.
+/// Runs the scenario under one driver on a fresh core::SimStack.
+/// Reentrant: each run audits through the stack's own deferred Auditor
+/// (folding monotone counters into the global totals), so concurrent
+/// calls from a case-parallel fuzz loop are safe.
 RunOutcome run_scenario(const Scenario& scenario, core::DriverKind kind);
 
 /// Runs all three drivers and compares.

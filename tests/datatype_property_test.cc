@@ -255,7 +255,7 @@ void view_round_trip(io::CollectiveDriver& driver, std::uint64_t seed) {
   const std::uint64_t rank_span =
       (p.naive.lb + p.naive.extent * instances + 4096) / 4096 * 4096;
 
-  mcio::testing::MiniCluster cluster;
+  core::SimStack cluster(mcio::testing::mini_stack());
   cluster.machine().run(nranks, [&](mpi::Rank& rank) {
     io::MPIFile file(rank, rank.world(), cluster.services(), "/dtview",
                      /*create=*/true, io::Hints{}, &driver);

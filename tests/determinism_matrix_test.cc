@@ -27,14 +27,14 @@ namespace {
 
 using util::kMiB;
 
-bench::RunOptions small_testbed() {
-  bench::RunOptions base;
-  base.testbed.nodes = 4;
-  base.nranks = 16;
-  return base;
+bench::SweepSetup small_testbed() {
+  bench::SweepSetup setup;
+  setup.stack = bench::Testbed{.nodes = 4}.stack(/*mem_mean=*/0);
+  setup.nranks = 16;
+  return setup;
 }
 
-bench::BenchPlanFactory ior_factory() {
+core::PlanFactory ior_factory() {
   return [](int rank, int p) {
     workloads::IorConfig w;
     w.block_size = 4ull << 20;
@@ -47,7 +47,7 @@ bench::BenchPlanFactory ior_factory() {
   };
 }
 
-bench::BenchPlanFactory collperf_factory() {
+core::PlanFactory collperf_factory() {
   return [](int rank, int p) {
     workloads::CollPerfConfig w;
     w.dims = {64, 64, 64};
@@ -141,8 +141,8 @@ void expect_pinned(const std::vector<bench::SweepPoint>& got,
   };
   for (std::size_t i = 0; i < got.size(); ++i) {
     SCOPED_TRACE("mem=" + std::to_string(got[i].mem_bytes));
-    const bench::RunResult& n = got[i].normal;
-    const bench::RunResult& m = got[i].mccio;
+    const core::WriteReadResult& n = got[i].normal;
+    const core::WriteReadResult& m = got[i].mccio;
     check("two-phase write", n.write_bw, n.write_stats, want[i].normal_write);
     check("two-phase read", n.read_bw, n.read_stats, want[i].normal_read);
     check("mccio write", m.write_bw, m.write_stats, want[i].mccio_write);
@@ -251,8 +251,8 @@ void check_sweep_equal(const std::vector<bench::SweepPoint>& a,
     // ladder's grant/deny/borrow decisions must replay identically too.
     MCIO_CHECK(x.degradation() == y.degradation());
   };
-  const auto check_run = [&](const bench::RunResult& x,
-                             const bench::RunResult& y) {
+  const auto check_run = [&](const core::WriteReadResult& x,
+                             const core::WriteReadResult& y) {
     MCIO_CHECK_EQ(x.write_bw, y.write_bw);
     MCIO_CHECK_EQ(x.read_bw, y.read_bw);
     check_stats(x.write_stats, y.write_stats);
@@ -284,8 +284,8 @@ verify::AuditCounters census_of(const std::function<void()>& run) {
 
 /// Runs the sweep once as the golden and checks every other axis against
 /// it; a non-empty `pinned` also checks the golden against fixed values.
-void expect_matrix_identical(const bench::RunOptions& base,
-                             const bench::BenchPlanFactory& plan,
+void expect_matrix_identical(const bench::SweepSetup& base,
+                             const core::PlanFactory& plan,
                              const std::vector<PinnedPoint>& pinned = {}) {
   ASSERT_TRUE(verify::global_audit_active());
   const auto golden =
@@ -312,7 +312,7 @@ TEST(DeterminismMatrix, Fig7ShapedIorSweep) {
 }
 
 TEST(DeterminismMatrix, Fig8ShapedHierarchicalIorSweep) {
-  bench::RunOptions base = small_testbed();
+  bench::SweepSetup base = small_testbed();
   base.hints.cb_node_leaders = true;  // fig8 --hier code path
   expect_matrix_identical(base, ior_factory());
 }
@@ -325,8 +325,8 @@ TEST(DeterminismMatrix, FaultLadderSweep) {
   // Degradation-ladder paths (denial/retry/revocation/shrink/spill) must
   // replay identically (check_sweep_equal compares the full degradation
   // counter set) and match the pinned outcome.
-  bench::RunOptions base = small_testbed();
-  base.faults = node::FaultConfig{
+  bench::SweepSetup base = small_testbed();
+  base.stack.faults = node::FaultConfig{
       .denial_rate = 0.2, .revoke_rate = 0.1, .delay_rate = 0.1};
   expect_matrix_identical(base, ior_factory(), fault_ladder_pins());
 }
@@ -334,10 +334,10 @@ TEST(DeterminismMatrix, FaultLadderSweep) {
 TEST(DeterminismMatrix, BorrowAndHierarchyFaultSweep) {
   // Far-memory borrow migration crossed with node-leader hierarchy and
   // node exhaustion — the rungs most sensitive to event ordering.
-  bench::RunOptions base = small_testbed();
+  bench::SweepSetup base = small_testbed();
   base.hints.cb_node_leaders = true;
   base.hints.borrow_far_memory = true;
-  base.faults =
+  base.stack.faults =
       node::FaultConfig{.denial_rate = 0.15, .exhaust_rate = 0.25};
   expect_matrix_identical(base, ior_factory(), borrow_hierarchy_pins());
 }
@@ -347,7 +347,7 @@ TEST(DeterminismMatrix, SweepAuditCensusIndependentOfThreads) {
   // counters into the global totals, so the census a sweep adds cannot
   // depend on how its cells were scheduled.
   ASSERT_TRUE(verify::global_audit_active());
-  const bench::RunOptions base = small_testbed();
+  const bench::SweepSetup base = small_testbed();
   const auto sweep = [&](int threads) {
     return census_of([&] {
       bench::run_memory_sweep(threads, mini_sweep(), base, ior_factory());
@@ -369,19 +369,20 @@ TEST(DeterminismMatrix, EngagedZeroRateFaultsRunTheNegotiatedProtocol) {
   // one stays on the fault-free path. The negotiation's messages tell
   // the two apart.
   ASSERT_TRUE(verify::global_audit_active());
-  const auto messages = [](const bench::RunOptions& opt) {
-    return census_of([&] { bench::run_experiment(opt, ior_factory()); })
-        .messages;
-  };
-  bench::RunOptions plain = small_testbed();
-  plain.mem_mean = 4 * kMiB;
+  const core::StackConfig plain =
+      bench::Testbed{.nodes = 4}.stack(4 * kMiB);
+  core::StackConfig zero = plain;
+  zero.faults = node::FaultConfig{};
+  ASSERT_FALSE(zero.faults->any());
   for (const core::DriverKind kind :
        {core::DriverKind::kTwoPhase, core::DriverKind::kMccio}) {
     SCOPED_TRACE(core::driver_name(kind));
-    plain.driver = kind;
-    bench::RunOptions zero = plain;
-    zero.faults = node::FaultConfig{};
-    ASSERT_FALSE(zero.faults->any());
+    const auto messages = [&](const core::StackConfig& config) {
+      core::SimStack stack(config);
+      core::run_write_read(stack, kind, {}, bench::hints_at(4 * kMiB), 16,
+                           ior_factory());
+      return stack.auditor()->counters().messages;
+    };
     EXPECT_NE(messages(zero), messages(plain));
   }
 }

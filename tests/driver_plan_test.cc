@@ -2,6 +2,7 @@
 // pipeline's run-time plans, inspected via build_plan inside rank bodies.
 #include <gtest/gtest.h>
 
+#include "core/drivers.h"
 #include "core/mccio_driver.h"
 #include "io/two_phase_driver.h"
 #include "mpi/machine.h"
@@ -85,6 +86,19 @@ void check_common_invariants(const io::ExchangePlan& xplan, int nranks) {
       EXPECT_TRUE(cover.covers(b));
     }
   }
+}
+
+TEST(DriverKind, LookupInvertsDriverName) {
+  core::Drivers drivers(core::MccioConfig{});
+  for (const core::DriverKind kind :
+       {core::DriverKind::kMccio, core::DriverKind::kTwoPhase,
+        core::DriverKind::kIndependent}) {
+    EXPECT_EQ(core::driver_kind(core::driver_name(kind)), kind);
+    EXPECT_STREQ(drivers.get(kind).name(), core::driver_name(kind));
+  }
+  EXPECT_EQ(core::driver_kind("bogus"), std::nullopt);
+  EXPECT_EQ(core::driver_kind(""), std::nullopt);
+  EXPECT_EQ(core::driver_kind("MCCIO"), std::nullopt);
 }
 
 TEST(TwoPhasePlan, EvenDomainsOneAggregatorPerNode) {

@@ -21,6 +21,7 @@ namespace {
 
 using util::Extent;
 using util::Payload;
+using mcio::testing::round_trip;
 
 TEST(ExchangePlan, Validation) {
   ExchangePlan xplan;
@@ -424,7 +425,7 @@ io::AccessPlan hier_sparse_factory(int rank, int nprocs,
 
 TEST(HierRoundTrip, BothDriversDefaultTopology) {
   for (const bool mccio : {false, true}) {
-    mcio::testing::MiniCluster cluster;
+    core::SimStack cluster(mcio::testing::mini_stack());
     io::TwoPhaseDriver two_phase;
     core::MccioDriver mc;
     io::CollectiveDriver& driver =
@@ -436,20 +437,20 @@ TEST(HierRoundTrip, BothDriversDefaultTopology) {
 }
 
 TEST(HierRoundTrip, OneRankPerNodeDegeneratesToFlat) {
-  mcio::testing::MiniClusterOptions opt;
-  opt.num_nodes = 4;
-  opt.ranks_per_node = 1;
-  mcio::testing::MiniCluster cluster(opt);
+  core::StackConfig opt = mcio::testing::mini_stack();
+  opt.cluster.num_nodes = 4;
+  opt.cluster.ranks_per_node = 1;
+  core::SimStack cluster(opt);
   core::MccioDriver driver;
   ASSERT_NO_THROW(round_trip(cluster, driver, cluster.total_ranks(),
                              hier_ior_factory, /*seed=*/42, hier_hints()));
 }
 
 TEST(HierRoundTrip, SingleNodeCommunicator) {
-  mcio::testing::MiniClusterOptions opt;
-  opt.num_nodes = 1;
-  opt.ranks_per_node = 4;
-  mcio::testing::MiniCluster cluster(opt);
+  core::StackConfig opt = mcio::testing::mini_stack();
+  opt.cluster.num_nodes = 1;
+  opt.cluster.ranks_per_node = 4;
+  core::SimStack cluster(opt);
   for (const bool mccio : {false, true}) {
     io::TwoPhaseDriver two_phase;
     core::MccioDriver mc;
@@ -464,14 +465,14 @@ TEST(HierRoundTrip, SingleNodeCommunicator) {
 TEST(HierRoundTrip, HeterogeneousNodeOccupancy) {
   // 3 nodes × 4 slots but only 9 ranks launched: nodes hold 4, 4 and 1
   // ranks — the last node's "group" is a single self-led rank.
-  mcio::testing::MiniCluster cluster;
+  core::SimStack cluster(mcio::testing::mini_stack());
   core::MccioDriver driver;
   ASSERT_NO_THROW(round_trip(cluster, driver, /*nranks=*/9,
                              hier_ior_factory, /*seed=*/42, hier_hints()));
 }
 
 TEST(HierRoundTrip, ZeroDataRanksExcludedFromHierarchy) {
-  mcio::testing::MiniCluster cluster;
+  core::SimStack cluster(mcio::testing::mini_stack());
   for (const bool mccio : {false, true}) {
     io::TwoPhaseDriver two_phase;
     core::MccioDriver mc;

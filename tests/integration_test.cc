@@ -13,8 +13,7 @@
 namespace mcio {
 namespace {
 
-using testing::MiniCluster;
-using testing::MiniClusterOptions;
+using mcio::testing::round_trip;
 
 io::AccessPlan strided_factory(int rank, int nprocs,
                                std::vector<std::byte>& storage) {
@@ -62,35 +61,35 @@ io::AccessPlan collperf_factory(int rank, int nprocs,
 }
 
 TEST(TwoPhaseIntegration, StridedRoundTrip) {
-  MiniCluster cluster;
+  core::SimStack cluster(mcio::testing::mini_stack());
   io::TwoPhaseDriver driver;
   ASSERT_NO_THROW(
       round_trip(cluster, driver, cluster.total_ranks(), strided_factory));
 }
 
 TEST(TwoPhaseIntegration, IorInterleavedRoundTrip) {
-  MiniCluster cluster;
+  core::SimStack cluster(mcio::testing::mini_stack());
   io::TwoPhaseDriver driver;
   ASSERT_NO_THROW(round_trip(cluster, driver, cluster.total_ranks(),
                              ior_interleaved_factory));
 }
 
 TEST(TwoPhaseIntegration, IorSegmentedRoundTrip) {
-  MiniCluster cluster;
+  core::SimStack cluster(mcio::testing::mini_stack());
   io::TwoPhaseDriver driver;
   ASSERT_NO_THROW(round_trip(cluster, driver, cluster.total_ranks(),
                              ior_segmented_factory));
 }
 
 TEST(TwoPhaseIntegration, CollPerfRoundTrip) {
-  MiniCluster cluster;
+  core::SimStack cluster(mcio::testing::mini_stack());
   io::TwoPhaseDriver driver;
   ASSERT_NO_THROW(round_trip(cluster, driver, cluster.total_ranks(),
                              collperf_factory));
 }
 
 TEST(MccioIntegration, StridedRoundTrip) {
-  MiniCluster cluster;
+  core::SimStack cluster(mcio::testing::mini_stack());
   core::MccioDriver driver;
   driver.config().msg_ind = 128 << 10;
   ASSERT_NO_THROW(
@@ -98,7 +97,7 @@ TEST(MccioIntegration, StridedRoundTrip) {
 }
 
 TEST(MccioIntegration, IorInterleavedRoundTrip) {
-  MiniCluster cluster;
+  core::SimStack cluster(mcio::testing::mini_stack());
   core::MccioDriver driver;
   driver.config().msg_ind = 128 << 10;
   ASSERT_NO_THROW(round_trip(cluster, driver, cluster.total_ranks(),
@@ -106,7 +105,7 @@ TEST(MccioIntegration, IorInterleavedRoundTrip) {
 }
 
 TEST(MccioIntegration, IorSegmentedRoundTrip) {
-  MiniCluster cluster;
+  core::SimStack cluster(mcio::testing::mini_stack());
   core::MccioDriver driver;
   driver.config().msg_ind = 128 << 10;
   ASSERT_NO_THROW(round_trip(cluster, driver, cluster.total_ranks(),
@@ -114,7 +113,7 @@ TEST(MccioIntegration, IorSegmentedRoundTrip) {
 }
 
 TEST(MccioIntegration, CollPerfRoundTrip) {
-  MiniCluster cluster;
+  core::SimStack cluster(mcio::testing::mini_stack());
   core::MccioDriver driver;
   driver.config().msg_ind = 128 << 10;
   ASSERT_NO_THROW(round_trip(cluster, driver, cluster.total_ranks(),
@@ -122,10 +121,10 @@ TEST(MccioIntegration, CollPerfRoundTrip) {
 }
 
 TEST(MccioIntegration, RoundTripWithMemoryVariance) {
-  MiniClusterOptions opt;
-  opt.memory_stdev = 0.5;
-  opt.node_memory_mean = 512 << 10;
-  MiniCluster cluster(opt);
+  core::StackConfig opt = mcio::testing::mini_stack();
+  opt.mem_variance.relative_stdev = 0.5;
+  opt.mem_mean = 512 << 10;
+  core::SimStack cluster(opt);
   core::MccioDriver driver;
   driver.config().msg_ind = 64 << 10;
   ASSERT_NO_THROW(round_trip(cluster, driver, cluster.total_ranks(),
@@ -133,7 +132,7 @@ TEST(MccioIntegration, RoundTripWithMemoryVariance) {
 }
 
 TEST(MccioIntegration, RoundTripAllComponentsDisabled) {
-  MiniCluster cluster;
+  core::SimStack cluster(mcio::testing::mini_stack());
   core::MccioDriver driver;
   driver.config().msg_ind = 128 << 10;
   driver.config().group_division = false;
@@ -148,7 +147,7 @@ TEST(TwoPhaseIntegration, ExchangeScheduleIdenticalAcrossRuns) {
   // clusters: the round trip byte-verifies the file and the read-back,
   // and the exchange counters pin the message schedule.
   auto run_once = [] {
-    MiniCluster cluster;
+    core::SimStack cluster(mcio::testing::mini_stack());
     io::TwoPhaseDriver driver;
     metrics::CollectiveStats stats;
     round_trip(

@@ -14,14 +14,10 @@
 #include <string>
 #include <vector>
 
-#include "core/mccio_driver.h"
-#include "io/mpi_file.h"
-#include "io/two_phase_driver.h"
+#include "core/experiment.h"
 #include "metrics/collective_stats.h"
 #include "mpi/comm.h"
 #include "mpi/machine.h"
-#include "node/memory.h"
-#include "pfs/pfs.h"
 #include "util/memtrack.h"
 #include "verify/observer.h"
 #include "workloads/ior.h"
@@ -319,7 +315,6 @@ TEST(Matching, ReserveTagsSkipsWindowInsteadOfWrapping) {
 std::string figure_shaped_run() {
   std::ostringstream out;
   out << std::hexfloat;
-  const sim::ClusterConfig cluster = small_cluster(2, 3);
   const int nranks = 6;
   workloads::IorConfig w;
   w.block_size = 256ull << 10;
@@ -329,46 +324,28 @@ std::string figure_shaped_run() {
 
   for (const std::uint64_t mem : {std::uint64_t{1} << 20,
                                   std::uint64_t{256} << 10}) {
-    for (const bool use_mccio : {false, true}) {
-      Machine machine(cluster);
-      pfs::PfsConfig pcfg;
-      pcfg.num_osts = 4;
-      pcfg.stripe_unit = 64ull << 10;
-      pcfg.store_data = false;
-      pfs::Pfs fs(machine.cluster(), pcfg);
-      node::MemoryVariance var;
-      var.relative_stdev = 0.5;
-      node::MemoryManager memory(cluster, mem, var, 20120512);
-
-      io::TwoPhaseDriver two_phase;
-      core::MccioDriver mccio{core::MccioConfig{}};
-      io::CollectiveDriver* driver =
-          use_mccio ? static_cast<io::CollectiveDriver*>(&mccio)
-                    : &two_phase;
+    for (const core::DriverKind kind :
+         {core::DriverKind::kTwoPhase, core::DriverKind::kMccio}) {
+      core::StackConfig config;
+      config.cluster = small_cluster(2, 3);
+      config.pfs.num_osts = 4;
+      config.pfs.stripe_unit = 64ull << 10;
+      config.pfs.store_data = false;
+      config.mem_mean = mem;
+      core::SimStack stack(config);
       io::Hints hints;
       hints.cb_buffer_size = mem;
-
-      metrics::CollectiveStats wstats, rstats;
-      machine.run(nranks, [&](Rank& rank) {
-        io::AccessPlan plan = workloads::ior_plan(
-            rank.rank(), nranks, w,
-            util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w)));
-        io::MPIFile file(rank, rank.world(),
-                         io::MPIFile::Services{&fs, &memory}, "/det",
-                         /*create=*/true, hints, driver);
-        file.set_stats(&wstats);
-        file.write_all_plan(plan);
-        rank.world().barrier();
-        if (rank.rank() == 0) fs.flush_locality();
-        rank.world().barrier();
-        file.set_stats(&rstats);
-        file.read_all_plan(plan);
-        rank.world().barrier();
-        if (rank.rank() == 0) {
-          out << mem << ' ' << use_mccio << ' ' << rank.actor().now();
-        }
-      });
-      for (const metrics::CollectiveStats* s : {&wstats, &rstats}) {
+      const core::WriteReadResult r = core::run_write_read(
+          stack, kind, {}, hints, nranks, [&](int rank, int p) {
+            return workloads::ior_plan(
+                rank, p, w,
+                util::Payload::virtual_bytes(
+                    workloads::ior_bytes_per_rank(w)));
+          });
+      out << mem << ' ' << core::driver_name(kind) << ' '
+          << r.finish_times[0] << ' ' << r.write_bw << ' ' << r.read_bw;
+      for (const metrics::CollectiveStats* s :
+           {&r.write_stats, &r.read_stats}) {
         out << ' ' << s->num_aggregators() << ' ' << s->num_groups()
             << ' ' << s->shuffle_intra_node() << ' '
             << s->shuffle_inter_node() << ' ' << s->io_bytes() << ' '

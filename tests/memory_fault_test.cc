@@ -19,8 +19,7 @@
 namespace mcio {
 namespace {
 
-using testing::MiniCluster;
-using testing::MiniClusterOptions;
+using mcio::testing::round_trip;
 
 sim::ClusterConfig small_cluster(int nodes) {
   sim::ClusterConfig c;
@@ -186,12 +185,11 @@ void faulted_round_trip(const node::FaultConfig& cfg,
                         io::CollectiveDriver& driver,
                         const io::Hints& hints,
                         metrics::CollectiveStats* stats) {
-  MiniCluster cluster;
-  node::FaultPlan plan(3, cfg);
-  cluster.memory().set_fault_plan(&plan);
+  core::StackConfig config = mcio::testing::mini_stack();
+  config.faults = cfg;
+  core::SimStack cluster(config);
   round_trip(cluster, driver, cluster.total_ranks(), ior_factory,
              /*seed=*/42, hints, stats);
-  cluster.memory().set_fault_plan(nullptr);
 }
 
 TEST(FaultedCollective, TotalDenialShrinksThenSpillsAndStaysCorrect) {
@@ -308,7 +306,7 @@ core::MccioConfig locality_placement() {
 io::Hints borrow_hints(bool hier = false) {
   io::Hints h;
   h.borrow_far_memory = true;
-  // MiniCluster nodes hold ~1 MiB: the default 1 MiB donor reserve would
+  // core::SimStack nodes hold ~1 MiB: the default 1 MiB donor reserve would
   // veto every election, so scale it to the testbed.
   h.borrow_donor_reserve = 64 << 10;
   h.fault_shrink_floor = 8 << 10;
@@ -400,30 +398,18 @@ TEST(BorrowFarMemory, AuditorSeesBalancedDonorLeases) {
   // Every donor lease granted over the fabric must be released by the
   // end of the collective that took it: the lease ledger (per manager,
   // per node) has to balance even under revocation churn.
-  MiniCluster cluster;
-  verify::Auditor auditor;
-  auditor.set_deferred(true);
-  cluster.machine().set_observer(&auditor);
-  cluster.fs().set_observer(&auditor);
-  cluster.memory().set_observer(&auditor);
-  node::FaultConfig cfg;
-  cfg.exhaust_rate = 0.3;
-  cfg.revoke_rate = 0.5;
-  node::FaultPlan plan(3, cfg);
-  cluster.memory().set_fault_plan(&plan);
+  core::StackConfig config = mcio::testing::mini_stack();
+  config.faults = node::FaultConfig{.revoke_rate = 0.5, .exhaust_rate = 0.3};
+  config.audit = core::Audit::kDeferred;
+  core::SimStack cluster(config);
   metrics::CollectiveStats stats;
   core::MccioDriver driver(locality_placement());
   round_trip(cluster, driver, cluster.total_ranks(), ior_factory,
              /*seed=*/42, borrow_hints(), &stats);
-  cluster.memory().set_fault_plan(nullptr);
   EXPECT_GT(stats.degradation().borrows, 0u);
-  for (const verify::Finding& f : auditor.findings()) {
+  for (const verify::Finding& f : cluster.auditor()->findings()) {
     ADD_FAILURE() << f.kind << ": " << f.message;
   }
-  // Restore the process-wide observer before the cluster is destroyed.
-  cluster.machine().set_observer(verify::global_observer());
-  cluster.fs().set_observer(verify::global_observer());
-  cluster.memory().set_observer(verify::global_observer());
 }
 
 // --- WindowBacking driven directly: one aggregator rank, no fault plan.
@@ -433,12 +419,12 @@ TEST(BorrowFarMemory, AuditorSeesBalancedDonorLeases) {
 
 constexpr std::uint64_t kWindow = 256 << 10;
 
-/// Runs `body` on rank 0 of a fresh MiniCluster (three 1 MiB nodes) with
+/// Runs `body` on rank 0 of a fresh core::SimStack (three 1 MiB nodes) with
 /// a context whose stats land in `stats`.
 void with_backing_context(
     const io::Hints& hints, metrics::CollectiveStats* stats,
-    const std::function<void(MiniCluster&, io::CollContext&)>& body) {
-  MiniCluster cluster;
+    const std::function<void(core::SimStack&, io::CollContext&)>& body) {
+  core::SimStack cluster(mcio::testing::mini_stack());
   cluster.machine().run(1, [&](mpi::Rank& rank) {
     io::CollContext ctx;
     ctx.rank = &rank;
@@ -466,7 +452,7 @@ TEST(WindowBacking, SwapAfterFailedReborrowIsPromotedLater) {
   // the next round's probe promotes it back onto the fabric — a borrow
   // the negotiation (which borrowed nothing) never made.
   metrics::CollectiveStats stats;
-  with_backing_context(borrow_hints(), &stats, [&](MiniCluster& cluster,
+  with_backing_context(borrow_hints(), &stats, [&](core::SimStack& cluster,
                                                    io::CollContext& ctx) {
     node::Lease hold1 = cluster.memory().lease(1, 1 << 20);
     node::Lease hold2 = cluster.memory().lease(2, 1 << 20);
@@ -504,7 +490,7 @@ TEST(WindowBacking, SpilledAtNegotiationNeverProbes) {
   // ladder spilled at negotiation stays swap-backed for the whole domain.
   metrics::CollectiveStats stats;
   with_backing_context(borrow_hints(), &stats,
-                       [&](MiniCluster&, io::CollContext& ctx) {
+                       [&](core::SimStack&, io::CollContext& ctx) {
     io::BufferGrant g;
     g.window_bytes = kWindow;
     g.spilled = true;
@@ -532,7 +518,7 @@ TEST(WindowBacking, RevokedBorrowedWindowCountsAsDonorRevocation) {
   io::Hints hints = borrow_hints();
   hints.borrow_far_memory = false;
   metrics::CollectiveStats stats;
-  with_backing_context(hints, &stats, [&](MiniCluster&,
+  with_backing_context(hints, &stats, [&](core::SimStack&,
                                           io::CollContext& ctx) {
     io::WindowBacking b(ctx, stats);
     b.open(revocable_grant(/*donor=*/2), /*site=*/0);
@@ -559,7 +545,7 @@ TEST(WindowBacking, RevokedBorrowedWindowMigratesToNextDonor) {
   // With the hint on, the same revocation re-elects a donor instead: the
   // window stays on the fabric, now backed by the other peer.
   metrics::CollectiveStats stats;
-  with_backing_context(borrow_hints(), &stats, [&](MiniCluster& cluster,
+  with_backing_context(borrow_hints(), &stats, [&](core::SimStack& cluster,
                                                    io::CollContext& ctx) {
     io::WindowBacking b(ctx, stats);
     b.open(revocable_grant(/*donor=*/2), /*site=*/0);
@@ -583,7 +569,7 @@ TEST(WindowBacking, ReborrowAdoptsItsProbeLease) {
   // plus the reserve but not for two: the probe's grant must become the
   // window's lease, not sit beside a second grant of the same bytes.
   metrics::CollectiveStats stats;
-  with_backing_context(borrow_hints(), &stats, [&](MiniCluster& cluster,
+  with_backing_context(borrow_hints(), &stats, [&](core::SimStack& cluster,
                                                    io::CollContext& ctx) {
     constexpr std::uint64_t kFree = 400 << 10;  // >= window + reserve
     static_assert(kFree < 2 * kWindow);
@@ -607,43 +593,33 @@ TEST(WindowBacking, ReborrowAdoptsItsProbeLease) {
 }
 
 /// One faulted collective write+read; returns per-rank finish times.
-std::vector<sim::SimTime> faulted_timed_run(bool mccio) {
-  MiniClusterOptions opt;
-  opt.num_nodes = 3;
-  opt.ranks_per_node = 4;
-  MiniCluster cluster(opt);
-  node::FaultConfig cfg;
-  cfg.denial_rate = 0.3;
-  cfg.delay_rate = 0.3;
-  cfg.revoke_rate = 0.3;
-  node::FaultPlan plan(opt.num_nodes, cfg);
-  cluster.memory().set_fault_plan(&plan);
-  io::TwoPhaseDriver two_phase;
-  core::MccioDriver mc;
-  io::CollectiveDriver* driver =
-      mccio ? static_cast<io::CollectiveDriver*>(&mc) : &two_phase;
+std::vector<sim::SimTime> faulted_write_read(bool mccio) {
+  core::StackConfig config = mcio::testing::mini_stack();
+  config.faults = node::FaultConfig{
+      .denial_rate = 0.3, .revoke_rate = 0.3, .delay_rate = 0.3};
+  core::SimStack cluster(config);
   const int nranks = cluster.total_ranks();
-  auto times = cluster.machine().run(nranks, [&](mpi::Rank& rank) {
-    std::vector<std::byte> storage;
-    io::AccessPlan plan_ = ior_factory(rank.rank(), nranks, storage);
-    workloads::fill_pattern(plan_, 5);
-    io::MPIFile file(rank, rank.world(), cluster.services(), "/f",
-                     /*create=*/true, io::Hints{}, driver);
-    file.write_all_plan(plan_);
-    rank.world().barrier();
-    file.read_all_plan(plan_);
-    rank.world().barrier();
-  });
-  cluster.memory().set_fault_plan(nullptr);
-  return times;
+  std::vector<std::vector<std::byte>> storage(
+      static_cast<std::size_t>(nranks));
+  return core::run_write_read(
+             cluster,
+             mccio ? core::DriverKind::kMccio : core::DriverKind::kTwoPhase,
+             {}, io::Hints{}, nranks,
+             [&](int rank, int p) {
+               io::AccessPlan plan = ior_factory(
+                   rank, p, storage[static_cast<std::size_t>(rank)]);
+               workloads::fill_pattern(plan, 5);
+               return plan;
+             })
+      .finish_times;
 }
 
 TEST(FaultedCollective, DeterministicVirtualTimes) {
   // Two identical faulted runs must be bit-identical — backoffs, grant
   // delays and revocations all live in deterministic virtual time.
   for (const bool mccio : {false, true}) {
-    const auto a = faulted_timed_run(mccio);
-    const auto b = faulted_timed_run(mccio);
+    const auto a = faulted_write_read(mccio);
+    const auto b = faulted_write_read(mccio);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
   }

@@ -44,14 +44,10 @@ double peak_heap_per_rank(int nodes, bool write) {
 
   util::memtrack::reset();
   {
-    mpi::Machine machine(tb.cluster());
-    pfs::Pfs fs(machine.cluster(), tb.pfs());
-    node::MemoryManager memory =
-        node::MemoryManager::uniform(tb.cluster(), kLevel);
+    core::SimStack stack(tb.stack(kLevel, /*mem_stdev=*/0.0));
     io::TwoPhaseDriver driver;
-    io::Hints hints;
-    hints.cb_buffer_size = kLevel;
-    machine.run(nranks, [&](mpi::Rank& rank) {
+    const io::Hints hints = bench::hints_at(kLevel);
+    stack.machine().run(nranks, [&](mpi::Rank& rank) {
       rank.world().barrier();
       const double t = rank.world().allreduce_max(rank.actor().now());
       EXPECT_GE(t, 0.0);
@@ -59,8 +55,7 @@ double peak_heap_per_rank(int nodes, bool write) {
       const io::AccessPlan plan = workloads::ior_plan(
           rank.rank(), nranks, w,
           util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w)));
-      io::MPIFile file(rank, rank.world(),
-                       io::MPIFile::Services{&fs, &memory}, "/rank_heap",
+      io::MPIFile file(rank, rank.world(), stack.services(), "/rank_heap",
                        /*create=*/true, hints, &driver);
       file.write_all_plan(plan);
     });

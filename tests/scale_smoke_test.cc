@@ -39,26 +39,21 @@ TEST(ScaleSmoke, SixteenKRanks) {
   w.segments = 1;
   w.interleaved = true;
 
-  mpi::Machine machine(tb.cluster());
-  pfs::Pfs fs(machine.cluster(), tb.pfs());
-  node::MemoryManager memory =
-      node::MemoryManager::uniform(tb.cluster(), 1ull << 20);
+  core::SimStack stack(tb.stack(1ull << 20, /*mem_stdev=*/0.0));
   io::TwoPhaseDriver driver;
   metrics::CollectiveStats stats;
-  io::Hints hints;
-  hints.cb_buffer_size = 1ull << 20;
+  const io::Hints hints = bench::hints_at(1ull << 20);
 
   const auto t0 = std::chrono::steady_clock::now();
   double write_bw = 0.0;
-  machine.run(nranks, [&](mpi::Rank& rank) {
+  stack.machine().run(nranks, [&](mpi::Rank& rank) {
     io::AccessPlan plan = workloads::ior_plan(
         rank.rank(), nranks, w,
         util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w)));
     const double my_bytes = static_cast<double>(plan.total_bytes());
     const double all_bytes = rank.world().allreduce_sum(my_bytes);
 
-    io::MPIFile file(rank, rank.world(),
-                     io::MPIFile::Services{&fs, &memory}, "/scale_smoke",
+    io::MPIFile file(rank, rank.world(), stack.services(), "/scale_smoke",
                      /*create=*/true, hints, &driver);
     file.set_stats(&stats);
 

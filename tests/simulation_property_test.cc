@@ -3,7 +3,9 @@
 // workload × driver × memory configurations.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <ostream>
+#include <string>
 
 #include "testing.h"
 #include "workloads/collperf.h"
@@ -13,70 +15,78 @@
 namespace mcio {
 namespace {
 
-using testing::MiniCluster;
-using testing::MiniClusterOptions;
+using mcio::testing::round_trip;
 
-/// Runs one collective write+read and returns the per-rank finish times.
-std::vector<sim::SimTime> timed_run(bool mccio, bool real_payloads,
-                                    std::uint64_t mem_mean,
-                                    double stdev) {
-  MiniClusterOptions opt;
-  opt.num_nodes = 3;
-  opt.ranks_per_node = 4;
-  opt.node_memory_mean = mem_mean;
-  opt.memory_stdev = stdev;
-  MiniCluster cluster(opt);
-  io::TwoPhaseDriver two_phase;
-  core::MccioDriver mc;
-  mc.config().msg_ind = 256 << 10;
-  io::CollectiveDriver* driver =
-      mccio ? static_cast<io::CollectiveDriver*>(&mc) : &two_phase;
+/// One collective write+read of an IOR shape through run_write_read on
+/// the mini cluster, its memory drawn with 0.5 relative spread.
+core::WriteReadResult ior_write_read(
+    core::DriverKind kind, bool real_payloads,
+    const std::optional<node::FaultConfig>& faults = std::nullopt) {
+  core::StackConfig config = mcio::testing::mini_stack();
+  config.mem_variance.relative_stdev = 0.5;
+  config.faults = faults;
+  core::SimStack cluster(config);
+  core::MccioConfig mccio;
+  mccio.msg_ind = 256 << 10;
 
   workloads::IorConfig w;
   w.block_size = 256 << 10;
   w.transfer_size = 32 << 10;
   w.segments = 2;
   w.interleaved = true;
+  const std::uint64_t bytes = workloads::ior_bytes_per_rank(w);
   const int nranks = cluster.total_ranks();
-  return cluster.machine().run(nranks, [&](mpi::Rank& rank) {
-    std::vector<std::byte> storage;
-    util::Payload buf;
-    if (real_payloads) {
-      storage.resize(workloads::ior_bytes_per_rank(w));
-      buf = util::Payload::of(storage);
-    } else {
-      buf = util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w));
-    }
-    auto plan = workloads::ior_plan(rank.rank(), nranks, w, buf);
-    if (real_payloads) workloads::fill_pattern(plan, 5);
-    io::MPIFile file(rank, rank.world(), cluster.services(), "/t",
-                     /*create=*/true, io::Hints{}, driver);
-    file.write_all_plan(plan);
-    rank.world().barrier();
-    file.read_all_plan(plan);
-    rank.world().barrier();
-  });
+  std::vector<std::vector<std::byte>> storage(
+      static_cast<std::size_t>(nranks));
+  return core::run_write_read(
+      cluster, kind, mccio, io::Hints{}, nranks, [&](int rank, int p) {
+        if (!real_payloads) {
+          return workloads::ior_plan(rank, p, w,
+                                     util::Payload::virtual_bytes(bytes));
+        }
+        std::vector<std::byte>& buf = storage[static_cast<std::size_t>(rank)];
+        buf.resize(bytes);
+        io::AccessPlan plan =
+            workloads::ior_plan(rank, p, w, util::Payload::of(buf));
+        workloads::fill_pattern(plan, 5);
+        return plan;
+      });
 }
 
 TEST(SimulationProperties, DeterministicAcrossRuns) {
-  const auto a = timed_run(true, false, 1 << 20, 0.5);
-  const auto b = timed_run(true, false, 1 << 20, 0.5);
-  EXPECT_EQ(a, b);
-  const auto c = timed_run(false, false, 1 << 20, 0.5);
-  const auto d = timed_run(false, false, 1 << 20, 0.5);
-  EXPECT_EQ(c, d);
+  for (const core::DriverKind kind :
+       {core::DriverKind::kMccio, core::DriverKind::kTwoPhase}) {
+    EXPECT_EQ(ior_write_read(kind, false).finish_times,
+              ior_write_read(kind, false).finish_times)
+        << core::driver_name(kind);
+  }
 }
 
 TEST(SimulationProperties, VirtualAndRealPayloadsSameTiming) {
   // The whole point of virtual payloads: identical virtual-time behaviour
-  // without the memory. Bit-identical finish times required.
-  for (const bool mccio : {false, true}) {
-    const auto real = timed_run(mccio, true, 1 << 20, 0.5);
-    const auto virt = timed_run(mccio, false, 1 << 20, 0.5);
-    ASSERT_EQ(real.size(), virt.size());
-    for (std::size_t i = 0; i < real.size(); ++i) {
-      EXPECT_DOUBLE_EQ(real[i], virt[i])
-          << "rank " << i << " mccio=" << mccio;
+  // without the memory, for every driver, with and without a fault plan.
+  // Finish times, bandwidths and inter-node bytes must be bit-identical.
+  const node::FaultConfig faults{
+      .denial_rate = 0.2, .revoke_rate = 0.1, .delay_rate = 0.1};
+  for (const core::DriverKind kind :
+       {core::DriverKind::kTwoPhase, core::DriverKind::kMccio,
+        core::DriverKind::kIndependent}) {
+    for (const bool faulted : {false, true}) {
+      SCOPED_TRACE(std::string(core::driver_name(kind)) +
+                   (faulted ? " with fault plan" : ""));
+      const auto fault_plan =
+          faulted ? std::optional(faults) : std::nullopt;
+      const core::WriteReadResult real =
+          ior_write_read(kind, true, fault_plan);
+      const core::WriteReadResult virt =
+          ior_write_read(kind, false, fault_plan);
+      EXPECT_EQ(real.finish_times, virt.finish_times);
+      EXPECT_EQ(real.write_bw, virt.write_bw);
+      EXPECT_EQ(real.read_bw, virt.read_bw);
+      EXPECT_EQ(real.write_stats.bytes_inter_node(),
+                virt.write_stats.bytes_inter_node());
+      EXPECT_EQ(real.read_stats.bytes_inter_node(),
+                virt.read_stats.bytes_inter_node());
     }
   }
 }
@@ -102,10 +112,10 @@ class RoundTripSweep : public ::testing::TestWithParam<SweepParam> {};
 
 TEST_P(RoundTripSweep, VerifiedEndToEnd) {
   const auto param = GetParam();
-  MiniClusterOptions opt;
-  opt.node_memory_mean = param.mem;
-  opt.memory_stdev = param.stdev;
-  MiniCluster cluster(opt);
+  core::StackConfig opt = mcio::testing::mini_stack();
+  opt.mem_mean = param.mem;
+  opt.mem_variance.relative_stdev = param.stdev;
+  core::SimStack cluster(opt);
   io::TwoPhaseDriver two_phase;
   core::MccioDriver mc;
   mc.config().msg_ind = 128 << 10;
@@ -170,32 +180,28 @@ INSTANTIATE_TEST_SUITE_P(AllConfigs, RoundTripSweep,
 
 TEST(SimulationProperties, ManyRanksSmoke) {
   // A 120-rank run exercising the fiber scheduler at figure-7 scale.
-  MiniClusterOptions opt;
-  opt.num_nodes = 10;
-  opt.ranks_per_node = 12;
-  opt.num_osts = 8;
-  opt.stripe_unit = 64 << 10;
-  opt.node_memory_mean = 1 << 20;
-  opt.memory_stdev = 0.5;
-  MiniCluster cluster(opt);
-  core::MccioDriver driver;
-  driver.config().msg_ind = 512 << 10;
-  const int nranks = 120;
+  core::StackConfig opt = mcio::testing::mini_stack();
+  opt.cluster.num_nodes = 10;
+  opt.cluster.ranks_per_node = 12;
+  opt.pfs.num_osts = 8;
+  opt.pfs.stripe_unit = 64 << 10;
+  opt.mem_mean = 1 << 20;
+  opt.mem_variance.relative_stdev = 0.5;
+  core::SimStack cluster(opt);
+  core::MccioConfig mccio;
+  mccio.msg_ind = 512 << 10;
   workloads::IorConfig w;
   w.block_size = 64 << 10;
   w.transfer_size = 16 << 10;
   w.segments = 1;
   w.interleaved = true;
-  cluster.machine().run(nranks, [&](mpi::Rank& rank) {
-    auto plan = workloads::ior_plan(
-        rank.rank(), nranks, w,
-        util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w)));
-    io::MPIFile file(rank, rank.world(), cluster.services(), "/smoke",
-                     /*create=*/true, io::Hints{}, &driver);
-    file.write_all_plan(plan);
-    rank.world().barrier();
-    file.read_all_plan(plan);
-  });
+  core::run_write_read(
+      cluster, core::DriverKind::kMccio, mccio, io::Hints{}, 120,
+      [&](int rank, int p) {
+        return workloads::ior_plan(
+            rank, p, w,
+            util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w)));
+      });
 }
 
 }  // namespace

@@ -1,22 +1,19 @@
-// Shared fixtures for integration tests: a small simulated cluster with a
-// file system and memory manager, plus a round-trip helper that writes a
-// pattern collectively, reads it back and verifies both the file contents
-// and the received bytes.
+// Shared fixtures for integration tests: the config of a small simulated
+// cluster with a file system and memory manager (a core::SimStack), plus
+// a round-trip helper that writes a pattern collectively, reads it back
+// and verifies both the file contents and the received bytes.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "core/mccio_driver.h"
 #include "io/mpi_file.h"
 #include "io/two_phase_driver.h"
-#include "mpi/machine.h"
-#include "node/memory.h"
-#include "pfs/pfs.h"
 #include "util/check.h"
 #include "workloads/pattern.h"
 
@@ -40,52 +37,21 @@ inline std::uint64_t test_seed() {
   return seed;
 }
 
-struct MiniClusterOptions {
-  int num_nodes = 3;
-  int ranks_per_node = 4;
-  int num_osts = 4;
-  std::uint64_t stripe_unit = 64 << 10;
-  std::uint64_t node_memory_mean = 1 << 20;
-  double memory_stdev = 0.0;
-  std::uint64_t memory_seed = 7;
-};
-
-/// A self-contained simulated test cluster.
-class MiniCluster {
- public:
-  explicit MiniCluster(const MiniClusterOptions& options = {})
-      : options_(options) {
-    sim::ClusterConfig c;
-    c.num_nodes = options.num_nodes;
-    c.ranks_per_node = options.ranks_per_node;
-    machine_ = std::make_unique<mpi::Machine>(c);
-    pfs::PfsConfig p;
-    p.num_osts = options.num_osts;
-    p.stripe_unit = options.stripe_unit;
-    p.store_data = true;
-    fs_ = std::make_unique<pfs::Pfs>(machine_->cluster(), p);
-    node::MemoryVariance var;
-    var.relative_stdev = options.memory_stdev;
-    memory_ = std::make_unique<node::MemoryManager>(
-        c, options.node_memory_mean, var, options.memory_seed);
-  }
-
-  mpi::Machine& machine() { return *machine_; }
-  pfs::Pfs& fs() { return *fs_; }
-  node::MemoryManager& memory() { return *memory_; }
-  io::MPIFile::Services services() {
-    return io::MPIFile::Services{fs_.get(), memory_.get()};
-  }
-  int total_ranks() const {
-    return options_.num_nodes * options_.ranks_per_node;
-  }
-
- private:
-  MiniClusterOptions options_;
-  std::unique_ptr<mpi::Machine> machine_;
-  std::unique_ptr<pfs::Pfs> fs_;
-  std::unique_ptr<node::MemoryManager> memory_;
-};
+/// A small simulated test cluster: 3 nodes of 4 ranks, 4 OSTs with
+/// 64 KiB stripes keeping real bytes, and 1 MiB of aggregation memory on
+/// every node.
+inline core::StackConfig mini_stack() {
+  core::StackConfig c;
+  c.cluster.num_nodes = 3;
+  c.cluster.ranks_per_node = 4;
+  c.pfs.num_osts = 4;
+  c.pfs.stripe_unit = 64 << 10;
+  c.pfs.store_data = true;
+  c.mem_mean = 1 << 20;
+  c.mem_variance.relative_stdev = 0.0;
+  c.mem_seed = 7;
+  return c;
+}
 
 /// Builds a per-rank plan over a fresh buffer.
 using PlanFactory =
@@ -95,7 +61,7 @@ using PlanFactory =
 /// Writes the pattern collectively with `driver`, verifies the simulated
 /// file contents, then reads it back collectively and verifies the
 /// buffers. Throws util::Error (failing the test) on any mismatch.
-inline void round_trip(MiniCluster& cluster, io::CollectiveDriver& driver,
+inline void round_trip(core::SimStack& cluster, io::CollectiveDriver& driver,
                        int nranks, const PlanFactory& make_plan,
                        std::uint64_t seed = test_seed(),
                        const io::Hints& hints = io::Hints{},

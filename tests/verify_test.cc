@@ -25,18 +25,19 @@
 namespace mcio {
 namespace {
 
-using testing::MiniCluster;
+/// The mini test cluster, audited in deferred mode: findings are kept
+/// for the test to inspect.
+core::StackConfig audited_stack() {
+  core::StackConfig config = mcio::testing::mini_stack();
+  config.audit = core::Audit::kDeferred;
+  return config;
+}
 
-/// Attaches a deferred-mode Auditor to every component of a MiniCluster
-/// for one test, restoring the process-wide default observer on exit so
-/// the cluster's destructors never touch a dead local auditor.
-class ScopedAudit {
+/// A test's view of an audited_stack()'s Auditor.
+class StackAudit {
  public:
-  explicit ScopedAudit(MiniCluster& cluster) : cluster_(&cluster) {
-    auditor_.set_deferred(true);
-    attach(&auditor_);
-  }
-  ~ScopedAudit() { attach(verify::global_observer()); }
+  explicit StackAudit(core::SimStack& cluster)
+      : auditor_(*cluster.auditor()) {}
 
   verify::Auditor& auditor() { return auditor_; }
 
@@ -57,14 +58,7 @@ class ScopedAudit {
   }
 
  private:
-  void attach(verify::Observer* obs) {
-    cluster_->machine().set_observer(obs);
-    cluster_->fs().set_observer(obs);
-    cluster_->memory().set_observer(obs);
-  }
-
-  MiniCluster* cluster_;
-  verify::Auditor auditor_;
+  verify::Auditor& auditor_;
 };
 
 /// A deliberately buggy collective driver: writes each rank's own plan
@@ -130,8 +124,8 @@ class SabotageDriver final : public io::CollectiveDriver {
 };
 
 /// Runs one collective write (and optionally a read-back) of 64 B per
-/// rank through `driver` on an audited MiniCluster.
-void run_collective(MiniCluster& cluster, io::CollectiveDriver& driver,
+/// rank through `driver` on an audited core::SimStack.
+void run_collective(core::SimStack& cluster, io::CollectiveDriver& driver,
                     bool also_read = false) {
   cluster.machine().run(
       cluster.total_ranks(), [&](mpi::Rank& rank) {
@@ -148,8 +142,8 @@ void run_collective(MiniCluster& cluster, io::CollectiveDriver& driver,
 }
 
 TEST(Auditor, FaithfulCollectiveIsZeroFinding) {
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   SabotageDriver driver(SabotageDriver::Mode::kFaithful);
   run_collective(cluster, driver, /*also_read=*/true);
   EXPECT_TRUE(audit.auditor().clean()) << audit.auditor().report();
@@ -162,8 +156,8 @@ TEST(Auditor, FaithfulCollectiveIsZeroFinding) {
 }
 
 TEST(Auditor, DroppedByteIsReported) {
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   SabotageDriver driver(SabotageDriver::Mode::kDropLastByte);
   run_collective(cluster, driver);
   const auto msgs = audit.messages_of("byte-loss");
@@ -175,8 +169,8 @@ TEST(Auditor, DroppedByteIsReported) {
 }
 
 TEST(Auditor, DoubleWriteIsReported) {
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   SabotageDriver driver(SabotageDriver::Mode::kDoubleWrite);
   run_collective(cluster, driver);
   const auto msgs = audit.messages_of("byte-duplicate");
@@ -186,8 +180,8 @@ TEST(Auditor, DoubleWriteIsReported) {
 }
 
 TEST(Auditor, UnplannedWriteIsReported) {
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   SabotageDriver driver(SabotageDriver::Mode::kUnplannedWrite);
   run_collective(cluster, driver);
   const auto msgs = audit.messages_of("unplanned-write");
@@ -229,7 +223,7 @@ class UnionWriter final : public io::CollectiveDriver {
   std::uint64_t skip_;
 };
 
-void run_overlapping_plans(MiniCluster& cluster, UnionWriter& driver) {
+void run_overlapping_plans(core::SimStack& cluster, UnionWriter& driver) {
   cluster.machine().run(
       cluster.total_ranks(), [&](mpi::Rank& rank) {
         std::vector<std::byte> buf(64);
@@ -244,9 +238,9 @@ void run_overlapping_plans(MiniCluster& cluster, UnionWriter& driver) {
 }
 
 TEST(Auditor, OverlappingPlansWrittenOnceAreZeroFinding) {
-  MiniCluster cluster;
+  core::SimStack cluster(audited_stack());
   ASSERT_GE(cluster.total_ranks(), 2);
-  ScopedAudit audit(cluster);
+  StackAudit audit(cluster);
   UnionWriter driver;
   run_overlapping_plans(cluster, driver);
   EXPECT_TRUE(audit.auditor().clean()) << audit.auditor().report();
@@ -254,8 +248,8 @@ TEST(Auditor, OverlappingPlansWrittenOnceAreZeroFinding) {
 }
 
 TEST(Auditor, ByteDroppedInsideAPlanOverlapIsReported) {
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   UnionWriter driver(/*skip=*/40);  // ranks 0 and 1 both plan [32,64)
   run_overlapping_plans(cluster, driver);
   ASSERT_EQ(audit.auditor().findings().size(), 1u) << audit.auditor().report();
@@ -314,8 +308,8 @@ TEST(Auditor, UnsortedPlanSpanGivesTheSortedVerdict) {
 }
 
 TEST(Auditor, LeakedLeaseIsReported) {
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   SabotageDriver driver(SabotageDriver::Mode::kLeakLease);
   run_collective(cluster, driver);
   const auto msgs = audit.messages_of("lease-leak");
@@ -326,8 +320,8 @@ TEST(Auditor, LeakedLeaseIsReported) {
 }
 
 TEST(Auditor, EnforcingModeFailsTheRun) {
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   audit.set_enforcing();
   SabotageDriver driver(SabotageDriver::Mode::kDropLastByte);
   try {
@@ -343,8 +337,8 @@ TEST(Auditor, EnforcingModeFailsTheRun) {
 }
 
 TEST(Auditor, SeededDeadlockNamesFibersTagsAndCycle) {
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   try {
     cluster.machine().run(3, [](mpi::Rank& rank) {
       // Cyclic receive: every rank waits on its successor, nobody sends.
@@ -367,8 +361,8 @@ TEST(Auditor, SeededDeadlockNamesFibersTagsAndCycle) {
 }
 
 TEST(Auditor, OrphanMessageIsReported) {
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   cluster.machine().run(2, [](mpi::Rank& rank) {
     if (rank.rank() == 0) {
       const std::byte b[4] = {};
@@ -387,8 +381,8 @@ TEST(Auditor, OrphanMessageIsReported) {
   // messages stay queued. Each must be reported exactly once, and the
   // sweep must report them identically on every run.
   const auto leftovers = [] {
-    MiniCluster fresh;
-    ScopedAudit a(fresh);
+    core::SimStack fresh(audited_stack());
+    StackAudit a(fresh);
     fresh.machine().run(2, [](mpi::Rank& rank) {
       const std::byte b[5] = {};
       if (rank.rank() == 0) {
@@ -419,8 +413,8 @@ TEST(Auditor, OrphanMessageIsReported) {
 }
 
 TEST(Auditor, OrphanRecvIsReported) {
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   cluster.machine().run(2, [](mpi::Rank& rank) {
     if (rank.rank() == 0) {
       std::byte buf[4];
@@ -458,7 +452,7 @@ TEST(Auditor, TimeRegressionIsReported) {
 /// own hints and driver (`setup` customizes them per rank); returns the
 /// world communicator's id.
 std::uint64_t run_per_rank_inputs(
-    MiniCluster& cluster,
+    core::SimStack& cluster,
     const std::function<io::CollectiveDriver*(int rank, io::Hints*)>&
         setup) {
   std::uint64_t world_id = 0;
@@ -480,8 +474,8 @@ std::uint64_t run_per_rank_inputs(
 }
 
 TEST(Auditor, AgreeingPlanInputsAreZeroFinding) {
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   core::MccioDriver driver;
   run_per_rank_inputs(cluster, [&](int, io::Hints*) { return &driver; });
   EXPECT_TRUE(audit.auditor().clean()) << audit.auditor().report();
@@ -492,8 +486,8 @@ TEST(Auditor, DivergentMccioConfigIsReported) {
   // One rank's driver asks for a different N_ah: an MPI process with that
   // driver would plan differently (deadlock or lost bytes), so taking the
   // shared plan must not pass silently.
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   core::MccioDriver common;
   core::MccioConfig odd_cfg;
   odd_cfg.n_ah = 4;
@@ -513,8 +507,8 @@ TEST(Auditor, DivergentMccioConfigIsReported) {
 }
 
 TEST(Auditor, DivergentHintFailsTheEnforcingRun) {
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   audit.set_enforcing();
   io::TwoPhaseDriver driver;
   try {
@@ -534,8 +528,8 @@ TEST(Auditor, ChangedDonorElectionIsReported) {
   // A plan recording a donor election that no longer holds on the taking
   // rank (here: a request no node can ever grant) is flagged by every
   // audited rank's re-check.
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   cluster.machine().run(2, [&](mpi::Rank& rank) {
     io::CollContext ctx;
     ctx.rank = &rank;
@@ -559,8 +553,8 @@ TEST(Auditor, ChangedDonorElectionIsReported) {
 TEST(Auditor, UntakenSharedPlanIsReported) {
   // Only rank 0 takes the shared plan: the memo entry outlives the run
   // and the end-of-run sweep reports it like an orphan message.
-  MiniCluster cluster;
-  ScopedAudit audit(cluster);
+  core::SimStack cluster(audited_stack());
+  StackAudit audit(cluster);
   cluster.machine().run(2, [](mpi::Rank& rank) {
     rank.world().barrier();
     if (rank.rank() == 0) {
@@ -593,18 +587,14 @@ io::AccessPlan ior_factory(int rank, int nprocs,
 TEST(Auditor, FaultMatrixStaysZeroFinding) {
   const double denial_rates[] = {0.3, 1.0};
   for (const double denial : denial_rates) {
-    MiniCluster cluster;
-    ScopedAudit audit(cluster);
-    node::FaultConfig cfg;
-    cfg.denial_rate = denial;
-    cfg.revoke_rate = 0.3;
-    cfg.delay_rate = 0.3;
-    node::FaultPlan plan(3, cfg);
-    cluster.memory().set_fault_plan(&plan);
+    core::StackConfig config = audited_stack();
+    config.faults = node::FaultConfig{
+        .denial_rate = denial, .revoke_rate = 0.3, .delay_rate = 0.3};
+    core::SimStack cluster(config);
+    StackAudit audit(cluster);
     core::MccioDriver driver;
     mcio::testing::round_trip(cluster, driver, cluster.total_ranks(),
                               ior_factory);
-    cluster.memory().set_fault_plan(nullptr);
     EXPECT_TRUE(audit.auditor().clean())
         << "denial=" << denial << "\n"
         << audit.auditor().report();
