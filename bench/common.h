@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "core/tuner.h"
 #include "metrics/collective_stats.h"
 #include "util/bytes.h"
 #include "util/check.h"

@@ -2,6 +2,7 @@
 // calibrated testbed and prints the values MCCIO would use: Msg_ind,
 // N_ah, Mem_min and Msg_group.
 #include "common.h"
+#include "core/tuner.h"
 #include "util/cli.h"
 
 using namespace mcio;

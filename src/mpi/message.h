@@ -16,13 +16,14 @@
 // EnvelopeSlab and named by a 4-byte parcel index from then on; a posted
 // receive is named by the 4-byte index of its pooled RecvSlot. A cell's
 // FIFO is intrusive, linked through the parcels or through the slots,
-// and the table rehashes without allocating.
+// and the table holds only live keys, so it allocates only to double.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/time.h"
@@ -174,11 +175,10 @@ struct MatchKey {
 /// holding one intrusive FIFO of whichever side waits under it, parcels
 /// of the EnvelopeSlab or slots of the SlotPool. A send or a receive
 /// makes one probe; it pops when the other side waits and appends
-/// otherwise, and a cell that empties is erased in place. Collective tags
-/// are never reused, so cells are born and die constantly: dead cells
-/// become tombstones, compacted away on rehash. A rehash copies the live
-/// cells through a retained spare, so a steady-state table never
-/// allocates.
+/// otherwise. A cell is free exactly when its FIFO is empty. Collective
+/// tags are never reused, so cells are born and die constantly: a cell
+/// that empties is erased by backward shift, leaving no tombstone, and
+/// the table doubles only when live keys would pass 5/8 of its cells.
 class MatchTable {
  public:
   /// Which side waits in a cell's FIFO.
@@ -188,49 +188,36 @@ class MatchTable {
     std::uint32_t dst = 0;
     std::uint32_t src = 0;
     std::uint32_t tag = 0;
-    std::uint32_t head = kNone;  ///< oldest waiter; kNone when empty
+    std::uint32_t head = kNone;  ///< oldest waiter; kNone when free
     std::uint32_t tail = kNone;  ///< newest waiter
-    std::uint8_t state = kEmpty;
     std::uint8_t side = kMessages;
 
     /// Whether `s` waits here, so a probe from the other side pops.
     bool waits(Side s) const { return head != kNone && side == s; }
   };
 
-  /// The live cell of `k`, inserting an empty one if absent. The
-  /// reference holds until the next probe.
+  /// The cell of `k`, inserting an empty one if absent; the caller
+  /// appends to an inserted cell before the next probe. The reference
+  /// holds until the next probe or pop.
   Cell& probe(const MatchKey& k) {
-    if (8 * (used_ + 1) > 5 * cells_.size()) grow();
-    std::size_t i = hash(k) & mask_;
-    Cell* tomb = nullptr;
-    while (true) {
+    if (8 * (live_ + 1) > 5 * cells_.size()) grow();
+    for (std::size_t i = hash(k) & mask_;; i = (i + 1) & mask_) {
       Cell& c = cells_[i];
-      if (c.state == kEmpty) {
-        Cell& at = tomb != nullptr ? *tomb : c;
-        if (tomb == nullptr) ++used_;  // tombstones stay counted
-        at = Cell{k.dst, k.src, k.tag};
-        at.state = kLive;
+      if (c.head == kNone) {
+        c = Cell{k.dst, k.src, k.tag};
         ++live_;
-        return at;
-      }
-      if (c.state == kLive && c.dst == k.dst && c.src == k.src &&
-          c.tag == k.tag) {
         return c;
       }
-      if (c.state == kTomb && tomb == nullptr) tomb = &c;
-      i = (i + 1) & mask_;
+      if (c.dst == k.dst && c.src == k.src && c.tag == k.tag) return c;
     }
   }
 
   /// Removes and returns the head of `c`'s FIFO, whose link is `next`;
-  /// erases `c` in place when that empties it.
+  /// erases `c` when that empties it.
   std::uint32_t pop(Cell& c, std::uint32_t next) {
     const std::uint32_t i = c.head;
     c.head = next;
-    if (next == kNone) {
-      c.state = kTomb;
-      --live_;
-    }
+    if (next == kNone) erase(static_cast<std::size_t>(&c - cells_.data()));
     return i;
   }
 
@@ -249,7 +236,7 @@ class MatchTable {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     for (const Cell& c : cells_) {
-      if (c.state == kLive) fn(c);
+      if (c.head != kNone) fn(c);
     }
   }
 
@@ -257,11 +244,9 @@ class MatchTable {
   void clear() {
     std::fill(cells_.begin(), cells_.end(), Cell{});
     live_ = 0;
-    used_ = 0;
   }
 
  private:
-  enum : std::uint8_t { kEmpty = 0, kLive = 1, kTomb = 2 };
   static_assert(std::is_trivially_copyable_v<Cell>);
   static_assert(sizeof(Cell) == 24);
 
@@ -274,40 +259,43 @@ class MatchTable {
     return static_cast<std::size_t>(h ^ (h >> 31));
   }
 
+  /// The slot where a probe for `c`'s key starts.
+  std::size_t home(const Cell& c) const {
+    return hash(MatchKey{c.dst, c.src, c.tag}) & mask_;
+  }
+
+  /// Frees cell `hole` by backward shift: each later cell of its probe
+  /// run moves back into the hole unless its home slot lies cyclically
+  /// in (hole, its slot], where the move would hide it from its probe.
+  void erase(std::size_t hole) {
+    for (std::size_t j = (hole + 1) & mask_; cells_[j].head != kNone;
+         j = (j + 1) & mask_) {
+      if (((j - home(cells_[j])) & mask_) >= ((j - hole) & mask_)) {
+        cells_[hole] = cells_[j];
+        hole = j;
+      }
+    }
+    cells_[hole].head = kNone;
+    --live_;
+  }
+
+  /// Doubles the table (64 cells at first) and reinserts the live cells;
+  /// the old array is alive only until they are copied out of it.
   void grow() {
-    // Double when genuinely full; rehash at the same size when tombstones
-    // are the bulk of the load.
-    std::size_t n = cells_.size();
-    if (n == 0) {
-      n = 64;
-    } else if (4 * live_ >= n) {
-      n *= 2;
-    }
-    spare_.clear();
-    for (const Cell& c : cells_) {
-      if (c.state == kLive) spare_.push_back(c);
-    }
-    if (cells_.size() == n) {
-      std::fill(cells_.begin(), cells_.end(), Cell{});
-    } else {
-      // The live cells are in the spare: free the old array first.
-      cells_ = std::vector<Cell>();
-      cells_.resize(n);
-    }
-    mask_ = n - 1;
-    used_ = live_;
-    for (const Cell& c : spare_) {
-      std::size_t i = hash(MatchKey{c.dst, c.src, c.tag}) & mask_;
-      while (cells_[i].state != kEmpty) i = (i + 1) & mask_;
+    const std::vector<Cell> old = std::exchange(
+        cells_, std::vector<Cell>(cells_.empty() ? 64 : 2 * cells_.size()));
+    mask_ = cells_.size() - 1;
+    for (const Cell& c : old) {
+      if (c.head == kNone) continue;
+      std::size_t i = home(c);
+      while (cells_[i].head != kNone) i = (i + 1) & mask_;
       cells_[i] = c;
     }
   }
 
   std::vector<Cell> cells_;
-  std::vector<Cell> spare_;  ///< the live cells during a rehash
   std::size_t mask_ = 0;
   std::size_t live_ = 0;
-  std::size_t used_ = 0;  ///< live + tombstone cells
 };
 
 }  // namespace mcio::mpi

@@ -90,22 +90,4 @@ std::uint64_t Store::content_hash() const {
   return h;
 }
 
-std::optional<std::uint64_t> first_difference(const Store& a,
-                                              const Store& b) {
-  const std::uint64_t n = std::max(a.size(), b.size());
-  std::vector<std::byte> pa(Store::kPageSize);
-  std::vector<std::byte> pb(Store::kPageSize);
-  for (std::uint64_t pos = 0; pos < n; pos += Store::kPageSize) {
-    const std::uint64_t len = std::min(Store::kPageSize, n - pos);
-    a.read(pos, util::Payload::real(pa.data(), len));
-    b.read(pos, util::Payload::real(pb.data(), len));
-    if (std::memcmp(pa.data(), pb.data(), len) != 0) {
-      for (std::uint64_t i = 0; i < len; ++i) {
-        if (pa[i] != pb[i]) return pos + i;
-      }
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace mcio::pfs

@@ -8,7 +8,6 @@
 
 #include <array>
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 
 #include "util/payload.h"
@@ -45,11 +44,5 @@ class Store {
   std::unordered_map<std::uint64_t, Page> pages_;
   std::uint64_t size_ = 0;
 };
-
-/// Offset of the first logical byte where the two stores differ (holes
-/// read as zero; a longer store differs where the shorter one ends unless
-/// the excess is all zeros). nullopt when byte-identical.
-std::optional<std::uint64_t> first_difference(const Store& a,
-                                              const Store& b);
 
 }  // namespace mcio::pfs

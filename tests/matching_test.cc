@@ -1,9 +1,10 @@
 // Message-matching semantics the machine's one match table must
 // preserve: per-(destination, source, tag) FIFO order under
 // heavy interleaving, unexpected/posted crossover on one key and across
-// destinations, the end-of-run orphan sweep, allocation-free cell churn,
-// collective-tag reservation at the 28-bit wrap boundary, and end-to-end
-// determinism of a figure-shaped run.
+// destinations, the end-of-run orphan sweep, allocation-free cell churn
+// in a table sized by its live keys, collective-tag reservation at the
+// 28-bit wrap boundary, and end-to-end determinism of a figure-shaped
+// run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -49,8 +50,8 @@ std::int32_t recv_i32(Comm& comm, int src, int tag,
 }
 
 // Collective tags are never reused, so match cells are born and die
-// constantly and tombstones force periodic same-size rehashes. Once warm,
-// the table rehashes through its retained spare without allocating.
+// constantly. An emptied cell is erased by backward shift, so once warm
+// the table neither rehashes nor allocates.
 TEST(Matching, MatchTableChurnDoesNotAllocate) {
   constexpr std::uint32_t kLive = 8;
   MatchTable table;
@@ -66,7 +67,7 @@ TEST(Matching, MatchTableChurnDoesNotAllocate) {
       }
     }
   };
-  churn(0, 1000);  // warm: the table and the rehash spare
+  churn(0, 1000);  // warm: the table
   util::memtrack::reset();
   churn(1000, 20000);
   EXPECT_EQ(util::memtrack::allocations(), 0u);
@@ -79,6 +80,41 @@ TEST(Matching, MatchTableChurnDoesNotAllocate) {
     EXPECT_EQ(c.tail, c.tag);
   });
   EXPECT_EQ(live, static_cast<int>(kLive));
+}
+
+// The table holds only live keys: churning many keys through a steady
+// set of L live ones peaks at the smallest power-of-two table that keeps
+// L cells at <= 5/8 load, plus the half-size array alive while it last
+// doubled, plus malloc's rounding of under 16 B per array. Dead keys
+// would inflate it.
+TEST(Matching, MatchTableSizedByLiveKeys) {
+  for (const std::uint32_t live : {30u, 1000u}) {
+    util::memtrack::reset();
+    {
+      MatchTable table;
+      for (std::uint32_t tag = 0; tag < 20000 + live; ++tag) {
+        MatchTable::append(table.probe(MatchKey{tag % 5, tag % 7, tag}),
+                           MatchTable::kMessages, tag);
+        if (tag < live) continue;
+        const std::uint32_t old = tag - live;
+        MatchTable::Cell& c = table.probe(MatchKey{old % 5, old % 7, old});
+        EXPECT_EQ(table.pop(c, kNone), old);
+      }
+      std::uint32_t left = 0;
+      table.for_each([&](const MatchTable::Cell& c) {
+        ++left;
+        EXPECT_EQ(c.head, c.tag);
+      });
+      EXPECT_EQ(left, live);
+    }
+    std::size_t cells = 64;
+    while (8 * live > 5 * cells) cells *= 2;
+    const std::size_t grown = cells > 64 ? cells / 2 : 0;
+    const std::size_t arrays = grown > 0 ? 2 : 1;
+    EXPECT_LE(util::memtrack::peak_bytes(),
+              (cells + grown) * sizeof(MatchTable::Cell) + 16 * arrays)
+        << live << " live keys";
+  }
 }
 
 // Keys that differ only by destination never cross-match: one source
