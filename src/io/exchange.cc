@@ -339,6 +339,26 @@ void TwoPhaseExchange::count_msg(int dst, std::uint64_t bytes) {
   stats_.record_msg(my_node(), ctx_.comm->node_of(dst), bytes);
 }
 
+void TwoPhaseExchange::send_window_size(int dst, int tag,
+                                        std::uint64_t window,
+                                        mpi::Channel channel) {
+  ctx_.comm->send(
+      dst, tag,
+      ConstPayload::real(reinterpret_cast<const std::byte*>(&window),
+                         sizeof(window)),
+      channel);
+  count_msg(dst, sizeof(window));
+}
+
+std::uint64_t TwoPhaseExchange::recv_window_size(int src, int tag) {
+  std::uint64_t window = 0;
+  ctx_.comm->recv(src, tag,
+                  Payload::real(reinterpret_cast<std::byte*>(&window),
+                                sizeof(window)));
+  MCIO_CHECK_GT(window, 0u);
+  return window;
+}
+
 // Virtual seconds between the negotiation's allreduce and the aligned
 // start of the data phase. Must exceed the allreduce's own propagation
 // skew (µs-scale) so every rank resumes at exactly the same instant; see
@@ -690,44 +710,27 @@ void TwoPhaseExchange::negotiate_buffers() {
     // their leaders on the hierarchical one), so both sides window the
     // data stream identically.
     for (const int s : xplan_->routes.sources(hub.index)) {
-      ctx_.comm->send(
-          s, tags_.wsize,
-          ConstPayload::real(reinterpret_cast<const std::byte*>(&hub.window),
-                             sizeof(hub.window)));
-      count_msg(s, sizeof(hub.window));
+      send_window_size(s, tags_.wsize, hub.window);
     }
   }
 }
 
 void TwoPhaseExchange::relay_window_sizes() {
-  const auto recv_size = [&](int src, int tag) {
-    std::uint64_t wsize = 0;
-    ctx_.comm->recv(src, tag,
-                    Payload::real(reinterpret_cast<std::byte*>(&wsize),
-                                  sizeof(wsize)));
-    MCIO_CHECK_GT(wsize, 0u);
-    return wsize;
-  };
   // A leader's sizes arrive per node domain (each aggregator announces
   // its owned domains ascending; per-source FIFO lines them up), then fan
   // out to every member with data in the domain.
   const RouteTable& routes = xplan_->routes;
   for (Hub& hub : node_hubs_) {
-    hub.window = recv_size(domain(hub.index).aggregator, tags_.wsize);
+    hub.window = recv_window_size(domain(hub.index).aggregator, tags_.wsize);
     for (const int m : routes.members(my_rank())) {
       if (m == my_rank() || !routes.touches(m, hub.index)) continue;
-      ctx_.comm->send(
-          m, node_tags_.wsize,
-          ConstPayload::real(reinterpret_cast<const std::byte*>(&hub.window),
-                             sizeof(hub.window)),
-          mpi::Channel::kShm);
-      count_msg(m, sizeof(hub.window));
+      send_window_size(m, node_tags_.wsize, hub.window, mpi::Channel::kShm);
     }
   }
   // One size per link, ascending: the leader forwards a member's domains
   // ascending, exactly its links.
   for (Link& link : links_) {
-    link.window = recv_size(link.peer, tags_of(link).wsize);
+    link.window = recv_window_size(link.peer, tags_of(link).wsize);
   }
 }
 

@@ -443,6 +443,12 @@ class TwoPhaseExchange {
   /// Counts one logical message to `dst` (metrics only, no virtual time).
   void count_msg(int dst, std::uint64_t bytes);
 
+  /// Sends a negotiated window size (8 bytes) to `dst` and counts it.
+  void send_window_size(int dst, int tag, std::uint64_t window,
+                        mpi::Channel channel = mpi::Channel::kTransport);
+  /// Receives a window size from `src`; a zero size is a CHECK failure.
+  std::uint64_t recv_window_size(int src, int tag);
+
   CollContext& ctx_;
   const AccessPlan& plan_;
   std::shared_ptr<const ExchangePlan> xplan_;

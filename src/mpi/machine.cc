@@ -34,7 +34,6 @@ std::vector<sim::SimTime> Machine::run(
     const sim::Engine& e;
     ~CountOnExit() {
       m->heap_pops_ += e.heap_pops();
-      m->in_place_slices_ += e.in_place_slices();
       m->heap_high_water_ = std::max(m->heap_high_water_,
                                      e.heap_high_water());
     }

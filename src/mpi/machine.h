@@ -80,10 +80,9 @@ class Machine {
   /// per allreduce, done where the root decodes the shared wire.
   std::uint64_t reduce_passes() const { return reduce_passes_; }
 
-  /// Scheduler counters summed over every run() since construction (see
-  /// sim::Engine::heap_pops() and in_place_slices()).
+  /// Slices run (sim::Engine::heap_pops()) summed over every run()
+  /// since construction.
   std::uint64_t heap_pops() const { return heap_pops_; }
-  std::uint64_t in_place_slices() const { return in_place_slices_; }
   /// Max of sim::Engine::heap_high_water() over every run().
   std::size_t heap_high_water() const { return heap_high_water_; }
 
@@ -158,7 +157,6 @@ class Machine {
   std::uint64_t plan_builds_ = 0;
   std::uint64_t reduce_passes_ = 0;
   std::uint64_t heap_pops_ = 0;
-  std::uint64_t in_place_slices_ = 0;
   std::size_t heap_high_water_ = 0;
   sim::Engine* engine_ = nullptr;  // valid during run()
   verify::Observer* observer_;

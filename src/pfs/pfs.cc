@@ -15,8 +15,7 @@ Pfs::Pfs(sim::Cluster& cluster, const PfsConfig& config)
   MCIO_CHECK_GT(config_.max_rpc_bytes, 0u);
   osts_.reserve(static_cast<std::size_t>(config_.num_osts));
   for (int i = 0; i < config_.num_osts; ++i) {
-    osts_.push_back(Ost{sim::BandwidthQueue("ost/" + std::to_string(i),
-                                            config_.ost_write_bandwidth,
+    osts_.push_back(Ost{sim::BandwidthQueue(config_.ost_write_bandwidth,
                                             config_.rpc_latency),
                         {}});
   }

@@ -16,9 +16,9 @@ void Actor::advance(SimTime dt) {
 
 void Actor::advance_to(SimTime t) { clock_ = std::max(clock_, t); }
 
-void Actor::sync() { engine_->next_slice(id_, /*kind=*/2); }
+void Actor::sync() { engine_->yield_slice(id_, /*kind=*/2); }
 
-void Actor::sync_local() { engine_->next_slice(id_, /*kind=*/1); }
+void Actor::sync_local() { engine_->yield_slice(id_, /*kind=*/1); }
 
 void Actor::park() {
   engine_->actors_[static_cast<std::size_t>(id_)].state =
@@ -109,7 +109,6 @@ void Engine::run() {
 void Engine::run_slice(const Key& key) {
   auto& slot = actors_[static_cast<std::size_t>(key.id)];
   slice_t_ = key.t;
-  slot.state = State::kRunning;
   observer_->on_actor_resumed(key.id, slot.actor->now());
   slot.fiber->resume_from(&main_ctx_);
   observer_->on_actor_yielded(key.id, slot.actor->now());
@@ -153,24 +152,14 @@ void Engine::yield_from(int id) {
   actors_[static_cast<std::size_t>(id)].fiber->yield_to(&main_ctx_);
 }
 
-void Engine::next_slice(int id, int kind) {
+void Engine::yield_slice(int id, int kind) {
   const SimTime now = actors_[static_cast<std::size_t>(id)].actor->now();
-  const PackedKey key = pack(Key{now, kind, id});
-  if (heap_.empty() || key < heap_.top()) {
-    // The heap would hand this very slice back: continue in place (see
-    // the file comment), keeping the slice boundary visible.
-    ++in_place_slices_;
-    observer_->on_actor_yielded(id, now);
-    observer_->on_actor_resumed(id, now);
-    slice_t_ = now;
-    return;
-  }
-  enqueue_slice(id, key);
+  enqueue_slice(id, pack(Key{now, kind, id}));
   yield_from(id);
 }
 
 void Engine::enqueue_slice(int id, PackedKey key) {
-  actors_[static_cast<std::size_t>(id)].state = State::kReady;
+  actors_[static_cast<std::size_t>(id)].state = State::kRunnable;
   heap_.push(key);
   heap_high_water_ = std::max(heap_high_water_, heap_.size());
 }

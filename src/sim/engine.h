@@ -22,7 +22,8 @@
 // at equal virtual time: message-path slices (sync_local) run before
 // slices that touch machine-wide state (sync). An actor has at most one
 // slice in the heap, so the heap never holds more events than there are
-// actors. Messages are not events: the machine matches each one when it
+// actors. Every slice is pushed and popped: heap_pops() counts the slices
+// run. Messages are not events: the machine matches each one when it
 // is sent and wakes a parked receiver at the arrival time through
 // unpark(), whose wake time the engine clamps to the executing slice's
 // time, so virtual time never runs backwards in the pop order. The
@@ -33,17 +34,6 @@
 // never negative, and the bits of non-negative doubles order as their
 // values, so one integer compare orders the heap exactly as Key's
 // operator<=> would; pack() rejects a negative, -0.0 or NaN time.
-//
-// In-place continuation. When sync() or sync_local() would enqueue a
-// slice whose key (clock, kind, id) is strictly below the heap's minimum
-// (or the heap is empty), the scheduler's next pop would be that very
-// slice: nothing else runs between the push and the pop, and keys are
-// unique, so the comparison the heap would make is already decided. The
-// actor then continues without leaving its fiber: the observer still sees
-// the slice end and the next one begin (on_actor_yielded, then
-// on_actor_resumed, at the same clock), the slice time moves to the new
-// slice, and the push, the pop and two fiber switches are skipped. The
-// pop order, and so every simulated result, is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -148,12 +138,8 @@ class Engine {
 
   std::size_t num_actors() const { return actors_.size(); }
 
-  /// Events popped from the heap so far.
+  /// Events popped from the heap so far: every slice run is one pop.
   std::uint64_t heap_pops() const { return heap_pops_; }
-  /// Slices that continued in place instead of round-tripping through
-  /// the heap (see the file comment). Every slice is either popped or
-  /// continued, so heap_pops() + in_place_slices() = slices.
-  std::uint64_t in_place_slices() const { return in_place_slices_; }
   /// Most events the heap held at once; at most num_actors().
   std::size_t heap_high_water() const { return heap_high_water_; }
 
@@ -172,19 +158,19 @@ class Engine {
  private:
   friend class Actor;
 
-  enum class State { kReady, kRunning, kParked, kDone };
+  enum class State { kRunnable, kParked, kDone };
 
   struct ActorSlot {
     std::unique_ptr<Actor> actor;
     std::unique_ptr<Fiber> fiber;
-    State state = State::kReady;
+    State state = State::kRunnable;
   };
 
   void yield_from(int id);  // fiber -> scheduler
-  /// Ends the running slice of `id` and starts its next one of `kind`,
-  /// in place when that slice would be popped next.
-  void next_slice(int id, int kind);
-  /// Makes `id` ready and pushes its next slice, keyed `key`.
+  /// Ends the running slice of `id`: pushes its next one of `kind` at its
+  /// clock and yields to the scheduler.
+  void yield_slice(int id, int kind);
+  /// Makes `id` runnable and pushes its next slice, keyed `key`.
   void enqueue_slice(int id, PackedKey key);
   void body_wrapper(int id, const std::function<void(Actor&)>& body);
   /// Executes one popped slice.
@@ -201,7 +187,6 @@ class Engine {
   /// outside any slice.
   SimTime slice_t_ = 0.0;
   std::uint64_t heap_pops_ = 0;
-  std::uint64_t in_place_slices_ = 0;
   std::size_t heap_high_water_ = 0;
   verify::Observer* observer_;
   std::exception_ptr error_;

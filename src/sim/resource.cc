@@ -6,9 +6,8 @@
 
 namespace mcio::sim {
 
-BandwidthQueue::BandwidthQueue(std::string name, double bytes_per_sec,
-                               SimTime latency)
-    : name_(std::move(name)), bw_(bytes_per_sec), latency_(latency) {
+BandwidthQueue::BandwidthQueue(double bytes_per_sec, SimTime latency)
+    : bw_(bytes_per_sec), latency_(latency) {
   MCIO_CHECK_GT(bw_, 0.0);
   MCIO_CHECK_GE(latency_, 0.0);
 }
@@ -24,23 +23,12 @@ SimTime BandwidthQueue::serve(SimTime start, double bytes, double bw_scale,
   next_free_ = done;
   total_bytes_ += bytes;
   ++total_requests_;
-  busy_time_ += service;
   return done;
-}
-
-double BandwidthQueue::utilization(SimTime horizon) const {
-  if (horizon <= 0.0) return 0.0;
-  return busy_time_ / horizon;
-}
-
-double BandwidthQueue::utilization_clamped(SimTime horizon) const {
-  return std::min(1.0, utilization(horizon));
 }
 
 void BandwidthQueue::reset_accounting() {
   total_bytes_ = 0.0;
   total_requests_ = 0;
-  busy_time_ = 0.0;
 }
 
 }  // namespace mcio::sim

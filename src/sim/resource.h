@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "sim/time.h"
 
@@ -18,8 +17,7 @@ class BandwidthQueue {
  public:
   /// `bytes_per_sec` must be positive; `latency` is charged per served
   /// request (RPC/packet overhead).
-  BandwidthQueue(std::string name, double bytes_per_sec,
-                 SimTime latency = 0.0);
+  explicit BandwidthQueue(double bytes_per_sec, SimTime latency = 0.0);
 
   /// Serves `bytes` starting no earlier than `start`. `bw_scale` scales the
   /// effective bandwidth of this request only (e.g. paging pressure);
@@ -31,31 +29,18 @@ class BandwidthQueue {
   /// Earliest time a new request could begin service.
   SimTime next_free() const { return next_free_; }
 
-  const std::string& name() const { return name_; }
-  double bandwidth() const { return bw_; }
-
   // Accounting.
   double total_bytes() const { return total_bytes_; }
   std::uint64_t total_requests() const { return total_requests_; }
-  SimTime busy_time() const { return busy_time_; }
-  /// Ratio of busy time to [0, horizon). Exceeds 1.0 when accumulated
-  /// service time outruns the horizon (queueing pushed work past it) —
-  /// that oversubscription is real signal, so the raw ratio is returned
-  /// and presentation layers clamp via `utilization_clamped`.
-  double utilization(SimTime horizon) const;
-  /// `utilization` capped at 1.0 for display/reporting.
-  double utilization_clamped(SimTime horizon) const;
 
   void reset_accounting();
 
  private:
-  std::string name_;
   double bw_;
   SimTime latency_;
   SimTime next_free_ = 0.0;
   double total_bytes_ = 0.0;
   std::uint64_t total_requests_ = 0;
-  SimTime busy_time_ = 0.0;
 };
 
 }  // namespace mcio::sim

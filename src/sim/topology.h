@@ -60,10 +60,6 @@ class Cluster {
   int total_ranks() const { return config_.total_ranks(); }
 
   int node_of_rank(int rank) const;
-  /// Ranks hosted on `node`, in rank order.
-  std::vector<int> ranks_on_node(int node) const;
-  /// Lowest rank on `node`.
-  int first_rank_on_node(int node) const;
 
   BandwidthQueue& nic_out(int node);
   BandwidthQueue& nic_in(int node);
@@ -72,8 +68,6 @@ class Cluster {
   BandwidthQueue& shm(int node);
   /// The node's donor-side far-memory port (borrowed-buffer fills/drains).
   BandwidthQueue& fabric(int node);
-
-  void reset_accounting();
 
  private:
   ClusterConfig config_;

@@ -23,7 +23,6 @@ class MCIO_CAPABILITY("mutex") Mutex {
 
   void lock() MCIO_ACQUIRE() { mu_.lock(); }
   void unlock() MCIO_RELEASE() { mu_.unlock(); }
-  bool try_lock() MCIO_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   std::mutex mu_;

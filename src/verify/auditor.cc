@@ -120,15 +120,12 @@ void Auditor::on_engine_start(int num_actors) {
   tl_cur_actor_ = -1;
 }
 
-void Auditor::on_actor_resumed(int actor, double clock) {
-  const util::MutexLock lock(hook_mu_);
-  ++counters_.slices;
-  tl_cur_actor_ = actor;
+void Auditor::check_clock(int actor, double clock, const char* verb) {
   const auto i = static_cast<std::size_t>(actor);
   if (i >= last_clock_.size()) last_clock_.resize(i + 1, 0.0);
   if (clock < last_clock_[i]) {
     std::ostringstream os;
-    os << "rank " << actor << " resumed at clock " << clock
+    os << "rank " << actor << ' ' << verb << " at clock " << clock
        << " after reaching " << last_clock_[i]
        << " — virtual time moved backwards";
     add_finding("time-regression", os.str());
@@ -136,19 +133,17 @@ void Auditor::on_actor_resumed(int actor, double clock) {
   last_clock_[i] = clock;
 }
 
+void Auditor::on_actor_resumed(int actor, double clock) {
+  const util::MutexLock lock(hook_mu_);
+  ++counters_.slices;
+  tl_cur_actor_ = actor;
+  check_clock(actor, clock, "resumed");
+}
+
 void Auditor::on_actor_yielded(int actor, double clock) {
   const util::MutexLock lock(hook_mu_);
   tl_cur_actor_ = -1;
-  const auto i = static_cast<std::size_t>(actor);
-  if (i >= last_clock_.size()) last_clock_.resize(i + 1, 0.0);
-  if (clock < last_clock_[i]) {
-    std::ostringstream os;
-    os << "rank " << actor << " yielded at clock " << clock
-       << " after reaching " << last_clock_[i]
-       << " — virtual time moved backwards";
-    add_finding("time-regression", os.str());
-  }
-  last_clock_[i] = clock;
+  check_clock(actor, clock, "yielded");
 }
 
 std::string Auditor::describe_deadlock(std::span<const int> stuck) {

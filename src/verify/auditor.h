@@ -205,6 +205,10 @@ class Auditor final : public Observer {
 
   void add_finding(std::string kind, std::string message)
       MCIO_REQUIRES(hook_mu_);
+  /// Records `actor`'s clock at a slice boundary (`verb`: "resumed" or
+  /// "yielded"), reporting a time-regression if it moved backwards.
+  void check_clock(int actor, double clock, const char* verb)
+      MCIO_REQUIRES(hook_mu_);
   /// Dense id of a MemoryManager, assigned in first-observation order —
   /// the deterministic stand-in for the manager's address everywhere a
   /// key can reach an iteration (lease maps, finding messages). A

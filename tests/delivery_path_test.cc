@@ -88,20 +88,18 @@ TEST(DeliveryPath, NoHeapAllocationPerMessage) {
   EXPECT_LT(static_cast<double>(allocs), 0.01 * static_cast<double>(msgs))
       << allocs << " heap allocations for " << msgs << " messages";
 
-  // Every slice resumed went through the heap exactly once, unless it
-  // continued in place; deliveries are matched at send and pop nothing,
-  // so the heap never holds more than one slice per rank.
+  // Every slice resumed went through the heap exactly once; deliveries
+  // are matched at send and pop nothing, so the heap never holds more
+  // than one slice per rank.
   EXPECT_EQ(counts.deliveries, std::uint64_t{kRanks} * kPeers *
                                    (kWarmRounds + kRounds));
-  EXPECT_EQ(machine.heap_pops() + machine.in_place_slices(), counts.slices);
-  EXPECT_GT(machine.in_place_slices(), 0u);
+  EXPECT_EQ(machine.heap_pops(), counts.slices);
   EXPECT_LE(machine.heap_high_water(), std::size_t{kRanks});
 }
 
-/// Slices the running engine has executed so far, popped or in place.
+/// Slices the running engine has executed so far.
 std::uint64_t slices_so_far(Rank& rank) {
-  const sim::Engine& engine = rank.machine().engine();
-  return engine.heap_pops() + engine.in_place_slices();
+  return rank.machine().engine().heap_pops();
 }
 
 TEST(DeliveryPath, PostingAndMatchedWaitsAddNoSlices) {
@@ -177,7 +175,7 @@ TEST(DeliveryPath, SlicesPerMessage) {
     }
   });
   ASSERT_EQ(counts.deliveries, std::uint64_t{kRanks} * kPeers * kRounds);
-  EXPECT_EQ(machine.heap_pops() + machine.in_place_slices(), counts.slices);
+  EXPECT_EQ(machine.heap_pops(), counts.slices);
   // Measured: 16,884 slices for 14,336 messages (36,745 when a receive
   // yielded to be posted and to wait on a matched message).
   EXPECT_LE(counts.slices, 16884u)
