@@ -20,34 +20,52 @@ std::optional<Extent> intersect(const Extent& a, const Extent& b) {
 namespace {
 
 /// Merges the overlapping and adjacent runs of offset-sorted `runs` in
-/// place.
-void coalesce(std::vector<Extent>* runs) {
-  std::size_t last = 0;
-  for (std::size_t i = 1; i < runs->size(); ++i) {
-    Extent& run = (*runs)[last];
-    const Extent& next = (*runs)[i];
+/// place, from index `from` on: the runs before it must already be
+/// coalesced and not touch it. The coalesced prefix is only read.
+void coalesce(std::vector<Extent>* runs, std::size_t from = 0) {
+  std::vector<Extent>& r = *runs;
+  std::size_t i = from + 1;
+  while (i < r.size() && r[i].offset > r[i - 1].end()) ++i;
+  std::size_t last = i - 1;
+  for (; i < r.size(); ++i) {
+    Extent& run = r[last];
+    const Extent& next = r[i];
     if (next.offset <= run.end()) {
       run.len = std::max(run.end(), next.end()) - run.offset;
     } else {
-      (*runs)[++last] = next;
+      r[++last] = next;
     }
   }
-  if (!runs->empty()) runs->resize(last + 1);
+  if (!r.empty()) r.resize(last + 1);
+}
+
+/// True when `runs` is already in normal form: every run non-empty and
+/// starting past the previous run's end. One read-only pass.
+bool strictly_normalized(const std::vector<Extent>& runs) {
+  std::uint64_t prev_end = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Extent& e = runs[i];
+    if (e.len == 0 || (i > 0 && e.offset <= prev_end)) return false;
+    prev_end = e.end();
+  }
+  return true;
 }
 
 }  // namespace
 
 ExtentList ExtentList::normalize(std::vector<Extent> extents) {
-  std::erase_if(extents, [](const Extent& e) { return e.empty(); });
-  const auto by_offset_then_len = [](const Extent& a, const Extent& b) {
-    return a.offset != b.offset ? a.offset < b.offset : a.len < b.len;
-  };
-  // Flattened datatypes, decoded wire lists and plans arrive sorted:
-  // checking costs O(n), sorting them again O(n log n).
-  if (!std::is_sorted(extents.begin(), extents.end(), by_offset_then_len)) {
-    std::sort(extents.begin(), extents.end(), by_offset_then_len);
+  // Flattened datatypes, decoded wire lists and plans arrive normalized:
+  // one read-only pass adopts them as they are.
+  if (!strictly_normalized(extents)) {
+    std::erase_if(extents, [](const Extent& e) { return e.empty(); });
+    const auto by_offset_then_len = [](const Extent& a, const Extent& b) {
+      return a.offset != b.offset ? a.offset < b.offset : a.len < b.len;
+    };
+    if (!std::is_sorted(extents.begin(), extents.end(), by_offset_then_len)) {
+      std::sort(extents.begin(), extents.end(), by_offset_then_len);
+    }
+    coalesce(&extents);
   }
-  coalesce(&extents);
   ExtentList out;  // adopts the argument's storage
   out.runs_ = std::move(extents);
   return out;
@@ -79,8 +97,10 @@ void ExtentList::merge(const ExtentList& other) {
     return;
   }
   // Both lists are sorted: merge them by offset from the back into
-  // runs_' grown tail, then coalesce forward, in O(n + m) — inserting
-  // run by run would shift the tail once per interleaved run.
+  // runs_' grown tail, in O(n + m) — inserting run by run would shift the
+  // tail once per interleaved run. The loop leaves runs_[0, i) in place,
+  // still coalesced, so coalescing starts at the run before the first
+  // one that moved.
   std::size_t i = runs_.size();
   std::size_t j = in.size();
   runs_.resize(i + j);
@@ -92,7 +112,7 @@ void ExtentList::merge(const ExtentList& other) {
       runs_[k] = in[--j];
     }
   }
-  coalesce(&runs_);
+  coalesce(&runs_, i > 0 ? i - 1 : 0);
 }
 
 std::uint64_t ExtentList::total_bytes() const {
@@ -119,16 +139,24 @@ ExtentList ExtentList::clipped(const Extent& window) const {
 }
 
 void ExtentCursor::clipped_into(const Extent& window, ExtentList* out) {
-  out->clear();
-  while (idx_ < runs_->size() && (*runs_)[idx_].end() <= window.offset) {
-    ++idx_;
+  const std::vector<Extent>& runs = *runs_;
+  const std::uint64_t end = window.end();
+  while (idx_ < runs.size() && runs[idx_].end() <= window.offset) ++idx_;
+  std::size_t hi = idx_;
+  if (!window.empty()) {
+    while (hi < runs.size() && runs[hi].offset < end) ++hi;
   }
-  for (std::size_t j = idx_;
-       j < runs_->size() && (*runs_)[j].offset < window.end(); ++j) {
-    if (const auto x = intersect((*runs_)[j], window)) {
-      out->runs_.push_back(*x);
-    }
+  // Runs [idx_, hi) all meet the window: copy them at once, then clamp
+  // the two that may stick out of it.
+  std::vector<Extent>& clip = out->runs_;
+  clip.assign(runs.begin() + static_cast<std::ptrdiff_t>(idx_),
+              runs.begin() + static_cast<std::ptrdiff_t>(hi));
+  if (clip.empty()) return;
+  if (clip.front().offset < window.offset) {
+    clip.front().len = clip.front().end() - window.offset;
+    clip.front().offset = window.offset;
   }
+  if (clip.back().end() > end) clip.back().len = end - clip.back().offset;
 }
 
 bool ExtentList::covers(const Extent& e) const {
@@ -160,14 +188,14 @@ void PieceCursor::advance(const Extent& window, std::vector<Piece>* out) {
     ++idx_;
   }
   out->clear();
+  const std::uint64_t end = window.end();
   std::uint64_t prefix = buf_prefix_;
-  for (std::size_t j = idx_; j < ext.size() && ext[j].offset < window.end();
-       ++j) {
-    if (const auto x = intersect(ext[j], window)) {
-      out->push_back(
-          Piece{x->offset, prefix + (x->offset - ext[j].offset), x->len});
-    }
-    prefix += ext[j].len;
+  for (std::size_t j = idx_; j < ext.size() && ext[j].offset < end; ++j) {
+    const Extent& e = ext[j];
+    const std::uint64_t lo = std::max(e.offset, window.offset);
+    const std::uint64_t hi = std::min(e.end(), end);
+    if (lo < hi) out->push_back(Piece{lo, prefix + (lo - e.offset), hi - lo});
+    prefix += e.len;
   }
 }
 

@@ -47,15 +47,18 @@ class ExtentList {
   ExtentList() = default;
 
   /// Builds a normalized list from arbitrary input (may overlap/unsorted).
-  /// O(n) when the input is already sorted by (offset, len), O(n log n)
-  /// otherwise. Coalesces in place and adopts the argument's storage:
+  /// Input already in normal form is adopted after one read-only pass;
+  /// other input sorted by (offset, len) costs O(n), unsorted input
+  /// O(n log n). Coalesces in place and adopts the argument's storage:
   /// it allocates nothing itself.
   static ExtentList normalize(std::vector<Extent> extents);
 
   /// Inserts one extent, keeping the list normalized.
   void add(const Extent& e);
 
-  /// Union with another list, in O(size() + other.size()).
+  /// Union with another list, in O(k + other.size()) where k counts this
+  /// list's runs from other's first offset on: only that suffix moves and
+  /// is coalesced again, so appending past the end costs O(other.size()).
   void merge(const ExtentList& other);
 
   const std::vector<Extent>& runs() const& { return runs_; }
@@ -91,7 +94,9 @@ class ExtentList {
 
 /// Monotone clipping cursor over a normalized extent list: produces the
 /// same result as ExtentList::clipped(window), but windows must be queried
-/// in increasing offset order, making a sweep over W windows and R runs
+/// in nondecreasing offset order. Each query skips the runs that end
+/// before its window, copies the runs that meet it with one bulk copy and
+/// clamps the two ends, making a sweep over W windows and R runs
 /// O(W + R) instead of O(W · R). The referenced list must outlive the
 /// cursor and stay unmodified.
 class ExtentCursor {

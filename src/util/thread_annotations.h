@@ -41,10 +41,6 @@
 #define MCIO_RELEASE(...) \
   MCIO_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// Function attempts the acquisition; first arg is the success value.
-#define MCIO_TRY_ACQUIRE(...) \
-  MCIO_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
 /// Caller must already hold the capability.
 #define MCIO_REQUIRES(...) \
   MCIO_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))

@@ -1,6 +1,7 @@
 // The exchange engine: plan validation, the route table against per-rank
 // reference derivations, RMW/data-sieving behaviour and instrumentation,
-// using explicit hand-built exchange plans.
+// using explicit hand-built exchange plans, and the deterministic
+// host-allocation budget of a coll_perf-shaped write and read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,9 @@
 #include "node/memory.h"
 #include "pfs/pfs.h"
 #include "testing.h"
+#include "util/memtrack.h"
 #include "util/rng.h"
+#include "workloads/collperf.h"
 #include "workloads/ior.h"
 #include "workloads/pattern.h"
 
@@ -482,6 +485,53 @@ TEST(HierRoundTrip, ZeroDataRanksExcludedFromHierarchy) {
                                hier_sparse_factory, /*seed=*/42,
                                hier_hints()));
   }
+}
+
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define MCIO_TEST_UNDER_SANITIZER 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define MCIO_TEST_UNDER_SANITIZER 1
+#endif
+
+// The host allocations of one small coll_perf run (a 3-D subarray view
+// on 24 ranks, written and read back by each collective driver), counted
+// by memtrack on this thread from before the stack is built. Every rank
+// flattens its view, and the extent lists it exchanges are clipped,
+// decoded, merged and audited, so a copy or re-coalesce added on that
+// path shows up here as a count, whatever the host's speed.
+TEST(ExtentPathBudget, CollPerfWriteRead) {
+  core::StackConfig config = mcio::testing::mini_stack();
+  config.cluster.num_nodes = 6;  // 24 ranks
+  workloads::CollPerfConfig w;
+  w.dims = {64, 64, 64};
+  util::memtrack::reset();
+  for (const core::DriverKind kind :
+       {core::DriverKind::kTwoPhase, core::DriverKind::kMccio}) {
+    core::SimStack stack(config);
+    const core::WriteReadResult r = core::run_write_read(
+        stack, kind, {}, io::Hints{}, stack.total_ranks(),
+        [&](int rank, int p) {
+          return workloads::collperf_plan(
+              rank, p, w,
+              util::Payload::virtual_bytes(
+                  workloads::collperf_bytes_per_rank(rank, p, w)));
+        });
+    EXPECT_GT(r.write_bw, 0.0);
+    EXPECT_GT(r.read_bw, 0.0);
+  }
+  // Measured: 6,103 allocations of 6.83 MB in all. Kernels that clip run
+  // by run and re-normalize normalized lists read 8,335 and 8.27 MB. The
+  // budgets leave about 8% for standard-library differences.
+  const std::uint64_t allocations = util::memtrack::allocations();
+  EXPECT_LE(allocations, 6'600u);
+#if !defined(MCIO_TEST_UNDER_SANITIZER)
+  // Sanitizer allocators report other block sizes: the count only there.
+  EXPECT_LE(util::memtrack::allocated_bytes(), 7'400'000u)
+      << allocations << " allocations";
+#endif
 }
 
 }  // namespace

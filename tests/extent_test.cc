@@ -197,17 +197,45 @@ TEST_P(ExtentListProperty, NormalizeMatchesSortThenCoalesce) {
       adjacent.push_back(Extent{pos, 1 + rng.uniform_u64(8)});
       pos = adjacent.back().end();
     }
-    const std::vector<Extent> shapes[] = {
-        sort_then_coalesce(raw),  // already normalized
-        adjacent,
-        sorted,
-        raw,  // unsorted, with empty extents
-        {{7, 0}, {3, 0}},
-        {},
+    // Normalized lists with one defect that the adopt-as-is fast path
+    // must reject: a touching pair, an empty run in mid-list, a duplicated
+    // run, the last two runs swapped.
+    std::vector<Extent> gapped;  // gaps of at least 2
+    for (std::uint64_t pos = 0; gapped.size() < 20;) {
+      pos += 2 + rng.uniform_u64(5);
+      gapped.push_back(Extent{pos, 1 + rng.uniform_u64(8)});
+      pos = gapped.back().end();
+    }
+    const std::size_t at = 1 + rng.uniform_u64(gapped.size() - 2);
+    std::vector<Extent> touching = gapped;
+    const std::uint64_t pull = touching[at].offset - touching[at - 1].end();
+    for (std::size_t k = at; k < touching.size(); ++k) {
+      touching[k].offset -= pull;
+    }
+    std::vector<Extent> mid_empty = gapped;  // inside a gap, touching none
+    mid_empty.insert(mid_empty.begin() + static_cast<std::ptrdiff_t>(at),
+                     Extent{mid_empty[at - 1].end() + 1, 0});
+    std::vector<Extent> duplicated = gapped;
+    duplicated.insert(duplicated.begin() + static_cast<std::ptrdiff_t>(at),
+                      duplicated[at]);
+    std::vector<Extent> swapped = gapped;
+    std::swap(swapped[swapped.size() - 2], swapped.back());
+    const std::pair<const char*, std::vector<Extent>> shapes[] = {
+        {"normalized", sort_then_coalesce(raw)},
+        {"adjacent", adjacent},
+        {"sorted", sorted},
+        {"raw", raw},  // unsorted, with empty extents
+        {"empties", {{7, 0}, {3, 0}}},
+        {"none", {}},
+        {"gapped", gapped},
+        {"touching", touching},
+        {"mid-empty", mid_empty},
+        {"duplicated", duplicated},
+        {"swapped", swapped},
     };
-    for (const std::vector<Extent>& in : shapes) {
+    for (const auto& [name, in] : shapes) {
       ASSERT_EQ(ExtentList::normalize(in).runs(), sort_then_coalesce(in))
-          << "round " << round << ", " << in.size() << " extents";
+          << name << " input, round " << round;
     }
   }
 }
@@ -233,6 +261,31 @@ TEST_P(ExtentListProperty, MergeMatchesBruteForce) {
     a.merge(a);
     ASSERT_EQ(a, by_add);
   }
+  // A long list merged with a list that touches only its tail, and with
+  // one that bridges its last two runs: the runs before the first that
+  // moves must be coalesced with it, not left standing next to it.
+  ExtentList longer;
+  for (std::uint64_t i = 0; i < 64; ++i) {
+    longer.add(Extent{i * 20 + rng.uniform_u64(5), 1 + rng.uniform_u64(10)});
+  }
+  const std::vector<Extent>& runs = longer.runs();
+  const Extent last = runs.back();
+  const Extent before_last = runs[runs.size() - 2];
+  const std::pair<const char*, ExtentList> partners[] = {
+      {"tail-touching", ExtentList::normalize({{last.end(), 3}})},
+      {"bridging", ExtentList::normalize({{before_last.end(),
+                                            last.offset - before_last.end()}})},
+      {"overlapping-bridge",
+       ExtentList::normalize({{before_last.end() - 1, 2},
+                              {last.end() - 1, 4}})},
+  };
+  for (const auto& [name, partner] : partners) {
+    ExtentList merged = longer;
+    ExtentList by_add = longer;
+    for (const Extent& e : partner.runs()) by_add.add(e);
+    merged.merge(partner);
+    ASSERT_EQ(merged, by_add) << name << " partner " << partner;
+  }
 }
 
 TEST_P(ExtentListProperty, ClipMatchesBruteForce) {
@@ -251,6 +304,45 @@ TEST_P(ExtentListProperty, ClipMatchesBruteForce) {
       if (w.contains(b)) expected.insert(b);
     }
     ASSERT_EQ(to_set(clip), expected) << "window " << w;
+  }
+}
+
+TEST_P(ExtentListProperty, CursorMatchesClipped) {
+  Rng rng(GetParam() ^ 0xc0c0);
+  for (int round = 0; round < 10; ++round) {
+    std::vector<Extent> raw;
+    for (int i = 0; i < 40; ++i) {
+      raw.push_back(Extent{rng.uniform_u64(600), rng.uniform_u64(20)});
+    }
+    const auto list = ExtentList::normalize(raw);
+    if (list.empty()) continue;
+    // Monotone windows (nondecreasing offsets): around every run, the
+    // named cases; between runs, now and then a random window that may
+    // span many runs; then windows past the last run.
+    std::vector<Extent> windows = {{0, 0}};
+    std::uint64_t pos = 0;  // no later window may start before this
+    for (const Extent& r : list.runs()) {
+      if (pos < r.offset && rng.uniform_u64(2) == 0) {
+        pos += rng.uniform_u64(r.offset - pos);
+        windows.push_back(Extent{pos, rng.uniform_u64(200)});
+      }
+      if (r.offset > pos) windows.push_back(Extent{r.offset - 1, 2});
+      if (r.len >= 3) windows.push_back(Extent{r.offset + 1, r.len - 2});
+      windows.push_back(Extent{r.offset + r.len / 2, 0});  // empty
+      windows.push_back(Extent{r.end() - 1, 2});  // straddles the end
+      windows.push_back(windows.back());  // repeated
+      pos = r.end() - 1;
+    }
+    const std::uint64_t end = list.bounds().end();
+    windows.push_back(Extent{end, 10});
+    windows.push_back(Extent{end + 100, 0});
+    windows.push_back(Extent{end + 100, 10});
+    ExtentCursor cursor(list);
+    ExtentList clip;  // one reused list
+    for (const Extent& w : windows) {
+      cursor.clipped_into(w, &clip);
+      ASSERT_EQ(clip, list.clipped(w)) << "window " << w << " of " << list;
+    }
   }
 }
 
