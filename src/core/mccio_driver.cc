@@ -6,7 +6,6 @@
 #include "core/aggregator_location.h"
 #include "core/group_division.h"
 #include "core/partition_tree.h"
-#include "io/independent.h"
 #include "util/check.h"
 
 namespace mcio::core {
@@ -185,8 +184,8 @@ io::ExchangePlan plan_from(const MccioConfig& config,
   // Plan-time last resort of the degradation ladder, decided up front so
   // no later placement can pick a doomed aggregator: a group whose hosts
   // are all exhausted cannot back even a Msg_ind buffer anywhere. Its
-  // ranks drop out of the shuffle entirely (the driver performs their
-  // I/O independently) and their bounds are cleared *before* any group
+  // ranks drop out of the shuffle entirely (the exchange runs their I/O
+  // independently) and their bounds are cleared *before* any group
   // is placed, so leaf searches below never select them. With the
   // borrow-far-memory rung enabled the group is *rescued* instead when
   // any node in the cluster can donate at least a floor-sized window —
@@ -391,45 +390,17 @@ std::shared_ptr<const io::ExchangePlan> MccioDriver::build_plan(
   });
 }
 
-namespace {
-
-/// True when `rank` was degraded to independent I/O by the plan.
-bool is_fallback(const io::ExchangePlan& xplan, int rank) {
-  return std::binary_search(xplan.independent_ranks.begin(),
-                            xplan.independent_ranks.end(), rank);
-}
-
-}  // namespace
-
 void MccioDriver::write_all(io::CollContext& ctx,
                             const io::AccessPlan& plan) {
   plan.validate();
-  std::shared_ptr<const io::ExchangePlan> xplan = build_plan(ctx, plan);
-  const bool fallback = is_fallback(*xplan, ctx.comm->rank());
-  // Every rank constructs the exchange (tag reservation is collective);
-  // fallback ranks then bypass it and write their plan independently.
-  io::TwoPhaseExchange exchange(ctx, plan, std::move(xplan));
-  if (fallback) {
-    if (ctx.stats != nullptr) ctx.stats->record_fallback(plan.total_bytes());
-    exchange.fallback_sync();
-    io::independent_write(ctx, plan);
-    return;
-  }
+  io::TwoPhaseExchange exchange(ctx, plan, build_plan(ctx, plan));
   exchange.write();
 }
 
 void MccioDriver::read_all(io::CollContext& ctx,
                            const io::AccessPlan& plan) {
   plan.validate();
-  std::shared_ptr<const io::ExchangePlan> xplan = build_plan(ctx, plan);
-  const bool fallback = is_fallback(*xplan, ctx.comm->rank());
-  io::TwoPhaseExchange exchange(ctx, plan, std::move(xplan));
-  if (fallback) {
-    if (ctx.stats != nullptr) ctx.stats->record_fallback(plan.total_bytes());
-    exchange.fallback_sync();
-    io::independent_read(ctx, plan);
-    return;
-  }
+  io::TwoPhaseExchange exchange(ctx, plan, build_plan(ctx, plan));
   exchange.read();
 }
 

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #endif
 
+#include "io/independent.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -229,6 +230,9 @@ TwoPhaseExchange::TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
   // same tags below. With node leaders off the node family reserves
   // nothing and the flat tag sequence is untouched.
   degraded_ = ctx_.memory->faults_enabled();
+  independent_ = std::binary_search(xplan_->independent_ranks.begin(),
+                                    xplan_->independent_ranks.end(),
+                                    ctx_.comm->rank());
   const int tag_span =
       std::max<int>(1, static_cast<int>(xplan_->domains.size()));
   tags_.lists = ctx_.comm->reserve_tags(1);
@@ -530,10 +534,10 @@ BufferGrant TwoPhaseExchange::acquire_buffer(
       prev_ask = ask;
       for (;;) {
         actor().sync();
-        node::BorrowAttempt att = ctx_.memory->try_borrow(
+        node::LeaseAttempt att = ctx_.memory->try_borrow(
             node, ask, ctx_.hints.borrow_donor_reserve, site,
             borrow_attempt);
-        if (att.donor < 0) break;  // no donor at this size: try smaller
+        if (att.node < 0) break;  // no donor at this size: try smaller
         ++borrow_attempt;
         if (!att.granted) {
           if (borrow_retries >= kFaultMaxRetries) {
@@ -549,7 +553,7 @@ BufferGrant TwoPhaseExchange::acquire_buffer(
         BufferGrant g;
         g.window_bytes = ask;
         g.revoke_after = att.lease.revoke_after();
-        g.borrow_donor = att.donor;
+        g.borrow_donor = att.node;
         stats_.record_borrow();
         // Probe only, as above: the data phases take the real donor
         // lease.
@@ -623,19 +627,19 @@ bool WindowBacking::reborrow() {
   // every migration/promotion probe.
   sim::Actor& actor = ctx_.rank->actor();
   actor.sync();
-  node::BorrowAttempt att = ctx_.memory->try_borrow(
+  node::LeaseAttempt att = ctx_.memory->try_borrow(
       home_node_, window_bytes_, ctx_.hints.borrow_donor_reserve, site_, 0);
   if (!att.granted) {
     // Only a fault-denied election counts as a denial; a probe that
     // found no donor with headroom (the common case while every peer is
     // mid-domain) is just the window watching the pool.
-    if (att.donor >= 0) stats_.record_borrow_denial();
+    if (att.node >= 0) stats_.record_borrow_denial();
     return false;
   }
   wait_grant_delay(actor, stats_, att.delay_s);
   state_ = State::kBorrowed;
   probing_ = false;
-  node_ = att.donor;
+  node_ = att.node;
   revoke_at_ = std::isfinite(att.lease.revoke_after())
                    ? actor.now() + att.lease.revoke_after()
                    : std::numeric_limits<double>::infinity();
@@ -1017,9 +1021,15 @@ void TwoPhaseExchange::client_recv_data() {
 }
 
 // Every stage runs on every rank: a rank without links, hubs or node
-// hubs finds an empty table.
+// hubs finds an empty table. A rank the plan degraded to independent I/O
+// has no table at all; it negotiates with the rest (the degraded
+// protocol closes negotiation collectively) and then does its own I/O.
 void TwoPhaseExchange::write() {
   negotiate();
+  if (independent_) {
+    independent_write(ctx_, plan_);
+    return;
+  }
   client_send_data();
   leader_combine_write();
   aggregator_write();
@@ -1027,6 +1037,10 @@ void TwoPhaseExchange::write() {
 
 void TwoPhaseExchange::read() {
   negotiate();
+  if (independent_) {
+    independent_read(ctx_, plan_);
+    return;
+  }
   aggregator_read();
   leader_scatter_read();
   client_recv_data();
@@ -1034,6 +1048,7 @@ void TwoPhaseExchange::read() {
 
 void TwoPhaseExchange::negotiate() {
   if (my_rank() == 0) stats_.set_groups(xplan_->num_groups);
+  if (independent_) stats_.record_fallback(plan_.total_bytes());
   {
     // Scoped: the normalized request is dropped before the drain parks.
     const ExtentList local = ExtentList::normalize(plan_.extents);
@@ -1065,10 +1080,6 @@ void TwoPhaseExchange::close_negotiation() {
                                             xplan_->routes.hierarchical());
   actor().advance_to(
       std::max(actor().now(), t + kNegotiationCloseSlack));
-}
-
-void TwoPhaseExchange::fallback_sync() {
-  if (degraded_) close_negotiation();
 }
 
 }  // namespace mcio::io

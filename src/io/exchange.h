@@ -124,8 +124,9 @@ struct ExchangePlan {
   int num_groups = 1;
   /// Ranks degraded to independent I/O (ascending): the degradation
   /// ladder's plan-time last resort (see the rung table below). Their
-  /// rank_bounds entries are empty — they take no part in the shuffle —
-  /// and the owning driver performs their I/O outside the exchange.
+  /// rank_bounds entries are empty, so they take no part in the shuffle;
+  /// TwoPhaseExchange runs their negotiation with every other rank and
+  /// then their own I/O (write()/read()).
   std::vector<int> independent_ranks;
   /// Donor elections the build's plan-time rescue relied on (granted
   /// ones only), in group order.
@@ -165,10 +166,13 @@ std::shared_ptr<const ExchangePlan> share_exchange_plan(
 
 // The graceful-degradation ladder — authoritative rung table. Every
 // other description (collective_stats.h, DESIGN.md §11, bench/README
-// docs) refers here. Plan-time steps run in the drivers. Rungs 1, 3, 4
-// and 5 settle each aggregation buffer's BufferGrant at negotiation
-// (TwoPhaseExchange::acquire_buffer); WindowBacking carries the grant
-// through the data phase, where rung 2 and rung 4's re-borrows run.
+// docs) refers here. Plan-time steps are decided in the drivers' plan
+// builds. Rungs 1, 3, 4 and 5 settle each aggregation buffer's
+// BufferGrant at negotiation (TwoPhaseExchange::acquire_buffer);
+// WindowBacking carries the grant through the data phase, where rung 2
+// and rung 4's re-borrows run. Every grant, local or borrowed, is one
+// node::MemoryManager::try_lease draw (try_borrow is elect_donor plus a
+// try_lease on the donor at a salted site).
 //
 //   plan    remerge        domains merged away from memory-poor hosts
 //                          (MCCIO placement, §3.3; plan_remerges)
@@ -188,8 +192,12 @@ std::shared_ptr<const ExchangePlan> share_exchange_plan(
 //                          buffer, every byte pages (spills,
 //                          spilled_bytes)
 //   plan    independent    fully exhausted donor-less groups leave the
-//           fallback       exchange and write/read independently
-//                          (fallback_ranks, fallback_bytes)
+//           fallback       shuffle: their ranks negotiate with the rest,
+//                          then write/read independently inside
+//                          TwoPhaseExchange (fallback_ranks,
+//                          fallback_bytes); the two-phase driver skips
+//                          the exchange only when every node is
+//                          exhausted
 
 /// Outcome of the degradation ladder for one aggregation buffer, fixed at
 /// negotiation (fault-injected runs). It settles the *terms* of the
@@ -308,13 +316,11 @@ class TwoPhaseExchange {
   TwoPhaseExchange(CollContext& ctx, const AccessPlan& plan,
                    std::shared_ptr<const ExchangePlan> xplan);
 
+  /// Collective: every rank of the communicator calls one of these. A
+  /// rank in the plan's independent_ranks negotiates with the rest and
+  /// then writes or reads its own request independently.
   void write();
   void read();
-
-  /// The degraded protocol ends buffer negotiation with a barrier (see
-  /// write()); ranks that skip the exchange for independent-I/O fallback
-  /// must still participate, and call this instead of write()/read().
-  void fallback_sync();
 
  private:
   /// One client domain's upstream end.
@@ -460,6 +466,8 @@ class TwoPhaseExchange {
   /// before data moves. False (the exact legacy protocol) when no
   /// FaultPlan is attached.
   bool degraded_ = false;
+  /// This rank is in the plan's independent_ranks.
+  bool independent_ = false;
   Tags tags_;       ///< client/leader ↔ aggregator traffic
   Tags node_tags_;  ///< member ↔ leader traffic (node leaders only)
 

@@ -19,9 +19,12 @@ std::uint64_t round_up(std::uint64_t v, std::uint64_t unit) {
 /// for the non-memory-aware baseline: with every node exhausted there is
 /// nowhere to aggregate — and no far-memory donor either — so the whole
 /// collective degrades to independent I/O (every rank agrees — the fault
-/// plan is shared). Partial exhaustion keeps the fixed aggregator map and
-/// lets the exchange's lease ladder (including the borrow rung, when
-/// hinted) absorb the faults.
+/// plan is shared). It skips the exchange and the plan allgather before
+/// it; sending these ranks through the exchange, as MCCIO's fallback
+/// ranks go, would add that allgather to the modeled time. Partial
+/// exhaustion keeps the fixed aggregator map and lets the exchange's
+/// lease ladder (including the borrow rung, when hinted) absorb the
+/// faults.
 bool all_nodes_exhausted(const CollContext& ctx) {
   const node::FaultPlan* fp = ctx.memory->fault_plan();
   return fp != nullptr && fp->num_exhausted() == fp->num_nodes();

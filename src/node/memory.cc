@@ -104,7 +104,7 @@ std::uint64_t MemoryManager::capacity(int node) const {
   return capacity_[i];
 }
 
-Lease MemoryManager::grant(int node, std::uint64_t bytes) {
+Lease MemoryManager::lease(int node, std::uint64_t bytes) {
   // The manager is machine-global state: its balances feed every rank's
   // grant decisions, so callers reach it from global-class slices
   // (Actor::sync()), which order after same-time message-path slices.
@@ -123,24 +123,19 @@ Lease MemoryManager::grant(int node, std::uint64_t bytes) {
                pressure_bw_scale(pressure));
 }
 
-Lease MemoryManager::lease(int node, std::uint64_t bytes) {
-  return grant(node, bytes);
-}
-
 LeaseAttempt MemoryManager::try_lease(int node, std::uint64_t bytes,
                                       std::uint64_t site,
                                       std::uint64_t attempt) {
   LeaseAttempt att;
-  if (faults_ == nullptr) {
-    att.granted = true;
-    att.lease = grant(node, bytes);
-    return att;
+  att.node = node;
+  LeaseFault f;
+  if (faults_ != nullptr) {
+    f = faults_->lease_fault(node, site, attempt);
+    if (f.deny) return att;
   }
-  const LeaseFault f = faults_->lease_fault(node, site, attempt);
-  if (f.deny) return att;
   att.granted = true;
   att.delay_s = f.delay_s;
-  att.lease = grant(node, bytes);
+  att.lease = lease(node, bytes);
   att.lease.revoke_after_ = f.revoke_after_s;
   return att;
 }
@@ -163,26 +158,13 @@ int MemoryManager::elect_donor(int borrower, std::uint64_t bytes,
   return best;
 }
 
-BorrowAttempt MemoryManager::try_borrow(int borrower, std::uint64_t bytes,
-                                        std::uint64_t reserve,
-                                        std::uint64_t site,
-                                        std::uint64_t attempt) {
-  BorrowAttempt att;
-  att.donor = elect_donor(borrower, bytes, reserve);
-  if (att.donor < 0) return att;
-  if (faults_ == nullptr) {
-    att.granted = true;
-    att.lease = grant(att.donor, bytes);
-    return att;
-  }
-  const LeaseFault f =
-      faults_->lease_fault(att.donor, site ^ kBorrowSiteSalt, attempt);
-  if (f.deny) return att;
-  att.granted = true;
-  att.delay_s = f.delay_s;
-  att.lease = grant(att.donor, bytes);
-  att.lease.revoke_after_ = f.revoke_after_s;
-  return att;
+LeaseAttempt MemoryManager::try_borrow(int borrower, std::uint64_t bytes,
+                                       std::uint64_t reserve,
+                                       std::uint64_t site,
+                                       std::uint64_t attempt) {
+  const int donor = elect_donor(borrower, bytes, reserve);
+  if (donor < 0) return LeaseAttempt{};
+  return try_lease(donor, bytes, site ^ kBorrowSiteSalt, attempt);
 }
 
 std::uint64_t MemoryManager::high_water(int node) const {

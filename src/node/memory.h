@@ -81,24 +81,18 @@ class Lease {
   double revoke_after_ = std::numeric_limits<double>::infinity();
 };
 
-/// Outcome of a fault-aware lease attempt.
+/// Outcome of a fault-aware lease attempt, local (try_lease) or borrowed
+/// (try_borrow).
 struct LeaseAttempt {
   bool granted = false;
+  /// Node the attempt drew on: the requested node for try_lease, the
+  /// elected donor for try_borrow; -1 when no donor qualified (in which
+  /// case no fault draw was consumed).
+  int node = -1;
   /// Transient grant delay in virtual seconds, charged by the caller
   /// before the lease is used (0 when no fault plan is attached).
   double delay_s = 0.0;
-  Lease lease;  ///< valid only when granted
-};
-
-/// Outcome of a fault-aware far-memory borrow attempt (see try_borrow).
-struct BorrowAttempt {
-  bool granted = false;
-  /// Elected donor node; -1 when no node in the cluster could back the
-  /// request (in which case no fault draw was consumed).
-  int donor = -1;
-  /// Transient grant delay in virtual seconds (0 without a fault plan).
-  double delay_s = 0.0;
-  Lease lease;  ///< held on the donor node; valid only when granted
+  Lease lease;  ///< held on `node`; valid only when granted
 };
 
 class MemoryManager {
@@ -160,18 +154,18 @@ class MemoryManager {
   int elect_donor(int borrower, std::uint64_t bytes,
                   std::uint64_t reserve) const;
 
-  /// Fault-aware far-memory borrow (degradation-ladder rung 4): elects a
-  /// donor and attempts the lease *on the donor node*, so donor-side
-  /// accounting (capacity, pressure, observer grant/release events) is
-  /// exactly that of a local lease and the verify-layer lease-balance
-  /// auditor covers remote leases for free. The fault draw runs on the
-  /// donor's schedule at a borrow-salted site — borrow streams never
-  /// perturb local acquisition schedules at the same file offset, and
-  /// the nested-across-rates property carries over. Without a plan the
-  /// borrow is granted whenever a donor exists.
-  BorrowAttempt try_borrow(int borrower, std::uint64_t bytes,
-                           std::uint64_t reserve, std::uint64_t site = 0,
-                           std::uint64_t attempt = 0);
+  /// Fault-aware far-memory borrow (degradation-ladder rung 4):
+  /// elect_donor, then try_lease *on the donor node* at a borrow-salted
+  /// site. Donor-side accounting (capacity, pressure, observer
+  /// grant/release events) is exactly that of a local lease, so the
+  /// verify-layer lease-balance auditor covers remote leases for free.
+  /// The salt keeps borrow streams from perturbing local acquisition
+  /// schedules at the same file offset, and the nested-across-rates
+  /// property carries over. Without a plan the borrow is granted
+  /// whenever a donor exists.
+  LeaseAttempt try_borrow(int borrower, std::uint64_t bytes,
+                          std::uint64_t reserve, std::uint64_t site = 0,
+                          std::uint64_t attempt = 0);
 
   /// High-water mark of leased bytes per node (for reports).
   std::uint64_t high_water(int node) const;
@@ -192,7 +186,6 @@ class MemoryManager {
  private:
   friend class Lease;
   void release(int node, std::uint64_t bytes);
-  Lease grant(int node, std::uint64_t bytes);
 
   sim::ClusterConfig config_;
   std::vector<std::uint64_t> capacity_;

@@ -76,10 +76,13 @@ int Pfs::stripe_count(FileHandle fh) const {
 std::vector<Pfs::Rpc> Pfs::split_request(const FileState& f,
                                          std::uint64_t offset,
                                          std::uint64_t len) const {
-  // Split at stripe boundaries, map each piece to its OST and object
-  // offset, then coalesce object-contiguous pieces into RPCs of at most
-  // max_rpc_bytes.
-  std::vector<Rpc> per_piece;
+  // Split at stripe boundaries and map each piece to its OST and object
+  // offset, coalescing it into its OST's last RPC when the two are
+  // object-contiguous (consecutive stripes of one request that land on
+  // the same OST) and the sum stays within max_rpc_bytes.
+  std::vector<Rpc> out;
+  std::vector<std::size_t> tail_index(
+      static_cast<std::size_t>(config_.num_osts), SIZE_MAX);
   const std::uint64_t unit = config_.stripe_unit;
   const auto count = static_cast<std::uint64_t>(f.stripe_count);
   std::uint64_t pos = offset;
@@ -88,32 +91,19 @@ std::vector<Pfs::Rpc> Pfs::split_request(const FileState& f,
     const std::uint64_t stripe = pos / unit;
     const std::uint64_t in_stripe = pos % unit;
     const std::uint64_t n = std::min(unit - in_stripe, end - pos);
-    Rpc rpc;
-    rpc.ost = static_cast<int>(
+    pos += n;
+    const auto ost = static_cast<int>(
         (static_cast<std::uint64_t>(f.first_ost) + stripe % count) %
         static_cast<std::uint64_t>(config_.num_osts));
-    rpc.object_offset = (stripe / count) * unit + in_stripe;
-    rpc.bytes = n;
-    per_piece.push_back(rpc);
-    pos += n;
-  }
-  // Coalesce per OST: consecutive stripes of one request land at
-  // consecutive object offsets when they belong to the same OST.
-  std::vector<Rpc> out;
-  std::vector<Rpc> tail(static_cast<std::size_t>(config_.num_osts),
-                        Rpc{-1, 0, 0});
-  std::vector<std::size_t> tail_index(
-      static_cast<std::size_t>(config_.num_osts), SIZE_MAX);
-  for (const Rpc& p : per_piece) {
-    const auto oi = static_cast<std::size_t>(p.ost);
-    const std::size_t ti = tail_index[oi];
+    const std::uint64_t object_offset = (stripe / count) * unit + in_stripe;
+    std::size_t& ti = tail_index[static_cast<std::size_t>(ost)];
     if (ti != SIZE_MAX && out[ti].object_offset + out[ti].bytes ==
-                              p.object_offset &&
-        out[ti].bytes + p.bytes <= config_.max_rpc_bytes) {
-      out[ti].bytes += p.bytes;
+                              object_offset &&
+        out[ti].bytes + n <= config_.max_rpc_bytes) {
+      out[ti].bytes += n;
     } else {
-      tail_index[oi] = out.size();
-      out.push_back(p);
+      ti = out.size();
+      out.push_back(Rpc{ost, object_offset, n});
     }
   }
   return out;

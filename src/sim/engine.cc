@@ -44,10 +44,7 @@ Engine::Key Engine::unpack(PackedKey packed) {
              static_cast<int>(static_cast<std::uint32_t>(packed))};
 }
 
-Engine::Engine() : Engine(Options{}) {}
-
-Engine::Engine(Options options)
-    : options_(options), observer_(verify::default_observer()) {}
+Engine::Engine() : observer_(verify::default_observer()) {}
 
 Engine::~Engine() = default;
 
@@ -85,7 +82,7 @@ void Engine::run() {
   for (std::size_t i = 0; i < actors_.size(); ++i) {
     const int id = static_cast<int>(i);
     actors_[i].fiber = std::make_unique<Fiber>(
-        options_.stack_bytes,
+        kFiberStackBytes,
         [this, id, body = std::move(pending_bodies_[i])] {
           body_wrapper(id, body);
         },

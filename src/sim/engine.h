@@ -89,13 +89,12 @@ class Actor {
   SimTime clock_ = 0.0;
 };
 
+/// Usable bytes of every actor's fiber stack (one guard page sits below).
+inline constexpr std::size_t kFiberStackBytes = 256 * 1024;
+
 /// Owns the fibers and the event heap; runs the simulation to completion.
 class Engine {
  public:
-  struct Options {
-    std::size_t stack_bytes = 256 * 1024;
-  };
-
   /// Slice ordering key; see the file comment. kind: 1 = local slice,
   /// 2 = global slice.
   struct Key {
@@ -116,7 +115,6 @@ class Engine {
   static Key unpack(PackedKey packed);
 
   Engine();
-  explicit Engine(Options options);
   ~Engine();
 
   Engine(const Engine&) = delete;
@@ -177,7 +175,6 @@ class Engine {
   void run_slice(const Key& key);
   void check_no_deadlock();
 
-  Options options_;
   std::vector<ActorSlot> actors_;
   std::vector<std::function<void(Actor&)>> pending_bodies_;
   std::priority_queue<PackedKey, std::vector<PackedKey>, std::greater<>>

@@ -6,6 +6,7 @@
 // and the data-phase window backing's ladder transitions, driven directly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -167,6 +168,107 @@ TEST(MemoryManager, TryLeaseWithoutPlanIsPlainLease) {
   EXPECT_EQ(mgr.available(0), (1u << 20) - (1u << 10));
 }
 
+/// One grant's outcome, comparable across runs.
+struct Outcome {
+  bool granted = false;
+  double delay_s = 0.0;
+  double revoke_after = 0.0;
+  friend bool operator==(const Outcome&, const Outcome&) = default;
+};
+
+Outcome outcome_of(node::LeaseAttempt& att) {
+  Outcome o{att.granted, att.delay_s,
+            att.granted ? att.lease.revoke_after() : 0.0};
+  att.lease.release();
+  return o;
+}
+
+node::FaultConfig mixed_faults() {
+  node::FaultConfig cfg;
+  cfg.denial_rate = 0.4;
+  cfg.delay_rate = 0.4;
+  cfg.revoke_rate = 0.4;
+  return cfg;
+}
+
+TEST(MemoryManager, BorrowsLeaveDonorScheduleUnchanged) {
+  // Node 1's own acquisitions at one site, with and without borrows aimed
+  // at node 1 between them: the borrows draw from node 1's schedule, but
+  // at a salted site, so the local outcomes must not move.
+  constexpr std::uint64_t kSite = 1 << 16;
+  constexpr int kAcquisitions = 6;
+  constexpr std::uint64_t kRetries = 3;
+  const auto run = [&](bool borrows) {
+    auto mgr = node::MemoryManager::uniform(small_cluster(2), 1 << 20);
+    node::FaultPlan plan(2, mixed_faults());
+    mgr.set_fault_plan(&plan);
+    std::vector<Outcome> local;
+    for (int a = 0; a < kAcquisitions; ++a) {
+      for (std::uint64_t attempt = 0; attempt < kRetries; ++attempt) {
+        if (borrows) {
+          node::LeaseAttempt b =
+              mgr.try_borrow(0, 4096, /*reserve=*/0, kSite, attempt);
+          EXPECT_EQ(b.node, 1);
+          outcome_of(b);
+        }
+        node::LeaseAttempt l = mgr.try_lease(1, 4096, kSite, attempt);
+        EXPECT_EQ(l.node, 1);
+        local.push_back(outcome_of(l));
+      }
+    }
+    const std::uint64_t draws = kAcquisitions * kRetries;
+    EXPECT_EQ(plan.attempts(1), borrows ? 2 * draws : draws);
+    EXPECT_EQ(plan.attempts(0), 0u);  // the borrower draws nothing
+    return local;
+  };
+  const std::vector<Outcome> alone = run(false);
+  EXPECT_EQ(run(true), alone);
+  // The schedule is mixed, so the comparison covers grants and denials.
+  EXPECT_NE(std::count_if(alone.begin(), alone.end(),
+                          [](const Outcome& o) { return o.granted; }),
+            0);
+  EXPECT_NE(std::count_if(alone.begin(), alone.end(),
+                          [](const Outcome& o) { return !o.granted; }),
+            0);
+}
+
+TEST(MemoryManager, BorrowWithoutDonorConsumesNoDraw) {
+  auto mgr = node::MemoryManager::uniform(small_cluster(3), 1 << 20);
+  node::FaultPlan plan(3, mixed_faults());
+  mgr.set_fault_plan(&plan);
+  // A reserve no node can keep beside the ask: nobody qualifies.
+  node::LeaseAttempt att = mgr.try_borrow(0, 4096, /*reserve=*/1 << 20);
+  EXPECT_FALSE(att.granted);
+  EXPECT_EQ(att.node, -1);
+  EXPECT_FALSE(att.lease.active());
+  for (int n = 0; n < 3; ++n) {
+    EXPECT_EQ(plan.attempts(n), 0u) << "node " << n;
+    EXPECT_EQ(mgr.available(n), 1u << 20) << "node " << n;
+  }
+}
+
+TEST(MemoryManager, ElectDonorHonoursReserveAndBreaksTiesLow) {
+  auto mgr = node::MemoryManager::uniform(small_cluster(4), 1 << 20);
+  constexpr std::uint64_t kHalf = 1 << 19;
+  // Nodes 1, 2 and 3 tie: the lowest id other than the borrower wins.
+  EXPECT_EQ(mgr.elect_donor(0, 4096, 0), 1);
+  EXPECT_EQ(mgr.elect_donor(1, 4096, 0), 0);
+  // The reserve is headroom left after the ask: an exact fit qualifies,
+  // one byte more does not.
+  EXPECT_EQ(mgr.elect_donor(0, kHalf, kHalf), 1);
+  EXPECT_EQ(mgr.elect_donor(0, kHalf, kHalf + 1), -1);
+  // The most available node wins over a lower id...
+  node::Lease on1 = mgr.lease(1, 8192);
+  node::Lease on2 = mgr.lease(2, 4096);
+  EXPECT_EQ(mgr.elect_donor(0, 4096, 0), 3);
+  // A reserve the best node cannot keep rules out every node.
+  EXPECT_EQ(mgr.elect_donor(0, kHalf, kHalf + 1), -1);
+  node::Lease on3 = mgr.lease(3, 4096);
+  EXPECT_EQ(mgr.elect_donor(0, 4096, 0), 2);  // 2 and 3 tie again
+  EXPECT_EQ(mgr.elect_donor(0, kHalf, kHalf - 4096), 2);
+  EXPECT_EQ(mgr.elect_donor(0, kHalf, kHalf - 4095), -1);
+}
+
 io::AccessPlan ior_factory(int rank, int nprocs,
                            std::vector<std::byte>& storage) {
   workloads::IorConfig cfg;
@@ -181,14 +283,14 @@ io::AccessPlan ior_factory(int rank, int nprocs,
 
 /// Round trip with a fault plan attached; returns the collected stats of
 /// the write phase (the ladder counters this test cares about).
-void faulted_round_trip(const node::FaultConfig& cfg,
-                        io::CollectiveDriver& driver,
-                        const io::Hints& hints,
-                        metrics::CollectiveStats* stats) {
+void faulted_round_trip(
+    const node::FaultConfig& cfg, io::CollectiveDriver& driver,
+    const io::Hints& hints, metrics::CollectiveStats* stats,
+    const mcio::testing::PlanFactory& factory = ior_factory) {
   core::StackConfig config = mcio::testing::mini_stack();
   config.faults = cfg;
   core::SimStack cluster(config);
-  round_trip(cluster, driver, cluster.total_ranks(), ior_factory,
+  round_trip(cluster, driver, cluster.total_ranks(), factory,
              /*seed=*/42, hints, stats);
 }
 
@@ -235,6 +337,34 @@ TEST(FaultedCollective, FullExhaustionFallsBackToIndependent) {
   ASSERT_NO_THROW(
       faulted_round_trip(cfg, two_phase, io::Hints{}, &tp_stats));
   EXPECT_GT(tp_stats.degradation().fallback_ranks, 0u);
+}
+
+TEST(FaultedCollective, FallbackRankZeroReportsPlanGroups) {
+  // Nodes 0 and 1 are exhausted (seeded draw at exhaust=0.3), so the
+  // groups on them fall back, rank 0's among them. Rank 0 still reports
+  // the plan's group count: fallback ranks negotiate like the rest.
+  node::FaultConfig cfg;
+  cfg.exhaust_rate = 0.3;
+  core::MccioConfig config;
+  config.msg_group = 64 << 10;
+  core::MccioDriver driver(config);
+  const auto serial_ior = [](int rank, int nprocs,
+                             std::vector<std::byte>& storage) {
+    workloads::IorConfig ior;
+    ior.block_size = 64 << 10;
+    ior.transfer_size = 8 << 10;
+    ior.segments = 1;
+    ior.interleaved = false;
+    storage.resize(workloads::ior_bytes_per_rank(ior));
+    return workloads::ior_plan(rank, nprocs, ior,
+                               util::Payload::of(storage));
+  };
+  metrics::CollectiveStats stats;
+  ASSERT_NO_THROW(
+      faulted_round_trip(cfg, driver, io::Hints{}, &stats, serial_ior));
+  // Ranks 0-7 (nodes 0 and 1) fall back in the write and in the read.
+  EXPECT_EQ(stats.degradation().fallback_ranks, 16u);
+  EXPECT_EQ(stats.num_groups(), 3);
 }
 
 io::Hints hier_hints(std::uint64_t shrink_floor = 0) {

@@ -566,12 +566,11 @@ TEST(FiberGuardPageDeathTest, OverflowHitsGuardNotHeap) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   EXPECT_DEATH(
       {
-        Engine::Options opt;
-        opt.stack_bytes = 16 * 1024;  // the minimum FiberStack allows
-        Engine engine(opt);
+        Engine engine;
         engine.spawn([](Actor&) {
           volatile char c = 0;
-          overflow_stack(&c, 64);  // 64 * 4 KiB frames >> 16 KiB stack
+          // 4 KiB frames reaching twice the stack's usable bytes.
+          overflow_stack(&c, static_cast<int>(2 * kFiberStackBytes / 4096));
         });
         engine.run();
       },
