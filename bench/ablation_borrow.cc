@@ -50,23 +50,17 @@ int main(int argc, char** argv) {
   const double backoff = cli.get_double("backoff", 20e-3);
 
   workloads::IorConfig w;
-  w.block_size = cli.get_bytes("block", 32ull << 20);
+  w.block_size = cli.get_bytes("block", w.block_size);
   // Sub-stripe transfers: each rank's interleaved chunks share stripes
   // with its neighbours, so independent I/O pays read-modify-write and
   // seeks while the collective runs assemble full stripes — the regime
   // where aggregation (and therefore the borrow rung) has value.
   w.transfer_size = cli.get_bytes("transfer", 256ull << 10);
-  w.segments = 1;
-  w.interleaved = true;
 
   bench::JsonReporter rep(cli, "ablation_borrow");
   bench::configure_audit(cli);
   cli.check_unused();
-  const auto make_plan = [&](int rank, int p) {
-    return workloads::ior_plan(
-        rank, p, w,
-        util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w)));
-  };
+  const core::PlanFactory plans = bench::ior_plans(w);
 
   std::vector<double> revokes = {0.0, 0.5, 0.7, 1.0};
   if (single_revoke >= 0.0) revokes = {single_revoke};
@@ -88,7 +82,7 @@ int main(int argc, char** argv) {
       const auto run = [&](core::DriverKind kind, const io::Hints& hints) {
         core::SimStack stack(config);
         return core::run_write_read(stack, kind, {}, hints, nranks,
-                                    make_plan);
+                                    plans);
       };
       io::Hints hints = bench::hints_at(mem);
       hints.fault_backoff_s = backoff;

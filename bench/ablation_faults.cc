@@ -38,16 +38,8 @@ int main(int argc, char** argv) {
   bench::configure_audit(cli);
   cli.check_unused();
 
-  workloads::IorConfig w;
-  w.block_size = 32ull << 20;
-  w.transfer_size = 1ull << 20;
-  w.segments = 1;
-  w.interleaved = !serial;
-  const auto make_plan = [&](int rank, int p) {
-    return workloads::ior_plan(
-        rank, p, w,
-        util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w)));
-  };
+  const core::PlanFactory plans =
+      bench::ior_plans({.interleaved = !serial});
 
   std::vector<double> rates = {0.0, 0.02, 0.05, 0.1, 0.2, 0.5};
   if (single >= 0.0) rates = {single};
@@ -69,7 +61,7 @@ int main(int argc, char** argv) {
     const auto run = [&](core::DriverKind kind) {
       core::SimStack stack(config);
       return core::run_write_read(stack, kind, {}, hints, nranks,
-                                  make_plan);
+                                  plans);
     };
     const auto normal = run(core::DriverKind::kTwoPhase);
     const auto mccio = run(core::DriverKind::kMccio);

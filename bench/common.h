@@ -1,8 +1,8 @@
 // Shared bench harness: the simulated testbed (paper §4: 640-node Linux
 // cluster, 2×6-core Xeons, 24 GB/node, DDR InfiniBand, DDN-backed Lustre
-// with 1 MB stripes) as a core::StackConfig, the --json reporter, and the
-// memory sweep and report of Figures 6-8. Every experiment runs the one
-// write/read loop of core::run_write_read.
+// with 1 MB stripes) as a core::StackConfig, the --json reporter, the IOR
+// plan factory, and the memory sweep and report of Figures 6-8. Every
+// experiment runs the one write/read loop of core::run_write_read.
 #pragma once
 
 #include <sys/resource.h>
@@ -234,6 +234,17 @@ inline io::Hints hints_at(std::uint64_t mem) {
   io::Hints hints;
   hints.cb_buffer_size = mem;
   return hints;
+}
+
+/// The plan factory of an IOR run: each rank's plan over a virtual
+/// payload of its size. IorConfig's defaults are the paper's §4 shape
+/// (32 MiB per process in 1 MiB interleaved transfers, one segment).
+inline core::PlanFactory ior_plans(const workloads::IorConfig& w) {
+  return [w](int rank, int nranks) {
+    return workloads::ior_plan(
+        rank, nranks, w,
+        util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w)));
+  };
 }
 
 /// Attaches the degradation-ladder counters of one collective phase to a

@@ -13,23 +13,15 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bench::SweepSetup setup = bench::figure_options(cli, 10);
   workloads::IorConfig w;
-  w.block_size = cli.get_bytes("block", 32ull << 20);
-  w.transfer_size = cli.get_bytes("transfer", 1ull << 20);
-  w.segments = 1;
-  w.interleaved = true;
+  w.block_size = cli.get_bytes("block", w.block_size);
+  w.transfer_size = cli.get_bytes("transfer", w.transfer_size);
   const auto threads = static_cast<int>(cli.get_int("threads", 1));
   bench::JsonReporter rep(cli, "fig7_ior120");
   bench::configure_audit(cli);
   cli.check_unused();
 
-  const auto make_plan = [&](int rank, int p) {
-    return workloads::ior_plan(
-        rank, p, w,
-        util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w)));
-  };
-
   const auto points = bench::run_memory_sweep(
-      threads, bench::paper_memory_sweep(), setup, make_plan);
+      threads, bench::paper_memory_sweep(), setup, bench::ior_plans(w));
   bench::report_memory_sweep(
       "Figure 7 — IOR, " + std::to_string(setup.nranks) + " processes, " +
           util::format_bytes(w.block_size) + " per process, interleaved",

@@ -19,23 +19,15 @@ int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   const bench::SweepSetup setup = bench::figure_options(cli, 90);
   workloads::IorConfig w;
-  w.block_size = cli.get_bytes("block", 32ull << 20);
-  w.transfer_size = cli.get_bytes("transfer", 1ull << 20);
-  w.segments = 1;
-  w.interleaved = true;
+  w.block_size = cli.get_bytes("block", w.block_size);
+  w.transfer_size = cli.get_bytes("transfer", w.transfer_size);
   const auto threads = static_cast<int>(cli.get_int("threads", 1));
   bench::JsonReporter rep(cli, "fig8_ior1080");
   bench::configure_audit(cli);
   cli.check_unused();
 
-  const auto make_plan = [&](int rank, int p) {
-    return workloads::ior_plan(
-        rank, p, w,
-        util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w)));
-  };
-
   const auto points = bench::run_memory_sweep(
-      threads, bench::paper_memory_sweep(), setup, make_plan);
+      threads, bench::paper_memory_sweep(), setup, bench::ior_plans(w));
 
   // The baseline's bandwidth range across the sweep, beside the paper's.
   const auto range = [&](double core::WriteReadResult::*bw) {

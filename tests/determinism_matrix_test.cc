@@ -35,16 +35,8 @@ bench::SweepSetup small_testbed() {
 }
 
 core::PlanFactory ior_factory() {
-  return [](int rank, int p) {
-    workloads::IorConfig w;
-    w.block_size = 4ull << 20;
-    w.transfer_size = 256ull << 10;
-    w.segments = 1;
-    w.interleaved = true;
-    return workloads::ior_plan(
-        rank, p, w,
-        util::Payload::virtual_bytes(workloads::ior_bytes_per_rank(w)));
-  };
+  return bench::ior_plans(
+      {.block_size = 4ull << 20, .transfer_size = 256ull << 10});
 }
 
 core::PlanFactory collperf_factory() {
