@@ -319,7 +319,7 @@ struct SweepPoint {
 /// identical for every thread count; only host wall time varies.
 inline std::vector<SweepPoint> run_memory_sweep(
     int threads, const std::vector<std::uint64_t>& mems,
-    const SweepSetup& setup, const core::PlanFactory& make_plan) {
+    const SweepSetup& setup, const core::PlanFactory& plan_for) {
   MCIO_CHECK_GE(threads, 1);
   std::vector<SweepPoint> points(mems.size());
   for (std::size_t i = 0; i < mems.size(); ++i) {
@@ -339,7 +339,7 @@ inline std::vector<SweepPoint> run_memory_sweep(
       (is_mccio ? pt.mccio : pt.normal) = core::run_write_read(
           stack,
           is_mccio ? core::DriverKind::kMccio : core::DriverKind::kTwoPhase,
-          {}, hints, setup.nranks, make_plan);
+          {}, hints, setup.nranks, plan_for);
     });
   });
   for (std::size_t i = 0; i < mems.size(); ++i) {

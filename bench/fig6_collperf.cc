@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   w.dims = {dim, dim, dim};
   w.elem_size = 8;
 
-  const auto make_plan = [&](int rank, int p) {
+  const auto plan_for = [&](int rank, int p) {
     return workloads::collperf_plan(
         rank, p, w,
         util::Payload::virtual_bytes(
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   };
 
   const auto points = bench::run_memory_sweep(
-      threads, bench::paper_memory_sweep(), setup, make_plan);
+      threads, bench::paper_memory_sweep(), setup, plan_for);
   bench::report_memory_sweep(
       "Figure 6 — coll_perf, " + std::to_string(setup.nranks) +
           " processes, " + std::to_string(dim) + "^3 doubles (" +

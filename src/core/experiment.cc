@@ -37,7 +37,7 @@ WriteReadResult run_write_read(SimStack& stack, DriverKind kind,
 
   result.finish_times = stack.machine().run(nranks, [&](mpi::Rank& rank) {
     mpi::Comm& world = rank.world();
-    io::AccessPlan plan = write_plan(rank.rank(), nranks);
+    const io::AccessPlan plan = write_plan(rank.rank(), nranks);
     const double all_bytes =
         world.allreduce_sum(static_cast<double>(plan.total_bytes()));
 
@@ -57,10 +57,13 @@ WriteReadResult run_write_read(SimStack& stack, DriverKind kind,
     if (rank.rank() == 0) stack.fs().flush_locality();
     world.barrier();
 
-    if (read_plan) plan = read_plan(rank.rank(), nranks);
     file.set_stats(&result.read_stats);
     const double t2 = world.allreduce_max(rank.actor().now());
-    file.read_all_plan(plan);
+    if (read_plan) {
+      file.read_all_plan(read_plan(rank.rank(), nranks));
+    } else {
+      file.read_all_plan(plan);
+    }
     world.barrier();
     const double t3 = world.allreduce_max(rank.actor().now());
 

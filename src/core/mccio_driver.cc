@@ -392,14 +392,12 @@ std::shared_ptr<const io::ExchangePlan> MccioDriver::build_plan(
 
 void MccioDriver::write_all(io::CollContext& ctx,
                             const io::AccessPlan& plan) {
-  plan.validate();
   io::TwoPhaseExchange exchange(ctx, plan, build_plan(ctx, plan));
   exchange.write();
 }
 
 void MccioDriver::read_all(io::CollContext& ctx,
                            const io::AccessPlan& plan) {
-  plan.validate();
   io::TwoPhaseExchange exchange(ctx, plan, build_plan(ctx, plan));
   exchange.read();
 }

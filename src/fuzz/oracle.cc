@@ -98,12 +98,13 @@ RunOutcome run_scenario(const Scenario& scenario, DriverKind kind) {
   std::vector<std::vector<std::byte>> read_back(n);
   const auto plan_over = [&](std::vector<std::vector<std::byte>>& storage,
                              int rank) {
-    const std::vector<util::Extent> extents = scenario.rank_extents(rank);
+    std::vector<util::Extent> extents = scenario.rank_extents(rank);
     std::uint64_t bytes = 0;
     for (const util::Extent& e : extents) bytes += e.len;
     std::vector<std::byte>& buf = storage[static_cast<std::size_t>(rank)];
     buf.resize(bytes);
-    return io::make_plan(extents, util::Payload::of(buf));
+    return io::AccessPlan(util::ExtentList::normalize(std::move(extents)),
+                          util::Payload::of(buf));
   };
 
   pfs::FileHandle handle = -1;

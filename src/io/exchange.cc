@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
+#include <type_traits>
 
 #ifdef MCIO_FUZZ_BUG
 #include <cstdlib>
@@ -319,9 +319,13 @@ static std::span<const std::byte> encode(const ExtentList& list) {
 
 static ExtentList decode(const std::vector<std::byte>& bytes) {
   MCIO_CHECK_EQ(bytes.size() % sizeof(Extent), 0u);
-  std::vector<Extent> runs(bytes.size() / sizeof(Extent));
-  if (!runs.empty()) std::memcpy(runs.data(), bytes.data(), bytes.size());
-  return ExtentList::normalize(std::move(runs));
+  // The blob is a vector's own allocation, aligned for any fundamental
+  // type, and holds Extent records: they are copied out in one pass,
+  // with no zero-fill of the new vector first.
+  static_assert(std::is_trivially_copyable_v<Extent>);
+  const auto* first = reinterpret_cast<const Extent*>(bytes.data());
+  return ExtentList::normalize(
+      std::vector<Extent>(first, first + bytes.size() / sizeof(Extent)));
 }
 
 // Serves `bytes` on `queue` from the actor's global time and advances
@@ -383,10 +387,10 @@ static bool next_window(const Extent& fd, std::uint64_t win, Extent* w) {
   return true;
 }
 
-void TwoPhaseExchange::send_extent_lists(const ExtentList& local) {
+void TwoPhaseExchange::send_extent_lists() {
   // Links ascend by domain and domains by offset, so one cursor clips
   // them all into one scratch list (each send copies the blob out).
-  util::ExtentCursor cursor(local);
+  util::ExtentCursor cursor(plan_.extents);
   ExtentList part;
   for (const Link& link : links_) {
     cursor.clipped_into(domain(link.domain).extent, &part);
@@ -396,9 +400,9 @@ void TwoPhaseExchange::send_extent_lists(const ExtentList& local) {
   }
 }
 
-void TwoPhaseExchange::leader_collect_extent_lists(const ExtentList& local) {
+void TwoPhaseExchange::leader_collect_extent_lists() {
   const RouteTable& routes = xplan_->routes;
-  util::ExtentCursor own(local);  // node hubs ascend by offset
+  util::ExtentCursor own(plan_.extents);  // node hubs ascend by offset
   ExtentList merged;  // one hub's union, forwarded and dropped
   for (Hub& hub : node_hubs_) {
     const FileDomain& d = domain(hub.index);
@@ -739,7 +743,7 @@ void TwoPhaseExchange::relay_window_sizes() {
 }
 
 void TwoPhaseExchange::client_send_data() {
-  PieceCursor cursor(plan_.extents);
+  PieceCursor cursor(plan_.extents.runs());
   std::vector<std::byte> tmp;   // pack staging, reused across windows
   std::vector<Piece> pieces;    // window pieces, reused across windows
   for (const Link& link : links_) {
@@ -764,7 +768,8 @@ void TwoPhaseExchange::client_send_data() {
 }
 
 void TwoPhaseExchange::leader_combine_write() {
-  PieceCursor cursor(plan_.extents);  // own data; windows ascend globally
+  // Own data; windows ascend globally.
+  PieceCursor cursor(plan_.extents.runs());
   std::vector<Piece> pieces;
   std::vector<std::byte> stage;  // combined window staging
   std::vector<std::byte> buf;    // member receive staging
@@ -812,7 +817,7 @@ void TwoPhaseExchange::leader_combine_write() {
 }
 
 void TwoPhaseExchange::leader_scatter_read() {
-  PieceCursor cursor(plan_.extents);
+  PieceCursor cursor(plan_.extents.runs());
   std::vector<Piece> pieces;
   std::vector<std::byte> stage;  // combined window staging
   std::vector<std::byte> buf;    // aggregator receive staging
@@ -1000,7 +1005,7 @@ void TwoPhaseExchange::aggregator_read() {
 }
 
 void TwoPhaseExchange::client_recv_data() {
-  PieceCursor cursor(plan_.extents);
+  PieceCursor cursor(plan_.extents.runs());
   std::vector<std::byte> tmp;   // scatter staging, reused across windows
   std::vector<Piece> pieces;    // window pieces, reused across windows
   for (const Link& link : links_) {
@@ -1049,12 +1054,8 @@ void TwoPhaseExchange::read() {
 void TwoPhaseExchange::negotiate() {
   if (my_rank() == 0) stats_.set_groups(xplan_->num_groups);
   if (independent_) stats_.record_fallback(plan_.total_bytes());
-  {
-    // Scoped: the normalized request is dropped before the drain parks.
-    const ExtentList local = ExtentList::normalize(plan_.extents);
-    send_extent_lists(local);
-    leader_collect_extent_lists(local);
-  }
+  send_extent_lists();
+  leader_collect_extent_lists();
   recv_extent_lists();
   if (!degraded_) return;
   // Degradation ladder + window-size negotiation: aggregators settle

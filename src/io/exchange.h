@@ -373,8 +373,8 @@ class TwoPhaseExchange {
     int data = 0;
   };
 
-  // Phase helpers. `local` is this rank's request, normalized.
-  void send_extent_lists(const util::ExtentList& local);
+  // Phase helpers.
+  void send_extent_lists();
   void recv_extent_lists();
   /// Everything before data moves, shared by write() and read(): the
   /// extent lists reach the aggregators, then the degraded protocol runs
@@ -399,7 +399,7 @@ class TwoPhaseExchange {
   // exchange with aggregators, whose hubs simply list leaders as sources.
   /// Leader: drain member extent lists into the node hubs and forward
   /// each hub's union to its aggregator.
-  void leader_collect_extent_lists(const util::ExtentList& local);
+  void leader_collect_extent_lists();
   /// Leader write stage: per (domain, window) combine member payloads and
   /// its own pieces into one staging buffer, forward the cover's runs.
   void leader_combine_write();

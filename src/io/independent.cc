@@ -11,9 +11,8 @@ using util::Extent;
 using util::Payload;
 
 void independent_write(CollContext& ctx, const AccessPlan& plan) {
-  plan.validate();
   std::uint64_t buf_off = 0;
-  for (const Extent& e : plan.extents) {
+  for (const Extent& e : plan.extents.runs()) {
     const auto data = util::ConstPayload(plan.buffer).slice(buf_off, e.len);
     ctx.fs->write(ctx.rank->actor(), ctx.file, e.offset, data);
     if (ctx.stats != nullptr) ctx.stats->record_io(e.len);
@@ -22,22 +21,20 @@ void independent_write(CollContext& ctx, const AccessPlan& plan) {
 }
 
 void independent_read(CollContext& ctx, const AccessPlan& plan) {
-  plan.validate();
+  const std::vector<Extent>& runs = plan.extents.runs();
   const bool real = plan.buffer.data != nullptr;
   std::size_t i = 0;
   std::uint64_t buf_off = 0;
-  while (i < plan.extents.size()) {
+  while (i < runs.size()) {
     // Greedy sieving span: extend while the gap stays small enough.
     std::size_t j = i;
-    std::uint64_t span_data = plan.extents[i].len;
-    while (j + 1 < plan.extents.size() &&
-           plan.extents[j + 1].offset - plan.extents[j].end() <=
-               ctx.hints.ds_max_gap) {
+    std::uint64_t span_data = runs[i].len;
+    while (j + 1 < runs.size() &&
+           runs[j + 1].offset - runs[j].end() <= ctx.hints.ds_max_gap) {
       ++j;
-      span_data += plan.extents[j].len;
+      span_data += runs[j].len;
     }
-    const Extent span{plan.extents[i].offset,
-                      plan.extents[j].end() - plan.extents[i].offset};
+    const Extent span{runs[i].offset, runs[j].end() - runs[i].offset};
     if (j == i) {
       // Single extent: read straight into place.
       ctx.fs->read(ctx.rank->actor(), ctx.file, span.offset,
@@ -52,7 +49,7 @@ void independent_read(CollContext& ctx, const AccessPlan& plan) {
       }
       std::uint64_t off = buf_off;
       for (std::size_t k = i; k <= j; ++k) {
-        const Extent& e = plan.extents[k];
+        const Extent& e = runs[k];
         if (real) {
           std::memcpy(plan.buffer.data + off,
                       tmp.data() + (e.offset - span.offset), e.len);

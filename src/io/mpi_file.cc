@@ -50,11 +50,7 @@ AccessPlan MPIFile::plan_through_view(util::Payload buffer) const {
     rest.push_back(util::Extent{e.offset + to_drop, e.len - to_drop});
     to_drop = 0;
   }
-  AccessPlan plan;
-  plan.extents = std::move(rest);
-  plan.buffer = buffer;
-  plan.validate();
-  return plan;
+  return AccessPlan(util::ExtentList::normalize(std::move(rest)), buffer);
 }
 
 void MPIFile::write_all(util::ConstPayload data) {
@@ -78,7 +74,7 @@ void MPIFile::write_all_plan(const AccessPlan& plan) {
   verify::Observer* obs = ctx_.rank->machine().observer();
   obs->on_collective_begin(ctx_.fs, ctx_.file, /*is_write=*/true,
                            ctx_.comm->size(), ctx_.rank->rank(),
-                           plan.extents);
+                           plan.extents.runs());
   driver_->write_all(ctx_, plan);
   obs->on_collective_end(ctx_.fs, ctx_.file, /*is_write=*/true,
                          ctx_.rank->rank());
@@ -88,7 +84,7 @@ void MPIFile::read_all_plan(const AccessPlan& plan) {
   verify::Observer* obs = ctx_.rank->machine().observer();
   obs->on_collective_begin(ctx_.fs, ctx_.file, /*is_write=*/false,
                            ctx_.comm->size(), ctx_.rank->rank(),
-                           plan.extents);
+                           plan.extents.runs());
   driver_->read_all(ctx_, plan);
   obs->on_collective_end(ctx_.fs, ctx_.file, /*is_write=*/false,
                          ctx_.rank->rank());
@@ -96,18 +92,17 @@ void MPIFile::read_all_plan(const AccessPlan& plan) {
 
 void MPIFile::write_at(std::uint64_t offset, util::ConstPayload data) {
   if (data.size == 0) return;
-  AccessPlan plan;
-  plan.extents.push_back(util::Extent{offset, data.size});
-  plan.buffer = util::Payload{const_cast<std::byte*>(data.data), data.size};
-  independent_write(ctx_, plan);
+  const util::Payload buffer{const_cast<std::byte*>(data.data), data.size};
+  independent_write(
+      ctx_, AccessPlan(util::ExtentList::normalize({{offset, data.size}}),
+                       buffer));
 }
 
 void MPIFile::read_at(std::uint64_t offset, util::Payload data) {
   if (data.size == 0) return;
-  AccessPlan plan;
-  plan.extents.push_back(util::Extent{offset, data.size});
-  plan.buffer = data;
-  independent_read(ctx_, plan);
+  independent_read(
+      ctx_, AccessPlan(util::ExtentList::normalize({{offset, data.size}}),
+                       data));
 }
 
 std::uint64_t MPIFile::size() const { return ctx_.fs->file_size(ctx_.file); }

@@ -111,7 +111,6 @@ std::shared_ptr<const ExchangePlan> TwoPhaseDriver::build_plan(
 }
 
 void TwoPhaseDriver::write_all(CollContext& ctx, const AccessPlan& plan) {
-  plan.validate();
   if (all_nodes_exhausted(ctx)) {
     if (ctx.stats != nullptr) ctx.stats->record_fallback(plan.total_bytes());
     independent_write(ctx, plan);
@@ -122,7 +121,6 @@ void TwoPhaseDriver::write_all(CollContext& ctx, const AccessPlan& plan) {
 }
 
 void TwoPhaseDriver::read_all(CollContext& ctx, const AccessPlan& plan) {
-  plan.validate();
   if (all_nodes_exhausted(ctx)) {
     if (ctx.stats != nullptr) ctx.stats->record_fallback(plan.total_bytes());
     independent_read(ctx, plan);

@@ -173,7 +173,7 @@ class CollectiveStats {
   std::uint64_t rmw_bytes_ = 0;
   std::uint64_t io_bytes_ = 0;
   DegradationStats degradation_;
-  int num_groups_ = 1;
+  int num_groups_ = 0;  // set by TwoPhaseExchange::negotiate() only
   sim::SimTime elapsed_ = 0.0;
 };
 

@@ -78,12 +78,8 @@ io::AccessPlan collperf_plan(int rank, int nprocs,
                              const CollPerfConfig& config,
                              util::Payload buffer) {
   const mpi::Datatype t = collperf_filetype(rank, nprocs, config);
-  MCIO_CHECK_EQ(buffer.size, t.size());
-  io::AccessPlan plan;
-  plan.extents = t.flatten(0, 1);
-  plan.buffer = buffer;
-  plan.validate();
-  return plan;
+  return io::AccessPlan(util::ExtentList::normalize(t.flatten(0, 1)),
+                        buffer);
 }
 
 std::uint64_t collperf_bytes_per_rank(int rank, int nprocs,

@@ -36,11 +36,8 @@ io::AccessPlan ior_plan(int rank, int nprocs, const IorConfig& config,
       }
     }
   }
-  io::AccessPlan plan;
-  plan.extents = util::ExtentList::normalize(std::move(extents)).runs();
-  plan.buffer = buffer;
-  plan.validate();
-  return plan;
+  return io::AccessPlan(util::ExtentList::normalize(std::move(extents)),
+                        buffer);
 }
 
 std::uint64_t ior_bytes_per_rank(const IorConfig& config) {

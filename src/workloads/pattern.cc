@@ -20,7 +20,7 @@ void fill_pattern(const io::AccessPlan& plan, std::uint64_t seed) {
   MCIO_CHECK_MSG(plan.buffer.data != nullptr || plan.buffer.size == 0,
                  "fill_pattern needs a real buffer");
   std::uint64_t buf = 0;
-  for (const util::Extent& e : plan.extents) {
+  for (const util::Extent& e : plan.extents.runs()) {
     for (std::uint64_t i = 0; i < e.len; ++i) {
       plan.buffer.data[buf + i] = pattern_byte(seed, e.offset + i);
     }
@@ -33,7 +33,7 @@ bool verify_pattern(const io::AccessPlan& plan, std::uint64_t seed,
   MCIO_CHECK_MSG(plan.buffer.data != nullptr || plan.buffer.size == 0,
                  "verify_pattern needs a real buffer");
   std::uint64_t buf = 0;
-  for (const util::Extent& e : plan.extents) {
+  for (const util::Extent& e : plan.extents.runs()) {
     for (std::uint64_t i = 0; i < e.len; ++i) {
       const std::byte expected = pattern_byte(seed, e.offset + i);
       if (plan.buffer.data[buf + i] != expected) {

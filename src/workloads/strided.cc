@@ -18,11 +18,8 @@ io::AccessPlan strided_plan(int rank, int nprocs,
     extents.push_back(
         util::Extent{config.base + slot * config.stride, config.block});
   }
-  io::AccessPlan plan;
-  plan.extents = util::ExtentList::normalize(std::move(extents)).runs();
-  plan.buffer = buffer;
-  plan.validate();
-  return plan;
+  return io::AccessPlan(util::ExtentList::normalize(std::move(extents)),
+                        buffer);
 }
 
 std::uint64_t strided_bytes_per_rank(const StridedConfig& config) {

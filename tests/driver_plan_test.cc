@@ -147,11 +147,7 @@ TEST(TwoPhasePlan, EmptyEverywhere) {
   PlanHarness h;
   io::TwoPhaseDriver driver;
   h.with_plan(driver,
-              [](int, int) {
-                io::AccessPlan p;
-                p.buffer = util::Payload::virtual_bytes(0);
-                return p;
-              },
+              [](int, int) { return io::AccessPlan(); },
               8 << 20, 0.0,
               [&](const io::ExchangePlan& xplan, mpi::Comm&) {
                 EXPECT_TRUE(xplan.domains.empty());

@@ -161,7 +161,9 @@ TEST(TwoPhaseIntegration, ExchangeScheduleIdenticalAcrossRuns) {
                 {static_cast<std::uint64_t>(c * nprocs + rank) * (8 << 10),
                  8 << 10});
           }
-          return io::make_plan(extents, util::Payload::of(storage));
+          return io::AccessPlan(
+              util::ExtentList::normalize(std::move(extents)),
+              util::Payload::of(storage));
         },
         /*seed=*/1234, io::Hints{}, &stats);
     return std::make_tuple(stats.msgs_intra_node(), stats.msgs_inter_node(),

@@ -2,6 +2,8 @@
 // sieving, and workload generators.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "io/mpi_file.h"
 #include "io/independent.h"
 #include "mpi/machine.h"
@@ -19,38 +21,77 @@ namespace {
 using util::Extent;
 using util::Payload;
 
-TEST(AccessPlan, ValidationCatchesProblems) {
-  io::AccessPlan plan;
-  plan.extents = {{0, 10}, {5, 10}};  // overlap
-  plan.buffer = Payload::virtual_bytes(20);
-  EXPECT_THROW(plan.validate(), util::Error);
-  plan.extents = {{0, 10}, {20, 10}};
-  plan.buffer = Payload::virtual_bytes(19);  // size mismatch
-  EXPECT_THROW(plan.validate(), util::Error);
-  plan.buffer = Payload::virtual_bytes(20);
-  EXPECT_NO_THROW(plan.validate());
+TEST(AccessPlan, ConstructorChecksBufferSize) {
+  const auto two_runs = [] {
+    return util::ExtentList::normalize({{0, 10}, {20, 10}});
+  };
+  EXPECT_THROW(io::AccessPlan(two_runs(), Payload::virtual_bytes(19)),
+               util::Error);
+  EXPECT_THROW(io::AccessPlan(two_runs(), Payload::virtual_bytes(21)),
+               util::Error);
+  const io::AccessPlan plan(two_runs(), Payload::virtual_bytes(20));
   EXPECT_EQ(plan.total_bytes(), 20u);
   EXPECT_EQ(plan.bounds(), (Extent{0, 30}));
 }
 
-TEST(AccessPlan, MakePlanNormalizes) {
+TEST(AccessPlan, UnsortedOrOverlappingInputIsNormalizedThenSizeChecked) {
+  // Overlapping runs merge into {0, 15}: the 20-byte buffer no longer fits.
+  EXPECT_THROW(
+      io::AccessPlan(util::ExtentList::normalize({{0, 10}, {5, 10}}),
+                     Payload::virtual_bytes(20)),
+      util::Error);
+  // Unsorted adjacent runs sort and coalesce into one.
   std::vector<std::byte> buf(30);
-  const auto plan = io::make_plan({{20, 10}, {0, 10}, {10, 10}},
-                                  Payload::of(buf));
+  const io::AccessPlan plan(
+      util::ExtentList::normalize({{20, 10}, {0, 10}, {10, 10}}),
+      Payload::of(buf));
   ASSERT_EQ(plan.extents.size(), 1u);
-  EXPECT_EQ(plan.extents[0], (Extent{0, 30}));
+  EXPECT_EQ(plan.extents.runs()[0], (Extent{0, 30}));
 }
 
-TEST(AccessPlan, MakePlanOnASortedListAllocatesAtMostOnce) {
-  // normalize adopts a sorted list and the plan moves the runs out of it:
-  // the one allocation is the by-value copy of the argument.
+TEST(AccessPlan, EmptyPlanIsValid) {
+  const io::AccessPlan plan;
+  EXPECT_TRUE(plan.empty());
+  EXPECT_EQ(plan.total_bytes(), 0u);
+  EXPECT_EQ(plan.bounds(), Extent{});
+  EXPECT_EQ(plan.buffer.size, 0u);
+  EXPECT_NO_THROW(
+      io::AccessPlan(util::ExtentList{}, Payload::virtual_bytes(0)));
+  EXPECT_THROW(io::AccessPlan(util::ExtentList{}, Payload::virtual_bytes(1)),
+               util::Error);
+}
+
+TEST(AccessPlan, OnASortedListAllocatesAtMostOnce) {
+  // normalize adopts a sorted list and the plan moves the list in: the one
+  // allocation is the by-value copy of the argument.
   std::vector<Extent> extents;
   for (std::uint64_t i = 0; i < 100'000; ++i) extents.push_back({i * 16, 8});
   util::memtrack::reset();
-  const auto plan =
-      io::make_plan(extents, Payload::virtual_bytes(100'000 * 8));
+  const io::AccessPlan plan(util::ExtentList::normalize(extents),
+                            Payload::virtual_bytes(100'000 * 8));
   EXPECT_LE(util::memtrack::allocations(), 1u);
-  EXPECT_EQ(plan.extents, extents);
+  EXPECT_EQ(plan.extents.runs(), extents);
+}
+
+TEST(AccessPlan, FactoryPlansReachTheCallerUncopied) {
+  // A plan's fields are const, so a copy would duplicate its runs. A
+  // factory's plan returned through a std::function (the shape of
+  // core::PlanFactory) is built in place: the only allocation is the
+  // generator's one reserve of the runs.
+  workloads::StridedConfig cfg;
+  cfg.block = 8;
+  cfg.stride = 16;
+  cfg.count = 100'000;
+  const std::function<io::AccessPlan(int, int)> factory =
+      [&](int rank, int nprocs) {
+        return workloads::strided_plan(
+            rank, nprocs, cfg,
+            Payload::virtual_bytes(workloads::strided_bytes_per_rank(cfg)));
+      };
+  util::memtrack::reset();
+  const io::AccessPlan plan = factory(0, 1);
+  EXPECT_EQ(util::memtrack::allocations(), 1u);
+  EXPECT_EQ(plan.extents.size(), cfg.count);
 }
 
 struct FileHarness {
@@ -161,24 +202,23 @@ TEST(IndependentIO, SievingReadsBridgeGaps) {
     for (std::size_t i = 0; i < base.size(); ++i) {
       base[i] = static_cast<std::byte>(i ^ 0x5a);
     }
-    io::AccessPlan wplan;
-    wplan.extents = {{0, 1024}};
-    wplan.buffer = Payload::of(base);
-    io::independent_write(ctx, wplan);
+    io::independent_write(
+        ctx, io::AccessPlan(util::ExtentList::normalize({{0, 1024}}),
+                            Payload::of(base)));
 
     std::vector<std::byte> out(4 * 32);
-    io::AccessPlan rplan;
+    std::vector<Extent> runs;
     for (int k = 0; k < 4; ++k) {
-      rplan.extents.push_back(
-          Extent{static_cast<std::uint64_t>(k) * 96, 32});
+      runs.push_back(Extent{static_cast<std::uint64_t>(k) * 96, 32});
     }
-    rplan.buffer = Payload::of(out);
+    const io::AccessPlan rplan(util::ExtentList::normalize(std::move(runs)),
+                               Payload::of(out));
     h.fs.reset_accounting();
     io::independent_read(ctx, rplan);
     // Gaps are 64 <= ds_max_gap: one sieving span, one request.
     EXPECT_EQ(h.fs.total_rpcs(), 1u);
     std::uint64_t off = 0;
-    for (const auto& e : rplan.extents) {
+    for (const auto& e : rplan.extents.runs()) {
       for (std::uint64_t i = 0; i < e.len; ++i) {
         EXPECT_EQ(out[off + i], base[e.offset + i]);
       }
@@ -197,15 +237,15 @@ TEST(Workloads, IorSegmentedVsInterleavedLayout) {
   const auto seg = workloads::ior_plan(1, 4, w,
                                        Payload::virtual_bytes(2048));
   ASSERT_EQ(seg.extents.size(), 2u);
-  EXPECT_EQ(seg.extents[0], (Extent{1024, 1024}));
-  EXPECT_EQ(seg.extents[1], (Extent{5120, 1024}));
+  EXPECT_EQ(seg.extents.runs()[0], (Extent{1024, 1024}));
+  EXPECT_EQ(seg.extents.runs()[1], (Extent{5120, 1024}));
 
   w.interleaved = true;
   const auto il = workloads::ior_plan(1, 4, w,
                                       Payload::virtual_bytes(2048));
   ASSERT_EQ(il.extents.size(), 8u);
-  EXPECT_EQ(il.extents[0], (Extent{256, 256}));
-  EXPECT_EQ(il.extents[1], (Extent{1280, 256}));
+  EXPECT_EQ(il.extents.runs()[0], (Extent{256, 256}));
+  EXPECT_EQ(il.extents.runs()[1], (Extent{1280, 256}));
   EXPECT_EQ(workloads::ior_total_bytes(4, w), 8192u);
 }
 
@@ -221,7 +261,7 @@ TEST(Workloads, CollperfCoversArrayExactly) {
     const auto plan = workloads::collperf_plan(
         r, nprocs, cfg, Payload::virtual_bytes(bytes));
     total += plan.total_bytes();
-    for (const auto& e : plan.extents) cover.add(e);
+    for (const auto& e : plan.extents.runs()) cover.add(e);
   }
   EXPECT_EQ(total, workloads::collperf_total_bytes(cfg));
   ASSERT_EQ(cover.size(), 1u);  // ranks tile the array with no gaps
@@ -260,9 +300,9 @@ TEST(Workloads, StridedPlanShape) {
   const auto plan = workloads::strided_plan(
       1, 4, cfg, Payload::virtual_bytes(30));
   ASSERT_EQ(plan.extents.size(), 3u);
-  EXPECT_EQ(plan.extents[0], (Extent{150, 10}));
-  EXPECT_EQ(plan.extents[1], (Extent{350, 10}));
-  EXPECT_EQ(plan.extents[2], (Extent{550, 10}));
+  EXPECT_EQ(plan.extents.runs()[0], (Extent{150, 10}));
+  EXPECT_EQ(plan.extents.runs()[1], (Extent{350, 10}));
+  EXPECT_EQ(plan.extents.runs()[2], (Extent{550, 10}));
 }
 
 }  // namespace

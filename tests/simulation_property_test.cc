@@ -40,15 +40,14 @@ core::WriteReadResult ior_write_read(
       static_cast<std::size_t>(nranks));
   return core::run_write_read(
       cluster, kind, mccio, io::Hints{}, nranks, [&](int rank, int p) {
-        if (!real_payloads) {
-          return workloads::ior_plan(rank, p, w,
-                                     util::Payload::virtual_bytes(bytes));
-        }
+        // One named return, so the plan is built in place (NRVO).
         std::vector<std::byte>& buf = storage[static_cast<std::size_t>(rank)];
-        buf.resize(bytes);
-        io::AccessPlan plan =
-            workloads::ior_plan(rank, p, w, util::Payload::of(buf));
-        workloads::fill_pattern(plan, 5);
+        buf.resize(real_payloads ? bytes : 0);
+        io::AccessPlan plan = workloads::ior_plan(
+            rank, p, w,
+            real_payloads ? util::Payload::of(buf)
+                          : util::Payload::virtual_bytes(bytes));
+        if (real_payloads) workloads::fill_pattern(plan, 5);
         return plan;
       });
 }

@@ -69,7 +69,7 @@ inline void round_trip(core::SimStack& cluster, io::CollectiveDriver& driver,
   const std::string path = "/roundtrip";
   cluster.machine().run(nranks, [&](mpi::Rank& rank) {
     std::vector<std::byte> wstorage;
-    io::AccessPlan wplan = make_plan(rank.rank(), nranks, wstorage);
+    const io::AccessPlan wplan = make_plan(rank.rank(), nranks, wstorage);
     workloads::fill_pattern(wplan, seed);
 
     io::MPIFile file(rank, rank.world(), cluster.services(), path,
@@ -82,11 +82,12 @@ inline void round_trip(core::SimStack& cluster, io::CollectiveDriver& driver,
     std::string err;
     MCIO_CHECK_MSG(workloads::verify_store(cluster.fs().store(
                                                file.handle()),
-                                           wplan.extents, seed, &err),
+                                           wplan.extents.runs(), seed,
+                                           &err),
                    "rank " << rank.rank() << " write: " << err);
 
     std::vector<std::byte> rstorage;
-    io::AccessPlan rplan = make_plan(rank.rank(), nranks, rstorage);
+    const io::AccessPlan rplan = make_plan(rank.rank(), nranks, rstorage);
     file.read_all_plan(rplan);
     rank.world().barrier();
     MCIO_CHECK_MSG(workloads::verify_pattern(rplan, seed, &err),

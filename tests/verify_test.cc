@@ -82,7 +82,7 @@ class SabotageDriver final : public io::CollectiveDriver {
     }
     std::uint64_t buf_off = 0;
     bool first = true;
-    for (const util::Extent& e : plan.extents) {
+    for (const util::Extent& e : plan.extents.runs()) {
       std::uint64_t len = e.len;
       if (first && sabot && mode_ == Mode::kDropLastByte) len = e.len - 1;
       ctx.fs->write(ctx.rank->actor(), ctx.file, e.offset,
@@ -106,7 +106,7 @@ class SabotageDriver final : public io::CollectiveDriver {
 
   void read_all(io::CollContext& ctx, const io::AccessPlan& plan) override {
     std::uint64_t buf_off = 0;
-    for (const util::Extent& e : plan.extents) {
+    for (const util::Extent& e : plan.extents.runs()) {
       ctx.fs->read(ctx.rank->actor(), ctx.file, e.offset,
                    util::Payload::real(plan.buffer.data + buf_off, e.len));
       buf_off += e.len;
@@ -130,10 +130,10 @@ void run_collective(core::SimStack& cluster, io::CollectiveDriver& driver,
   cluster.machine().run(
       cluster.total_ranks(), [&](mpi::Rank& rank) {
         std::vector<std::byte> buf(64);
-        io::AccessPlan plan;
-        plan.extents.push_back(
-            util::Extent{static_cast<std::uint64_t>(rank.rank()) * 64, 64});
-        plan.buffer = util::Payload::of(buf);
+        const io::AccessPlan plan(
+            util::ExtentList::normalize(
+                {{static_cast<std::uint64_t>(rank.rank()) * 64, 64}}),
+            util::Payload::of(buf));
         io::MPIFile file(rank, rank.world(), cluster.services(), "/audit",
                          /*create=*/true, io::Hints{}, &driver);
         file.write_all_plan(plan);
@@ -227,10 +227,10 @@ void run_overlapping_plans(core::SimStack& cluster, UnionWriter& driver) {
   cluster.machine().run(
       cluster.total_ranks(), [&](mpi::Rank& rank) {
         std::vector<std::byte> buf(64);
-        io::AccessPlan plan;
-        plan.extents.push_back(
-            util::Extent{static_cast<std::uint64_t>(rank.rank()) * 32, 64});
-        plan.buffer = util::Payload::of(buf);
+        const io::AccessPlan plan(
+            util::ExtentList::normalize(
+                {{static_cast<std::uint64_t>(rank.rank()) * 32, 64}}),
+            util::Payload::of(buf));
         io::MPIFile file(rank, rank.world(), cluster.services(), "/audit",
                          /*create=*/true, io::Hints{}, &driver);
         file.write_all_plan(plan);
@@ -460,10 +460,10 @@ std::uint64_t run_per_rank_inputs(
       cluster.total_ranks(), [&](mpi::Rank& rank) {
         world_id = rank.world().id();
         std::vector<std::byte> buf(64);
-        io::AccessPlan plan;
-        plan.extents.push_back(
-            util::Extent{static_cast<std::uint64_t>(rank.rank()) * 64, 64});
-        plan.buffer = util::Payload::of(buf);
+        const io::AccessPlan plan(
+            util::ExtentList::normalize(
+                {{static_cast<std::uint64_t>(rank.rank()) * 64, 64}}),
+            util::Payload::of(buf));
         io::Hints hints;
         io::CollectiveDriver* driver = setup(rank.rank(), &hints);
         io::MPIFile file(rank, rank.world(), cluster.services(), "/audit",
