@@ -1,5 +1,5 @@
 // Ablations on the paper's §4 evaluation shape: IOR interleaved, 120
-// processes on the 10-node × 12-core testbed. Five sweeps, each varying
+// processes on the 10-node × 12-core testbed. Six sweeps, each varying
 // one knob and printing one table:
 //   components  each §3 component of MCCIO (aggregation group division,
 //               workload-portion remerging, memory-aware aggregator
@@ -21,7 +21,12 @@
 //               doubling of node width gives the intra-node combine more
 //               traffic to take off the interconnect. Run at low
 //               aggregation memory, where the per-window message storm is
-//               worst.
+//               worst;
+//   small       independent vs two-phase vs MCCIO at 16 KiB per process,
+//               the many-cores, little-data regime of the paper's Table 1.
+//               The whole collective spans two stripes, so the number of
+//               PFS requests and seeks, not the data, sets the bandwidth:
+//               each point reports both.
 // `--json` writes one document whose points each name their "sweep".
 #include "common.h"
 #include "util/cli.h"
@@ -238,6 +243,38 @@ void hierarchy(bench::JsonReporter& rep) {
   table.print(std::cout);
 }
 
+void small(const bench::Testbed& tb, bench::JsonReporter& rep) {
+  const std::uint64_t mem = 16 * kMiB;
+  const workloads::IorConfig w{.block_size = 16 * kKiB,
+                               .transfer_size = 16 * kKiB};
+  const core::PlanFactory plans = bench::ior_plans(w);
+  util::Table table({"strategy", "write MB/s", "read MB/s", "aggregators",
+                     "PFS RPCs", "seeks"});
+  for (const auto kind :
+       {core::DriverKind::kIndependent, core::DriverKind::kTwoPhase,
+        core::DriverKind::kMccio}) {
+    core::SimStack stack(tb.stack(mem));
+    const auto r = core::run_write_read(stack, kind, {},
+                                        bench::hints_at(mem), kRanks, plans);
+    // Both phases' requests.
+    const std::uint64_t rpcs = stack.fs().total_rpcs();
+    const std::uint64_t seeks = stack.fs().total_seeks();
+    add_point(rep, "small", core::driver_name(kind))
+        .set("write_mbs", r.write_bw / 1e6)
+        .set("read_mbs", r.read_bw / 1e6)
+        .set("aggregators", r.write_stats.num_aggregators())
+        .set("pfs_rpcs", rpcs)
+        .set("pfs_seeks", seeks);
+    table.add(core::driver_name(kind), util::fixed(r.write_bw / 1e6),
+              util::fixed(r.read_bw / 1e6), r.write_stats.num_aggregators(),
+              rpcs, seeks);
+  }
+  std::cout << "# Ablation — small requests (IOR interleaved, " << kRanks
+            << " processes, " << util::format_bytes(w.block_size)
+            << " per process)\n";
+  table.print(std::cout);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -252,6 +289,7 @@ int main(int argc, char** argv) {
   nah(tb, rep);
   strategy(tb, rep);
   hierarchy(rep);
+  small(tb, rep);
   rep.write();
   return 0;
 }

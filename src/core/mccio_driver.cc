@@ -237,8 +237,9 @@ io::ExchangePlan plan_from(const MccioConfig& config,
   }
 
   // The classic leaf search with remerging (§3.2/§3.3): bisects `region`
-  // into Msg_ind-sized leaves, at most `cap` of them, and places each on
-  // the best host among `candidates`' (empty = every rank).
+  // into Msg_ind-sized leaves on the stripe grid, at most `cap` of them,
+  // and places each on the best host among `candidates`' (empty = every
+  // rank).
   const auto leaf_search = [&](const Extent& region, std::uint64_t cap,
                                std::vector<int> candidates) {
     const LocationInput lin{.rank_bounds = xplan.rank_bounds,
@@ -296,6 +297,24 @@ io::ExchangePlan plan_from(const MccioConfig& config,
       }
     }
 
+    // Stripe-grid leaves: a leaf below one stripe cannot saturate its
+    // host's I/O path (Msg_ind, §3.2) and costs an extra RPC wherever it
+    // straddles a stripe boundary. So a group keeps at most one slot per
+    // stripe of its region: the ones with the largest budgets, in node
+    // order.
+    const auto max_slots = static_cast<std::size_t>(
+        (group.region.len + stripe - 1) / stripe);
+    if (slots.size() > max_slots) {
+      std::stable_sort(slots.begin(), slots.end(),
+                       [](const Slot& a, const Slot& b) {
+                         return a.budget > b.budget;
+                       });
+      slots.resize(max_slots);
+      std::stable_sort(
+          slots.begin(), slots.end(),
+          [](const Slot& a, const Slot& b) { return a.node < b.node; });
+    }
+
     if (slots.empty()) {
       // Fallback: the leaf-by-leaf host search with remerging.
       leaf_search(group.region,
@@ -312,17 +331,19 @@ io::ExchangePlan plan_from(const MccioConfig& config,
       weights.push_back(static_cast<double>(s.budget));
     }
     PartitionTree tree(group.region);
-    tree.bisect_weighted(weights, stripe);
-    const auto leaves = tree.leaf_ids();
+    const auto leaves = tree.bisect_weighted(weights, stripe);
 
     // Candidate aggregator processes per node, in rank order.
     std::map<int, std::vector<int>> node_ranks;
     for (const int r : group.ranks) {
       node_ranks[rank_nodes[static_cast<std::size_t>(r)]].push_back(r);
     }
-    for (std::size_t j = 0; j < leaves.size(); ++j) {
-      const Slot& slot = slots[std::min(j, slots.size() - 1)];
-      const Extent ext = tree.extent_of(leaves[j]);
+    for (const PartitionTree::WeightedLeaf& leaf : leaves) {
+      // With at most one slot per stripe, the grid gives every slot its
+      // own leaf: the leaf is served by the slot that sized it.
+      MCIO_CHECK_EQ(leaf.last - leaf.first, 1u);
+      const Slot& slot = slots[leaf.first];
+      const Extent ext = tree.extent_of(leaf.id);
       std::uint64_t buffer = std::min<std::uint64_t>(ext.len, slot.budget);
       if (stripe > 1 && buffer > stripe) {
         buffer = buffer / stripe * stripe;  // stripe-aligned windows

@@ -69,31 +69,55 @@ void PartitionTree::bisect(std::uint64_t max_leaf_bytes,
   }
 }
 
+namespace {
+
+/// The stripe grid inside one extent: `cells` grid cells touched, so
+/// cells - 1 interior grid points, the i-th at (first_unit + i) * align.
+struct Grid {
+  std::uint64_t align;
+  std::uint64_t first_unit;
+  std::uint64_t cells;
+
+  Grid(Extent ext, std::uint64_t a)
+      : align(std::max<std::uint64_t>(a, 1)),
+        first_unit(ext.offset / align),
+        cells((ext.end() - 1) / align - first_unit + 1) {}
+
+  /// The grid point nearest to `mid`, moved so that at least `left`
+  /// cells lie before it and `right` after it. Where the extent has fewer
+  /// cells than that, each side still keeps at least one.
+  std::uint64_t split(std::uint64_t mid, std::uint64_t left,
+                      std::uint64_t right) const {
+    left = std::clamp<std::uint64_t>(left, 1, cells - 1);
+    right = std::clamp<std::uint64_t>(right, 1, cells - left);
+    const std::uint64_t nearest = (mid + align / 2) / align;
+    const std::uint64_t i = nearest > first_unit ? nearest - first_unit : 0;
+    return (first_unit + std::clamp(i, left, cells - right)) * align;
+  }
+};
+
+}  // namespace
+
 void PartitionTree::bisect_into(std::uint64_t parts, std::uint64_t align) {
   MCIO_CHECK_GT(parts, 0u);
   struct Item {
     int id;
     std::uint64_t parts;
   };
-  std::vector<Item> pending{{root_, parts}};
+  std::vector<Item> pending{
+      {root_, std::min(parts, Grid(extent_of(root_), align).cells)}};
   while (!pending.empty()) {
     const Item item = pending.back();
     pending.pop_back();
     if (item.parts <= 1) continue;
     const Extent ext = extent_of(item.id);
     const std::uint64_t left_parts = (item.parts + 1) / 2;
-    // Proportional split point, aligned.
-    std::uint64_t mid =
-        ext.offset + ext.len * left_parts / item.parts;
-    if (align > 1) {
-      const std::uint64_t aligned = (mid + align / 2) / align * align;
-      if (aligned > ext.offset && aligned < ext.end()) mid = aligned;
-    }
-    if (mid <= ext.offset || mid >= ext.end()) continue;  // too fine
-    const Extent left{ext.offset, mid - ext.offset};
-    const Extent right{mid, ext.end() - mid};
-    const int l = new_node(left, item.id);
-    const int r = new_node(right, item.id);
+    // Proportional split point, on the grid.
+    const std::uint64_t mid = Grid(ext, align).split(
+        ext.offset + ext.len * left_parts / item.parts, left_parts,
+        item.parts - left_parts);
+    const int l = new_node(Extent{ext.offset, mid - ext.offset}, item.id);
+    const int r = new_node(Extent{mid, ext.end() - mid}, item.id);
     Node& parent = node(item.id);
     parent.left = l;
     parent.right = r;
@@ -102,21 +126,21 @@ void PartitionTree::bisect_into(std::uint64_t parts, std::uint64_t align) {
   }
 }
 
-void PartitionTree::bisect_weighted(const std::vector<double>& weights,
-                                    std::uint64_t align) {
+std::vector<PartitionTree::WeightedLeaf> PartitionTree::bisect_weighted(
+    const std::vector<double>& weights, std::uint64_t align) {
   MCIO_CHECK(!weights.empty());
   for (const double w : weights) MCIO_CHECK_GT(w, 0.0);
-  struct Item {
-    int id;
-    std::size_t first;  // [first, last) into weights
-    std::size_t last;
-  };
-  std::vector<Item> pending{{root_, 0, weights.size()}};
+  std::vector<WeightedLeaf> leaves;
+  std::vector<WeightedLeaf> pending{{root_, 0, weights.size()}};
   while (!pending.empty()) {
-    const Item item = pending.back();
+    const WeightedLeaf item = pending.back();
     pending.pop_back();
-    if (item.last - item.first <= 1) continue;
     const Extent ext = extent_of(item.id);
+    const Grid grid(ext, align);
+    if (item.last - item.first <= 1 || grid.cells <= 1) {
+      leaves.push_back(item);
+      continue;
+    }
     // Split the weight range at the point balancing the two halves.
     double total = 0.0;
     for (std::size_t i = item.first; i < item.last; ++i) {
@@ -133,25 +157,21 @@ void PartitionTree::bisect_weighted(const std::vector<double>& weights,
     for (std::size_t i = item.first; i < split; ++i) {
       left_weight += weights[i];
     }
-    std::uint64_t mid =
+    const std::uint64_t mid = grid.split(
         ext.offset + static_cast<std::uint64_t>(
                          static_cast<double>(ext.len) *
-                         (left_weight / total));
-    if (align > 1) {
-      const std::uint64_t aligned = (mid + align / 2) / align * align;
-      if (aligned > ext.offset && aligned < ext.end()) mid = aligned;
-    }
-    if (mid <= ext.offset || mid >= ext.end()) {
-      continue;  // degenerate: neighbours absorb the zero-size leaves
-    }
+                         (left_weight / total)),
+        split - item.first, item.last - split);
     const int l = new_node(Extent{ext.offset, mid - ext.offset}, item.id);
     const int r = new_node(Extent{mid, ext.end() - mid}, item.id);
     Node& parent = node(item.id);
     parent.left = l;
     parent.right = r;
-    pending.push_back(Item{l, item.first, split});
-    pending.push_back(Item{r, split, item.last});
+    // Right first, so leaves pop off the stack left to right.
+    pending.push_back(WeightedLeaf{r, split, item.last});
+    pending.push_back(WeightedLeaf{l, item.first, split});
   }
+  return leaves;
 }
 
 void PartitionTree::collect_leaves(int id, std::vector<int>& out) const {

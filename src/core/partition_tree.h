@@ -16,6 +16,7 @@
 //     the departing leaf's parent is spliced out.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,20 +36,33 @@ class PartitionTree {
   /// leaf is a single byte. Returns true if a split happened.
   bool split_leaf(int leaf_id, std::uint64_t align = 0);
 
-  /// Recursively splits the region into exactly `parts` leaves of (near-)
-  /// equal, aligned size — the bisection is proportional (ceil(k/2)
-  /// parts left, rest right) so the tree stays balanced. parts is capped
-  /// by the number of aligned units in the region.
+  /// Recursively splits the region into `parts` leaves of (near-)equal
+  /// size — the bisection is proportional (ceil(k/2) parts left, rest
+  /// right) so the tree stays balanced. Every interior boundary lies on
+  /// the `align` grid (0 or 1: any byte), and `parts` is capped by the
+  /// number of grid cells the region touches, so no leaf is cut below one
+  /// cell.
   void bisect_into(std::uint64_t parts, std::uint64_t align = 0);
+
+  /// One leaf of a weighted bisection and the weights [first, last) that
+  /// sized it.
+  struct WeightedLeaf {
+    int id;
+    std::size_t first;
+    std::size_t last;
+  };
 
   /// Recursive bisection into weights.size() leaves whose sizes are
   /// proportional to `weights` (left to right) — the memory-aware data
   /// partition: leaf i's share matches the aggregation memory of the host
-  /// that will serve it. Splits are rounded to `align`. Leaves that would
-  /// round to zero bytes are absorbed by their neighbours, so the result
-  /// may have fewer leaves than weights for degenerate inputs.
-  void bisect_weighted(const std::vector<double>& weights,
-                       std::uint64_t align = 0);
+  /// that will serve it. Every interior boundary lies on the `align` grid
+  /// (0 or 1: any byte), and a split never leaves a side with fewer grid
+  /// cells than weights when the extent has enough. A weight range over
+  /// fewer cells than it has weights is not cut below one cell, so its
+  /// leaves cover several weights each. Returns the leaves left to
+  /// right, each with its weight range.
+  std::vector<WeightedLeaf> bisect_weighted(
+      const std::vector<double>& weights, std::uint64_t align = 0);
 
   /// Current file domains, left to right (sorted, disjoint, covering the
   /// region).

@@ -35,11 +35,12 @@ void MPIFile::set_view(std::uint64_t disp, mpi::Datatype filetype) {
 AccessPlan MPIFile::plan_through_view(util::Payload buffer) const {
   MCIO_CHECK_MSG(view_type_ != nullptr,
                  "write_all/read_all require set_view first");
-  // Flatten enough of the tiled view for all consumed + new data, then
-  // drop the already-consumed prefix.
-  auto extents = view_type_->flatten_bytes(view_disp_,
-                                           view_consumed_ + buffer.size);
-  std::uint64_t to_drop = view_consumed_;
+  // Skip the whole tiles already consumed arithmetically, flatten from
+  // the first partly consumed one, then drop that tile's consumed prefix.
+  const std::uint64_t tiles = view_consumed_ / view_type_->size();
+  std::uint64_t to_drop = view_consumed_ % view_type_->size();
+  auto extents = view_type_->flatten_bytes(
+      view_disp_ + tiles * view_type_->extent(), to_drop + buffer.size);
   std::vector<util::Extent> rest;
   rest.reserve(extents.size());
   for (const util::Extent& e : extents) {

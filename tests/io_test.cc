@@ -165,6 +165,32 @@ TEST(MPIFile, ViewRoundTrip) {
   });
 }
 
+TEST(MPIFile, ViewCallFlattensOnlyItsOwnTiles) {
+  // Successive collectives through one view: the k-th call flattens the
+  // tile it writes, not the k tiles consumed before it, so a call's
+  // allocated bytes do not grow with k.
+  FileHarness h;
+  h.machine.run(1, [&](mpi::Rank& rank) {
+    io::MPIFile file(rank, rank.world(), {&h.fs, &h.memory}, "/views",
+                     /*create=*/true);
+    // 256 runs of 16 bytes per tile.
+    const auto tile =
+        mpi::Datatype::vector(256, 16, 64, mpi::Datatype::bytes(1));
+    file.set_view(0, tile);
+    const std::vector<std::byte> data(tile.size());
+    std::vector<std::uint64_t> call_bytes;
+    for (int k = 0; k < 32; ++k) {
+      util::memtrack::reset();
+      file.write_all(util::ConstPayload::of(data));
+      call_bytes.push_back(util::memtrack::allocated_bytes());
+    }
+    // Re-flattening from the view's start would add 31 tiles of extents
+    // to the last call; allow less than one.
+    EXPECT_LT(call_bytes.back(),
+              call_bytes[1] + tile.num_runs() * sizeof(Extent));
+  });
+}
+
 TEST(MPIFile, WriteAtReadAtIndependent) {
   FileHarness h;
   h.machine.run(2, [&](mpi::Rank& rank) {

@@ -125,6 +125,73 @@ TEST(PartitionTree, BisectWeightedAligned) {
   }
 }
 
+/// Every interior leaf boundary lies on the `unit` grid and the leaves
+/// cover the region left to right.
+void expect_on_grid(const PartitionTree& tree, std::uint64_t unit) {
+  tree.check_invariants();
+  const auto leaves = tree.leaf_ids();
+  for (std::size_t i = 0; i + 1 < leaves.size(); ++i) {
+    EXPECT_EQ(tree.extent_of(leaves[i]).end() % unit, 0u)
+        << "interior boundary " << i << " is off the grid";
+  }
+}
+
+TEST(PartitionTree, BisectWeightedSkewedLeavesKeepTheirSlots) {
+  // One heavy weight and three light ones over four stripes. The balanced
+  // split point rounds to three stripes, which would leave three weights
+  // one stripe; the grid rule moves it so every weight keeps a stripe,
+  // and each leaf reports the one weight that sized it.
+  constexpr std::uint64_t kStripe = 1 << 20;
+  PartitionTree tree(Extent{0, 4 * kStripe});
+  const auto leaves = tree.bisect_weighted({8.0, 1.0, 1.0, 1.0}, kStripe);
+  expect_on_grid(tree, kStripe);
+  ASSERT_EQ(leaves.size(), 4u);
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    EXPECT_EQ(leaves[i].first, i);
+    EXPECT_EQ(leaves[i].last, i + 1);
+    EXPECT_EQ(tree.extent_of(leaves[i].id), (Extent{i * kStripe, kStripe}));
+  }
+  EXPECT_EQ(tree.leaf_ids().size(), leaves.size());
+}
+
+TEST(PartitionTree, BisectWeightedNeverCutsBelowOneStripe) {
+  // Five weights over an unaligned region touching three stripes: at most
+  // three leaves, on the grid, whose weight ranges cover all five weights
+  // in order.
+  constexpr std::uint64_t kStripe = 1 << 20;
+  const Extent region{kStripe / 2, 2 * kStripe};
+  PartitionTree tree(region);
+  const auto leaves =
+      tree.bisect_weighted({1.0, 1.0, 3.0, 1.0, 1.0}, kStripe);
+  expect_on_grid(tree, kStripe);
+  ASSERT_EQ(leaves.size(), 3u);
+  std::size_t next = 0;
+  for (const auto& leaf : leaves) {
+    EXPECT_EQ(leaf.first, next);
+    EXPECT_GT(leaf.last, leaf.first);
+    next = leaf.last;
+  }
+  EXPECT_EQ(next, 5u);
+}
+
+TEST(PartitionTree, BisectIntoCapsPartsAtTheGrid) {
+  // Eight parts asked of three stripes: three one-stripe leaves.
+  constexpr std::uint64_t kStripe = 1 << 20;
+  PartitionTree tree(Extent{0, 3 * kStripe});
+  tree.bisect_into(8, kStripe);
+  expect_on_grid(tree, kStripe);
+  ASSERT_EQ(tree.num_leaves(), 3u);
+  for (const int leaf : tree.leaf_ids()) {
+    EXPECT_EQ(tree.extent_of(leaf).len, kStripe);
+  }
+  // Two parts of an unaligned region split on the grid, not at its
+  // midpoint.
+  PartitionTree shifted(Extent{kStripe / 4, kStripe});
+  shifted.bisect_into(2, kStripe);
+  expect_on_grid(shifted, kStripe);
+  EXPECT_EQ(shifted.num_leaves(), 2u);
+}
+
 TEST(PartitionTree, SplitSingleByteFails) {
   PartitionTree tree(Extent{5, 1});
   EXPECT_FALSE(tree.split_leaf(tree.root()));
