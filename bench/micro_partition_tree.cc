@@ -1,6 +1,8 @@
-// Microbenchmarks: partition-tree construction, weighted bisection and
-// remerge throughput (google-benchmark).
+// Microbenchmarks: weighted bisection and remerge throughput
+// (google-benchmark).
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/partition_tree.h"
 #include "micro_main.h"
@@ -10,16 +12,6 @@ namespace {
 
 using mcio::core::PartitionTree;
 using mcio::util::Extent;
-
-void BM_Bisect(benchmark::State& state) {
-  const auto leaf = static_cast<std::uint64_t>(state.range(0));
-  for (auto _ : state) {
-    PartitionTree tree(Extent{0, 1ull << 34});
-    tree.bisect(leaf << 20, 1 << 20);
-    benchmark::DoNotOptimize(tree.num_leaves());
-  }
-}
-BENCHMARK(BM_Bisect)->Arg(256)->Arg(64)->Arg(16);
 
 void BM_BisectWeighted(benchmark::State& state) {
   const auto parts = static_cast<std::size_t>(state.range(0));
@@ -39,7 +31,9 @@ void BM_Remerge(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     PartitionTree tree(Extent{0, 1ull << 30});
-    tree.bisect_into(static_cast<std::uint64_t>(merges) * 2, 1 << 20);
+    tree.bisect_weighted(
+        std::vector<double>(static_cast<std::size_t>(merges) * 2, 1.0),
+        1 << 20);
     state.ResumeTiming();
     for (int i = 0; i < merges; ++i) {
       const auto leaves = tree.leaf_ids();

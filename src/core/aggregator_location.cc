@@ -66,6 +66,29 @@ const Candidate* best_host(const std::vector<Candidate>& hosts,
 
 }  // namespace
 
+io::FileDomain seat_aggregator(const LocationInput& in, int node,
+                               const std::vector<int>& ranks,
+                               io::FileDomain domain, bool undo) {
+  int& seats = (*in.node_aggregators)[static_cast<std::size_t>(node)];
+  std::uint64_t& avail =
+      (*in.node_available)[static_cast<std::size_t>(node)];
+  if (undo) {
+    --seats;
+    avail += domain.buffer_bytes;
+    return domain;
+  }
+  // Stripe-aligned windows, never below one stripe.
+  if (in.buffer_align > 1 && domain.buffer_bytes > in.buffer_align) {
+    domain.buffer_bytes =
+        domain.buffer_bytes / in.buffer_align * in.buffer_align;
+  }
+  domain.aggregator =
+      ranks[static_cast<std::size_t>(seats) % ranks.size()];
+  ++seats;
+  avail = avail >= domain.buffer_bytes ? avail - domain.buffer_bytes : 0;
+  return domain;
+}
+
 std::vector<io::FileDomain> locate_aggregators(PartitionTree& tree,
                                                const LocationInput& in) {
   MCIO_CHECK(in.node_available != nullptr);
@@ -152,11 +175,9 @@ std::vector<io::FileDomain> locate_aggregators(PartitionTree& tree,
         MCIO_CHECK_EQ(placed.size(), i + 1);
         if (placed.back().has_value()) {
           const io::FileDomain& undo = *placed.back();
-          const auto node =
-              static_cast<std::size_t>(in.rank_nodes[static_cast<
-                  std::size_t>(undo.aggregator)]);
-          (*in.node_available)[node] += undo.buffer_bytes;
-          --(*in.node_aggregators)[node];
+          seat_aggregator(
+              in, in.rank_nodes[static_cast<std::size_t>(undo.aggregator)],
+              {}, undo, /*undo=*/true);
         }
         placed.pop_back();
       }
@@ -182,27 +203,8 @@ std::vector<io::FileDomain> locate_aggregators(PartitionTree& tree,
           ext.len, std::max<std::uint64_t>(pick->available / slots_left,
                                            min_buffer));
     }
-    // Stripe-align so exchange windows stay aligned (never below one
-    // stripe).
-    if (in.buffer_align > 1 && buffer > in.buffer_align) {
-      buffer = buffer / in.buffer_align * in.buffer_align;
-    }
-
-    // Round-robin across the host's candidate processes.
-    auto& agg_count =
-        (*in.node_aggregators)[static_cast<std::size_t>(pick->node)];
-    const int agg_rank = pick->ranks[static_cast<std::size_t>(agg_count) %
-                                     pick->ranks.size()];
-    ++agg_count;
-    auto& avail =
-        (*in.node_available)[static_cast<std::size_t>(pick->node)];
-    avail = avail >= buffer ? avail - buffer : 0;
-
-    io::FileDomain d;
-    d.extent = ext;
-    d.aggregator = agg_rank;
-    d.buffer_bytes = buffer;
-    placed.emplace_back(d);
+    placed.emplace_back(seat_aggregator(in, pick->node, pick->ranks,
+                                        io::FileDomain{ext, -1, buffer}));
     ++i;
   }
   std::vector<io::FileDomain> out;

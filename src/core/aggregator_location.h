@@ -46,6 +46,16 @@ struct LocationInput {
   bool memory_aware = true;
 };
 
+/// Seats the aggregator of `domain` on `node`, or with `undo` gives back
+/// the seat an earlier call returned. Every placement shares this step:
+/// the node's next rank in `ranks` round-robin, `domain.buffer_bytes`
+/// rounded down to `in.buffer_align` when above it, one seat counted
+/// toward the node's N_ah, and the buffer charged against its planned
+/// Mem_avl (floored at 0). Returns the seated domain.
+io::FileDomain seat_aggregator(const LocationInput& in, int node,
+                               const std::vector<int>& ranks,
+                               io::FileDomain domain, bool undo = false);
+
 /// Runs aggregator location over the leaves of `tree`, remerging domains
 /// whose hosts lack memory. Returns the final file domains with
 /// aggregator ranks and per-domain buffer sizes, sorted by offset.

@@ -192,11 +192,14 @@ io::ExchangePlan plan_from(const MccioConfig& config,
   // the smallest ask the exchange-time borrow rung will make after the
   // shrink ladder bottoms out (Msg_ind would be the wrong bar here: its
   // saturation-sized default dwarfs scarce-memory testbeds and would
-  // veto every rescue). Placement then proceeds (the classic leaf search
-  // puts floor-sized domains on the exhausted hosts) and the
-  // aggregators' ladders bottom out into a borrow at exchange time.
-  // Full-cluster exhaustion leaves no donor, so the fallback below
-  // still fires.
+  // veto every rescue). Placement then proceeds and the aggregators'
+  // ladders bottom out into a borrow at exchange time. While some
+  // data-bearing node keeps memory, the exhausted hosts fall below
+  // Mem_min and the classic leaf search puts floor-sized domains on
+  // them. When every data-bearing node is exhausted, Mem_min drops to 0
+  // (best_avail above), so each host gets one stripe-budget slot and the
+  // rescued group takes the slot path. Full-cluster exhaustion leaves no
+  // donor, so the fallback below still fires.
   std::vector<bool> group_dead(groups.size(), false);
   if (faults != nullptr && config.memory_aware) {
     for (std::size_t gi = 0; gi < groups.size(); ++gi) {
@@ -236,28 +239,34 @@ io::ExchangePlan plan_from(const MccioConfig& config,
               xplan.independent_ranks.end());
   }
 
-  // The classic leaf search with remerging (§3.2/§3.3): bisects `region`
-  // into Msg_ind-sized leaves on the stripe grid, at most `cap` of them,
-  // and places each on the best host among `candidates`' (empty = every
-  // rank).
+  // Placement state shared by every group: the per-node ledgers that
+  // seat_aggregator charges, over the bounds left after the fallback.
+  LocationInput lin{.rank_bounds = xplan.rank_bounds,
+                    .rank_nodes = rank_nodes,
+                    .candidate_ranks = {},
+                    .node_available = &node_available,
+                    .node_aggregators = &node_aggregators,
+                    .mem_min = mem_min,
+                    .msg_ind = msg_ind,
+                    .buffer_align = stripe,
+                    .n_ah = config.n_ah,
+                    .remerging = config.remerging,
+                    .remerges = &remerges,
+                    .memory_aware = config.memory_aware};
+
+  // The classic leaf search with remerging (§3.2/§3.3): cuts `region`
+  // into ceil(len / Msg_ind) equal-weight leaves on the stripe grid, at
+  // most `cap` of them, and places each on the best host among
+  // `candidates`' (empty = every rank).
   const auto leaf_search = [&](const Extent& region, std::uint64_t cap,
                                std::vector<int> candidates) {
-    const LocationInput lin{.rank_bounds = xplan.rank_bounds,
-                            .rank_nodes = rank_nodes,
-                            .candidate_ranks = std::move(candidates),
-                            .node_available = &node_available,
-                            .node_aggregators = &node_aggregators,
-                            .mem_min = mem_min,
-                            .msg_ind = msg_ind,
-                            .buffer_align = stripe,
-                            .n_ah = config.n_ah,
-                            .remerging = config.remerging,
-                            .remerges = &remerges,
-                            .memory_aware = config.memory_aware};
+    lin.candidate_ranks = std::move(candidates);
     PartitionTree tree(region);
-    tree.bisect_into(
-        std::clamp<std::uint64_t>((region.len + msg_ind - 1) / msg_ind, 1,
-                                  cap),
+    tree.bisect_weighted(
+        std::vector<double>(
+            std::clamp<std::uint64_t>((region.len + msg_ind - 1) / msg_ind,
+                                      1, cap),
+            1.0),
         stripe);
     for (const io::FileDomain& d : locate_aggregators(tree, lin)) {
       xplan.domains.push_back(d);
@@ -344,24 +353,9 @@ io::ExchangePlan plan_from(const MccioConfig& config,
       MCIO_CHECK_EQ(leaf.last - leaf.first, 1u);
       const Slot& slot = slots[leaf.first];
       const Extent ext = tree.extent_of(leaf.id);
-      std::uint64_t buffer = std::min<std::uint64_t>(ext.len, slot.budget);
-      if (stripe > 1 && buffer > stripe) {
-        buffer = buffer / stripe * stripe;  // stripe-aligned windows
-      }
-      buffer = std::max<std::uint64_t>(
-          buffer, std::min<std::uint64_t>(stripe, ext.len));
-      auto& count =
-          node_aggregators[static_cast<std::size_t>(slot.node)];
-      const auto& ranks_here = node_ranks[slot.node];
-      io::FileDomain d;
-      d.extent = ext;
-      d.aggregator =
-          ranks_here[static_cast<std::size_t>(count) % ranks_here.size()];
-      d.buffer_bytes = buffer;
-      ++count;
-      auto& avail = node_available[static_cast<std::size_t>(slot.node)];
-      avail = avail >= buffer ? avail - buffer : 0;
-      xplan.domains.push_back(d);
+      xplan.domains.push_back(seat_aggregator(
+          lin, slot.node, node_ranks[slot.node],
+          io::FileDomain{ext, -1, std::min(ext.len, slot.budget)}));
     }
   }
 

@@ -31,44 +31,6 @@ PartitionTree::Node& PartitionTree::node(int id) {
       static_cast<const PartitionTree*>(this)->node(id));
 }
 
-bool PartitionTree::split_leaf(int leaf_id, std::uint64_t align) {
-  Node& n = node(leaf_id);
-  MCIO_CHECK_MSG(n.leaf(), "split of internal vertex " << leaf_id);
-  if (n.extent.len < 2) return false;
-  std::uint64_t mid = n.extent.offset + n.extent.len / 2;
-  if (align > 1) {
-    // Round the split point to the alignment grid when both halves stay
-    // non-empty.
-    const std::uint64_t aligned = mid / align * align;
-    if (aligned > n.extent.offset && aligned < n.extent.end()) {
-      mid = aligned;
-    }
-  }
-  const Extent left{n.extent.offset, mid - n.extent.offset};
-  const Extent right{mid, n.extent.end() - mid};
-  const int l = new_node(left, leaf_id);
-  const int r = new_node(right, leaf_id);
-  Node& parent = node(leaf_id);  // re-fetch: new_node may reallocate
-  parent.left = l;
-  parent.right = r;
-  return true;
-}
-
-void PartitionTree::bisect(std::uint64_t max_leaf_bytes,
-                           std::uint64_t align) {
-  MCIO_CHECK_GT(max_leaf_bytes, 0u);
-  // Work queue of leaves still above the termination criterion Msg_ind.
-  std::vector<int> pending = leaf_ids();
-  while (!pending.empty()) {
-    const int id = pending.back();
-    pending.pop_back();
-    if (extent_of(id).len <= max_leaf_bytes) continue;
-    if (!split_leaf(id, align)) continue;
-    pending.push_back(node(id).left);
-    pending.push_back(node(id).right);
-  }
-}
-
 namespace {
 
 /// The stripe grid inside one extent: `cells` grid cells touched, so
@@ -98,37 +60,10 @@ struct Grid {
 
 }  // namespace
 
-void PartitionTree::bisect_into(std::uint64_t parts, std::uint64_t align) {
-  MCIO_CHECK_GT(parts, 0u);
-  struct Item {
-    int id;
-    std::uint64_t parts;
-  };
-  std::vector<Item> pending{
-      {root_, std::min(parts, Grid(extent_of(root_), align).cells)}};
-  while (!pending.empty()) {
-    const Item item = pending.back();
-    pending.pop_back();
-    if (item.parts <= 1) continue;
-    const Extent ext = extent_of(item.id);
-    const std::uint64_t left_parts = (item.parts + 1) / 2;
-    // Proportional split point, on the grid.
-    const std::uint64_t mid = Grid(ext, align).split(
-        ext.offset + ext.len * left_parts / item.parts, left_parts,
-        item.parts - left_parts);
-    const int l = new_node(Extent{ext.offset, mid - ext.offset}, item.id);
-    const int r = new_node(Extent{mid, ext.end() - mid}, item.id);
-    Node& parent = node(item.id);
-    parent.left = l;
-    parent.right = r;
-    pending.push_back(Item{l, left_parts});
-    pending.push_back(Item{r, item.parts - left_parts});
-  }
-}
-
 std::vector<PartitionTree::WeightedLeaf> PartitionTree::bisect_weighted(
     const std::vector<double>& weights, std::uint64_t align) {
   MCIO_CHECK(!weights.empty());
+  MCIO_CHECK_MSG(is_leaf(root_), "bisection of a region already split");
   for (const double w : weights) MCIO_CHECK_GT(w, 0.0);
   std::vector<WeightedLeaf> leaves;
   std::vector<WeightedLeaf> pending{{root_, 0, weights.size()}};

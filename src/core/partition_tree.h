@@ -2,11 +2,14 @@
 //
 // Each vertex represents a non-overlapping portion of the file region
 // requested by one aggregation group; internal vertices are portions that
-// were split earlier; leaves are the current file domains. The core
-// algorithm is recursive bisection until every leaf is at most Msg_ind
-// bytes. When a domain must give up its region (its hosts lack aggregation
-// memory), the leaf leaves the tree and a neighbouring leaf takes over —
-// the two takeover cases of Figures 5a and 5b:
+// were split earlier; leaves are the current file domains. The region is
+// cut once, by a weighted bisection on the stripe grid: the memory-aware
+// partition weighs each aggregator slot by its buffer budget, and the
+// classic leaf search passes ceil(len / Msg_ind) unit weights (capped),
+// so its leaves are near-equal and about Msg_ind bytes at most. When a
+// domain must give up its region (its hosts lack aggregation memory), the
+// leaf leaves the tree and a neighbouring leaf takes over — the two
+// takeover cases of Figures 5a and 5b:
 //
 //   case 1 (Fig 5a): the sibling is a leaf — the parent becomes a leaf and
 //     the sibling's region absorbs the departing one;
@@ -28,22 +31,6 @@ class PartitionTree {
  public:
   explicit PartitionTree(util::Extent region);
 
-  /// Recursively bisects every leaf larger than `max_leaf_bytes`. Split
-  /// points are rounded to `align` bytes when possible (stripe alignment).
-  void bisect(std::uint64_t max_leaf_bytes, std::uint64_t align = 0);
-
-  /// Splits one leaf in two at its (aligned) midpoint. No-op when the
-  /// leaf is a single byte. Returns true if a split happened.
-  bool split_leaf(int leaf_id, std::uint64_t align = 0);
-
-  /// Recursively splits the region into `parts` leaves of (near-)equal
-  /// size — the bisection is proportional (ceil(k/2) parts left, rest
-  /// right) so the tree stays balanced. Every interior boundary lies on
-  /// the `align` grid (0 or 1: any byte), and `parts` is capped by the
-  /// number of grid cells the region touches, so no leaf is cut below one
-  /// cell.
-  void bisect_into(std::uint64_t parts, std::uint64_t align = 0);
-
   /// One leaf of a weighted bisection and the weights [first, last) that
   /// sized it.
   struct WeightedLeaf {
@@ -52,15 +39,16 @@ class PartitionTree {
     std::size_t last;
   };
 
-  /// Recursive bisection into weights.size() leaves whose sizes are
-  /// proportional to `weights` (left to right) — the memory-aware data
-  /// partition: leaf i's share matches the aggregation memory of the host
-  /// that will serve it. Every interior boundary lies on the `align` grid
-  /// (0 or 1: any byte), and a split never leaves a side with fewer grid
-  /// cells than weights when the extent has enough. A weight range over
-  /// fewer cells than it has weights is not cut below one cell, so its
-  /// leaves cover several weights each. Returns the leaves left to
-  /// right, each with its weight range.
+  /// Recursive bisection of the (unsplit) region into weights.size()
+  /// leaves whose sizes are proportional to `weights` (left to right) —
+  /// the memory-aware data partition: leaf i's share matches the
+  /// aggregation memory of the host that will serve it; n unit weights
+  /// give n near-equal leaves. Every interior boundary lies on the
+  /// `align` grid (0 or 1: any byte), and a split never leaves a side
+  /// with fewer grid cells than weights when the extent has enough. A
+  /// weight range over fewer cells than it has weights is not cut below
+  /// one cell, so its leaves cover several weights each. Returns the
+  /// leaves left to right, each with its weight range.
   std::vector<WeightedLeaf> bisect_weighted(
       const std::vector<double>& weights, std::uint64_t align = 0);
 

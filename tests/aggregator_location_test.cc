@@ -33,7 +33,7 @@ struct Fixture {
 TEST(AggregatorLocation, PicksHostsTouchingTheDomain) {
   Fixture f;
   PartitionTree tree(Extent{0, 400});
-  tree.bisect_into(4);
+  tree.bisect_weighted(std::vector<double>(4, 1.0));
   const auto domains = locate_aggregators(tree, f.input());
   ASSERT_EQ(domains.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -59,7 +59,7 @@ TEST(AggregatorLocation, MemMinTriggersRemerge) {
   Fixture f;
   f.avail = {50, 4, 4, 60};  // nodes 1 and 2 below Mem_min = 10
   PartitionTree tree(Extent{0, 400});
-  tree.bisect_into(4);
+  tree.bisect_weighted(std::vector<double>(4, 1.0));
   const auto domains = locate_aggregators(tree, f.input());
   // Domains over nodes 1/2's data merge toward qualified hosts; all data
   // remains covered and no aggregator sits on a disqualified node unless
@@ -82,7 +82,7 @@ TEST(AggregatorLocation, NahCapRespectedThenRelaxed) {
   in.n_ah = 2;
   in.remerging = false;  // exhaust the only host instead of merging
   PartitionTree tree(Extent{0, 400});
-  tree.bisect_into(4);
+  tree.bisect_weighted(std::vector<double>(4, 1.0));
   const auto domains = locate_aggregators(tree, in);
   ASSERT_EQ(domains.size(), 4u);
   for (const auto& d : domains) {
@@ -97,7 +97,7 @@ TEST(AggregatorLocation, HoleDomainsDropped) {
   auto in = f.input();
   in.remerging = false;  // keep holes as holes
   PartitionTree tree(Extent{0, 400});
-  tree.bisect_into(4);
+  tree.bisect_weighted(std::vector<double>(4, 1.0));
   const auto domains = locate_aggregators(tree, in);
   ASSERT_EQ(domains.size(), 2u);
   EXPECT_EQ(domains[0].extent, (Extent{0, 100}));
@@ -127,7 +127,7 @@ TEST(AggregatorLocation, BufferAlignment) {
   in.msg_ind = 1000;
   in.remerging = false;
   PartitionTree tree(Extent{0, 400});
-  tree.bisect_into(4);
+  tree.bisect_weighted(std::vector<double>(4, 1.0));
   const auto domains = locate_aggregators(tree, in);
   for (const auto& d : domains) {
     EXPECT_EQ(d.buffer_bytes % 64, 0u);
@@ -151,11 +151,46 @@ TEST(AggregatorLocation, RoundRobinAcrossHostProcesses) {
   in.n_ah = 2;
   in.remerging = false;  // both slots on the node must be used
   PartitionTree tree(Extent{0, 200});
-  tree.bisect_into(2);
+  tree.bisect_weighted(std::vector<double>(2, 1.0));
   const auto domains = locate_aggregators(tree, in);
   ASSERT_EQ(domains.size(), 2u);
   EXPECT_EQ(domains[0].aggregator, 0);
   EXPECT_EQ(domains[1].aggregator, 1);
+}
+
+TEST(AggregatorLocation, SeatRoundRobinsAlignsAndUndoes) {
+  // Seats on node 1 (80 bytes free), whose two ranks take turns. Buffers
+  // above one 64-byte stripe round down to the grid and are charged
+  // until the availability floors at 0; undoing a seat gives back its
+  // count and its buffer.
+  Fixture f;
+  auto in = f.input();
+  in.buffer_align = 64;
+  const std::vector<int> ranks = {4, 7};
+  const io::FileDomain d0 =
+      seat_aggregator(in, 1, ranks, io::FileDomain{{0, 100}, -1, 100});
+  EXPECT_EQ(d0.aggregator, 4);
+  EXPECT_EQ(d0.buffer_bytes, 64u);
+  EXPECT_EQ(f.aggs[1], 1);
+  EXPECT_EQ(f.avail[1], 16u);
+  EXPECT_EQ(seat_aggregator(in, 1, {}, d0, /*undo=*/true), d0);
+  EXPECT_EQ(f.aggs[1], 0);
+  EXPECT_EQ(f.avail[1], 80u);
+
+  EXPECT_EQ(seat_aggregator(in, 1, ranks, io::FileDomain{{0, 100}, -1, 100}),
+            d0);
+  const io::FileDomain d1 =
+      seat_aggregator(in, 1, ranks, io::FileDomain{{100, 40}, -1, 40});
+  EXPECT_EQ(d1.aggregator, 7);
+  EXPECT_EQ(d1.buffer_bytes, 40u);  // not above one stripe: kept
+  EXPECT_EQ(f.avail[1], 0u);
+  const io::FileDomain d2 =
+      seat_aggregator(in, 1, ranks, io::FileDomain{{140, 200}, -1, 200});
+  EXPECT_EQ(d2.aggregator, 4);
+  EXPECT_EQ(d2.buffer_bytes, 192u);
+  EXPECT_EQ(f.aggs[1], 3);
+  EXPECT_EQ(f.avail[1], 0u);
+  EXPECT_EQ(f.aggs[0] + f.aggs[2] + f.aggs[3], 0);
 }
 
 }  // namespace
